@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import linalg
 from .errors import (
@@ -110,6 +110,7 @@ class CartanDatum:
     rank: int
     matrix: IntMat
     symmetrizer: tuple[int, ...]
+    _gram: IntMat = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.rank
@@ -128,7 +129,8 @@ class CartanDatum:
                     raise UnsupportedLabelError("Cartan zero pattern must be symmetric")
                 if d[i] * c[i][j] != d[j] * c[j][i]:
                     raise UnsupportedLabelError("Cartan matrix is not symmetrizable by d")
-        gram = self.gram()
+        gram = tuple(tuple(d[i] * c[i][j] for j in range(n)) for i in range(n))
+        object.__setattr__(self, "_gram", gram)
         minors = [linalg.int_det([row[: k + 1] for row in gram[: k + 1]]) for k in range(n)]
         if self.is_finite():
             if any(m <= 0 for m in minors):
@@ -142,10 +144,7 @@ class CartanDatum:
 
     def gram(self) -> IntMat:
         """Matrix of the bilinear form, (e_i, e_j) = d_i C_ij."""
-        return tuple(
-            tuple(self.symmetrizer[i] * self.matrix[i][j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        return self._gram
 
 
 @dataclass(frozen=True)
@@ -228,6 +227,7 @@ def is_real_root(cd: CartanDatum, v: Vector) -> bool:
     return p >= 0 and q >= 0 and abs(p - q) == 1
 
 
+@functools.lru_cache(maxsize=None)
 def reflection_element(cd: CartanDatum, alpha: Vector) -> WeylElement:
     """Matrix of the reflection at a real root, columns = images of e_j."""
     if not is_real_root(cd, alpha):

@@ -37,6 +37,10 @@ class ResourceLimitError(NcthickError):
     """An enumeration exceeded its configured size cap."""
 
 
+class OutOfRangeError(NcthickError):
+    """A size parameter outside its valid range, such as a negative count."""
+
+
 class PermutationError(NcthickError):
     """A sequence that is not a permutation of 1..n."""
 

@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import braid, cartan, derived, noncrossing, repcat, thicklat
+from .errors import LatticeStructureError, UnsupportedLabelError
 
 
 @dataclass(frozen=True)
@@ -241,6 +242,67 @@ def _chk_kronecker_poset():
     return "bounds 0..3: size, det test, incomparable atoms, height 2"
 
 
+def _fixed_space_leq(cd, elements):
+    """u <= v iff l(u) + l(u^-1 v) = l(v), every length a fixed-space rank."""
+    lengths = [cartan.absolute_length(cd, w) for w in elements]
+    inverses = [w.inverse() for w in elements]
+
+    def leq(i: int, j: int) -> bool:
+        return lengths[i] <= lengths[j] and (
+            lengths[i] + cartan.absolute_length(cd, inverses[i] * elements[j]) == lengths[j]
+        )
+
+    return leq, lengths
+
+
+def _chk_mask_oracle():
+    for label in ("A3", "B3", "D4", "G2"):
+        cd = cartan.build_cartan(label)
+        reverse = tuple(range(cd.rank, 0, -1))
+        for c in (cartan.coxeter_element(cd), cartan.coxeter_element(cd, reverse)):
+            lat = noncrossing.enumerate_nc(cd, c)
+            leq, _ = _fixed_space_leq(cd, lat.elements)
+            for i, u in enumerate(lat.elements):
+                for j, v in enumerate(lat.elements):
+                    _expect(lat.leq(u, v) == leq(i, j), f"mask order differs from abs_leq in {label}")
+                _expect(
+                    noncrossing.kreweras(lat, noncrossing.co_kreweras(lat, u)) == u,
+                    f"kreweras o co_kreweras != id in {label}",
+                )
+            _expect(len(set(lat.masks)) == len(lat), f"masks not injective in {label}")
+    for label in ("A4", "B4", "F4", "D5"):
+        lat = noncrossing.enumerate_nc(cartan.build_cartan(label))
+        leq, lengths = _fixed_space_leq(lat.cartan, lat.elements)
+        covers = tuple(
+            (i, j)
+            for i in range(len(lat))
+            for j in range(len(lat))
+            if lengths[j] == lengths[i] + 1 and leq(i, j)
+        )
+        _expect(lat.hasse == covers, f"mask Hasse diagram differs from abs_leq covers in {label}")
+        _expect(len(set(lat.masks)) == len(lat), f"masks not injective in {label}")
+    lat = noncrossing.nc_kronecker(0)
+    r = lat.reflection_members()[0]
+    for op in (noncrossing.meet, noncrossing.join):
+        try:
+            op(lat, r, r)
+        except UnsupportedLabelError:
+            pass
+        else:
+            raise AssertionError(f"{op.__name__} accepted the truncated Kronecker poset")
+    escaped = 0
+    for w in lat.elements:
+        try:
+            noncrossing.kreweras(lat, w)
+        except LatticeStructureError:
+            escaped += 1
+    _expect(escaped > 0, "no Kreweras complement escapes the truncated Kronecker poset")
+    return (
+        "leq = abs_leq on A3 B3 D4 G2 (two Coxeter elements), "
+        "hasse = abs_leq covers on A4 B4 F4 D5, injective masks, Kronecker errors"
+    )
+
+
 _NC_CHECKS = [
     ("form-invariance", _chk_form_invariance),
     ("reflection-involutive", _chk_reflection_involutive),
@@ -254,6 +316,7 @@ _NC_CHECKS = [
     ("nc-complementation", _chk_complementation),
     ("nc-interval-complements", _chk_interval_complements),
     ("nc-kronecker-truncations", _chk_kronecker_poset),
+    ("nc-mask-oracle", _chk_mask_oracle),
 ]
 
 

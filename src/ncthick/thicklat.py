@@ -22,6 +22,7 @@ from .cartan import CartanDatum, WeylElement
 from .errors import (
     LatticeStructureError,
     NotInPosetError,
+    OutOfRangeError,
     ResourceLimitError,
     StructuralError,
 )
@@ -398,12 +399,26 @@ class KroneckerLattice:
         return len(e[1])
 
 
+MAX_TUBE_POINTS = 16
+
+
 def kronecker_lattice(bound: int, points) -> KroneckerLattice:
     """Glue the truncated NC part to the augmented power set of the
-    given tube labels, identifying bottoms and tops."""
+    given tube labels, identifying bottoms and tops.
+
+    `points` is a count or a sequence of labels; the power set has 2^p
+    elements, so p is capped at MAX_TUBE_POINTS."""
+    if bound < 0:
+        raise OutOfRangeError(f"truncation bound must be at least 0, got {bound}")
     if isinstance(points, int):
+        if points < 0:
+            raise OutOfRangeError(f"tube point count must be at least 0, got {points}")
         points = tuple(f"p{i}" for i in range(1, points + 1))
     points = tuple(sorted(str(p) for p in points))
+    if len(points) > MAX_TUBE_POINTS:
+        raise ResourceLimitError(
+            f"{len(points)} tube points exceed the cap {MAX_TUBE_POINTS}"
+        )
     nc_part = noncrossing.nc_kronecker(bound)
     elements: list[Element] = [("bottom",)]
     for w in nc_part.reflection_members():
@@ -423,21 +438,15 @@ def kronecker_lattice(bound: int, points) -> KroneckerLattice:
 
 def thick_to_json(lat: ThickLattice) -> dict:
     nc = lat.nc
-    perp = []
-    for i, u in enumerate(lat.subcategories):
-        perp.append(
-            [
-                i,
-                nc.index(left_perp(u, nc.coxeter).nc_element),
-                nc.index(right_perp(u, nc.coxeter).nc_element),
-            ]
-        )
+    # left perp w^-1 c and right perp c w^-1 are the Kreweras and
+    # co-Kreweras complements, each certified by thick_lattice already
+    perp = [[i, nc.kreweras_index[i], nc.co_kreweras_index[i]] for i in range(len(nc))]
     return {
         "type": nc.cartan.label,
         "elements": [
             {
                 "nc_id": i,
-                "rank": u.rank,
+                "rank": nc.ranks[u.nc_element],
                 "generator_roots": [list(a) for a in u.generators],
             }
             for i, u in enumerate(lat.subcategories)
@@ -460,15 +469,21 @@ def _kron_name(lat: KroneckerLattice, e: Element) -> str:
 
 def kronecker_to_json(lat: KroneckerLattice) -> dict:
     names = [_kron_name(lat, e) for e in lat.elements]
-    edges = []
-    for i, a in enumerate(lat.elements):
-        for j, b in enumerate(lat.elements):
-            if i != j and lat.leq(a, b):
-                if not any(
-                    lat.leq(a, c) and lat.leq(c, b) and c != a and c != b
-                    for c in lat.elements
-                ):
-                    edges.append([i, j])
+    bottom, top = 0, len(lat.elements) - 1
+    atoms = range(1, 1 + len(lat.nc_part.reflection_members()))
+    edges = [(bottom, a) for a in atoms] + [(a, top) for a in atoms]
+    for i, e in enumerate(lat.elements):
+        if e[0] != "tube":
+            continue
+        if len(e[1]) == 1:
+            edges.append((bottom, i))
+        if len(e[1]) == len(lat.tube_points):
+            edges.append((i, top))
+        edges.extend(
+            (i, lat.index(("tube", e[1] | {p}))) for p in lat.tube_points if p not in e[1]
+        )
+    if top == bottom + 1:
+        edges.append((bottom, top))
     return {
         "tube_points": list(lat.tube_points),
         "truncation_bound": lat.nc_part.truncation_bound,
@@ -476,7 +491,7 @@ def kronecker_to_json(lat: KroneckerLattice) -> dict:
             {"id": i, "name": names[i], "rank": lat.rank_of(e)}
             for i, e in enumerate(lat.elements)
         ],
-        "hasse": edges,
+        "hasse": [list(e) for e in sorted(edges)],
     }
 
 

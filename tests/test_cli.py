@@ -147,3 +147,43 @@ class TestErrors:
         code, _, err = _run(capsys, "braid", "orbit", "--type", "E6", "--count")
         assert code == 2
         assert err.startswith("error: ResourceLimitError")
+
+
+class TestSizeBounds:
+    """Bad --bound/--points exit 2 with one typed line, before any work."""
+
+    @staticmethod
+    def _forbid_work(monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the size check")
+
+        monkeypatch.setattr(cli.cartan, "build_cartan", forbidden)
+
+    def _rejected(self, capsys, monkeypatch, error, *argv):
+        self._forbid_work(monkeypatch)
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {error}:")
+        assert err.count("\n") == 1
+        return err
+
+    def test_nc_kronecker_negative_bound(self, capsys, monkeypatch):
+        err = self._rejected(capsys, monkeypatch, "OutOfRangeError", "nc", "--type", "KRONECKER", "--bound", "-1")
+        assert "at least 0" in err
+
+    def test_kronecker_negative_bound(self, capsys, monkeypatch):
+        self._rejected(capsys, monkeypatch, "OutOfRangeError", "kronecker", "--bound", "-2", "--points", "2")
+
+    def test_kronecker_negative_points(self, capsys, monkeypatch):
+        err = self._rejected(capsys, monkeypatch, "OutOfRangeError", "kronecker", "--points", "-1")
+        assert "at least 0" in err
+
+    def test_kronecker_points_cap(self, capsys, monkeypatch):
+        err = self._rejected(capsys, monkeypatch, "ResourceLimitError", "kronecker", "--points", "17")
+        assert "cap 16" in err
+
+    def test_zero_sizes_accepted(self, capsys):
+        code, out, _ = _run(capsys, "kronecker", "--bound", "0", "--points", "0")
+        assert code == 0
+        assert len(json.loads(out)["elements"]) == 4

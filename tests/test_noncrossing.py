@@ -4,7 +4,12 @@ import pytest
 
 from ncthick import cartan as cw
 from ncthick import noncrossing as nc
-from ncthick.errors import NotInPosetError, UnsupportedLabelError
+from ncthick.errors import (
+    LatticeStructureError,
+    NotInPosetError,
+    OutOfRangeError,
+    UnsupportedLabelError,
+)
 
 
 def _lattice(label):
@@ -61,6 +66,71 @@ class TestEnumerate:
         base = nc.enumerate_nc(cd)
         permuted = nc.enumerate_nc(cd, reflection_order=tuple(reversed(cw.reflections(cd))))
         assert set(base.elements) == set(permuted.elements)
+
+
+def _abs_order(cd, elements):
+    """Oracle: l(u) + l(u^-1 v) = l(v) with fixed-space lengths, by index."""
+    lengths = [cw.absolute_length(cd, w) for w in elements]
+    inverses = [w.inverse() for w in elements]
+
+    def leq(i, j):
+        return lengths[i] <= lengths[j] and (
+            lengths[i] + cw.absolute_length(cd, inverses[i] * elements[j]) == lengths[j]
+        )
+
+    return leq, lengths
+
+
+def _coxeters(label):
+    cd = cw.build_cartan(label)
+    return [cw.coxeter_element(cd), cw.coxeter_element(cd, tuple(range(cd.rank, 0, -1)))]
+
+
+class TestMasks:
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_leq_matches_abs_leq(self, label, which):
+        cd = cw.build_cartan(label)
+        lat = nc.enumerate_nc(cd, _coxeters(label)[which])
+        leq, _ = _abs_order(cd, lat.elements)
+        for i, u in enumerate(lat.elements):
+            for j, v in enumerate(lat.elements):
+                assert lat.leq(u, v) == leq(i, j)
+
+    @pytest.mark.parametrize("label", ["A4", "B4", "F4", "D5"])
+    def test_hasse_matches_abs_leq_covers(self, label):
+        lat = _lattice(label)
+        leq, lengths = _abs_order(lat.cartan, lat.elements)
+        n = len(lat)
+        covers = tuple(
+            (i, j) for i in range(n) for j in range(n) if lengths[j] == lengths[i] + 1 and leq(i, j)
+        )
+        assert lat.hasse == covers
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])
+    def test_masks_are_reflection_sets(self, label):
+        lat = _lattice(label)
+        refs = cw.reflections(lat.cartan)
+        for w, mask in zip(lat.elements, lat.masks):
+            expected = sum(1 << k for k, t in enumerate(refs) if cw.abs_leq(lat.cartan, t, w))
+            assert mask == expected
+        assert len(set(lat.masks)) == len(lat)
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_kreweras_tables_inverse(self, label, which):
+        lat = nc.enumerate_nc(cw.build_cartan(label), _coxeters(label)[which])
+        for w in lat.elements:
+            assert nc.kreweras(lat, nc.co_kreweras(lat, w)) == w
+            assert nc.co_kreweras(lat, nc.kreweras(lat, w)) == w
+            assert nc.kreweras(lat, w) == w.inverse() * lat.coxeter
+
+    def test_reversed_reflection_order_same_masks(self):
+        cd = cw.build_cartan("B3")
+        base = nc.enumerate_nc(cd)
+        permuted = nc.enumerate_nc(cd, reflection_order=tuple(reversed(cw.reflections(cd))))
+        assert base.masks == permuted.masks
+        assert base.kreweras_index == permuted.kreweras_index
 
 
 class TestKreweras:
@@ -171,6 +241,33 @@ class TestKronecker:
         r = lat.reflection_members()[0]
         with pytest.raises(UnsupportedLabelError):
             nc.meet(lat, r, r)
+        with pytest.raises(UnsupportedLabelError):
+            nc.join(lat, r, r)
+
+    @pytest.mark.parametrize("bound", [0, 1, 2])
+    def test_kreweras_escape(self, bound):
+        lat = nc.nc_kronecker(bound)
+        escaped = 0
+        for w in lat.elements:
+            out = w.inverse() * lat.coxeter
+            if out in lat:
+                assert nc.kreweras(lat, w) == out
+            else:
+                escaped += 1
+                with pytest.raises(LatticeStructureError):
+                    nc.kreweras(lat, w)
+        assert escaped > 0
+
+    def test_masks(self):
+        lat = nc.nc_kronecker(1)
+        atoms = len(lat.reflection_members())
+        assert lat.masks[0] == 0 and lat.masks[-1] == (1 << atoms) - 1
+        assert sorted(lat.masks[1:-1]) == [1 << k for k in range(atoms)]
+        assert lat.leq(lat.identity(), lat.coxeter)
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            nc.nc_kronecker(-1)
 
 
 class TestDotAndJson:

@@ -5,7 +5,12 @@ from ncthick import cartan as cw
 from ncthick import noncrossing as nc
 from ncthick import repcat as rc
 from ncthick import thicklat as tl
-from ncthick.errors import NotInPosetError, NotReflectionError, ResourceLimitError
+from ncthick.errors import (
+    NotInPosetError,
+    NotReflectionError,
+    OutOfRangeError,
+    ResourceLimitError,
+)
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +224,35 @@ class TestKroneckerLattice:
                 lat.meet(a, b)
                 lat.join(a, b)
 
+    @pytest.mark.parametrize("bound", [0, 1, 2])
+    @pytest.mark.parametrize("points", [0, 1, 2, 3, 4, 5, ("b", "a", "c")])
+    def test_covers_match_cubic_definition(self, bound, points):
+        # a < b with nothing strictly between, straight from leq
+        lat = tl.kronecker_lattice(bound, points)
+        els = lat.elements
+        cubic = [
+            [i, j]
+            for i, a in enumerate(els)
+            for j, b in enumerate(els)
+            if i != j
+            and lat.leq(a, b)
+            and not any(lat.leq(a, c) and lat.leq(c, b) and c != a and c != b for c in els)
+        ]
+        assert tl.kronecker_to_json(lat)["hasse"] == cubic
+
+    def test_negative_sizes_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            tl.kronecker_lattice(-1, 2)
+        with pytest.raises(OutOfRangeError):
+            tl.kronecker_lattice(1, -1)
+
+    def test_points_cap(self):
+        tl.kronecker_lattice(0, tl.MAX_TUBE_POINTS)
+        with pytest.raises(ResourceLimitError, match="cap 16"):
+            tl.kronecker_lattice(0, tl.MAX_TUBE_POINTS + 1)
+        with pytest.raises(ResourceLimitError):
+            tl.kronecker_lattice(0, tuple(f"x{i}" for i in range(17)))
+
 
 class TestJson:
     def test_thick_json(self, a2):
@@ -228,6 +262,16 @@ class TestJson:
         assert len(data["perp_pairs"]) == 5
         ranks = [e["rank"] for e in data["elements"]]
         assert ranks == sorted(ranks)
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4"])
+    def test_perp_pairs_are_perp_functions(self, label):
+        lat = tl.thick_lattice(cw.build_cartan(label))
+        c = lat.nc.coxeter
+        expected = [
+            [i, lat.nc.index(tl.left_perp(u, c).nc_element), lat.nc.index(tl.right_perp(u, c).nc_element)]
+            for i, u in enumerate(lat.subcategories)
+        ]
+        assert tl.thick_to_json(lat)["perp_pairs"] == expected
 
     def test_kronecker_json_and_dot(self):
         lat = tl.kronecker_lattice(0, 2)
