@@ -25,13 +25,14 @@ import functools
 from dataclasses import dataclass
 
 from . import repcat
-from .errors import StructuralError, WindowError
+from .errors import ResourceLimitError, StructuralError, WindowError
 from .tquiver import TranslationQuiver
 
 Vertex = tuple[int, int]
 Vector = tuple[int, ...]
 
 _HARD_CAP = 64  # tau steps a window may auto-extend past its end
+MAX_WINDOW_LEVELS = 1024  # levels hi - lo + 1 a window may span
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,12 @@ def build_zdelta(
     orientation: tuple[tuple[int, int], ...] | None = None,
 ) -> TranslationQuiver:
     """The repetition of the tree restricted to levels lo..hi inclusive."""
-    q = repcat.dynkin_quiver(label, orientation)
     lo, hi = window
+    if hi - lo + 1 > MAX_WINDOW_LEVELS:
+        raise ResourceLimitError(
+            f"window {lo}:{hi} spans {hi - lo + 1} levels, past the cap {MAX_WINDOW_LEVELS}"
+        )
+    q = repcat.dynkin_quiver(label, orientation)
     if lo > hi:
         raise WindowError(f"empty window {window}")
     vertices = tuple((n, x) for n in range(lo, hi + 1) for x in q.vertices)
@@ -187,33 +192,29 @@ def serre(t: TranslationQuiver, x: Vertex) -> Vertex:
     return (level - 1, node)
 
 
-@functools.lru_cache(maxsize=None)
-def _knit_by_key(label, orientation, window, source) -> Hammock:
-    return knit_hammock(build_zdelta(label, window, orientation), source)
+_hammocks: dict[tuple, Hammock] = {}  # keyed by (window meta key, source)
 
 
 def _knit_cached(t: TranslationQuiver, source: Vertex) -> Hammock:
-    label, orientation, window = _require_meta(t)
-    return _knit_by_key(label, orientation, window, source)
+    key = (_require_meta(t), source)
+    if key not in _hammocks:
+        _hammocks[key] = knit_hammock(t, source)
+    return _hammocks[key]
 
 
-def _opposite(t: TranslationQuiver) -> TranslationQuiver:
+@functools.lru_cache(maxsize=None)
+def _opposite(meta: tuple) -> TranslationQuiver:
     """The repetition of the opposite orientation; (n,x) matches (-n,x)."""
-    label, orientation, (lo, hi) = _require_meta(t)
+    label, orientation, (lo, hi) = meta
     flipped = tuple((b, a) for a, b in orientation)
     return build_zdelta(label, (-hi, -lo), flipped)
 
 
-def reverse_hammock(t: TranslationQuiver, x: Vertex) -> dict[Vertex, int]:
-    """dim Hom(-, x), knitted in the opposite repetition."""
-    top = _opposite(t)
-    h = _knit_cached(top, (-x[0], x[1]))
-    return {(-n, v): k for (n, v), k in h.values.items()}
-
-
 def ell(t: TranslationQuiver, x: Vertex) -> int:
-    """Total morphism length into x, summed over all indecomposables."""
-    return sum(reverse_hammock(t, x).values())
+    """Total morphism length into x, summed over all indecomposables:
+    the values of dim Hom(-, x), knitted in the opposite repetition."""
+    h = _knit_cached(_opposite(_require_meta(t)), (-x[0], x[1]))
+    return sum(h.values.values())
 
 
 def verify_mesh(t: TranslationQuiver, levels: tuple[int, int] | None = None) -> MeshReport:
@@ -273,17 +274,7 @@ def module_slice(q: repcat.Quiver) -> dict[Vector, Vertex]:
     shift = -min(grade.values())
     grade = {v: g + shift for v, g in grade.items()}
 
-    proj_of: dict[Vector, int] = {}
-    for i in q.vertices:
-        reach = {i}
-        changed = True
-        while changed:
-            changed = False
-            for s, t in q.arrows:
-                if s in reach and t not in reach:
-                    reach.add(t)
-                    changed = True
-        proj_of[tuple(int(v in reach) for v in q.vertices)] = i
+    proj_of = {repcat.projective_dim(q, i): i for i in q.vertices}
 
     out: dict[Vector, Vertex] = {}
     for root in ar.vertices:

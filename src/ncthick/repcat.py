@@ -3,11 +3,12 @@
 Morphism spaces are computed by solving the arrow-commutation linear
 system over Q, Ext^1 through the hereditary Euler form, and one
 indecomposable per positive root is built deterministically by
-reflection-functor transport of a simple along sink reorderings (with a
-randomized 0/1-matrix fallback should the transport ever fail).  This
+reflection-functor transport of a simple along sink reorderings.  For a
+Dynkin quiver the transport reaches every positive root (Bernstein-
+Gelfand-Ponomarev), so a failed transport raises StructuralError.  This
 module is the independent oracle the combinatorial modules are checked
 against, so nothing here consults the Weyl-group machinery beyond root
-enumeration.
+enumeration and simple reflections of roots.
 
 Representations store one rational matrix per arrow with shape
 dim[target] x dim[source]; matrices with zero rows or columns are empty
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -192,23 +192,6 @@ def _simple_root_index(alpha: Vector) -> int | None:
     return None
 
 
-def _tree_neighbors(label: str) -> dict[int, set[int]]:
-    nb: dict[int, set[int]] = {}
-    for i, j in cartan.tree_edges(label):
-        nb.setdefault(i, set()).add(j)
-        nb.setdefault(j, set()).add(i)
-    return nb
-
-
-def _simple_reflect(label: str, alpha: Vector, i: int) -> Vector:
-    """s_i(alpha) for the simply-laced form 2*delta - adjacency."""
-    nb = _tree_neighbors(label)
-    pairing = 2 * alpha[i - 1] - sum(alpha[j - 1] for j in nb.get(i, ()))
-    out = list(alpha)
-    out[i - 1] -= pairing
-    return tuple(out)
-
-
 def _flip_at(arrows: tuple[tuple[int, int], ...], i: int) -> tuple[tuple[int, int], ...]:
     return tuple((t, s) if s == i or t == i else (s, t) for s, t in arrows)
 
@@ -219,7 +202,7 @@ def _sinks(arrows: tuple[tuple[int, int], ...], n: int) -> list[int]:
 
 
 def _coreflect(
-    label: str, arrows: tuple[tuple[int, int], ...], dim: Vector, maps: tuple[Mat, ...], i: int
+    arrows: tuple[tuple[int, int], ...], dim: Vector, maps: tuple[Mat, ...], i: int
 ) -> tuple[Vector, tuple[Mat, ...]]:
     """Apply the source-i coreflection functor; arrows at i get reversed.
 
@@ -228,7 +211,6 @@ def _coreflect(
     cokernel projection.
     """
     out_idx = [k for k, (s, _) in enumerate(arrows) if s == i]
-    targets = [arrows[k][1] for k in out_idx]
     di = dim[i - 1]
     # stack the outgoing maps vertically: (sum of target dims) x di
     stacked: list[tuple[Fraction, ...]] = []
@@ -251,7 +233,8 @@ def _coreflect(
 
 
 def _transport_rep(q: Quiver, alpha: Vector) -> Representation:
-    label, n = q.label, q.rank
+    n = q.rank
+    cd = cartan.build_cartan(q.label)
     steps: list[int] = []
     arrows = q.arrows
     cur = alpha
@@ -261,7 +244,7 @@ def _transport_rep(q: Quiver, alpha: Vector) -> Representation:
             raise StructuralError("acyclic orientation must have a sink")
         i = sinks[0]
         steps.append(i)
-        cur = _simple_reflect(label, cur, i)
+        cur = cartan.reflect(cd, tuple(int(v == i) for v in range(1, n + 1)), cur)
         arrows = _flip_at(arrows, i)
         if len(steps) > 64 * n:
             raise StructuralError("reflection transport did not terminate")
@@ -271,21 +254,11 @@ def _transport_rep(q: Quiver, alpha: Vector) -> Representation:
         _zero(dim[t - 1], dim[s - 1]) for s, t in arrows
     )
     for i in reversed(steps):
-        dim, maps = _coreflect(label, arrows, dim, maps, i)
+        dim, maps = _coreflect(arrows, dim, maps, i)
         arrows = _flip_at(arrows, i)
     if arrows != q.arrows or dim != alpha:
         raise StructuralError("transport returned to the wrong quiver or root")
     return Representation(q, dim, maps)
-
-
-def _random_rep(q: Quiver, alpha: Vector, rng: random.Random) -> Representation:
-    maps = []
-    for s, t in q.arrows:
-        rows, cols = alpha[t - 1], alpha[s - 1]
-        maps.append(
-            tuple(tuple(Fraction(rng.randint(0, 1)) for _ in range(cols)) for _ in range(rows))
-        )
-    return Representation(q, alpha, tuple(maps))
 
 
 def indecomposable_for_root(q: Quiver, alpha: Vector) -> Representation:
@@ -293,19 +266,23 @@ def indecomposable_for_root(q: Quiver, alpha: Vector) -> Representation:
     cd = cartan.build_cartan(q.label)
     if not (cartan.is_real_root(cd, alpha) and all(x >= 0 for x in alpha)):
         raise NotRealRootError(f"{alpha} is not a positive root of {q.label}")
-    try:
-        rep = _transport_rep(q, alpha)
-        if hom(q, rep, rep).dim == 1:
-            return rep
-    except StructuralError:
-        pass
-    # fallback: generic 0/1 matrices; the indecomposable locus is dense
-    rng = random.Random(f"{q.label}:{q.arrows}:{alpha}")
-    for _ in range(200):
-        rep = _random_rep(q, alpha, rng)
-        if hom(q, rep, rep).dim == 1:
-            return rep
-    raise StructuralError(f"could not construct an indecomposable for {alpha}")
+    rep = _transport_rep(q, alpha)
+    if hom(q, rep, rep).dim != 1:
+        raise StructuralError(f"transport gave a decomposable representation for {alpha}")
+    return rep
+
+
+def projective_dim(q: Quiver, i: int) -> Vector:
+    """Dimension vector of the projective at i: the vertices reachable from i."""
+    reach = {i}
+    changed = True
+    while changed:
+        changed = False
+        for s, t in q.arrows:
+            if s in reach and t not in reach:
+                reach.add(t)
+                changed = True
+    return tuple(int(v in reach) for v in q.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -405,21 +382,10 @@ class _ModuleCategory:
             cand = tuple(x - y for x, y in zip(total, b))
             if all(x >= 0 for x in cand) and cartan.is_real_root(cd, cand):
                 out[b] = cand
-        projectives = {self._projective_dim(i) for i in self.quiver.vertices}
+        projectives = {projective_dim(self.quiver, i) for i in self.quiver.vertices}
         if set(self.roots) - set(out) != projectives:
             raise StructuralError("tau should be undefined exactly at projectives")
         return out
-
-    def _projective_dim(self, i: int) -> Vector:
-        reach = {i}
-        changed = True
-        while changed:
-            changed = False
-            for s, t in self.quiver.arrows:
-                if s in reach and t not in reach:
-                    reach.add(t)
-                    changed = True
-        return tuple(int(v in reach) for v in self.quiver.vertices)
 
 
 @functools.lru_cache(maxsize=None)

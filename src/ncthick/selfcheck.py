@@ -11,9 +11,7 @@ the CLI can print one line per invariant.
 from __future__ import annotations
 
 import itertools
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import braid, cartan, derived, noncrossing, repcat, thicklat
@@ -26,14 +24,6 @@ class CheckResult:
     name: str
     ok: bool
     detail: str = ""
-
-
-def worker_count() -> int:
-    """Parallelism cap from NC_THICK_THREADS; defaults to sequential."""
-    try:
-        return max(1, int(os.environ.get("NC_THICK_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _check(suite: str, name: str, fn) -> CheckResult:
@@ -643,7 +633,7 @@ def _chk_reflection_root_bijection():
         cd = cartan.build_cartan(label)
         seen = set()
         for t in cartan.reflections(cd):
-            alpha = thicklat.root_of_reflection(cd, t)
+            alpha = cartan.reflection_root(cd, t)
             _expect(cartan.reflection_element(cd, alpha) == t, "root round trip fails")
             seen.add(alpha)
         _expect(
@@ -700,10 +690,4 @@ def run_suites(names) -> list[CheckResult]:
             expanded.append(n)
         else:
             raise KeyError(f"unknown suite {n!r}")
-    jobs = [(suite, name, fn) for suite in expanded for name, fn in SUITES[suite]]
-    threads = worker_count()
-    if threads == 1:
-        return [_check(s, n, f) for s, n, f in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_check, s, n, f) for s, n, f in jobs]
-        return [f.result() for f in futures]
+    return [_check(suite, name, fn) for suite in expanded for name, fn in SUITES[suite]]

@@ -31,11 +31,6 @@ from .noncrossing import NCLattice
 Vector = tuple[int, ...]
 
 
-def root_of_reflection(cd: CartanDatum, s: WeylElement) -> Vector:
-    """The unique positive real root alpha with s(alpha) = -alpha."""
-    return cartan.reflection_root(cd, s)
-
-
 @dataclass(frozen=True)
 class ThickSubcategory:
     """An NC element together with a generating exceptional sequence."""
@@ -61,10 +56,6 @@ class ThickSubcategory:
 
     def __hash__(self):
         return hash((self.cartan.label, self.nc_element))
-
-    @property
-    def rank(self) -> int:
-        return cartan.absolute_length(self.cartan, self.nc_element)
 
 
 def cox(u: ThickSubcategory, c: WeylElement | None = None) -> WeylElement:
@@ -145,9 +136,6 @@ class ThickLattice:
 
     def __len__(self):
         return len(self.subcategories)
-
-    def by_nc(self, w: WeylElement) -> ThickSubcategory:
-        return self.subcategories[self.nc.index(w)]
 
 
 def thick_lattice(cd: CartanDatum) -> ThickLattice:

@@ -53,13 +53,3 @@ class TranslationQuiver:
             if [v for v, _ in into] != [v for v, _ in out]:
                 problems.append(f"mesh at {z}: sources {into} vs tau-targets {out}")
         return problems
-
-    def reverse(self) -> "TranslationQuiver":
-        """Opposite translation quiver: arrows flipped, valuations swapped,
-        translate inverted."""
-        return TranslationQuiver(
-            vertices=self.vertices,
-            arrows=tuple((t, s, (dp, d)) for s, t, (d, dp) in self.arrows),
-            tau={v: k for k, v in self.tau.items()},
-            meta=None,
-        )

@@ -8,6 +8,7 @@ from ncthick.errors import (
     InfiniteGroupError,
     IsotropicVectorError,
     NotRealRootError,
+    NotReflectionError,
     PermutationError,
     ResourceLimitError,
     UnsupportedLabelError,
@@ -272,3 +273,33 @@ class TestReflectionRoot:
         for alpha in cw.positive_roots(cd):
             t = cw.reflection_element(cd, alpha)
             assert cw.reflection_root(cd, t) == alpha
+
+
+class TestRootOfReflection:
+    @pytest.fixture(scope="class")
+    def a2(self):
+        return cw.build_cartan("A2")
+
+    @pytest.fixture(scope="class")
+    def a3(self):
+        return cw.build_cartan("A3")
+
+    def test_simple(self, a2):
+        assert cw.reflection_root(a2, cw.simple_reflection(a2, 1)) == (1, 0)
+
+    def test_conjugate(self, a2):
+        s1 = cw.simple_reflection(a2, 1)
+        s2 = cw.simple_reflection(a2, 2)
+        assert cw.reflection_root(a2, s1 * s2 * s1) == (1, 1)
+
+    def test_round_trip_a3(self, a3):
+        for t in cw.reflections(a3):
+            assert cw.reflection_element(a3, cw.reflection_root(a3, t)) == t
+
+    def test_bijection(self, a3):
+        roots = {cw.reflection_root(a3, t) for t in cw.reflections(a3)}
+        assert roots == set(cw.positive_roots(a3))
+
+    def test_non_reflection_rejected(self, a2):
+        with pytest.raises(NotReflectionError):
+            cw.reflection_root(a2, cw.coxeter_element(a2))

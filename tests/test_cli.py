@@ -88,6 +88,18 @@ class TestArq:
         assert code == 2
         assert err.startswith("usage-error:")
 
+    def test_window_cap(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the window cap check")
+
+        monkeypatch.setattr(cli.derived.repcat, "dynkin_quiver", forbidden)
+        code, out, err = _run(capsys, "arq", "knit", "--type", "A2", "--window", "0:100000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ResourceLimitError:")
+        assert "100001 levels" in err and "cap 1024" in err
+        assert err.count("\n") == 1
+
 
 class TestThick:
     def test_json_schema_with_oracle(self, capsys):
@@ -118,12 +130,6 @@ class TestVerify:
         code, out, _ = _run(capsys, "verify", "--suite", "braid")
         assert code == 0
         assert "PASS braid/hurwitz-transitivity" in out
-
-    def test_thread_cap_does_not_change_output(self, capsys, monkeypatch):
-        _, sequential, _ = _run(capsys, "verify", "--suite", "braid")
-        monkeypatch.setenv("NC_THICK_THREADS", "4")
-        _, threaded, _ = _run(capsys, "verify", "--suite", "braid")
-        assert threaded == sequential
 
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, err = _run(capsys, "verify", "--suite", "bogus")

@@ -2,7 +2,7 @@ import pytest
 
 from ncthick import derived as dv
 from ncthick import repcat as rc
-from ncthick.errors import WindowError
+from ncthick.errors import ResourceLimitError, WindowError
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +39,12 @@ class TestBuildZdelta:
     def test_empty_window_rejected(self):
         with pytest.raises(WindowError):
             dv.build_zdelta("A2", (3, 1))
+
+    def test_window_cap(self):
+        assert dv.MAX_WINDOW_LEVELS == 1024
+        assert len(dv.build_zdelta("A1", (0, 1023)).vertices) == 1024
+        with pytest.raises(ResourceLimitError, match="1025 levels"):
+            dv.build_zdelta("A1", (0, 1024))
 
 
 class TestKnit:
@@ -144,6 +150,22 @@ class TestMesh:
         report = dv.verify_mesh(dv.build_zdelta(label, (0, hi)))
         assert report.ok
         assert len(report.checked) >= 4
+
+    def test_one_window_build(self, monkeypatch):
+        # hammocks are knitted on the window at hand; only the opposite
+        # window, needed for ell, is built, and only once
+        t = dv.build_zdelta("A3", (0, 6))
+        dv._opposite.cache_clear()
+        calls = []
+        build = dv.build_zdelta
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(dv, "build_zdelta", counted)
+        assert dv.verify_mesh(t).ok
+        assert calls == [("A3", (-6, 0), ((2, 1), (3, 2)))]
 
 
 class TestDerivedHom:

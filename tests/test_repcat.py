@@ -2,12 +2,20 @@ import itertools
 
 import pytest
 
+from ncthick import cartan
 from ncthick import repcat as rc
 from ncthick.errors import (
     DimensionMismatchError,
     NotRealRootError,
+    StructuralError,
     UnsupportedLabelError,
 )
+
+
+def _orientations(label):
+    edges = rc.dynkin_quiver(label).arrows
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        yield tuple((b, a) if flip else (a, b) for (a, b), flip in zip(edges, flips))
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +130,23 @@ class TestIndecomposables:
     def test_rejects_non_root(self, a2):
         with pytest.raises(NotRealRootError):
             rc.indecomposable_for_root(a2, (2, 1))
+
+    def test_decomposable_transport_raises(self, a2, monkeypatch):
+        # S1 + S2 has dimension vector (1, 1) but End = k x k
+        split = rc.Representation(a2, (1, 1), (((0,),),))
+        monkeypatch.setattr(rc, "_transport_rep", lambda q, alpha: split)
+        with pytest.raises(StructuralError):
+            rc.indecomposable_for_root(a2, (1, 1))
+
+    @pytest.mark.parametrize(
+        "label,arrows", [(label, o) for label in ("A4", "D4") for o in _orientations(label)]
+    )
+    def test_transport_every_orientation(self, label, arrows):
+        q = rc.dynkin_quiver(label, arrows)
+        for alpha in cartan.positive_roots(cartan.build_cartan(label)):
+            m = rc._transport_rep(q, alpha)
+            assert m.dim == alpha
+            assert rc.hom(q, m, m).dim == 1
 
 
 class TestExceptionalSequences:

@@ -7,7 +7,6 @@ from ncthick import repcat as rc
 from ncthick import thicklat as tl
 from ncthick.errors import (
     NotInPosetError,
-    NotReflectionError,
     OutOfRangeError,
     ResourceLimitError,
 )
@@ -21,28 +20,6 @@ def a2():
 @pytest.fixture(scope="module")
 def a3():
     return cw.build_cartan("A3")
-
-
-class TestRootOfReflection:
-    def test_simple(self, a2):
-        assert tl.root_of_reflection(a2, cw.simple_reflection(a2, 1)) == (1, 0)
-
-    def test_conjugate(self, a2):
-        s1 = cw.simple_reflection(a2, 1)
-        s2 = cw.simple_reflection(a2, 2)
-        assert tl.root_of_reflection(a2, s1 * s2 * s1) == (1, 1)
-
-    def test_round_trip_a3(self, a3):
-        for t in cw.reflections(a3):
-            assert cw.reflection_element(a3, tl.root_of_reflection(a3, t)) == t
-
-    def test_bijection(self, a3):
-        roots = {tl.root_of_reflection(a3, t) for t in cw.reflections(a3)}
-        assert roots == set(cw.positive_roots(a3))
-
-    def test_non_reflection_rejected(self, a2):
-        with pytest.raises(NotReflectionError):
-            tl.root_of_reflection(a2, cw.coxeter_element(a2))
 
 
 class TestThickFromNc:
