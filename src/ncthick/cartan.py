@@ -298,6 +298,7 @@ def is_reflection(cd: CartanDatum, w: WeylElement) -> bool:
     return linalg.int_rank(diff) == 1 and (w * w).is_identity()
 
 
+@functools.lru_cache(maxsize=None)
 def reflection_root(cd: CartanDatum, w: WeylElement) -> Vector:
     """The unique positive real root alpha with w(alpha) = -alpha."""
     if not is_reflection(cd, w):

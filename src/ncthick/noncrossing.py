@@ -1,18 +1,25 @@
 """The poset NC(W,c) of noncrossing partitions and its lattice structure.
 
-Enumeration grows prefix products of reflections rank by rank, so the
-ambient Weyl group is never materialized; that is what makes E6-E8 sized
-posets reachable.
-
-Each element w also carries its reflection set T(w) = {t in T : t <= w},
-the positive roots in the moved space of w, as an int bitmask over the
+Each element w carries its reflection set T(w) = {t in T : t <= w}, the
+positive roots in the moved space of w, as an int bitmask over the
 positive-root order.  On [id, c] the map w -> T(w) is an order embedding
 (Brady-Watt 2002, Bessis 2003), so the order is a subset test, covers
 are subset tests between adjacent ranks, and meets and joins are found
-among the masks.  Growth computes T(w t) as the reflection closure of
-T(w) and t.  Kreweras complements are kept as an index table, filled
-from the complements w^-1 c that growth carries anyway.  The fixed-space
-absolute order of `cartan` stays the oracle for all of it.
+among the masks.
+
+Growth never tests a rank.  With the Euler form E = G (1 - c)^-1, whose
+symmetrization is the Gram matrix G, perp[s] is the mask of the roots t
+with E(beta_t, beta_s) = 0, and the Kreweras complement of w has
+T(w^-1 c) = the AND of perp[s] over s in T(w) (Ingalls-Thomas 2009:
+perpendicular categories are Kreweras complements).  Every bit t of
+that mask gives a cover w < w t, with complement mask T(w^-1 c) &
+perp[t] and reflection set the reflection closure of T(w) and t;
+elements are told apart by their complement masks, so a cover seen
+twice costs one AND.  Each element's matrix is one product with its
+parent, and one more product per element certifies w * (w^-1 c) = c.
+The Weyl group is never materialized.  The fixed-space absolute order
+of `cartan` and the prefix-product growth that tests each candidate's
+rank stay as oracles in `selfcheck`.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from . import cartan
+from . import cartan, linalg
 from .cartan import CartanDatum, WeylElement
 from .errors import (
     LatticeStructureError,
@@ -54,7 +61,7 @@ class NCLattice:
     co_kreweras_index: tuple[int | None, ...] = field(init=False, repr=False)
     _index: dict[WeylElement, int] = field(init=False, repr=False)
     _hasse: tuple[tuple[int, int], ...] | None = field(init=False, repr=False)
-    _words: dict[WeylElement, tuple[Vector, ...]] | None = field(init=False, repr=False)
+    _words: tuple[tuple[Vector, ...], ...] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         self._index = {w: i for i, w in enumerate(self.elements)}
@@ -112,32 +119,24 @@ class NCLattice:
         """Lexicographically least shortest reflection word for w."""
         if self._words is None:
             self._words = self._compute_words()
-        return self._words[w]
+        return self._words[self.index(w)]
 
-    def _compute_words(self) -> dict[WeylElement, tuple[Vector, ...]]:
-        # an atom's mask is its own bit; w t covers w exactly when t <= w^-1 c
-        gens = sorted(
-            (cartan.reflection_root(self.cartan, t), t, self.masks[self._index[t]])
-            for t in self.reflection_members()
-        )
-        words = {self.identity(): ()}
-        frontier = [self.identity()]
-        while frontier:
-            frontier.sort(key=lambda w: words[w])
-            nxt = []
-            for w in frontier:
-                k = self.kreweras_index[self._index[w]]
-                above = 0 if k is None else self.masks[k]
-                for root, t, bit in gens:
-                    if above & bit:
-                        u = w * t
-                        if u not in words:
-                            words[u] = words[w] + (root,)
-                            nxt.append(u)
-            frontier = nxt
-        if words.keys() != self._index.keys():
+    def _compute_words(self) -> tuple[tuple[Vector, ...], ...]:
+        # the reflection of a cover i < j = i t is the one root of
+        # T(j) & T(i^-1 c); edges come rank by rank, so words[i] is final
+        # before it is extended, and index 0 is the identity
+        roots = cartan.positive_roots(self.cartan, self.truncation_bound or 0)
+        words: dict[int, tuple[Vector, ...]] = {0: ()}
+        for i, j in self.hasse:
+            k = self.kreweras_index[i]
+            if k is None or i not in words:
+                continue
+            word = words[i] + (roots[(self.masks[j] & self.masks[k]).bit_length() - 1],)
+            if j not in words or word < words[j]:
+                words[j] = word
+        if len(words) != len(self):
             raise LatticeStructureError("reflection words do not cover NC exactly")
-        return words
+        return tuple(words[i] for i in range(len(self)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,17 +178,51 @@ def _closure(mask: int, k: int, table: tuple[tuple[int, ...], ...]) -> int:
     return mask
 
 
-def _sorted_lattice(cd, c, ranks, masks, rems, bound=None) -> NCLattice:
-    """Sort by (rank, matrix) and index the masks and Kreweras images."""
-    elements = tuple(sorted(ranks, key=lambda w: (ranks[w], w.matrix)))
-    index = {w: i for i, w in enumerate(elements)}
+def euler_form(cd: CartanDatum, c: WeylElement) -> tuple[tuple[int, ...], ...]:
+    """The Euler form E = G (1 - c)^-1 of the Coxeter element c.
+
+    E + E^T is the Gram matrix G; for simply-laced labels E is the Euler
+    form of the quiver whose arrows point from the earlier to the later
+    vertex of c's word.  1 - c is invertible because l(c) = n, and E is
+    integral for every Coxeter element.
+    """
+    one_minus_c = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(c.matrix)]
+    e = linalg.mat_mul(cd.gram(), linalg.inverse(one_minus_c))
+    if any(x.denominator != 1 for row in e for x in row):
+        raise NotInPosetError("the given element is not a Coxeter element")
+    return tuple(tuple(int(x) for x in row) for row in e)
+
+
+@functools.lru_cache(maxsize=None)
+def perp_masks(cd: CartanDatum, c: WeylElement) -> tuple[int, ...]:
+    """perp[s] = mask of the positive roots t with E(beta_t, beta_s) = 0.
+
+    For a reflection s this is T(s^-1 c), and T(w^-1 c) is the AND of
+    perp[s] over s in T(w).
+    """
+    roots = cartan.positive_roots(cd)
+    e = euler_form(cd, c)
+    perp = []
+    for b in roots:
+        eb = linalg.mat_vec(e, b)
+        perp.append(
+            sum(1 << k for k, a in enumerate(roots) if not sum(x * y for x, y in zip(a, eb)))
+        )
+    return tuple(perp)
+
+
+def _sorted_lattice(cd, c, rows, bound=None) -> NCLattice:
+    """Sort (w, rank, T(w), T(w^-1 c) or None) rows by (rank, matrix) and
+    index the Kreweras complements by mask."""
+    rows = sorted(rows, key=lambda row: (row[1], row[0].matrix))
+    position = {row[2]: i for i, row in enumerate(rows)}
     return NCLattice(
         cartan=cd,
         coxeter=c,
-        elements=elements,
-        ranks=ranks,
-        masks=tuple(masks[w] for w in elements),
-        kreweras_index=tuple(index.get(rems[w]) for w in elements),
+        elements=tuple(row[0] for row in rows),
+        ranks={row[0]: row[1] for row in rows},
+        masks=tuple(row[2] for row in rows),
+        kreweras_index=tuple(position.get(row[3]) for row in rows),
         truncation_bound=bound,
     )
 
@@ -199,46 +232,53 @@ def enumerate_nc(
     c: WeylElement | None = None,
     reflection_order: tuple[WeylElement, ...] | None = None,
 ) -> NCLattice:
-    """All w with id <= w <= c, grown by prefix products of reflections."""
+    """All w with id <= w <= c, grown cover by cover from the perp masks.
+
+    `reflection_order` must hold reflections only; the lattice does not
+    depend on it.
+    """
     if not cd.is_finite():
         raise UnsupportedLabelError("use nc_kronecker for the affine rank-2 type")
     if c is None:
         c = cartan.coxeter_element(cd)
     if not cartan.is_coxeter_element(cd, c):
         raise NotInPosetError("the given element is not a Coxeter element")
-    n = cd.rank
-    bit_of = {t: k for k, t in enumerate(cartan.reflections(cd))}
-    refs = reflection_order if reflection_order is not None else cartan.reflections(cd)
-    if any(t not in bit_of for t in refs):
+    refs = cartan.reflections(cd)
+    if reflection_order is not None and not set(reflection_order) <= set(refs):
         raise NotReflectionError("reflection_order holds an element that is not a reflection")
-    refs = [(t, bit_of[t]) for t in refs]
+    n = cd.rank
+    perp = perp_masks(cd, c)
     table = _root_reflection_table(cd)
-    ident = cartan.identity_element(cd)
-    ranks: dict[WeylElement, int] = {ident: 0}
-    masks: dict[WeylElement, int] = {ident: 0}
-    # rems[w] = w^-1 c, the Kreweras complement, carried so no inverse is computed
-    rems: dict[WeylElement, WeylElement] = {ident: c}
-    frontier = [ident]
-    for r in range(n):
+    # grown[T(w^-1 c)] = (w, rank, T(w)): the complement's mask names w,
+    # as T is injective on [id, c] and w -> w^-1 c is a bijection.  Every
+    # reflection lies below c, so rank one needs no product.
+    grown = {(1 << len(refs)) - 1: (cartan.identity_element(cd), 0, 0)}
+    grown.update({perp[k]: (t, 1, 1 << k) for k, t in enumerate(refs)})
+    frontier = list(perp)
+    for r in range(2, n + 1):
         nxt = []
-        for w in frontier:
-            mask, rem = masks[w], rems[w]
-            for t, k in refs:
-                if mask >> k & 1:
-                    continue  # t <= w, so w t lies below w
-                w2 = w * t
-                if w2 in ranks:
-                    continue
-                rem2 = t * rem
-                if cartan.absolute_length(cd, rem2) == n - r - 1:
-                    ranks[w2] = r + 1
-                    masks[w2] = _closure(mask, k, table)
-                    rems[w2] = rem2
-                    nxt.append(w2)
+        for above in frontier:
+            w, _, mask = grown[above]
+            rest = above
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                k = low.bit_length() - 1
+                # w < w t with complement t w^-1 c, and T(t x) = T(x) & T(t c) for t <= x <= c
+                comp = above & perp[k]
+                if comp not in grown:
+                    grown[comp] = (w * refs[k], r, _closure(mask, k, table))
+                    nxt.append(comp)
         frontier = nxt
-    lat = _sorted_lattice(cd, c, ranks, masks, rems)
-    if None in lat.kreweras_index:
-        raise LatticeStructureError("Kreweras complement escaped the lattice")
+    lat = _sorted_lattice(cd, c, ((w, r, m, comp) for comp, (w, r, m) in grown.items()))
+    # w has at most rank(w) reflections and its complement at most n - rank(w),
+    # so w * (w^-1 c) = c proves both lengths exact and w <= c
+    for w, k in zip(lat.elements, lat.kreweras_index):
+        if k is None:
+            raise LatticeStructureError("Kreweras complement escaped the lattice")
+        comp = lat.elements[k]
+        if lat.ranks[w] + lat.ranks[comp] != n or w * comp != c:
+            raise LatticeStructureError("an element times its Kreweras complement is not c")
     return lat
 
 
@@ -254,14 +294,12 @@ def nc_kronecker(bound: int) -> NCLattice:
     cd = cartan.build_cartan(cartan.KRONECKER)
     c = cartan.coxeter_element(cd)
     refs = cartan.reflections(cd, bound)
-    ident = cartan.identity_element(cd)
-    ranks = {ident: 0, c: 2}
-    masks = {ident: 0, c: (1 << len(refs)) - 1}
-    for k, t in enumerate(refs):
-        ranks[t] = 1
-        masks[t] = 1 << k
-    rems = {w: w.inverse() * c for w in ranks}
-    return _sorted_lattice(cd, c, ranks, masks, rems, bound)
+    full = (1 << len(refs)) - 1
+    bit_of = {t: 1 << k for k, t in enumerate(refs)}
+    rows = [(cartan.identity_element(cd), 0, 0, full), (c, 2, full, 0)]
+    # a reflection's complement t^-1 c = t c may leave the truncation
+    rows.extend((t, 1, m, bit_of.get(t * c)) for t, m in bit_of.items())
+    return _sorted_lattice(cd, c, rows, bound)
 
 
 def kreweras(lattice: NCLattice, w: WeylElement) -> WeylElement:

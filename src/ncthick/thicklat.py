@@ -25,6 +25,7 @@ from .errors import (
     OutOfRangeError,
     ResourceLimitError,
     StructuralError,
+    UnsupportedLabelError,
 )
 from .noncrossing import NCLattice
 
@@ -68,24 +69,37 @@ def cox(u: ThickSubcategory, c: WeylElement | None = None) -> WeylElement:
     return w
 
 
-def _reflection_factorization(cd: CartanDatum, w: WeylElement) -> tuple[Vector, ...]:
-    """Greedy left-to-right factorization of w into l(w) reflections,
-    deterministic through the positive-root order."""
+def _subcategories(cd: CartanDatum, c: WeylElement, items) -> tuple[ThickSubcategory, ...]:
+    """Thick subcategories for the (w, T(w)) pairs in `items`, each w <= c.
+
+    The generators are the greedy factorization w = x_1...x_r, each x_i
+    the lowest root below the rest: T(x_i rest) = T(rest) & T(x_i c) for
+    x_i <= rest <= c, so one perp mask per factor shrinks the rest.  For
+    simply-laced labels with the standard Coxeter element the module
+    sequence is checked to be exceptional, each root's indecomposable
+    built once per call.
+    """
     roots = cartan.positive_roots(cd)
-    out: list[Vector] = []
-    cur = w
-    length = cartan.absolute_length(cd, cur)
-    while length > 0:
-        for alpha in roots:
-            t = cartan.reflection_element(cd, alpha)
-            rest = t * cur
-            if cartan.absolute_length(cd, rest) == length - 1:
-                out.append(alpha)
-                cur = rest
-                length -= 1
-                break
-        else:
-            raise StructuralError(f"no reflection shortens {w}")
+    perp = noncrossing.perp_masks(cd, c)
+    family, _ = cartan.parse_label(cd.label)
+    q = None
+    if family in "ADE" and c == cartan.coxeter_element(cd):
+        q = repcat.dynkin_quiver(cd.label)
+    reps: dict[Vector, repcat.Representation] = {}
+    out = []
+    for w, mask in items:
+        gens = []
+        while mask:
+            k = (mask & -mask).bit_length() - 1
+            gens.append(roots[k])
+            mask &= perp[k]
+        out.append(ThickSubcategory(cartan=cd, nc_element=w, generators=tuple(gens)))
+        if q is not None:
+            for a in gens:
+                if a not in reps:
+                    reps[a] = repcat.indecomposable_for_root(q, a)
+            if not repcat.is_exceptional_sequence(q, [reps[a] for a in gens]):
+                raise StructuralError("generator roots are not an exceptional sequence")
     return tuple(out)
 
 
@@ -94,23 +108,24 @@ def thick_from_nc(
 ) -> ThickSubcategory:
     """Materialize the thick subcategory for an NC element.
 
-    Greedily factorizes w = x_1...x_r; the corresponding roots generate.
-    For simply-laced labels with the standard Coxeter element the
-    resulting module sequence is checked to be exceptional.
+    T(w) comes from one scan over the roots: those orthogonal to the
+    fixed space of w, which is the orthogonal complement of its moved
+    space.
     """
+    if not cd.is_finite():
+        raise UnsupportedLabelError("thick subcategories need a finite label")
     if c is None:
         c = cartan.coxeter_element(cd)
     if not cartan.abs_leq(cd, w, c):
         raise NotInPosetError("element is not below the Coxeter element")
-    gens = _reflection_factorization(cd, w)
-    u = ThickSubcategory(cartan=cd, nc_element=w, generators=gens)
-    family, _ = cartan.parse_label(cd.label)
-    if family in "ADE" and c == cartan.coxeter_element(cd):
-        q = repcat.dynkin_quiver(cd.label)
-        seq = [repcat.indecomposable_for_root(q, a) for a in gens]
-        if not repcat.is_exceptional_sequence(q, seq):
-            raise StructuralError("generator roots are not an exceptional sequence")
-    return u
+    minus_one = [[x - int(i == j) for j, x in enumerate(row)] for i, row in enumerate(w.matrix)]
+    normals = [linalg.mat_vec(cd.gram(), f) for f in linalg.nullspace(minus_one, cd.rank)]
+    mask = sum(
+        1 << k
+        for k, a in enumerate(cartan.positive_roots(cd))
+        if not any(sum(x * y for x, y in zip(a, g)) for g in normals)
+    )
+    return _subcategories(cd, c, [(w, mask)])[0]
 
 
 def left_perp(u: ThickSubcategory, c: WeylElement | None = None) -> ThickSubcategory:
@@ -140,7 +155,7 @@ class ThickLattice:
 
 def thick_lattice(cd: CartanDatum) -> ThickLattice:
     lat = noncrossing.enumerate_nc(cd)
-    subs = tuple(thick_from_nc(cd, w, lat.coxeter) for w in lat.elements)
+    subs = _subcategories(cd, lat.coxeter, zip(lat.elements, lat.masks))
     return ThickLattice(nc=lat, subcategories=subs)
 
 

@@ -1,9 +1,12 @@
+import itertools
 import json
 
 import pytest
 
 from ncthick import cartan as cw
+from ncthick import cli, linalg
 from ncthick import noncrossing as nc
+from ncthick import repcat as rc
 from ncthick.errors import (
     LatticeStructureError,
     NotInPosetError,
@@ -131,6 +134,80 @@ class TestMasks:
         permuted = nc.enumerate_nc(cd, reflection_order=tuple(reversed(cw.reflections(cd))))
         assert base.masks == permuted.masks
         assert base.kreweras_index == permuted.kreweras_index
+
+
+def _topological_perm(n, arrows):
+    """Vertices 1..n ordered so that every arrow points forward."""
+    order = []
+    while len(order) < n:
+        order.append(min(
+            v for v in range(1, n + 1)
+            if v not in order and all(s in order for s, t in arrows if t == v)
+        ))
+    return tuple(order)
+
+
+def _orientations(label):
+    edges = cw.tree_edges(label)
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        yield tuple((b, a) if f else (a, b) for (a, b), f in zip(edges, flips))
+
+
+class TestEulerForm:
+    @pytest.mark.parametrize(
+        "label,arrows",
+        [(lb, arr) for lb in ("A4", "D4") for arr in _orientations(lb)]
+        + [("E6", cw.tree_edges("E6"))],
+    )
+    def test_quiver_euler_form(self, label, arrows):
+        cd = cw.build_cartan(label)
+        c = cw.coxeter_element(cd, _topological_perm(cd.rank, arrows))
+        e = nc.euler_form(cd, c)
+        n = cd.rank
+        assert all(isinstance(x, int) for row in e for x in row)
+        assert all(e[i][j] + e[j][i] == cd.gram()[i][j] for i in range(n) for j in range(n))
+        q = rc.dynkin_quiver(label, arrows)
+        unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        assert e == tuple(tuple(rc.euler_form(q, x, y) for y in unit) for x in unit)
+
+    @pytest.mark.parametrize(
+        "label",
+        ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "F4", "G2", "E6"],
+    )
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_perp_masks_give_kreweras(self, label, which):
+        c = _coxeters(label)[which]
+        lat = nc.enumerate_nc(cw.build_cartan(label), c)
+        perp = nc.perp_masks(lat.cartan, c)
+        full = (1 << len(perp)) - 1
+        for mask, k in zip(lat.masks, lat.kreweras_index):
+            comp = full
+            for s, p in enumerate(perp):
+                if mask >> s & 1:
+                    comp &= p
+            assert comp == lat.masks[k]
+
+
+class TestGrowthCost:
+    def test_d5_no_rank_tests(self, monkeypatch):
+        counts = {"absolute_length": 0, "mat_mul": 0}
+        for module, name in ((cw, "absolute_length"), (linalg, "mat_mul")):
+            real = getattr(module, name)
+
+            def counted(*args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        nc.perp_masks.cache_clear()
+        lat = nc.enumerate_nc(cw.build_cartan("D5"))
+        assert len(lat) == 182
+        assert counts["absolute_length"] == 1
+        assert counts["mat_mul"] <= 2 * len(lat)
+
+    def test_e7_count(self, capsys):
+        assert cli.run(["nc", "--type", "E7", "--format", "count"]) == 0
+        assert capsys.readouterr().out == "4160\n"
 
 
 class TestKreweras:

@@ -22,6 +22,21 @@ def a3():
     return cw.build_cartan("A3")
 
 
+def _greedy_factorization(cd, w):
+    """Oracle: left to right, the first positive root t with
+    l(t w) = l(w) - 1, lengths from fixed-space ranks."""
+    out = []
+    length = cw.absolute_length(cd, w)
+    while length:
+        for alpha in cw.positive_roots(cd):
+            rest = cw.reflection_element(cd, alpha) * w
+            if cw.absolute_length(cd, rest) == length - 1:
+                out.append(alpha)
+                w, length = rest, length - 1
+                break
+    return tuple(out)
+
+
 class TestThickFromNc:
     def test_single_reflection(self, a2):
         u = tl.thick_from_nc(a2, cw.simple_reflection(a2, 1))
@@ -106,6 +121,36 @@ class TestThickLattice:
     def test_counts(self, label, count):
         assert len(tl.thick_lattice(cw.build_cartan(label))) == count
 
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])
+    def test_generators_are_greedy_factorizations(self, label):
+        cd = cw.build_cartan(label)
+        lat = tl.thick_lattice(cd)
+        for u in lat.subcategories:
+            assert u.generators == _greedy_factorization(cd, u.nc_element)
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])
+    def test_lone_element_matches_lattice(self, label):
+        # thick_from_nc builds T(w) from the fixed space, not from the lattice
+        cd = cw.build_cartan(label)
+        lat = tl.thick_lattice(cd)
+        for u in lat.subcategories:
+            assert tl.thick_from_nc(cd, u.nc_element).generators == u.generators
+
+    def test_thick_lattice_skips_abs_leq(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cw, "abs_leq", lambda *args: calls.append(args) or True)
+        tl.thick_lattice(cw.build_cartan("D4"))
+        assert calls == []
+
+    def test_indecomposables_built_once_per_root(self, monkeypatch):
+        built = []
+        real = rc.indecomposable_for_root
+        monkeypatch.setattr(
+            rc, "indecomposable_for_root", lambda q, a: built.append(a) or real(q, a)
+        )
+        tl.thick_lattice(cw.build_cartan("D4"))
+        assert sorted(built) == sorted(cw.positive_roots(cw.build_cartan("D4")))
+
     def test_equality_by_nc_element(self, a2):
         lat = tl.thick_lattice(a2)
         u = lat.subcategories[1]
@@ -119,9 +164,9 @@ class TestThickLattice:
             for v in lat.elements:
                 if not lat.leq(u, v):
                     continue
-                w1 = tl._reflection_factorization(a3, u)
-                w2 = tl._reflection_factorization(a3, u.inverse() * v)
-                w3 = tl._reflection_factorization(a3, v.inverse() * lat.coxeter)
+                w1 = _greedy_factorization(a3, u)
+                w2 = _greedy_factorization(a3, u.inverse() * v)
+                w3 = _greedy_factorization(a3, v.inverse() * lat.coxeter)
                 word = w1 + w2 + w3
                 assert len(word) == 3
                 prod = cw.identity_element(a3)
