@@ -10,9 +10,11 @@ recursion
                + [Z = X] + [Z = suspension of X],
 
 where the suspension of X is not prescribed: it is detected as the unique
-vertex at which the uncorrected recursion first hits -1.  Windows extend
-themselves geometrically until the hammock dies out, with a hard cap so
-that broken inputs terminate.
+vertex at which the uncorrected recursion first hits -1.  The translate
+shifts levels, so each node's hammock is knitted once per orientation,
+outside any window, and moved up to every level; knitting stops when the
+hammock dies out, at most 64 levels past the source whatever the window's
+width, so that broken inputs terminate.
 
 The bridge to the module category identifies Hom at equal shifts and
 Ext^1 at shift one; everything else vanishes since the algebra is
@@ -31,7 +33,7 @@ from .tquiver import TranslationQuiver
 Vertex = tuple[int, int]
 Vector = tuple[int, ...]
 
-_HARD_CAP = 64  # tau steps a window may auto-extend past its end
+_HARD_CAP = 64  # levels a hammock may be knitted past its source
 MAX_WINDOW_LEVELS = 1024  # levels hi - lo + 1 a window may span
 
 
@@ -111,39 +113,27 @@ def _node_order(orientation: tuple[tuple[int, int], ...], nodes: tuple[int, ...]
     return order
 
 
-def knit_hammock(t: TranslationQuiver, source: Vertex, auto_extend: bool = True) -> Hammock:
-    """Knit dim Hom(source, -) forward until the hammock dies out."""
-    label, orientation, (lo, hi) = _require_meta(t)
+@functools.lru_cache(maxsize=None)
+def _knit(label: str, orientation: tuple[tuple[int, int], ...], node: int):
+    """The hammock of (0, node) in the full repetition, knitted once per
+    (label, orientation, node): its (vertex, value) items in sorted order,
+    the suspension, the last level knitted and the sum of the values."""
     q = repcat.dynkin_quiver(label, orientation)
     order = _node_order(orientation, q.vertices)
-    pos = {x: k for k, x in enumerate(order)}
-    src_level, src_node = source
-    if not (lo <= src_level <= hi):
-        raise WindowError(f"source {source} outside window {(lo, hi)}")
-
-    max_hi = src_level + _HARD_CAP
+    first = order[order.index(node):]
+    in_arrows = _in_arrow_rule(orientation)
     values: dict[Vertex, int] = {}
     sigma: Vertex | None = None
-    in_arrows = _in_arrow_rule(orientation)
-
-    n = src_level
+    n = 0
     while True:
-        if n > hi:
-            if not auto_extend or n > max_hi:
-                raise WindowError(
-                    f"window exhausted before hammock of {source} died out"
-                )
-            hi = min(max_hi, hi + max(4, hi - lo + 1))
         slice_total = 0
-        for x in order:
+        for x in first if n == 0 else order:
             z = (n, x)
-            if n == src_level and pos[x] < pos[src_node]:
-                continue
             u = 0
             for y in in_arrows(z):
                 u += values.get(y, 0)
             u -= values.get((n - 1, x), 0)
-            if z == source:
+            if z == (0, node):
                 u += 1
             if u == -1 and sigma is None:
                 sigma = z
@@ -156,11 +146,30 @@ def knit_hammock(t: TranslationQuiver, source: Vertex, auto_extend: bool = True)
                 values[z] = u
             slice_total += u
         if sigma is not None and slice_total == 0 and n > sigma[0]:
-            break
-        if sigma is None and n >= max_hi:
-            raise WindowError(f"no suspension event found for {source} within the cap")
+            return tuple(sorted(values.items())), sigma, n, sum(values.values())
+        if n >= _HARD_CAP:
+            raise WindowError(f"hammock of node {node} does not die out within the cap")
         n += 1
-    return Hammock(source=source, values=values, sigma_of_source=sigma)
+
+
+def _in_window(t: TranslationQuiver, v: Vertex) -> tuple[str, tuple[tuple[int, int], ...], int]:
+    """Label, orientation and top level of the window, which must hold v."""
+    label, orientation, (lo, hi) = _require_meta(t)
+    if not (lo <= v[0] <= hi):
+        raise WindowError(f"source {v} outside window {(lo, hi)}")
+    return label, orientation, hi
+
+
+def knit_hammock(t: TranslationQuiver, source: Vertex, auto_extend: bool = True) -> Hammock:
+    """dim Hom(source, -): the hammock of the source's node, moved up to its
+    level.  Without auto_extend it must die out inside the window."""
+    label, orientation, hi = _in_window(t, source)
+    level, node = source
+    items, (s, x), last, _ = _knit(label, orientation, node)
+    if not auto_extend and level + last > hi:
+        raise WindowError(f"window exhausted before hammock of {source} died out")
+    values = {(n + level, y): k for (n, y), k in items}
+    return Hammock(source=source, values=values, sigma_of_source=(s + level, x))
 
 
 def _in_arrow_rule(orientation: tuple[tuple[int, int], ...]):
@@ -183,7 +192,9 @@ def _in_arrow_rule(orientation: tuple[tuple[int, int], ...]):
 
 def suspension(t: TranslationQuiver, x: Vertex) -> Vertex:
     """The shift of x, located by the hammock's -1 event."""
-    return _knit_cached(t, x).sigma_of_source
+    label, orientation, _ = _in_window(t, x)
+    level, node = _knit(label, orientation, x[1])[1]
+    return (level + x[0], node)
 
 
 def serre(t: TranslationQuiver, x: Vertex) -> Vertex:
@@ -192,29 +203,11 @@ def serre(t: TranslationQuiver, x: Vertex) -> Vertex:
     return (level - 1, node)
 
 
-_hammocks: dict[tuple, Hammock] = {}  # keyed by (window meta key, source)
-
-
-def _knit_cached(t: TranslationQuiver, source: Vertex) -> Hammock:
-    key = (_require_meta(t), source)
-    if key not in _hammocks:
-        _hammocks[key] = knit_hammock(t, source)
-    return _hammocks[key]
-
-
-@functools.lru_cache(maxsize=None)
-def _opposite(meta: tuple) -> TranslationQuiver:
-    """The repetition of the opposite orientation; (n,x) matches (-n,x)."""
-    label, orientation, (lo, hi) = meta
-    flipped = tuple((b, a) for a, b in orientation)
-    return build_zdelta(label, (-hi, -lo), flipped)
-
-
 def ell(t: TranslationQuiver, x: Vertex) -> int:
-    """Total morphism length into x, summed over all indecomposables:
-    the values of dim Hom(-, x), knitted in the opposite repetition."""
-    h = _knit_cached(_opposite(_require_meta(t)), (-x[0], x[1]))
-    return sum(h.values.values())
+    """Total morphism length into x, summed over all indecomposables: the
+    sum of dim Hom(-, x), which is a hammock of the opposite orientation."""
+    label, orientation, _ = _in_window(t, x)
+    return _knit(label, tuple((b, a) for a, b in orientation), x[1])[3]
 
 
 def verify_mesh(t: TranslationQuiver, levels: tuple[int, int] | None = None) -> MeshReport:
@@ -312,11 +305,11 @@ def hammocks_json(t: TranslationQuiver) -> dict:
     label, orientation, window = _require_meta(t)
     name = lambda v: f"{v[0]}:{v[1]}"  # noqa: E731
     hams = {}
-    for v in t.vertices:
-        h = _knit_cached(t, v)
-        hams[name(v)] = {
-            "values": {name(z): k for z, k in sorted(h.values.items())},
-            "suspension": name(h.sigma_of_source),
+    for level, node in t.vertices:
+        items, (s, x), _, _ = _knit(label, orientation, node)
+        hams[f"{level}:{node}"] = {
+            "values": {f"{n + level}:{y}": k for (n, y), k in items},
+            "suspension": f"{s + level}:{x}",
         }
     return {
         "type": label,

@@ -174,12 +174,20 @@ def euler_form(q: Quiver, a: Vector, b: Vector) -> int:
     return val
 
 
-def ext1_dim(q: Quiver, source: Representation, target: Representation) -> int:
-    """dim Hom minus the Euler form; nonnegative for hereditary algebras."""
-    d = hom(q, source, target).dim - euler_form(q, source.dim, target.dim)
-    if d < 0:
+@functools.lru_cache(maxsize=None)
+def _hom_ext(q: Quiver, source: Representation, target: Representation) -> tuple[int, int]:
+    """dim Hom, and dim Hom minus the Euler form as dim Ext^1 (nonnegative
+    for hereditary algebras), from one Hom solve per ordered pair."""
+    h = hom(q, source, target).dim
+    e = h - euler_form(q, source.dim, target.dim)
+    if e < 0:
         raise StructuralError("negative Ext dimension; hereditary identity violated")
-    return d
+    return h, e
+
+
+def ext1_dim(q: Quiver, source: Representation, target: Representation) -> int:
+    """dim Ext^1, from the cached Hom solve of the pair."""
+    return _hom_ext(q, source, target)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +415,10 @@ def _root_of(cat: _ModuleCategory, rep: Representation) -> Vector:
 def is_exceptional_sequence(q: Quiver, seq) -> bool:
     """No self-extensions, and Hom/Ext vanish from later to earlier terms."""
     seq = list(seq)
-    for x in seq:
-        if ext1_dim(q, x, x) != 0:
-            return False
     for i, x in enumerate(seq):
-        for y in seq[i + 1 :]:
-            if hom(q, y, x).dim != 0 or ext1_dim(q, y, x) != 0:
+        for j in range(i, len(seq)):
+            h, e = _hom_ext(q, seq[j], x)
+            if e or (h and j > i):
                 return False
     return True
 

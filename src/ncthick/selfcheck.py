@@ -502,7 +502,7 @@ def _chk_hammock_oracle():
         window = derived.build_zdelta(label, (-2, 4 * q.rank))
         reps = {a: repcat.indecomposable_for_root(q, a) for a in emb}
         for a, va in emb.items():
-            h = derived._knit_cached(window, va)
+            h = derived.knit_hammock(window, va)
             for b, vb in emb.items():
                 target = vb
                 for shift in range(3):
@@ -525,13 +525,12 @@ def _chk_mesh_identities():
 
 def _chk_serre_duality():
     t = derived.build_zdelta("A3", (0, 6))
+    hammocks = {v: derived.knit_hammock(t, v) for v in t.vertices}
     for x in t.vertices:
-        hx = derived._knit_cached(t, x)
         nx = derived.serre(t, x)
         for y in t.vertices:
-            hy = derived._knit_cached(t, y)
             _expect(
-                hx.value(y) == hy.value(nx),
+                hammocks[x].value(y) == hammocks[y].value(nx),
                 f"Serre duality fails at {x},{y}",
             )
     return "dim Hom(X,Y) = dim Hom(Y,NX) on an A3 window"
@@ -578,7 +577,7 @@ def _chk_path_witness():
         return seen
 
     for a, va in emb.items():
-        h = derived._knit_cached(t, va)
+        h = derived.knit_hammock(t, va)
         reach = reachable(va)
         for z, val in h.values.items():
             if val > 0:

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from ncthick import cartan as cw
 from ncthick import derived as dv
 from ncthick import repcat as rc
 from ncthick.errors import ResourceLimitError, WindowError
@@ -80,6 +83,52 @@ class TestKnit:
         assert hs.sigma_of_source == hl.sigma_of_source
 
 
+def _mesh_order(t):
+    """The window's vertices, each after its arrow sources and its translate."""
+    deps = {z: [y for y, _ in t.arrows_into(z)] for z in t.vertices}
+    for z, tz in t.tau.items():
+        deps[z].append(tz)
+    done, order = set(), []
+    while len(order) < len(deps):
+        for z in t.vertices:
+            if z not in done and all(y in done for y in deps[z]):
+                done.add(z)
+                order.append(z)
+    return order
+
+
+def _windowed_hammock(t, order, source):
+    """dim Hom(source, -) on the window by the mesh recursion, reading only
+    t.arrows_into and t.tau: the values in the window and the suspension,
+    or None if it lies above the window."""
+    values, sigma = {}, None
+    for z in order:
+        u = sum(d * values.get(y, 0) for y, (d, _) in t.arrows_into(z))
+        u += (z == source) - values.get(t.tau.get(z), 0)
+        if u == -1 and sigma is None:
+            sigma, u = z, 0
+        assert u >= 0
+        if u:
+            values[z] = u
+    return values, sigma
+
+
+class TestIndependentMesh:
+    @pytest.mark.parametrize("label,window", [("A5", (-4, 20)), ("D6", (0, 30)), ("E8", (0, 24))])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_knit_matches_windowed_recursion(self, label, window, seed):
+        rng = random.Random(f"{label}/{seed}")
+        tree = cw.tree_edges(label)
+        arrows = tuple((b, a) if rng.random() < 0.5 else (a, b) for a, b in tree)
+        t = dv.build_zdelta(label, window, arrows)
+        hi, order = window[1], _mesh_order(t)
+        for v in t.vertices:
+            h = dv.knit_hammock(t, v)
+            values, sigma = _windowed_hammock(t, order, v)
+            assert {z: k for z, k in h.values.items() if z[0] <= hi} == values
+            assert sigma == (h.sigma_of_source if h.sigma_of_source[0] <= hi else None)
+
+
 class TestSuspension:
     def test_a1_sigma_is_tau_inverse(self):
         # the one-vertex tree gives a semisimple category: the only
@@ -151,21 +200,18 @@ class TestMesh:
         assert report.ok
         assert len(report.checked) >= 4
 
-    def test_one_window_build(self, monkeypatch):
-        # hammocks are knitted on the window at hand; only the opposite
-        # window, needed for ell, is built, and only once
-        t = dv.build_zdelta("A3", (0, 6))
-        dv._opposite.cache_clear()
+    def test_one_knit_per_node_and_orientation(self, monkeypatch):
+        # every hammock is a translate of a level-0 one, and ell reads the
+        # opposite orientation's hammocks, so no window is built besides
+        # t and each of the 8 nodes is knitted once per orientation
+        t = dv.build_zdelta("E8", (0, 24))
+        dv._knit.cache_clear()
         calls = []
-        build = dv.build_zdelta
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(dv, "build_zdelta", counted)
+        monkeypatch.setattr(dv, "build_zdelta", lambda *args: calls.append(args))
         assert dv.verify_mesh(t).ok
-        assert calls == [("A3", (-6, 0), ((2, 1), (3, 2)))]
+        dv.hammocks_json(t)
+        assert calls == []
+        assert dv._knit.cache_info().misses == 16
 
 
 class TestDerivedHom:

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from ncthick import braid
@@ -150,6 +153,19 @@ class TestThickLattice:
         )
         tl.thick_lattice(cw.build_cartan("D4"))
         assert sorted(built) == sorted(cw.positive_roots(cw.build_cartan("D4")))
+
+    def test_exceptional_checks_solve_each_pair_once(self, monkeypatch):
+        # the D4 lattice checks 50 sequences over 36 ordered pairs of
+        # indecomposables; solving Hom per pair and per sequence took 244
+        rc._hom_ext.cache_clear()
+        solved = []
+        real = rc.hom
+        monkeypatch.setattr(rc, "hom", lambda q, m, n: solved.append(m.dim) or real(q, m, n))
+        data = tl.thick_to_json(tl.thick_lattice(cw.build_cartan("D4")))
+        text = json.dumps(data, sort_keys=True) + "\n"
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "41aac08eac283908efd5b3456b4f7e7029224f4305c8d79a1a1a5eeb1b273ffd"
+        assert len(solved) <= 244 // 2
 
     def test_equality_by_nc_element(self, a2):
         lat = tl.thick_lattice(a2)
