@@ -3,9 +3,8 @@
 Each element w carries its reflection set T(w) = {t in T : t <= w}, the
 positive roots in the moved space of w, as an int bitmask over the
 positive-root order.  On [id, c] the map w -> T(w) is an order embedding
-(Brady-Watt 2002, Bessis 2003), so the order is a subset test, covers
-are subset tests between adjacent ranks, and meets and joins are found
-among the masks.
+(Brady-Watt 2002, Bessis 2003), so the order is a subset test and meets
+and joins are found among the masks.
 
 Growth never tests a rank.  With the Euler form E = G (1 - c)^-1, whose
 symmetrization is the Gram matrix G, perp[s] is the mask of the roots t
@@ -15,8 +14,10 @@ perpendicular categories are Kreweras complements).  Every bit t of
 that mask gives a cover w < w t, with complement mask T(w^-1 c) &
 perp[t] and reflection set the reflection closure of T(w) and t;
 elements are told apart by their complement masks, so a cover seen
-twice costs one AND.  Each element's matrix is one product with its
-parent, and one more product per element certifies w * (w^-1 c) = c.
+twice costs one AND.  Growth visits every cover exactly once and
+records it, which is the Hasse diagram.  Each element's matrix is one
+product with its parent, and one more product per element certifies
+w * (w^-1 c) = c.
 The Weyl group is never materialized.  The fixed-space absolute order
 of `cartan` and the prefix-product growth that tests each candidate's
 rank stay as oracles in `selfcheck`.
@@ -47,7 +48,8 @@ class NCLattice:
     `masks[i]` is the reflection set of `elements[i]` as a bitmask over
     the positive roots; `kreweras_index[i]` is the index of its Kreweras
     complement, or None where the complement leaves a truncated poset.
-    Elements are sorted by (rank, matrix).
+    `hasse` holds the cover relations as sorted index pairs (lower,
+    upper).  Elements are sorted by (rank, matrix).
     """
 
     cartan: CartanDatum
@@ -56,11 +58,11 @@ class NCLattice:
     ranks: dict[WeylElement, int]
     masks: tuple[int, ...]
     kreweras_index: tuple[int | None, ...]
+    hasse: tuple[tuple[int, int], ...]
     truncation_bound: int | None = None
 
     co_kreweras_index: tuple[int | None, ...] = field(init=False, repr=False)
     _index: dict[WeylElement, int] = field(init=False, repr=False)
-    _hasse: tuple[tuple[int, int], ...] | None = field(init=False, repr=False)
     _words: tuple[tuple[Vector, ...], ...] | None = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -70,7 +72,6 @@ class NCLattice:
             if k is not None:
                 inverse[k] = i
         self.co_kreweras_index = tuple(inverse)
-        self._hasse = None
         self._words = None
 
     def __len__(self) -> int:
@@ -85,32 +86,11 @@ class NCLattice:
         except KeyError:
             raise NotInPosetError("element does not lie in NC(W,c)") from None
 
-    def rank_of(self, w: WeylElement) -> int:
-        self.index(w)
-        return self.ranks[w]
-
     def identity(self) -> WeylElement:
         return cartan.identity_element(self.cartan)
 
     def leq(self, u: WeylElement, v: WeylElement) -> bool:
         return not self.masks[self.index(u)] & ~self.masks[self.index(v)]
-
-    @property
-    def hasse(self) -> tuple[tuple[int, int], ...]:
-        """Cover relations as index pairs (lower, upper)."""
-        if self._hasse is None:
-            by_rank: dict[int, list[int]] = {}
-            for i, w in enumerate(self.elements):
-                by_rank.setdefault(self.ranks[w], []).append(i)
-            masks = self.masks
-            edges = []
-            for r in sorted(by_rank):
-                upper = [(j, ~masks[j]) for j in by_rank.get(r + 1, ())]
-                for i in by_rank[r]:
-                    m = masks[i]
-                    edges.extend((i, j) for j, outside in upper if not m & outside)
-            self._hasse = tuple(edges)
-        return self._hasse
 
     def reflection_members(self) -> tuple[WeylElement, ...]:
         return tuple(w for w in self.elements if self.ranks[w] == 1)
@@ -211,9 +191,10 @@ def perp_masks(cd: CartanDatum, c: WeylElement) -> tuple[int, ...]:
     return tuple(perp)
 
 
-def _sorted_lattice(cd, c, rows, bound=None) -> NCLattice:
+def _sorted_lattice(cd, c, rows, covers, bound=None) -> NCLattice:
     """Sort (w, rank, T(w), T(w^-1 c) or None) rows by (rank, matrix) and
-    index the Kreweras complements by mask."""
+    index the Kreweras complements and the (T(lower), T(upper)) covers
+    by mask."""
     rows = sorted(rows, key=lambda row: (row[1], row[0].matrix))
     position = {row[2]: i for i, row in enumerate(rows)}
     return NCLattice(
@@ -223,6 +204,7 @@ def _sorted_lattice(cd, c, rows, bound=None) -> NCLattice:
         ranks={row[0]: row[1] for row in rows},
         masks=tuple(row[2] for row in rows),
         kreweras_index=tuple(position.get(row[3]) for row in rows),
+        hasse=tuple(sorted((position[lower], position[upper]) for lower, upper in covers)),
         truncation_bound=bound,
     )
 
@@ -254,6 +236,7 @@ def enumerate_nc(
     # reflection lies below c, so rank one needs no product.
     grown = {(1 << len(refs)) - 1: (cartan.identity_element(cd), 0, 0)}
     grown.update({perp[k]: (t, 1, 1 << k) for k, t in enumerate(refs)})
+    covers = [(0, 1 << k) for k in range(len(refs))]
     frontier = list(perp)
     for r in range(2, n + 1):
         nxt = []
@@ -269,8 +252,10 @@ def enumerate_nc(
                 if comp not in grown:
                     grown[comp] = (w * refs[k], r, _closure(mask, k, table))
                     nxt.append(comp)
+                covers.append((mask, grown[comp][2]))
         frontier = nxt
-    lat = _sorted_lattice(cd, c, ((w, r, m, comp) for comp, (w, r, m) in grown.items()))
+    rows = ((w, r, m, comp) for comp, (w, r, m) in grown.items())
+    lat = _sorted_lattice(cd, c, rows, covers)
     # w has at most rank(w) reflections and its complement at most n - rank(w),
     # so w * (w^-1 c) = c proves both lengths exact and w <= c
     for w, k in zip(lat.elements, lat.kreweras_index):
@@ -299,7 +284,8 @@ def nc_kronecker(bound: int) -> NCLattice:
     rows = [(cartan.identity_element(cd), 0, 0, full), (c, 2, full, 0)]
     # a reflection's complement t^-1 c = t c may leave the truncation
     rows.extend((t, 1, m, bit_of.get(t * c)) for t, m in bit_of.items())
-    return _sorted_lattice(cd, c, rows, bound)
+    covers = [(0, m) for m in bit_of.values()] + [(m, full) for m in bit_of.values()]
+    return _sorted_lattice(cd, c, rows, covers, bound)
 
 
 def kreweras(lattice: NCLattice, w: WeylElement) -> WeylElement:

@@ -450,20 +450,3 @@ def ar_quiver_module_category(q: Quiver) -> TranslationQuiver:
     return TranslationQuiver(
         vertices=tuple(cat.roots), arrows=tuple(arrows), tau=dict(cat.tau)
     )
-
-
-def hom_table_json(q: Quiver) -> dict:
-    """Hom and Ext dimension tables keyed by root labels."""
-    cat = _category(q)
-    key = lambda a: ",".join(str(x) for x in a)  # noqa: E731
-    return {
-        "type": q.label,
-        "arrows": [list(a) for a in q.arrows],
-        "hom": {key(a): {key(b): cat.hom_dim(a, b) for b in cat.roots} for a in cat.roots},
-        "ext1": {
-            key(a): {
-                key(b): ext1_dim(q, cat.reps[a], cat.reps[b]) for b in cat.roots
-            }
-            for a in cat.roots
-        },
-    }

@@ -3,7 +3,8 @@
 A thick subcategory is identified with its noncrossing-partition element;
 the stored generator roots are a certificate (an exceptional sequence
 realizing the element as a prefix of a reflection factorization of the
-Coxeter element), not part of the identity.  Perpendicular subcategories
+Coxeter element), not part of the identity.  The lattice is the NC
+lattice plus one generator tuple per element.  Perpendicular subcategories
 are Kreweras complements.  The independent oracle enumerates wide
 subcategories of the module category by closing subsets of
 indecomposables under kernels, cokernels, and extensions, all computed on
@@ -34,11 +35,15 @@ Vector = tuple[int, ...]
 
 @dataclass(frozen=True)
 class ThickSubcategory:
-    """An NC element together with a generating exceptional sequence."""
+    """An NC element together with a generating exceptional sequence.
+
+    Two thick subcategories are the same iff their labels and nc
+    elements agree; the generators are a certificate, not compared.
+    """
 
     cartan: CartanDatum
     nc_element: WeylElement
-    generators: tuple[Vector, ...]
+    generators: tuple[Vector, ...] = field(compare=False)
 
     def __post_init__(self):
         prod = cartan.identity_element(self.cartan)
@@ -47,60 +52,25 @@ class ThickSubcategory:
         if prod != self.nc_element:
             raise StructuralError("generators do not multiply to the nc element")
 
-    # two thick subcategories are the same iff their nc elements agree
-    def __eq__(self, other):
-        return (
-            isinstance(other, ThickSubcategory)
-            and self.cartan.label == other.cartan.label
-            and self.nc_element == other.nc_element
-        )
 
-    def __hash__(self):
-        return hash((self.cartan.label, self.nc_element))
-
-
-def cox(u: ThickSubcategory, c: WeylElement | None = None) -> WeylElement:
-    """Product of the generator reflections; must land below c."""
-    if c is None:
-        c = cartan.coxeter_element(u.cartan)
-    w = u.nc_element
-    if not cartan.abs_leq(u.cartan, w, c):
-        raise StructuralError("cox value is not below the Coxeter element")
-    return w
-
-
-def _subcategories(cd: CartanDatum, c: WeylElement, items) -> tuple[ThickSubcategory, ...]:
-    """Thick subcategories for the (w, T(w)) pairs in `items`, each w <= c.
-
-    The generators are the greedy factorization w = x_1...x_r, each x_i
-    the lowest root below the rest: T(x_i rest) = T(rest) & T(x_i c) for
-    x_i <= rest <= c, so one perp mask per factor shrinks the rest.  For
-    simply-laced labels with the standard Coxeter element the module
-    sequence is checked to be exceptional, each root's indecomposable
-    built once per call.
-    """
-    roots = cartan.positive_roots(cd)
-    perp = noncrossing.perp_masks(cd, c)
+def _exceptional_check(cd: CartanDatum, c: WeylElement):
+    """A check that raises unless a generator sequence is exceptional, for
+    simply-laced labels with the standard Coxeter element (a no-op for the
+    rest); each root's indecomposable is built once per check."""
     family, _ = cartan.parse_label(cd.label)
-    q = None
-    if family in "ADE" and c == cartan.coxeter_element(cd):
-        q = repcat.dynkin_quiver(cd.label)
+    if family not in "ADE" or c != cartan.coxeter_element(cd):
+        return lambda gens: None
+    q = repcat.dynkin_quiver(cd.label)
     reps: dict[Vector, repcat.Representation] = {}
-    out = []
-    for w, mask in items:
-        gens = []
-        while mask:
-            k = (mask & -mask).bit_length() - 1
-            gens.append(roots[k])
-            mask &= perp[k]
-        out.append(ThickSubcategory(cartan=cd, nc_element=w, generators=tuple(gens)))
-        if q is not None:
-            for a in gens:
-                if a not in reps:
-                    reps[a] = repcat.indecomposable_for_root(q, a)
-            if not repcat.is_exceptional_sequence(q, [reps[a] for a in gens]):
-                raise StructuralError("generator roots are not an exceptional sequence")
-    return tuple(out)
+
+    def check(gens: tuple[Vector, ...]) -> None:
+        for a in gens:
+            if a not in reps:
+                reps[a] = repcat.indecomposable_for_root(q, a)
+        if not repcat.is_exceptional_sequence(q, [reps[a] for a in gens]):
+            raise StructuralError("generator roots are not an exceptional sequence")
+
+    return check
 
 
 def thick_from_nc(
@@ -110,7 +80,8 @@ def thick_from_nc(
 
     T(w) comes from one scan over the roots: those orthogonal to the
     fixed space of w, which is the orthogonal complement of its moved
-    space.
+    space.  The generators are the greedy factorization of
+    `thick_lattice`: the lowest root k, then T(w) &= perp[k], repeated.
     """
     if not cd.is_finite():
         raise UnsupportedLabelError("thick subcategories need a finite label")
@@ -120,23 +91,31 @@ def thick_from_nc(
         raise NotInPosetError("element is not below the Coxeter element")
     minus_one = [[x - int(i == j) for j, x in enumerate(row)] for i, row in enumerate(w.matrix)]
     normals = [linalg.mat_vec(cd.gram(), f) for f in linalg.nullspace(minus_one, cd.rank)]
+    roots = cartan.positive_roots(cd)
     mask = sum(
         1 << k
-        for k, a in enumerate(cartan.positive_roots(cd))
+        for k, a in enumerate(roots)
         if not any(sum(x * y for x, y in zip(a, g)) for g in normals)
     )
-    return _subcategories(cd, c, [(w, mask)])[0]
+    perp = noncrossing.perp_masks(cd, c)
+    gens = []
+    while mask:
+        k = (mask & -mask).bit_length() - 1
+        gens.append(roots[k])
+        mask &= perp[k]
+    _exceptional_check(cd, c)(gens)
+    return ThickSubcategory(cartan=cd, nc_element=w, generators=tuple(gens))
 
 
 def left_perp(u: ThickSubcategory, c: WeylElement | None = None) -> ThickSubcategory:
-    """Everything mapping trivially into u: nc element cox(u)^-1 c."""
+    """Everything mapping trivially into u: nc element w^-1 c."""
     if c is None:
         c = cartan.coxeter_element(u.cartan)
     return thick_from_nc(u.cartan, u.nc_element.inverse() * c, c)
 
 
 def right_perp(u: ThickSubcategory, c: WeylElement | None = None) -> ThickSubcategory:
-    """Everything u maps trivially into: nc element c cox(u)^-1."""
+    """Everything u maps trivially into: nc element c w^-1."""
     if c is None:
         c = cartan.coxeter_element(u.cartan)
     return thick_from_nc(u.cartan, c * u.nc_element.inverse(), c)
@@ -144,19 +123,44 @@ def right_perp(u: ThickSubcategory, c: WeylElement | None = None) -> ThickSubcat
 
 @dataclass
 class ThickLattice:
-    """The NC lattice with every element materialized."""
+    """The NC lattice plus one generating exceptional sequence per element.
+
+    `generators[i]` is the greedy factorization of `nc.elements[i]`, the
+    one `thick_from_nc` computes.
+    """
 
     nc: NCLattice
-    subcategories: tuple[ThickSubcategory, ...]
+    generators: tuple[tuple[Vector, ...], ...]
 
     def __len__(self):
-        return len(self.subcategories)
+        return len(self.generators)
 
 
 def thick_lattice(cd: CartanDatum) -> ThickLattice:
+    """Generators by the greedy recurrence, one product per element.
+
+    Element i with lowest root k has the rest j, the element with mask
+    T(i) & perp[k]: T(t x) = T(x) & T(t c) for t <= x <= c.  So gens[i] =
+    (root k,) + gens[j], j < i as elements come in rank order, and
+    elements[i] == refs[k] * elements[j] proves by induction that every
+    sequence multiplies to its element.
+    """
     lat = noncrossing.enumerate_nc(cd)
-    subs = _subcategories(cd, lat.coxeter, zip(lat.elements, lat.masks))
-    return ThickLattice(nc=lat, subcategories=subs)
+    roots = cartan.positive_roots(cd)
+    refs = cartan.reflections(cd)
+    perp = noncrossing.perp_masks(cd, lat.coxeter)
+    position = {m: i for i, m in enumerate(lat.masks)}
+    check = _exceptional_check(cd, lat.coxeter)
+    gens: list[tuple[Vector, ...]] = [()]
+    for i in range(1, len(lat)):
+        mask = lat.masks[i]
+        k = (mask & -mask).bit_length() - 1
+        j = position.get(mask & perp[k])
+        if j is None or j >= i or lat.elements[i] != refs[k] * lat.elements[j]:
+            raise StructuralError("generators do not multiply to the nc element")
+        gens.append((roots[k],) + gens[j])
+        check(gens[i])
+    return ThickLattice(nc=lat, generators=tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +453,10 @@ def thick_to_json(lat: ThickLattice) -> dict:
         "elements": [
             {
                 "nc_id": i,
-                "rank": nc.ranks[u.nc_element],
-                "generator_roots": [list(a) for a in u.generators],
+                "rank": nc.ranks[w],
+                "generator_roots": [list(a) for a in gens],
             }
-            for i, u in enumerate(lat.subcategories)
+            for i, (w, gens) in enumerate(zip(nc.elements, lat.generators))
         ],
         "hasse": [list(e) for e in nc.hasse],
         "perp_pairs": perp,

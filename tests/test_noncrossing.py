@@ -89,6 +89,20 @@ def _coxeters(label):
     return [cw.coxeter_element(cd), cw.coxeter_element(cd, tuple(range(cd.rank, 0, -1)))]
 
 
+def _subset_test_hasse(lat):
+    """Oracle: i < j is a cover iff j is one rank above i and T(i) is a
+    subset of T(j), tested for every pair in adjacent ranks."""
+    by_rank = {}
+    for i, w in enumerate(lat.elements):
+        by_rank.setdefault(lat.ranks[w], []).append(i)
+    edges = []
+    for r in sorted(by_rank):
+        upper = [(j, ~lat.masks[j]) for j in by_rank.get(r + 1, ())]
+        for i in by_rank[r]:
+            edges.extend((i, j) for j, outside in upper if not lat.masks[i] & outside)
+    return tuple(edges)
+
+
 class TestMasks:
     @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])
     @pytest.mark.parametrize("which", [0, 1])
@@ -100,15 +114,34 @@ class TestMasks:
             for j, v in enumerate(lat.elements):
                 assert lat.leq(u, v) == leq(i, j)
 
-    @pytest.mark.parametrize("label", ["A4", "B4", "F4", "D5"])
-    def test_hasse_matches_abs_leq_covers(self, label):
-        lat = _lattice(label)
-        leq, lengths = _abs_order(lat.cartan, lat.elements)
+    @pytest.mark.parametrize(
+        "label,which",
+        [
+            pytest.param(label, which, id=label + ("-reversed" if which else ""))
+            for label in ("A4", "B4", "F4", "D5")
+            for which in (0, 1)
+        ],
+    )
+    def test_hasse_matches_abs_leq_covers(self, label, which):
+        cd = cw.build_cartan(label)
+        lat = nc.enumerate_nc(cd, _coxeters(label)[which])
+        leq, lengths = _abs_order(cd, lat.elements)
         n = len(lat)
         covers = tuple(
             (i, j) for i in range(n) for j in range(n) if lengths[j] == lengths[i] + 1 and leq(i, j)
         )
         assert lat.hasse == covers
+
+    @pytest.mark.parametrize(
+        "label,arg", [("E6", 0), ("E6", 1)] + [("KRONECKER", b) for b in range(4)]
+    )
+    def test_hasse_matches_subset_test(self, label, arg):
+        # E6 under both Coxeter elements, KRONECKER at bounds 0..3
+        if label == "KRONECKER":
+            lat = nc.nc_kronecker(arg)
+        else:
+            lat = nc.enumerate_nc(cw.build_cartan(label), _coxeters(label)[arg])
+        assert lat.hasse == _subset_test_hasse(lat)
 
     @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])
     def test_masks_are_reflection_sets(self, label):

@@ -232,10 +232,3 @@ class TestARQuiver:
     def test_mesh_shape(self, label):
         ar = rc.ar_quiver_module_category(rc.dynkin_quiver(label))
         assert ar.check_mesh_shape() == []
-
-
-class TestJson:
-    def test_table(self, a2):
-        data = rc.hom_table_json(a2)
-        assert data["hom"]["1,1"]["1,0"] == 1
-        assert data["ext1"]["1,0"]["0,1"] == 1

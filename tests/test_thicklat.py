@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -5,6 +6,7 @@ import pytest
 
 from ncthick import braid
 from ncthick import cartan as cw
+from ncthick import linalg
 from ncthick import noncrossing as nc
 from ncthick import repcat as rc
 from ncthick import thicklat as tl
@@ -12,6 +14,7 @@ from ncthick.errors import (
     NotInPosetError,
     OutOfRangeError,
     ResourceLimitError,
+    StructuralError,
 )
 
 
@@ -23,6 +26,14 @@ def a2():
 @pytest.fixture(scope="module")
 def a3():
     return cw.build_cartan("A3")
+
+
+def _cox(cd, roots):
+    """The product of the generator reflections, left to right."""
+    prod = cw.identity_element(cd)
+    for alpha in roots:
+        prod = prod * cw.reflection_element(cd, alpha)
+    return prod
 
 
 def _greedy_factorization(cd, w):
@@ -76,7 +87,7 @@ class TestCox:
     def test_bijectivity(self, a3):
         lat = nc.enumerate_nc(a3)
         for w in lat.elements:
-            assert tl.cox(tl.thick_from_nc(a3, w, lat.coxeter), lat.coxeter) == w
+            assert _cox(a3, tl.thick_from_nc(a3, w, lat.coxeter).generators) == w
 
     def test_well_defined_across_braid_orbit(self, a3):
         # different factorizations with equal prefix products give equal cox
@@ -88,7 +99,7 @@ class TestCox:
                 for x in f.parts[:r]:
                     prefix = prefix * x
                 u = tl.thick_from_nc(a3, prefix, c)
-                assert tl.cox(u, c) == prefix
+                assert _cox(a3, u.generators) == prefix
 
 
 class TestPerpendiculars:
@@ -128,16 +139,16 @@ class TestThickLattice:
     def test_generators_are_greedy_factorizations(self, label):
         cd = cw.build_cartan(label)
         lat = tl.thick_lattice(cd)
-        for u in lat.subcategories:
-            assert u.generators == _greedy_factorization(cd, u.nc_element)
+        for w, gens in zip(lat.nc.elements, lat.generators):
+            assert gens == _greedy_factorization(cd, w)
 
     @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])
     def test_lone_element_matches_lattice(self, label):
         # thick_from_nc builds T(w) from the fixed space, not from the lattice
         cd = cw.build_cartan(label)
         lat = tl.thick_lattice(cd)
-        for u in lat.subcategories:
-            assert tl.thick_from_nc(cd, u.nc_element).generators == u.generators
+        for w, gens in zip(lat.nc.elements, lat.generators):
+            assert tl.thick_from_nc(cd, w).generators == gens
 
     def test_thick_lattice_skips_abs_leq(self, monkeypatch):
         calls = []
@@ -169,10 +180,48 @@ class TestThickLattice:
 
     def test_equality_by_nc_element(self, a2):
         lat = tl.thick_lattice(a2)
-        u = lat.subcategories[1]
-        clone = tl.ThickSubcategory(a2, u.nc_element, u.generators)
+        u = tl.thick_from_nc(a2, lat.nc.elements[1])
+        clone = tl.ThickSubcategory(a2, lat.nc.elements[1], lat.generators[1])
         assert clone == u
         assert hash(clone) == hash(u)
+        # the greedy generators of c = s_1 s_2 are s_2 s_(1,1); s_1 s_2 is
+        # another valid factorization of the same subcategory
+        c = lat.nc.coxeter
+        other = tl.ThickSubcategory(a2, c, ((1, 0), (0, 1)))
+        assert other.generators != tl.thick_from_nc(a2, c).generators
+        assert other == tl.thick_from_nc(a2, c)
+        assert hash(other) == hash(tl.thick_from_nc(a2, c))
+
+    def test_d5_one_product_per_element(self, monkeypatch):
+        calls = []
+        real = linalg.mat_mul
+        monkeypatch.setattr(linalg, "mat_mul", lambda *args: calls.append(1) or real(*args))
+        nc.perp_masks.cache_clear()
+        lat = tl.thick_lattice(cw.build_cartan("D5"))
+        assert len(lat) == 182
+        assert len(calls) <= 3 * len(lat)
+
+    def test_swapped_perp_table_is_caught(self, monkeypatch):
+        # perp[0] and perp[1] swapped: some rest is looked up with the wrong perp
+        cd = cw.build_cartan("D4")
+        lat = nc.enumerate_nc(cd)
+        perp = list(nc.perp_masks(cd, lat.coxeter))
+        perp[0], perp[1] = perp[1], perp[0]
+        monkeypatch.setattr(nc, "enumerate_nc", lambda *args: lat)
+        monkeypatch.setattr(nc, "perp_masks", lambda *args: tuple(perp))
+        with pytest.raises(StructuralError, match="multiply"):
+            tl.thick_lattice(cd)
+
+    def test_swapped_elements_are_caught(self, monkeypatch):
+        # masks intact, two reflections trade matrices: only the product sees it
+        cd = cw.build_cartan("D4")
+        lat = nc.enumerate_nc(cd)
+        elements = list(lat.elements)
+        elements[1], elements[2] = elements[2], elements[1]
+        bad = dataclasses.replace(lat, elements=tuple(elements))
+        monkeypatch.setattr(nc, "enumerate_nc", lambda *args: bad)
+        with pytest.raises(StructuralError, match="multiply"):
+            tl.thick_lattice(cd)
 
     def test_order_preservation_nested_prefixes(self, a3):
         lat = nc.enumerate_nc(a3)
@@ -307,7 +356,10 @@ class TestJson:
         c = lat.nc.coxeter
         expected = [
             [i, lat.nc.index(tl.left_perp(u, c).nc_element), lat.nc.index(tl.right_perp(u, c).nc_element)]
-            for i, u in enumerate(lat.subcategories)
+            for i, u in enumerate(
+                tl.ThickSubcategory(lat.nc.cartan, w, gens)
+                for w, gens in zip(lat.nc.elements, lat.generators)
+            )
         ]
         assert tl.thick_to_json(lat)["perp_pairs"] == expected
 
