@@ -16,17 +16,20 @@ outside any window, and moved up to every level; knitting stops when the
 hammock dies out, at most 64 levels past the source whatever the window's
 width, so that broken inputs terminate.
 
-The bridge to the module category identifies Hom at equal shifts and
-Ext^1 at shift one; everything else vanishes since the algebra is
-hereditary.
+The bridge to the module category: the projectives' hammocks place each
+indecomposable module at the vertex v with (dim Hom(P_i, v))_i its
+dimension vector; Hom is a hammock value at equal shift, Ext^1 at shift
+one, and everything else vanishes since the algebra is hereditary.
+`derived_hom` gets the same from the linear algebra of `repcat`.
 """
 
 from __future__ import annotations
 
 import functools
+import types
 from dataclasses import dataclass
 
-from . import repcat
+from . import cartan, repcat
 from .errors import ResourceLimitError, StructuralError, WindowError
 from .tquiver import TranslationQuiver
 
@@ -98,9 +101,9 @@ def _require_meta(t: TranslationQuiver) -> tuple[str, tuple[tuple[int, int], ...
     return t.meta["label"], t.meta["orientation"], t.meta["window"]
 
 
-def _node_order(orientation: tuple[tuple[int, int], ...], nodes: tuple[int, ...]) -> list[int]:
+def _node_order(label: str, orientation: tuple[tuple[int, int], ...]) -> list[int]:
     """Topological order of the tree nodes along the orientation."""
-    remaining = set(nodes)
+    remaining = set(range(1, cartan.parse_label(label)[1] + 1))
     order = []
     while remaining:
         for v in sorted(remaining):
@@ -118,10 +121,13 @@ def _knit(label: str, orientation: tuple[tuple[int, int], ...], node: int):
     """The hammock of (0, node) in the full repetition, knitted once per
     (label, orientation, node): its (vertex, value) items in sorted order,
     the suspension, the last level knitted and the sum of the values."""
-    q = repcat.dynkin_quiver(label, orientation)
-    order = _node_order(orientation, q.vertices)
+    order = _node_order(label, orientation)
     first = order[order.index(node):]
-    in_arrows = _in_arrow_rule(orientation)
+    # arrows into (n, x) leave (n, s) for s -> x and (n - 1, t) for x -> t
+    into = {
+        x: [(0, s) for s, t in orientation if t == x] + [(-1, t) for s, t in orientation if s == x]
+        for x in order
+    }
     values: dict[Vertex, int] = {}
     sigma: Vertex | None = None
     n = 0
@@ -129,10 +135,9 @@ def _knit(label: str, orientation: tuple[tuple[int, int], ...], node: int):
         slice_total = 0
         for x in first if n == 0 else order:
             z = (n, x)
-            u = 0
-            for y in in_arrows(z):
-                u += values.get(y, 0)
-            u -= values.get((n - 1, x), 0)
+            u = -values.get((n - 1, x), 0)
+            for d, y in into[x]:
+                u += values.get((n + d, y), 0)
             if z == (0, node):
                 u += 1
             if u == -1 and sigma is None:
@@ -170,24 +175,6 @@ def knit_hammock(t: TranslationQuiver, source: Vertex, auto_extend: bool = True)
         raise WindowError(f"window exhausted before hammock of {source} died out")
     values = {(n + level, y): k for (n, y), k in items}
     return Hammock(source=source, values=values, sigma_of_source=(s + level, x))
-
-
-def _in_arrow_rule(orientation: tuple[tuple[int, int], ...]):
-    """Arrow sources of a vertex in the full (unwindowed) repetition."""
-    preds: dict[int, list[int]] = {}
-    succs: dict[int, list[int]] = {}
-    for s, t in orientation:
-        preds.setdefault(t, []).append(s)
-        succs.setdefault(s, []).append(t)
-
-    def into(z: Vertex):
-        n, x = z
-        for s in preds.get(x, ()):
-            yield (n, s)
-        for t in succs.get(x, ()):
-            yield (n - 1, t)
-
-    return into
 
 
 def suspension(t: TranslationQuiver, x: Vertex) -> Vertex:
@@ -249,40 +236,50 @@ def derived_hom(
 
 def module_slice(q: repcat.Quiver) -> dict[Vector, Vertex]:
     """Embed the module indecomposables (as positive roots) into the
-    repetition: projectives span a slice, the rest follow by translation."""
-    ar = repcat.ar_quiver_module_category(q)
+    repetition: P_i at (grade(i), i), and each vertex v of the projectives'
+    hammocks holds the module of dimension vector (dim Hom(P_i, v))_i."""
+    return dict(_slice(q.label, q.arrows))
+
+
+@functools.lru_cache(maxsize=None)
+def _slice(
+    label: str, orientation: tuple[tuple[int, int], ...]
+) -> tuple[tuple[Vector, Vertex], ...]:
+    nodes = _node_order(label, orientation)
     # grade the tree so that every arrow i -> j drops the level by one
-    grade = {q.vertices[0]: 0}
-    frontier = [q.vertices[0]]
-    nb = {}
-    for s, t in q.arrows:
-        nb.setdefault(s, []).append((t, -1))
-        nb.setdefault(t, []).append((s, +1))
-    while frontier:
-        v = frontier.pop()
-        for w, step in nb.get(v, ()):
-            if w not in grade:
-                grade[w] = grade[v] + step
-                frontier.append(w)
-    shift = -min(grade.values())
-    grade = {v: g + shift for v, g in grade.items()}
+    grade = {nodes[0]: 0}
+    while len(grade) < len(nodes):
+        for s, t in orientation:
+            if s in grade:
+                grade.setdefault(t, grade[s] - 1)
+            elif t in grade:
+                grade[s] = grade[t] + 1
+    low = min(grade.values())
+    dims: dict[Vertex, list[int]] = {}
+    for i in nodes:
+        for (n, y), k in _knit(label, orientation, i)[0]:
+            dims.setdefault((n + grade[i] - low, y), [0] * len(nodes))[i - 1] = k
+    placed = {tuple(d): v for v, d in dims.items()}
+    roots = cartan.positive_roots(cartan.build_cartan(label))
+    if len(placed) != len(dims) or set(placed) != set(roots):
+        raise StructuralError(f"the projectives' hammocks do not place each root of {label} once")
+    return tuple((a, placed[a]) for a in roots)
 
-    proj_of = {repcat.projective_dim(q, i): i for i in q.vertices}
 
-    out: dict[Vector, Vertex] = {}
-    for root in ar.vertices:
-        steps = 0
-        cur = root
-        while cur in ar.tau:
-            cur = ar.tau[cur]
-            steps += 1
-        if cur not in proj_of:
-            raise StructuralError(f"tau-orbit of {root} does not end at a projective")
-        i = proj_of[cur]
-        out[root] = (grade[i] + steps, i)
-    if len(set(out.values())) != len(out):
-        raise StructuralError("module slice embedding is not injective")
-    return out
+@functools.lru_cache(maxsize=None)
+def hom_ext_table(
+    label: str, orientation: tuple[tuple[int, int], ...]
+) -> types.MappingProxyType[tuple[Vector, Vector], tuple[int, int]]:
+    """(dim Hom, dim Ext^1) for each ordered pair (a, b) of positive roots:
+    the hammock of a's vertex read at b's vertex and at its suspension."""
+    slice_ = _slice(label, orientation)
+    table = {}
+    for a, (n, x) in slice_:
+        values = {(k + n, y): d for (k, y), d in _knit(label, orientation, x)[0]}
+        for b, (m, y) in slice_:
+            s, z = _knit(label, orientation, y)[1]
+            table[(a, b)] = (values.get((m, y), 0), values.get((s + m, z), 0))
+    return types.MappingProxyType(table)
 
 
 def window_dot(t: TranslationQuiver) -> str:

@@ -8,7 +8,9 @@ Dynkin quiver the transport reaches every positive root (Bernstein-
 Gelfand-Ponomarev), so a failed transport raises StructuralError.  This
 module is the independent oracle the combinatorial modules are checked
 against, so nothing here consults the Weyl-group machinery beyond root
-enumeration and simple reflections of roots.
+enumeration and simple reflections of roots.  Production Hom and Ext^1
+come from the hammocks in `derived`; only `verify`, `thick lattice
+--oracle` and the tests call this module.
 
 Representations store one rational matrix per arrow with shape
 dim[target] x dim[source]; matrices with zero rows or columns are empty
@@ -174,20 +176,12 @@ def euler_form(q: Quiver, a: Vector, b: Vector) -> int:
     return val
 
 
-@functools.lru_cache(maxsize=None)
-def _hom_ext(q: Quiver, source: Representation, target: Representation) -> tuple[int, int]:
-    """dim Hom, and dim Hom minus the Euler form as dim Ext^1 (nonnegative
-    for hereditary algebras), from one Hom solve per ordered pair."""
-    h = hom(q, source, target).dim
-    e = h - euler_form(q, source.dim, target.dim)
+def ext1_dim(q: Quiver, source: Representation, target: Representation) -> int:
+    """dim Ext^1: dim Hom minus the Euler form, >= 0 as kQ is hereditary."""
+    e = hom(q, source, target).dim - euler_form(q, source.dim, target.dim)
     if e < 0:
         raise StructuralError("negative Ext dimension; hereditary identity violated")
-    return h, e
-
-
-def ext1_dim(q: Quiver, source: Representation, target: Representation) -> int:
-    """dim Ext^1, from the cached Hom solve of the pair."""
-    return _hom_ext(q, source, target)[1]
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +407,13 @@ def _root_of(cat: _ModuleCategory, rep: Representation) -> Vector:
 
 
 def is_exceptional_sequence(q: Quiver, seq) -> bool:
-    """No self-extensions, and Hom/Ext vanish from later to earlier terms."""
+    """No self-extensions, and Hom/Ext vanish from later to earlier terms;
+    one Hom solve per pair, Ext^1 being dim Hom minus the Euler form."""
     seq = list(seq)
     for i, x in enumerate(seq):
         for j in range(i, len(seq)):
-            h, e = _hom_ext(q, seq[j], x)
-            if e or (h and j > i):
+            h = hom(q, seq[j], x).dim
+            if (h and j > i) or h != euler_form(q, seq[j].dim, x.dim):
                 return False
     return True
 

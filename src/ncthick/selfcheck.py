@@ -485,34 +485,35 @@ def _chk_valuation_symmetry():
 def _chk_exceptional_count_matches_braid():
     q = repcat.dynkin_quiver("A2")
     inds = repcat.indecomposables(q)
-    count = sum(
-        1
-        for pair in itertools.product(inds, repeat=2)
-        if repcat.is_exceptional_sequence(q, pair)
-    )
-    facts = braid.enumerate_factorizations(cartan.build_cartan("A2"))
-    _expect(count == len(facts) == 3, "A2 exceptional pairs != factorizations")
-    return "3 = 3 on A2"
+    count = sum(repcat.is_exceptional_sequence(q, p) for p in itertools.product(inds, repeat=2))
+    _expect(count == 3, f"A2 has {count} exceptional pairs by linear algebra, expected 3")
+    for label, n in (("A2", 3), ("A3", 16), ("D4", 162)):
+        # complete exceptional sequences, grown term by term on the masks
+        # that thick_lattice reads off the hammock table
+        cd = cartan.build_cartan(label)
+        bad = thicklat._exceptional_masks(cd, cartan.coxeter_element(cd))
+        seqs = [((), 0)]  # (sequence, roots barred from following it)
+        for _ in range(cd.rank):
+            seqs = [(s + (k,), b | m) for s, b in seqs for k, m in enumerate(bad) if not b >> k & 1]
+        roots = cartan.positive_roots(cd)
+        facts = {f.roots() for f in braid.enumerate_factorizations(cd)}
+        found = {tuple(roots[k] for k in s) for s, _ in seqs}
+        _expect(found == facts and n == len(facts), f"{label}: sequences != {n} factorizations")
+    return "3 A2 pairs by linear algebra; hammock sequences = factorizations A2=3 A3=16 D4=162"
 
 
 def _chk_hammock_oracle():
-    for label in ("A2", "A3"):
+    for label in ("A2", "A3", "D4", "D5", "E6"):
         q = repcat.dynkin_quiver(label)
         emb = derived.module_slice(q)
         window = derived.build_zdelta(label, (-2, 4 * q.rank))
         reps = {a: repcat.indecomposable_for_root(q, a) for a in emb}
-        for a, va in emb.items():
-            h = derived.knit_hammock(window, va)
-            for b, vb in emb.items():
-                target = vb
-                for shift in range(3):
-                    _expect(
-                        h.value(target)
-                        == derived.derived_hom(q, (reps[a], 0), (reps[b], shift)),
-                        f"hammock disagrees with linear algebra at {a}->{b}[{shift}]",
-                    )
-                    target = derived.suspension(window, target)
-    return "knitting = rational linear algebra on A2 and A3, shifts 0..2"
+        for (a, b), hom_ext in derived.hom_ext_table(label, q.arrows).items():
+            sigma2 = derived.suspension(window, derived.suspension(window, emb[b]))
+            got = hom_ext + (derived.knit_hammock(window, emb[a]).value(sigma2),)
+            want = tuple(derived.derived_hom(q, (reps[a], 0), (reps[b], s)) for s in range(3))
+            _expect(got == want, f"hammocks give {got}, linear algebra {want} at {a}->{b}")
+    return "Hom, Ext^1 (the hammock table) and Ext^2 = linear algebra on A2 A3 D4 D5 E6"
 
 
 def _chk_mesh_identities():

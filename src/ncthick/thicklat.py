@@ -4,11 +4,12 @@ A thick subcategory is identified with its noncrossing-partition element;
 the stored generator roots are a certificate (an exceptional sequence
 realizing the element as a prefix of a reflection factorization of the
 Coxeter element), not part of the identity.  The lattice is the NC
-lattice plus one generator tuple per element.  Perpendicular subcategories
-are Kreweras complements.  The independent oracle enumerates wide
-subcategories of the module category by closing subsets of
-indecomposables under kernels, cokernels, and extensions, all computed on
-explicit intertwiner matrices.
+lattice plus one generator tuple per element, certified exceptional with
+Hom and Ext^1 read off the hammocks of `derived`.  Perpendicular
+subcategories are Kreweras complements.  The independent oracle
+enumerates wide subcategories of the module category by closing subsets
+of indecomposables under kernels, cokernels, and extensions, all computed
+on explicit intertwiner matrices.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import cartan, linalg, noncrossing, repcat
+from . import cartan, derived, linalg, noncrossing, repcat
 from .cartan import CartanDatum, WeylElement
 from .errors import (
     LatticeStructureError,
@@ -53,24 +54,22 @@ class ThickSubcategory:
             raise StructuralError("generators do not multiply to the nc element")
 
 
-def _exceptional_check(cd: CartanDatum, c: WeylElement):
-    """A check that raises unless a generator sequence is exceptional, for
-    simply-laced labels with the standard Coxeter element (a no-op for the
-    rest); each root's indecomposable is built once per check."""
+def _exceptional_masks(cd: CartanDatum, c: WeylElement) -> tuple[int, ...]:
+    """bad[k]: the roots b with Hom(E_b, E_k) or Ext^1(E_b, E_k) nonzero, read
+    from the hammock table (k among them), so (k,) + rest is exceptional iff
+    rest is and misses bad[k]; each E_k is checked exceptional.  All zero,
+    so no check, unless simply-laced with the standard Coxeter element."""
+    roots = cartan.positive_roots(cd)
     family, _ = cartan.parse_label(cd.label)
     if family not in "ADE" or c != cartan.coxeter_element(cd):
-        return lambda gens: None
-    q = repcat.dynkin_quiver(cd.label)
-    reps: dict[Vector, repcat.Representation] = {}
-
-    def check(gens: tuple[Vector, ...]) -> None:
-        for a in gens:
-            if a not in reps:
-                reps[a] = repcat.indecomposable_for_root(q, a)
-        if not repcat.is_exceptional_sequence(q, [reps[a] for a in gens]):
-            raise StructuralError("generator roots are not an exceptional sequence")
-
-    return check
+        return (0,) * len(roots)
+    table = derived.hom_ext_table(cd.label, cartan.tree_edges(cd.label))
+    bad = []
+    for a in roots:
+        if table[(a, a)] != (1, 0):
+            raise StructuralError(f"the indecomposable at {a} is not exceptional")
+        bad.append(sum(1 << b for b, r in enumerate(roots) if table[(r, a)] != (0, 0)))
+    return tuple(bad)
 
 
 def thick_from_nc(
@@ -81,7 +80,8 @@ def thick_from_nc(
     T(w) comes from one scan over the roots: those orthogonal to the
     fixed space of w, which is the orthogonal complement of its moved
     space.  The generators are the greedy factorization of
-    `thick_lattice`: the lowest root k, then T(w) &= perp[k], repeated.
+    `thick_lattice`: the lowest root k, then T(w) &= perp[k], repeated at
+    most rank times; each new root must miss the masks of the earlier ones.
     """
     if not cd.is_finite():
         raise UnsupportedLabelError("thick subcategories need a finite label")
@@ -98,12 +98,21 @@ def thick_from_nc(
         if not any(sum(x * y for x, y in zip(a, g)) for g in normals)
     )
     perp = noncrossing.perp_masks(cd, c)
-    gens = []
-    while mask:
+    bad = _exceptional_masks(cd, c)
+    gens, barred = [], 0
+    for _ in range(cd.rank):
+        if not mask:
+            break
         k = (mask & -mask).bit_length() - 1
+        if perp[k] >> k & 1:
+            raise StructuralError(f"the perp of root {roots[k]} keeps the root")
+        if barred >> k & 1:
+            raise StructuralError("generator roots are not an exceptional sequence")
+        barred |= bad[k]
         gens.append(roots[k])
         mask &= perp[k]
-    _exceptional_check(cd, c)(gens)
+    if mask:
+        raise StructuralError("roots are left over after rank many generators")
     return ThickSubcategory(cartan=cd, nc_element=w, generators=tuple(gens))
 
 
@@ -143,23 +152,27 @@ def thick_lattice(cd: CartanDatum) -> ThickLattice:
     T(i) & perp[k]: T(t x) = T(x) & T(t c) for t <= x <= c.  So gens[i] =
     (root k,) + gens[j], j < i as elements come in rank order, and
     elements[i] == refs[k] * elements[j] proves by induction that every
-    sequence multiplies to its element.
+    sequence multiplies to its element; used[j] & bad[k] == 0, one AND over
+    the roots of gens[j], that it is exceptional.
     """
     lat = noncrossing.enumerate_nc(cd)
     roots = cartan.positive_roots(cd)
     refs = cartan.reflections(cd)
     perp = noncrossing.perp_masks(cd, lat.coxeter)
     position = {m: i for i, m in enumerate(lat.masks)}
-    check = _exceptional_check(cd, lat.coxeter)
+    bad = _exceptional_masks(cd, lat.coxeter)
     gens: list[tuple[Vector, ...]] = [()]
+    used = [0]
     for i in range(1, len(lat)):
         mask = lat.masks[i]
         k = (mask & -mask).bit_length() - 1
         j = position.get(mask & perp[k])
         if j is None or j >= i or lat.elements[i] != refs[k] * lat.elements[j]:
             raise StructuralError("generators do not multiply to the nc element")
+        if used[j] & bad[k]:
+            raise StructuralError("generator roots are not an exceptional sequence")
         gens.append((roots[k],) + gens[j])
-        check(gens[i])
+        used.append(used[j] | 1 << k)
     return ThickLattice(nc=lat, generators=tuple(gens))
 
 
@@ -179,29 +192,21 @@ class _ClosureTables:
 
     def __init__(self, q: repcat.Quiver):
         self.cat = repcat._category(q)
-        self.q = q
-        roots = self.cat.roots
-        for a in roots:
-            for b in roots:
-                if self.cat.hom_dim(a, b) > 1 or self._ext(a, b) > 1:
-                    raise ResourceLimitError(
-                        "wide oracle needs multiplicity-free Hom and Ext tables"
-                    )
         self.consequences: dict[frozenset, frozenset] = {}
-        for a in roots:
-            for b in roots:
-                need: set[Vector] = set()
-                if a != b and self.cat.hom_dim(a, b) == 1:
-                    f = self.cat.hom_spaces[(a, b)].basis[0]
-                    need |= self._summands(self._kernel(a, b, f))
-                    need |= self._summands(self._cokernel(a, b, f))
-                if self._ext(a, b) == 1:
-                    need |= self._summands(self._middle(a, b))
-                if need:
-                    self.consequences[frozenset((a, b))] = frozenset(need)
-
-    def _ext(self, a: Vector, b: Vector) -> int:
-        return repcat.ext1_dim(self.q, self.cat.reps[a], self.cat.reps[b])
+        for a, b in itertools.product(self.cat.roots, repeat=2):
+            h = self.cat.hom_dim(a, b)
+            e = h - repcat.euler_form(q, a, b)  # dim Ext^1 (hereditary)
+            if h > 1 or e > 1:
+                raise ResourceLimitError("wide oracle needs multiplicity-free Hom and Ext tables")
+            need: set[Vector] = set()
+            if a != b and h == 1:
+                f = self.cat.hom_spaces[(a, b)].basis[0]
+                need |= self._summands(self._kernel(a, b, f))
+                need |= self._summands(self._cokernel(a, b, f))
+            if e == 1:
+                need |= self._summands(self._middle(a, b))
+            if need:
+                self.consequences[frozenset((a, b))] = frozenset(need)
 
     def _summands(self, rep: repcat.Representation) -> set[Vector]:
         return set(self.cat.decompose(rep))

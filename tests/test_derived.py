@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from ncthick import cartan as cw
 from ncthick import derived as dv
 from ncthick import repcat as rc
-from ncthick.errors import ResourceLimitError, WindowError
+from ncthick.errors import ResourceLimitError, StructuralError, WindowError
 
 
 @pytest.fixture(scope="module")
@@ -229,7 +230,7 @@ class TestDerivedHom:
         s1, s2 = rc.simple_rep(q, 1), rc.simple_rep(q, 2)
         assert dv.derived_hom(q, (s1, 3), (s2, 4)) == dv.derived_hom(q, (s1, 0), (s2, 1))
 
-    @pytest.mark.parametrize("label", ["A2", "A3"])
+    @pytest.mark.parametrize("label", ["A2", "A3", "D4", "D5"])
     def test_matches_knitting(self, label):
         q = rc.dynkin_quiver(label)
         emb = dv.module_slice(q)
@@ -244,6 +245,41 @@ class TestDerivedHom:
                         q, (reps[a], 0), (reps[b], shift)
                     )
                     target = dv.suspension(window, target)
+
+
+def _tau_walk_slice(q):
+    """Reference placement from the module category's own AR quiver: each
+    root sits above the projective that ends its tau-orbit, one level per
+    translate, on the tree grading where every arrow drops a level."""
+    ar = rc.ar_quiver_module_category(q)
+    grade = {q.vertices[0]: 0}
+    frontier = [q.vertices[0]]
+    nb = {}
+    for s, t in q.arrows:
+        nb.setdefault(s, []).append((t, -1))
+        nb.setdefault(t, []).append((s, +1))
+    while frontier:
+        v = frontier.pop()
+        for w, step in nb.get(v, ()):
+            if w not in grade:
+                grade[w] = grade[v] + step
+                frontier.append(w)
+    shift = -min(grade.values())
+    proj_of = {rc.projective_dim(q, i): i for i in q.vertices}
+    out = {}
+    for root in ar.vertices:
+        steps, cur = 0, root
+        while cur in ar.tau:
+            cur, steps = ar.tau[cur], steps + 1
+        i = proj_of[cur]
+        out[root] = (grade[i] + shift + steps, i)
+    return out
+
+
+def _orientations(label):
+    tree = cw.tree_edges(label)
+    for flips in itertools.product((False, True), repeat=len(tree)):
+        yield tuple((b, a) if f else (a, b) for (a, b), f in zip(tree, flips))
 
 
 class TestModuleSlice:
@@ -264,6 +300,47 @@ class TestModuleSlice:
     def test_injective(self):
         emb = dv.module_slice(rc.dynkin_quiver("D4"))
         assert len(set(emb.values())) == 12
+
+    @pytest.mark.parametrize("label", ["A2", "A3", "A4", "D4"])
+    def test_matches_tau_walk_on_every_orientation(self, label):
+        for arrows in _orientations(label):
+            q = rc.dynkin_quiver(label, arrows)
+            assert dv.module_slice(q) == _tau_walk_slice(q)
+
+    @pytest.mark.parametrize("label", ["E6", "E7", "E8"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_places_every_root_once(self, label, reverse):
+        arrows = tuple((b, a) if reverse else (a, b) for a, b in cw.tree_edges(label))
+        emb = dv.module_slice(rc.dynkin_quiver(label, arrows))
+        assert tuple(emb) == cw.positive_roots(cw.build_cartan(label))
+        assert len(set(emb.values())) == len(emb)
+
+    def test_never_builds_the_module_category(self, monkeypatch):
+        dv._slice.cache_clear()
+        monkeypatch.setattr(rc, "ar_quiver_module_category", lambda q: pytest.fail("called"))
+        monkeypatch.setattr(rc, "_category", lambda q: pytest.fail("called"))
+        assert len(dv.module_slice(rc.dynkin_quiver("D5"))) == 20
+
+    def test_hom_ext_table_matches_linear_algebra(self):
+        q = rc.dynkin_quiver("D4", ((2, 1), (2, 3), (4, 2)))
+        emb = dv.module_slice(q)
+        reps = {a: rc.indecomposable_for_root(q, a) for a in emb}
+        table = dv.hom_ext_table(q.label, q.arrows)
+        assert len(table) == 144
+        for (a, b), (h, e) in table.items():
+            assert (h, e) == (rc.hom(q, reps[a], reps[b]).dim, rc.ext1_dim(q, reps[a], reps[b]))
+
+    def test_misplaced_root_raises(self, monkeypatch):
+        # a knit that loses one value leaves a root unplaced or placed twice
+        real = dv._knit.__wrapped__
+
+        def lossy(label, orientation, node):
+            items, sigma, last, total = real(label, orientation, node)
+            return items[1:] if node == 1 else items, sigma, last, total
+
+        monkeypatch.setattr(dv, "_knit", lossy)
+        with pytest.raises(StructuralError, match="once"):
+            dv._slice.__wrapped__("A3", cw.tree_edges("A3"))
 
 
 class TestSerreDuality:

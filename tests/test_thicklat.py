@@ -1,11 +1,14 @@
 import dataclasses
 import hashlib
+import inspect
+import itertools
 import json
 
 import pytest
 
 from ncthick import braid
 from ncthick import cartan as cw
+from ncthick import derived as dv
 from ncthick import linalg
 from ncthick import noncrossing as nc
 from ncthick import repcat as rc
@@ -157,26 +160,66 @@ class TestThickLattice:
         assert calls == []
 
     def test_indecomposables_built_once_per_root(self, monkeypatch):
+        # no indecomposable is built: each root's hammock is a translate of
+        # the hammock of one node, and each node's is knitted once
+        for cache in (dv._knit, dv._slice, dv.hom_ext_table):
+            cache.cache_clear()
         built = []
         real = rc.indecomposable_for_root
         monkeypatch.setattr(
             rc, "indecomposable_for_root", lambda q, a: built.append(a) or real(q, a)
         )
-        tl.thick_lattice(cw.build_cartan("D4"))
-        assert sorted(built) == sorted(cw.positive_roots(cw.build_cartan("D4")))
+        cd = cw.build_cartan("D4")
+        tl.thick_lattice(cd)
+        assert built == []
+        assert dv._knit.cache_info().misses == cd.rank
 
     def test_exceptional_checks_solve_each_pair_once(self, monkeypatch):
-        # the D4 lattice checks 50 sequences over 36 ordered pairs of
-        # indecomposables; solving Hom per pair and per sequence took 244
-        rc._hom_ext.cache_clear()
-        solved = []
-        real = rc.hom
-        monkeypatch.setattr(rc, "hom", lambda q, m, n: solved.append(m.dim) or real(q, m, n))
-        data = tl.thick_to_json(tl.thick_lattice(cw.build_cartan("D4")))
+        # Hom and Ext^1 come from one hammock table with an entry per ordered
+        # pair of roots, so the ADE certificates reach none of the linear
+        # algebra of the representation oracle
+        for cache in (dv._knit, dv._slice, dv.hom_ext_table):
+            cache.cache_clear()
+        calls = []
+        for name, f in list(vars(rc).items()):
+            if inspect.isfunction(f) and f.__module__ == rc.__name__:
+                monkeypatch.setattr(
+                    rc, name, lambda *a, _n=name, _f=f, **k: calls.append(_n) or _f(*a, **k)
+                )
+        cd = cw.build_cartan("D4")
+        data = tl.thick_to_json(tl.thick_lattice(cd))
         text = json.dumps(data, sort_keys=True) + "\n"
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "41aac08eac283908efd5b3456b4f7e7029224f4305c8d79a1a1a5eeb1b273ffd"
-        assert len(solved) <= 244 // 2
+        assert calls == []
+        assert dv.hom_ext_table.cache_info().misses == 1
+        n = len(cw.positive_roots(cd))
+        assert len(dv.hom_ext_table("D4", cw.tree_edges("D4"))) == n * n
+
+    @pytest.mark.parametrize("label", ["A3", "D4", "D5"])
+    def test_masks_match_exceptional_pairs(self, label):
+        cd = cw.build_cartan(label)
+        bad = tl._exceptional_masks(cd, cw.coxeter_element(cd))
+        q = rc.dynkin_quiver(label)
+        roots = cw.positive_roots(cd)
+        reps = [rc.indecomposable_for_root(q, a) for a in roots]
+        for i, j in itertools.product(range(len(roots)), repeat=2):
+            expected = rc.is_exceptional_sequence(q, [reps[i], reps[j]])
+            assert (not bad[i] >> j & 1) == expected, (roots[i], roots[j])
+
+    def test_flipped_hom_entry_is_caught(self, monkeypatch):
+        # Hom(E_b, E_a) = 1 for the last two generators of c: the pair is
+        # no longer exceptional, so the certificate of c must fail
+        cd = cw.build_cartan("D4")
+        a, b = tl.thick_from_nc(cd, cw.coxeter_element(cd)).generators[-2:]
+        table = dict(dv.hom_ext_table("D4", cw.tree_edges("D4")))
+        assert table[(b, a)] == (0, 0)
+        table[(b, a)] = (1, 0)
+        monkeypatch.setattr(dv, "hom_ext_table", lambda *args: table)
+        with pytest.raises(StructuralError, match="exceptional"):
+            tl.thick_lattice(cd)
+        with pytest.raises(StructuralError, match="exceptional"):
+            tl.thick_from_nc(cd, cw.coxeter_element(cd))
 
     def test_equality_by_nc_element(self, a2):
         lat = tl.thick_lattice(a2)
@@ -211,6 +254,28 @@ class TestThickLattice:
         monkeypatch.setattr(nc, "perp_masks", lambda *args: tuple(perp))
         with pytest.raises(StructuralError, match="multiply"):
             tl.thick_lattice(cd)
+
+    def test_swapped_perp_table_stops_thick_from_nc(self, monkeypatch):
+        # perp[0] = the perp of root 1 keeps root 0, so the greedy loop
+        # would pick root 0 forever
+        cd = cw.build_cartan("D4")
+        c = cw.coxeter_element(cd)
+        perp = list(nc.perp_masks(cd, c))
+        perp[0], perp[1] = perp[1], perp[0]
+        assert perp[0] & 1
+        monkeypatch.setattr(nc, "perp_masks", lambda *args: tuple(perp))
+        with pytest.raises(StructuralError, match="keeps"):
+            tl.thick_from_nc(cd, c)
+
+    def test_greedy_factorization_stops_at_rank(self, monkeypatch):
+        # perps that keep every other root let the greedy loop take all 9
+        # roots of B3's c; it must stop after 3 and report the rest
+        cd = cw.build_cartan("B3")
+        n = len(cw.positive_roots(cd))
+        perp = tuple((1 << n) - 1 & ~(1 << k) for k in range(n))
+        monkeypatch.setattr(nc, "perp_masks", lambda *args: perp)
+        with pytest.raises(StructuralError, match="left over"):
+            tl.thick_from_nc(cd, cw.coxeter_element(cd))
 
     def test_swapped_elements_are_caught(self, monkeypatch):
         # masks intact, two reflections trade matrices: only the product sees it
