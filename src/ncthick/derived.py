@@ -228,7 +228,7 @@ def derived_hom(
     shift one, zero otherwise."""
     (m, i), (n, j) = source, target
     if j == i:
-        return repcat.hom(q, m, n).dim
+        return repcat.hom_dim(q, m, n)
     if j == i + 1:
         return repcat.ext1_dim(q, m, n)
     return 0

@@ -4,10 +4,20 @@ Matrices are sequences of row sequences with int or Fraction entries;
 results come back as tuples of tuples.  Shapes with zero rows or columns
 are legal, which is why the rational routines take the column count
 explicitly instead of guessing it from a possibly empty row list.
+
+All elimination runs over the integers in one routine, `_eliminate`:
+each row is scaled by the lcm of its denominators, Gauss-Jordan clears
+every pivot column with integer row operations, and each changed row is
+divided by the gcd of its entries so the numbers stay small.  `rank`
+counts its pivots and builds no Fraction; `rref` divides each pivot row
+by its pivot once at the end, which gives the unique reduced row echelon
+form, so `nullspace`, `solve_columns` and `inverse` get the same exact
+values a rational elimination would give.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -43,33 +53,63 @@ def transpose(a: Mat, ncols: int) -> tuple[tuple, ...]:
     return tuple(tuple(row[j] for row in a) for j in range(ncols))
 
 
-def rref(rows: Mat, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+def _eliminate(rows: Mat, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan over Z on the first ncols columns.
+
+    Returns integer rows with the row span of `rows`, each changed row
+    primitive, and the pivot columns: row r has a positive entry at
+    pivots[r] and zeros in every other pivot column; rows past
+    len(pivots) are zero in the first ncols columns.
+    """
+    m = []
+    for row in rows:
+        d = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        prow = m[r]
+        g = math.gcd(*prow)
+        if prow[c] < 0:
+            g = -g
+        if g != 1:
+            prow = m[r] = [x // g for x in prow]
+        p = prow[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(row, prow)]
+                g = math.gcd(*new)
+                m[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
-        if r == len(m):
-            break
     return m, pivots
 
 
+def rref(rows: Mat, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    The integer form of `_eliminate` with each pivot row divided by its
+    pivot, the only step that makes fractions; zero rows come last.
+    """
+    m, pivots = _eliminate(rows, ncols)
+    out = []
+    for r, row in enumerate(m):
+        p = row[pivots[r]] if r < len(pivots) else 1
+        out.append([Fraction(x) for x in row] if p == 1 else [Fraction(x, p) for x in row])
+    return out, pivots
+
+
 def rank(rows: Mat, ncols: int) -> int:
-    if not rows or ncols == 0:
-        return 0
-    return len(rref(rows, ncols)[1])
+    return len(_eliminate(rows, ncols)[1])
 
 
 def nullspace(rows: Mat, ncols: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -126,19 +166,21 @@ def inverse(a: Mat) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def int_inverse(a: Mat) -> tuple[tuple[int, ...], ...]:
-    """Inverse of an integer matrix known to be invertible over Z."""
+    """Inverse of an integer matrix known to be invertible over Z.
+
+    Row r of the eliminated [a | 1] is primitive, so its pivot divides
+    the inverse's row exactly when the pivot is 1.
+    """
     from .errors import StructuralError
 
-    inv = inverse(a)
-    out = []
-    for row in inv:
-        ints = []
-        for x in row:
-            if x.denominator != 1:
-                raise StructuralError("inverse is not integral")
-            ints.append(int(x))
-        out.append(tuple(ints))
-    return tuple(out)
+    n = len(a)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    m, pivots = _eliminate(aug, 2 * n)
+    if pivots[:n] != list(range(n)):
+        raise StructuralError("matrix not invertible")
+    if any(m[r][r] != 1 for r in range(n)):
+        raise StructuralError("inverse is not integral")
+    return freeze(row[n:] for row in m[:n])
 
 
 def int_rank(a: Mat) -> int:

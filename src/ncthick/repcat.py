@@ -1,7 +1,9 @@
 """Exact quiver representations for simply-laced Dynkin types.
 
 Morphism spaces are computed by solving the arrow-commutation linear
-system over Q, Ext^1 through the hereditary Euler form, and one
+system over Q, with `linalg`'s integer elimination (one division per
+pivot row, at the end): `hom` reads a basis off the system, `hom_dim`
+only its rank.  Ext^1 comes through the hereditary Euler form, and one
 indecomposable per positive root is built deterministically by
 reflection-functor transport of a simple along sink reorderings.  For a
 Dynkin quiver the transport reaches every positive root (Bernstein-
@@ -11,6 +13,11 @@ against, so nothing here consults the Weyl-group machinery beyond root
 enumeration and simple reflections of roots.  Production Hom and Ext^1
 come from the hammocks in `derived`; only `verify`, `thick lattice
 --oracle` and the tests call this module.
+
+`decompose` splits a representation by counting Hom into each
+indecomposable and applying the inverse of the Hom Gram matrix, which is
+integral because the matrix is unitriangular in a path order of the AR
+quiver.
 
 Representations store one rational matrix per arrow with shape
 dim[target] x dim[source]; matrices with zero rows or columns are empty
@@ -125,16 +132,20 @@ def _mm(a: Mat, b: Mat, n: int, k: int, m: int) -> Mat:
     )
 
 
-def hom(q: Quiver, source: Representation, target: Representation) -> HomSpace:
-    """Solve the intertwining system f_t M_a = N_a f_s over Q, exactly."""
+def _hom_system(
+    q: Quiver, source: Representation, target: Representation
+) -> tuple[list[list], int, list[int]]:
+    """The intertwining system f_t M_a = N_a f_s: (rows, unknowns, offsets).
+
+    The unknowns are the entries of f_v (dn[v] x dm[v]) for each vertex,
+    row-major, f_v starting at offsets[v].
+    """
     if source.quiver != q or target.quiver != q:
         raise DimensionMismatchError("representations live over a different quiver")
-    n = q.rank
     dm, dn = source.dim, target.dim
-    # unknowns: entries of f_v (dn[v] x dm[v]) for each vertex, row-major
     offsets = []
     total = 0
-    for v in range(n):
+    for v in range(q.rank):
         offsets.append(total)
         total += dn[v] * dm[v]
     rows: list[list] = []
@@ -152,11 +163,17 @@ def hom(q: Quiver, source: Representation, target: Representation) -> HomSpace:
                 for k in range(dn[si]):
                     row[offsets[si] + k * dm[si] + c] -= na[r][k]
                 rows.append(row)
-    kernel = linalg.nullspace(rows, total)
+    return rows, total, offsets
+
+
+def hom(q: Quiver, source: Representation, target: Representation) -> HomSpace:
+    """Solve the intertwining system over Q exactly: a basis of its kernel."""
+    rows, total, offsets = _hom_system(q, source, target)
+    dm, dn = source.dim, target.dim
     basis = []
-    for vec in kernel:
+    for vec in linalg.nullspace(rows, total):
         mats = []
-        for v in range(n):
+        for v in range(q.rank):
             o = offsets[v]
             mats.append(
                 tuple(
@@ -166,6 +183,12 @@ def hom(q: Quiver, source: Representation, target: Representation) -> HomSpace:
             )
         basis.append(tuple(mats))
     return HomSpace(source=source, target=target, basis=tuple(basis))
+
+
+def hom_dim(q: Quiver, source: Representation, target: Representation) -> int:
+    """dim Hom from the same system: unknowns minus rank, no basis built."""
+    rows, total, _ = _hom_system(q, source, target)
+    return total - linalg.rank(rows, total)
 
 
 def euler_form(q: Quiver, a: Vector, b: Vector) -> int:
@@ -178,7 +201,7 @@ def euler_form(q: Quiver, a: Vector, b: Vector) -> int:
 
 def ext1_dim(q: Quiver, source: Representation, target: Representation) -> int:
     """dim Ext^1: dim Hom minus the Euler form, >= 0 as kQ is hereditary."""
-    e = hom(q, source, target).dim - euler_form(q, source.dim, target.dim)
+    e = hom_dim(q, source, target) - euler_form(q, source.dim, target.dim)
     if e < 0:
         raise StructuralError("negative Ext dimension; hereditary identity violated")
     return e
@@ -269,7 +292,7 @@ def indecomposable_for_root(q: Quiver, alpha: Vector) -> Representation:
     if not (cartan.is_real_root(cd, alpha) and all(x >= 0 for x in alpha)):
         raise NotRealRootError(f"{alpha} is not a positive root of {q.label}")
     rep = _transport_rep(q, alpha)
-    if hom(q, rep, rep).dim != 1:
+    if hom_dim(q, rep, rep) != 1:
         raise StructuralError(f"transport gave a decomposable representation for {alpha}")
     return rep
 
@@ -338,7 +361,7 @@ class _ModuleCategory:
                                 )
                             flat.append(tuple(comp))
                 total = sum(x * y for x, y in zip(da, db))
-                dims[(a, b)] = linalg.rank(flat, total) if flat else 0
+                dims[(a, b)] = linalg.rank(flat, total)
         return dims
 
     def rad_dim(self, a: Vector, b: Vector) -> int:
@@ -348,20 +371,28 @@ class _ModuleCategory:
         return self.rad_dim(a, b) - self.rad2_dims[(a, b)]
 
     @functools.cached_property
-    def gram_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
+    def gram_inverse(self) -> tuple[tuple[int, ...], ...]:
         g = [[self.hom_dim(a, b) for b in self.roots] for a in self.roots]
-        return linalg.inverse(g)
+        return linalg.int_inverse(g)
 
     def decompose(self, rep: Representation) -> dict[Vector, int]:
-        """Multiplicities of the indecomposable summands via Hom counting."""
-        h = [hom(self.quiver, rep, self.reps[b]).dim for b in self.roots]
+        """Multiplicities of the indecomposable summands via Hom counting.
+
+        dim Hom(rep, X_b) = sum over a of m_a dim Hom(X_a, X_b), so m is h
+        times the inverse of the Hom Gram matrix G.  G is integral and
+        unitriangular in a path order of the AR quiver (End X_a = k, and
+        Hom(X_a, X_b) != 0 only along paths), so its inverse is integral;
+        `int_inverse` raises StructuralError otherwise.  The counts h take
+        a rank each, no Hom basis.
+        """
+        h = [hom_dim(self.quiver, rep, self.reps[b]) for b in self.roots]
         mult = linalg.mat_vec(linalg.transpose(self.gram_inverse, len(self.roots)), h)
         out = {}
         for a, m in zip(self.roots, mult):
-            if m.denominator != 1 or m < 0:
+            if m < 0:
                 raise StructuralError("Hom-count decomposition failed")
             if m:
-                out[a] = int(m)
+                out[a] = m
         if tuple(
             sum(out.get(a, 0) * self.reps[a].dim[v] for a in self.roots)
             for v in range(self.quiver.rank)
@@ -412,7 +443,7 @@ def is_exceptional_sequence(q: Quiver, seq) -> bool:
     seq = list(seq)
     for i, x in enumerate(seq):
         for j in range(i, len(seq)):
-            h = hom(q, seq[j], x).dim
+            h = hom_dim(q, seq[j], x)
             if (h and j > i) or h != euler_form(q, seq[j].dim, x.dim):
                 return False
     return True

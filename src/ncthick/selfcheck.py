@@ -450,7 +450,7 @@ def _chk_root_module_bijection():
         dims = {m.dim for m in inds}
         _expect(len(dims) == count, "dimension vectors must be distinct")
         for m in inds:
-            _expect(repcat.hom(q, m, m).dim == 1, "endomorphisms must be scalar")
+            _expect(repcat.hom_dim(q, m, m) == 1, "endomorphisms must be scalar")
     return "A2=3 A3=6 D4=12 with scalar endomorphism rings"
 
 

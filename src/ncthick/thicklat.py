@@ -54,11 +54,13 @@ class ThickSubcategory:
             raise StructuralError("generators do not multiply to the nc element")
 
 
+@functools.lru_cache(maxsize=None)
 def _exceptional_masks(cd: CartanDatum, c: WeylElement) -> tuple[int, ...]:
     """bad[k]: the roots b with Hom(E_b, E_k) or Ext^1(E_b, E_k) nonzero, read
     from the hammock table (k among them), so (k,) + rest is exceptional iff
     rest is and misses bad[k]; each E_k is checked exceptional.  All zero,
-    so no check, unless simply-laced with the standard Coxeter element."""
+    so no check, unless simply-laced with the standard Coxeter element.
+    Cached per (cd, c): `thick_from_nc` and the perps ask once per call."""
     roots = cartan.positive_roots(cd)
     family, _ = cartan.parse_label(cd.label)
     if family not in "ADE" or c != cartan.coxeter_element(cd):
@@ -286,18 +288,16 @@ class _ClosureTables:
                             for rr in range(n.dim[ti]):
                                 col[slots[idx] + rr * m.dim[si] + c] -= n.maps[idx][rr][r]
                     cob.append(col)
-        # pick a cocycle outside the coboundary span
-        image_rank = linalg.rank(cob, total)
-        z = None
+        # the first unit cocycle e_k outside the coboundary span: with the
+        # span in reduced echelon form, e_k is inside it exactly when k is
+        # a pivot and the row with pivot k is e_k itself
+        red, pivots = linalg.rref(cob, total)
+        span = dict(zip(pivots, red))
         for k in range(total):
-            probe = [list(row) for row in cob]
-            unit = [Fraction(0)] * total
-            unit[k] = Fraction(1)
-            probe.append(unit)
-            if linalg.rank(probe, total) > image_rank:
-                z = unit
+            z = [Fraction(int(j == k)) for j in range(total)]
+            if span.get(k) != z:
                 break
-        if z is None:
+        else:
             raise StructuralError("extension class vanished despite Ext = 1")
         dims = tuple(nx + mx for nx, mx in zip(n.dim, m.dim))
         maps = []
@@ -325,13 +325,15 @@ def _closure_tables(q: repcat.Quiver) -> _ClosureTables:
 
 def wide_subcategory_oracle(q: repcat.Quiver, max_indecomposables: int = 12) -> WideOracleResult:
     """Brute force over subsets of indecomposables, closing each under
-    kernels, cokernels, and extension middle terms."""
+    kernels, cokernels, and extension middle terms.  The cap is checked
+    on the positive-root count, before the module category is built."""
+    count = len(cartan.positive_roots(cartan.build_cartan(q.label)))
+    if count > max_indecomposables:
+        raise ResourceLimitError(
+            f"{count} indecomposables exceed the oracle cap {max_indecomposables}"
+        )
     tables = _closure_tables(q)
     roots = tables.cat.roots
-    if len(roots) > max_indecomposables:
-        raise ResourceLimitError(
-            f"{len(roots)} indecomposables exceed the oracle cap {max_indecomposables}"
-        )
     wide = []
     for size in range(len(roots) + 1):
         for combo in itertools.combinations(roots, size):

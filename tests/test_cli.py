@@ -110,6 +110,19 @@ class TestThick:
         assert data["oracle_match"] is True
         assert data["oracle_count"] == 5
 
+    def test_oracle_cap_before_any_work(self, capsys, monkeypatch):
+        # E8 has 120 indecomposables: the cap must fire before the module
+        # category or the thick lattice is built
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the oracle cap check")
+
+        monkeypatch.setattr(cli.thicklat, "_closure_tables", forbidden)
+        monkeypatch.setattr(cli.thicklat, "thick_lattice", forbidden)
+        code, out, err = _run(capsys, "thick", "lattice", "--type", "E8", "--oracle")
+        assert code == 2
+        assert out == ""
+        assert err == "error: ResourceLimitError: 120 indecomposables exceed the oracle cap 12\n"
+
 
 class TestKronecker:
     def test_json_schema(self, capsys):

@@ -1,0 +1,162 @@
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ncthick import linalg
+from ncthick.errors import StructuralError
+
+
+def _reference_rref(rows, ncols):
+    """Gauss-Jordan over Fraction: the rational loop `rref` used to run."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def _reference(fn, *args):
+    """fn run on the reference elimination; its result or its error type."""
+    with mock.patch.object(linalg, "rref", _reference_rref):
+        try:
+            return fn(*args)
+        except StructuralError as exc:
+            return type(exc)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except StructuralError as exc:
+        return type(exc)
+
+
+def _is_fraction_table(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+ints = st.integers(-4, 4)
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+entries = st.one_of(ints, fractions)
+
+
+@st.composite
+def matrices(draw, nrows=st.integers(0, 6), ncols=st.integers(0, 6), elements=entries, repeat=True):
+    r, c = draw(nrows), draw(ncols)
+    # sparse rows and repeated rows make rank deficiency and zero rows common
+    zero_heavy = st.one_of(st.just(0), elements)
+    rows = [draw(st.lists(zero_heavy, min_size=c, max_size=c)) for _ in range(r)]
+    if repeat and rows and draw(st.booleans()):
+        rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+    return rows, c
+
+
+EDGE_CASES = [
+    ([], 0),
+    ([], 3),
+    ([[], []], 0),
+    ([[0, 0, 0]], 3),
+    ([[0, 0], [0, 0], [0, 0]], 2),
+    ([[1, 0, 2], [0, 0, 0], [2, 0, 4]], 3),
+    ([[0, 3], [0, 6], [0, -1], [0, 2]], 2),
+    ([[1, 2], [3, 4], [5, 6], [7, 8]], 2),
+    ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]], 2),
+    ([[0, -2, 4, 0], [3, 0, 0, 6]], 4),
+]
+
+
+class TestAgainstRationalElimination:
+    @settings(max_examples=300, deadline=None)
+    @given(matrices())
+    def test_rref_and_rank(self, case):
+        rows, ncols = case
+        got, pivots = linalg.rref(rows, ncols)
+        assert (got, pivots) == _reference_rref(rows, ncols)
+        assert _is_fraction_table(got)
+        assert linalg.rank(rows, ncols) == len(pivots)
+
+    @pytest.mark.parametrize("rows, ncols", EDGE_CASES)
+    def test_edge_cases(self, rows, ncols):
+        assert linalg.rref(rows, ncols) == _reference_rref(rows, ncols)
+        assert linalg.rank(rows, ncols) == len(_reference_rref(rows, ncols)[1])
+        assert linalg.nullspace(rows, ncols) == _reference(linalg.nullspace, rows, ncols)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices())
+    def test_nullspace(self, case):
+        rows, ncols = case
+        got = linalg.nullspace(rows, ncols)
+        assert got == _reference(linalg.nullspace, rows, ncols)
+        assert _is_fraction_table(got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(), st.integers(0, 3), st.booleans(), st.data())
+    def test_solve_columns(self, case, ncols_b, consistent, data):
+        a, ncols_a = case
+        if consistent and ncols_a:
+            row = st.lists(entries, min_size=ncols_b, max_size=ncols_b)
+            x = data.draw(st.lists(row, min_size=ncols_a, max_size=ncols_a))
+            b = [list(r) for r in linalg.mat_mul(a, x)]
+        else:
+            b = [data.draw(st.lists(entries, min_size=ncols_b, max_size=ncols_b)) for _ in a]
+        got = _outcome(linalg.solve_columns, a, ncols_a, b, ncols_b)
+        assert got == _reference(linalg.solve_columns, a, ncols_a, b, ncols_b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda n: matrices(st.just(n), st.just(n), repeat=False)))
+    def test_inverse(self, case):
+        a, _ = case
+        got = _outcome(linalg.inverse, a)
+        assert got == _reference(linalg.inverse, a)
+        if got is not StructuralError:
+            assert _is_fraction_table(got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda n: matrices(st.just(n), st.just(n), ints, repeat=False)), st.data())
+    def test_int_inverse(self, case, data):
+        a, n = case
+        if data.draw(st.booleans()):
+            # a unimodular matrix: lower times upper unitriangular
+            lower = [[1 if i == j else a[i][j] if j < i else 0 for j in range(n)] for i in range(n)]
+            upper = [[1 if i == j else data.draw(ints) if j > i else 0 for j in range(n)] for i in range(n)]
+            a = [list(row) for row in linalg.mat_mul(lower, upper)] if n else []
+        expected = _reference(linalg.inverse, a)
+        got = _outcome(linalg.int_inverse, a)
+        if expected is StructuralError or any(x.denominator != 1 for row in expected for x in row):
+            assert got is StructuralError
+        else:
+            assert got == expected
+            assert all(type(x) is int for row in got for x in row)
+
+
+class TestIntInverse:
+    def test_unimodular(self):
+        a = ((2, 1), (1, 1))
+        inv = linalg.int_inverse(a)
+        assert inv == ((1, -1), (-1, 2))
+        assert linalg.mat_mul(a, inv) == linalg.identity(2)
+
+    def test_not_integral(self):
+        with pytest.raises(StructuralError, match="integral"):
+            linalg.int_inverse(((2, 0), (0, 1)))
+
+    def test_singular(self):
+        with pytest.raises(StructuralError, match="invertible"):
+            linalg.int_inverse(((1, 2), (2, 4)))

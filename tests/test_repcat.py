@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from ncthick import cartan
+from ncthick import cartan, linalg, thicklat
 from ncthick import repcat as rc
 from ncthick.errors import (
     DimensionMismatchError,
@@ -232,3 +232,67 @@ class TestARQuiver:
     def test_mesh_shape(self, label):
         ar = rc.ar_quiver_module_category(rc.dynkin_quiver(label))
         assert ar.check_mesh_shape() == []
+
+
+def _direct_sum(q, reps):
+    """Block-diagonal direct sum of representations over q."""
+    dim = tuple(sum(m.dim[v] for m in reps) for v in range(q.rank))
+    maps = []
+    for idx, (s, t) in enumerate(q.arrows):
+        rows = []
+        before = 0  # columns of the summands to the left
+        for m in reps:
+            cols = m.dim[s - 1]
+            for row in m.maps[idx]:
+                rows.append((0,) * before + tuple(row) + (0,) * (dim[s - 1] - before - cols))
+            before += cols
+        maps.append(tuple(rows))
+    return rc.Representation(q, dim, tuple(maps))
+
+
+class TestDecompose:
+    @pytest.mark.parametrize(
+        "label,arrows,picks",
+        [
+            ("A4", None, (0, 5)),
+            ("A4", None, (2, 2, 9)),
+            ("A4", ((2, 1), (2, 3), (4, 3)), (1, 4, 8)),
+            ("D4", None, (0, 11)),
+            ("D4", None, (3, 7, 7)),
+            ("D4", ((2, 1), (2, 3), (4, 2)), (5, 6, 10)),
+        ],
+    )
+    def test_direct_sums(self, label, arrows, picks):
+        q = rc.dynkin_quiver(label, arrows)
+        cat = rc._category(q)
+        summands = [cat.roots[i] for i in picks]
+        rep = _direct_sum(q, [cat.reps[a] for a in summands])
+        expected = {a: summands.count(a) for a in summands}
+        assert cat.decompose(rep) == expected
+
+    @pytest.mark.parametrize("label", ["A3", "A4", "D4"])
+    def test_gram_inverse_is_integral(self, label):
+        cat = rc._category(rc.dynkin_quiver(label))
+        inv = cat.gram_inverse
+        assert all(type(x) is int for row in inv for x in row)
+        gram = [[cat.hom_dim(a, b) for b in cat.roots] for a in cat.roots]
+        assert linalg.mat_mul(gram, inv) == linalg.identity(len(cat.roots))
+
+    def test_hom_dim_matches_hom_basis(self, a3):
+        inds = rc.indecomposables(a3)
+        rep = _direct_sum(a3, inds[:3])
+        for m in inds + (rep,):
+            for n in inds + (rep,):
+                assert rc.hom_dim(a3, m, n) == rc.hom(a3, m, n).dim
+
+    def test_closure_tables_build_no_hom_basis(self, monkeypatch):
+        # the oracle's decompositions count Hom by rank alone; only the
+        # module category's own table holds bases
+        q = rc.dynkin_quiver("A4")
+        rc._category(q)
+        calls = []
+        real = rc.hom
+        monkeypatch.setattr(rc, "hom", lambda *args: calls.append(1) or real(*args))
+        tables = thicklat._ClosureTables(q)
+        assert tables.consequences
+        assert calls == []

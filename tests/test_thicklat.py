@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import inspect
 import itertools
@@ -162,7 +163,7 @@ class TestThickLattice:
     def test_indecomposables_built_once_per_root(self, monkeypatch):
         # no indecomposable is built: each root's hammock is a translate of
         # the hammock of one node, and each node's is knitted once
-        for cache in (dv._knit, dv._slice, dv.hom_ext_table):
+        for cache in (dv._knit, dv._slice, dv.hom_ext_table, tl._exceptional_masks):
             cache.cache_clear()
         built = []
         real = rc.indecomposable_for_root
@@ -178,7 +179,7 @@ class TestThickLattice:
         # Hom and Ext^1 come from one hammock table with an entry per ordered
         # pair of roots, so the ADE certificates reach none of the linear
         # algebra of the representation oracle
-        for cache in (dv._knit, dv._slice, dv.hom_ext_table):
+        for cache in (dv._knit, dv._slice, dv.hom_ext_table, tl._exceptional_masks):
             cache.cache_clear()
         calls = []
         for name, f in list(vars(rc).items()):
@@ -207,6 +208,22 @@ class TestThickLattice:
             expected = rc.is_exceptional_sequence(q, [reps[i], reps[j]])
             assert (not bad[i] >> j & 1) == expected, (roots[i], roots[j])
 
+    def test_masks_read_once_per_coxeter_element(self, monkeypatch):
+        monkeypatch.setattr(
+            tl, "_exceptional_masks", functools.lru_cache(tl._exceptional_masks.__wrapped__)
+        )
+        reads = []
+        real = dv.hom_ext_table
+        monkeypatch.setattr(dv, "hom_ext_table", lambda *args: reads.append(args) or real(*args))
+        cd = cw.build_cartan("E6")
+        c = cw.coxeter_element(cd)
+        u = tl.thick_from_nc(cd, c)
+        w = tl.thick_from_nc(cd, cw.simple_reflection(cd, 1))
+        tl.left_perp(w)
+        tl.right_perp(w)
+        assert len(u.generators) == 6 and len(w.generators) == 1
+        assert reads == [("E6", cw.tree_edges("E6"))]
+
     def test_flipped_hom_entry_is_caught(self, monkeypatch):
         # Hom(E_b, E_a) = 1 for the last two generators of c: the pair is
         # no longer exceptional, so the certificate of c must fail
@@ -216,6 +233,10 @@ class TestThickLattice:
         assert table[(b, a)] == (0, 0)
         table[(b, a)] = (1, 0)
         monkeypatch.setattr(dv, "hom_ext_table", lambda *args: table)
+        # masks from the flipped table live in a cache of this test only
+        monkeypatch.setattr(
+            tl, "_exceptional_masks", functools.lru_cache(tl._exceptional_masks.__wrapped__)
+        )
         with pytest.raises(StructuralError, match="exceptional"):
             tl.thick_lattice(cd)
         with pytest.raises(StructuralError, match="exceptional"):
@@ -330,6 +351,22 @@ class TestWideOracle:
     def test_scale_cap(self):
         with pytest.raises(ResourceLimitError):
             tl.wide_subcategory_oracle(rc.dynkin_quiver("D4"), max_indecomposables=6)
+
+    @pytest.mark.parametrize("arrows", [None, ((2, 1), (2, 3), (4, 3))])
+    def test_middle_terms_are_nonsplit(self, arrows):
+        q = rc.dynkin_quiver("A4", arrows)
+        tables = tl._ClosureTables(q)
+        cat = tables.cat
+        pairs = [
+            (a, b)
+            for a, b in itertools.product(cat.roots, repeat=2)
+            if cat.hom_dim(a, b) - rc.euler_form(q, a, b) == 1
+        ]
+        assert pairs
+        for a, b in pairs:
+            middle = tables._middle(a, b)
+            assert middle.dim == tuple(x + y for x, y in zip(a, b))
+            assert cat.decompose(middle) != {a: 1, b: 1}
 
 
 class TestKroneckerLattice:
