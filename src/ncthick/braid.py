@@ -5,7 +5,10 @@ The braid generator acts by conjugating to the left,
     (..., x_i, x_{i+1}, ...)  |->  (..., x_i x_{i+1} x_i^-1, x_i, ...),
 
 with the inverse generator undoing it.  Either convention gives the same
-orbits; this one is fixed here once and for all.
+orbits; this one is fixed here once and for all.  A reflection is named
+by its positive root, and s_a s_b s_a is the reflection at s_a(b), so a
+move is one root reflection: (a, b) -> (+-s_a(b), a), and the inverse
+(a, b) -> (b, +-s_b(a)), the sign chosen to keep the root positive.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ from .cartan import CartanDatum, WeylElement
 from .errors import NotInPosetError, NotReflectionError, ResourceLimitError
 
 Vector = tuple[int, ...]
+
+MAX_BRUTE_FORCE_RANK = 4
+MAX_ORBIT_SIZE = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -46,32 +52,39 @@ class Factorization:
         return tuple(cartan.reflection_root(self.cartan, x) for x in self.parts)
 
 
+def _move(cd: CartanDatum, roots: tuple[Vector, ...], i: int, inverse: bool) -> tuple[Vector, ...]:
+    """The i-th braid generator (1-based) on a tuple of positive roots."""
+    a, b = roots[i - 1], roots[i]
+    r = cartan.reflect(cd, b, a) if inverse else cartan.reflect(cd, a, b)
+    if any(x < 0 for x in r):
+        r = tuple(-x for x in r)
+    return roots[: i - 1] + ((b, r) if inverse else (r, a)) + roots[i + 1 :]
+
+
+def _from_roots(cd: CartanDatum, roots: tuple[Vector, ...], target: WeylElement) -> Factorization:
+    return Factorization(cd, tuple(cartan.reflection_element(cd, r) for r in roots), target)
+
+
 def braid_act(f: Factorization, i: int, inverse: bool = False) -> Factorization:
     """Apply the i-th braid generator (1-based, 1 <= i < len(parts))."""
     if not 1 <= i < len(f.parts):
         raise IndexError(f"braid index {i} out of range for length {len(f.parts)}")
-    parts = list(f.parts)
-    a, b = parts[i - 1], parts[i]
-    if inverse:
-        parts[i - 1], parts[i] = b, b * a * b
-    else:
-        parts[i - 1], parts[i] = a * b * a, a
-    return Factorization(cartan=f.cartan, parts=tuple(parts), target=f.target)
+    return _from_roots(f.cartan, _move(f.cartan, f.roots(), i, inverse), f.target)
 
 
 def enumerate_factorizations(
-    cd: CartanDatum, c: WeylElement | None = None, max_rank: int = 4
+    cd: CartanDatum, c: WeylElement | None = None
 ) -> tuple[Factorization, ...]:
     """All length-n reflection tuples with product c, by brute force.
 
     The last factor is forced by the first n-1, so the search space is
-    |W_1|^(n-1); capped at rank <= max_rank.
+    |W_1|^(n-1); capped at rank <= MAX_BRUTE_FORCE_RANK.
     """
     if not cd.is_finite():
         raise ResourceLimitError("cannot enumerate factorizations in infinite type")
-    if cd.rank > max_rank:
+    if cd.rank > MAX_BRUTE_FORCE_RANK:
         raise ResourceLimitError(
-            f"rank {cd.rank} exceeds the brute-force cap {max_rank}"
+            f"rank {cd.rank} exceeds the brute-force cap {MAX_BRUTE_FORCE_RANK}"
         )
     if c is None:
         c = cartan.coxeter_element(cd)
@@ -92,24 +105,31 @@ def enumerate_factorizations(
     return tuple(sorted(out, key=Factorization.key))
 
 
-def hurwitz_orbit(f: Factorization, max_size: int = 1_000_000) -> tuple[Factorization, ...]:
-    """Closure of {f} under all braid generators and their inverses."""
-    seen = {f.key(): f}
-    frontier = [f]
+def hurwitz_orbit(f: Factorization) -> tuple[Factorization, ...]:
+    """Closure of {f} under all braid generators and their inverses.
+
+    The search runs on root tuples; each member becomes a Factorization
+    (and is checked) once, at the end.
+    """
+    cd = f.cartan
+    if not cd.is_finite():
+        raise ResourceLimitError("Hurwitz orbits in infinite type are infinite")
+    start = f.roots()
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
-        for g in frontier:
-            for i in range(1, len(g.parts)):
+        for roots in frontier:
+            for i in range(1, len(roots)):
                 for inv in (False, True):
-                    h = braid_act(g, i, inverse=inv)
-                    k = h.key()
-                    if k not in seen:
-                        seen[k] = h
+                    h = _move(cd, roots, i, inv)
+                    if h not in seen:
+                        seen.add(h)
                         nxt.append(h)
-                        if len(seen) > max_size:
+                        if len(seen) > MAX_ORBIT_SIZE:
                             raise ResourceLimitError("Hurwitz orbit exceeded cap")
         frontier = nxt
-    return tuple(sorted(seen.values(), key=Factorization.key))
+    return tuple(sorted((_from_roots(cd, r, f.target) for r in seen), key=Factorization.key))
 
 
 def to_json(facts: tuple[Factorization, ...]) -> dict:

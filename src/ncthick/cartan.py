@@ -9,6 +9,10 @@ matrix C with minimal positive integer symmetrizer d.
 Supported labels: A1.., B2.., C2.., D3.., E6, E7, E8, F4, G2, and the
 rank-2 affine KRONECKER type (two vertices joined by a double bond).
 
+A reflection is named by its positive root: `reflection_element` builds
+the matrix of s_alpha and `reflection_root` reads alpha back off the
+first nonzero column of 1 - w, which is also the reflection test.
+
 Absolute length uses the fixed-space codimension formula for finite
 types, which the self-check suite cross-validates against an independent
 breadth-first search over the Cayley graph on the reflection set.
@@ -284,42 +288,36 @@ def reflections(cd: CartanDatum, bound: int = 0) -> tuple[WeylElement, ...]:
 
 
 def is_reflection(cd: CartanDatum, w: WeylElement) -> bool:
-    """Reflections are the elements of absolute length one.
-
-    For finite types that is rank(w - id) == 1 together with being an
-    involution; in the rank-2 affine group determinant -1 is equivalent.
-    """
-    if not cd.is_finite():
-        return w.det() == -1
-    n = cd.rank
-    diff = tuple(
-        tuple(w.matrix[i][j] - int(i == j) for j in range(n)) for i in range(n)
-    )
-    return linalg.int_rank(diff) == 1 and (w * w).is_identity()
+    """Reflections are exactly the elements that `reflection_root` accepts."""
+    try:
+        reflection_root(cd, w)
+    except NotReflectionError:
+        return False
+    return True
 
 
 @functools.lru_cache(maxsize=None)
 def reflection_root(cd: CartanDatum, w: WeylElement) -> Vector:
-    """The unique positive real root alpha with w(alpha) = -alpha."""
-    if not is_reflection(cd, w):
-        raise NotReflectionError("element is not a reflection")
+    """The unique positive real root alpha with w = s_alpha.
+
+    Column j of 1 - s_alpha is <e_j, alpha^vee> alpha, so the first
+    nonzero column of 1 - w, divided by its gcd (a root is primitive) and
+    made positive, is the only candidate; it is accepted only if its
+    reflection is w.
+    """
     n = cd.rank
-    plus = tuple(
-        tuple(w.matrix[i][j] + int(i == j) for j in range(n)) for i in range(n)
-    )
-    kernel = linalg.nullspace(plus, n)
-    if len(kernel) != 1:
-        raise NotReflectionError("fixed space of -w has wrong dimension")
-    vec = kernel[0]
-    denom = math.lcm(*(x.denominator for x in vec))
-    ints = [int(x * denom) for x in vec]
-    g = math.gcd(*ints)
-    ints = [x // g for x in ints]
-    if any(x < 0 for x in ints):
-        ints = [-x for x in ints]
-    alpha = tuple(ints)
-    if any(x < 0 for x in alpha) or not is_real_root(cd, alpha):
-        raise NotReflectionError(f"kernel vector {alpha} is not a positive real root")
+    for j in range(n):
+        col = [int(i == j) - w.matrix[i][j] for i in range(n)]
+        if any(col):
+            break
+    else:
+        raise NotReflectionError("the identity is not a reflection")
+    g = math.gcd(*col)
+    if any(x < 0 for x in col):
+        g = -g
+    alpha = tuple(x // g for x in col)
+    if not is_real_root(cd, alpha) or reflection_element(cd, alpha) != w:
+        raise NotReflectionError("element is not a reflection")
     return alpha
 
 
@@ -357,7 +355,7 @@ def absolute_length(cd: CartanDatum, w: WeylElement) -> int:
         diff = tuple(
             tuple(w.matrix[i][j] - int(i == j) for j in range(n)) for i in range(n)
         )
-        return linalg.int_rank(diff)
+        return linalg.rank(diff, n)
     if w.is_identity():
         return 0
     return 1 if w.det() == -1 else 2

@@ -94,18 +94,18 @@ def _cmd_arq(args) -> int:
 def _cmd_thick(args) -> int:
     cd = cartan.build_cartan(args.type)
     # the oracle runs first, so a request past its cap fails before any work
-    if args.oracle and args.format != "dot":
+    if args.oracle:
         oracle = thicklat.wide_subcategory_oracle(repcat.dynkin_quiver(args.type))
     lat = thicklat.thick_lattice(cd)
     if args.format == "dot":
         _emit(noncrossing.hasse_dot(lat.nc))
-        return 0
-    data = thicklat.thick_to_json(lat)
-    if args.oracle:
-        data["oracle_count"] = oracle.count
-        data["oracle_match"] = oracle.count == len(lat)
-    _emit(_dumps(data))
-    if args.oracle and not data["oracle_match"]:
+    else:
+        data = thicklat.thick_to_json(lat)
+        if args.oracle:
+            data["oracle_count"] = oracle.count
+            data["oracle_match"] = oracle.count == len(lat)
+        _emit(_dumps(data))
+    if args.oracle and oracle.count != len(lat):
         sys.stderr.write("error: thick lattice disagrees with the wide-subcategory oracle\n")
         return 1
     return 0

@@ -12,7 +12,9 @@ divided by the gcd of its entries so the numbers stay small.  `rank`
 counts its pivots and builds no Fraction; `rref` divides each pivot row
 by its pivot once at the end, which gives the unique reduced row echelon
 form, so `nullspace`, `solve_columns` and `inverse` get the same exact
-values a rational elimination would give.
+values a rational elimination would give.  Ranks of integer matrices,
+such as the `w - 1` of absolute length, go through `rank` too; only the
+determinant `int_det` keeps its own (Bareiss) loop.
 """
 
 from __future__ import annotations
@@ -181,30 +183,6 @@ def int_inverse(a: Mat) -> tuple[tuple[int, ...], ...]:
     if any(m[r][r] != 1 for r in range(n)):
         raise StructuralError("inverse is not integral")
     return freeze(row[n:] for row in m[:n])
-
-
-def int_rank(a: Mat) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(row) for row in a]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, nrows):
-            f = m[i][c]
-            m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], m[r])]
-        prev = piv
-        r += 1
-        if r == nrows:
-            break
-    return r
 
 
 def int_det(a: Mat) -> int:

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from ncthick import braid
 from ncthick import cartan as cw
+from ncthick import linalg
 from ncthick.errors import NotInPosetError, NotReflectionError, ResourceLimitError
 
 
@@ -108,6 +109,58 @@ class TestHurwitzOrbit:
             lhs = braid.braid_act(braid.braid_act(braid.braid_act(f, 1), 2), 1)
             rhs = braid.braid_act(braid.braid_act(braid.braid_act(f, 2), 1), 2)
             assert lhs.key() == rhs.key()
+
+
+class TestRootMoves:
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])
+    def test_braid_act_is_conjugation(self, label):
+        cd = cw.build_cartan(label)
+        for f in braid.enumerate_factorizations(cd):
+            for i in range(1, cd.rank):
+                head, (a, b), tail = f.parts[: i - 1], f.parts[i - 1 : i + 1], f.parts[i + 1 :]
+                forward = head + (a * b * a.inverse(), a) + tail
+                backward = head + (b, b.inverse() * a * b) + tail
+                assert braid.braid_act(f, i).parts == forward
+                assert braid.braid_act(f, i, inverse=True).parts == backward
+
+    def test_d4_orbit_products(self, monkeypatch):
+        # one product per part of each member, for its constructor check;
+        # the moves themselves multiply no matrices
+        start = _standard("D4")
+        real = linalg.mat_mul
+        calls = 0
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return real(a, b)
+
+        monkeypatch.setattr(linalg, "mat_mul", counted)
+        orbit = braid.hurwitz_orbit(start)
+        assert len(orbit) == 162
+        assert calls <= len(orbit) * 4
+
+    def test_infinite_type_rejected_before_any_move(self, monkeypatch):
+        cd = cw.build_cartan(cw.KRONECKER)
+        parts = (cw.simple_reflection(cd, 1), cw.simple_reflection(cd, 2))
+        f = braid.Factorization(cd, parts, cw.coxeter_element(cd))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a move ran before the infinite-type check")
+
+        monkeypatch.setattr(braid, "_move", forbidden)
+        with pytest.raises(ResourceLimitError):
+            braid.hurwitz_orbit(f)
+
+    def test_orbit_cap(self, monkeypatch):
+        monkeypatch.setattr(braid, "MAX_ORBIT_SIZE", 10)
+        with pytest.raises(ResourceLimitError):
+            braid.hurwitz_orbit(_standard("A3"))
+
+    def test_brute_force_cap(self, monkeypatch):
+        monkeypatch.setattr(braid, "MAX_BRUTE_FORCE_RANK", 2)
+        with pytest.raises(ResourceLimitError):
+            braid.enumerate_factorizations(cw.build_cartan("A3"))
 
 
 class TestJson:

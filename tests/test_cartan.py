@@ -1,8 +1,12 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncthick import cartan as cw
+from ncthick import linalg
 from ncthick.errors import (
     DimensionMismatchError,
     InfiniteGroupError,
@@ -303,3 +307,74 @@ class TestRootOfReflection:
     def test_non_reflection_rejected(self, a2):
         with pytest.raises(NotReflectionError):
             cw.reflection_root(a2, cw.coxeter_element(a2))
+
+
+def _root_by_nullspace(cd, w):
+    """Reference: the kernel of w + 1, scaled to a primitive positive vector."""
+    n = cd.rank
+    plus = [[w.matrix[i][j] + int(i == j) for j in range(n)] for i in range(n)]
+    (vec,) = linalg.nullspace(plus, n)
+    denom = math.lcm(*(x.denominator for x in vec))
+    ints = [int(x * denom) for x in vec]
+    g = math.gcd(*ints)
+    if any(x < 0 for x in ints):
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+def _is_reflection_by_rank(cd, w):
+    """Reference: rank(w - 1) == 1 and w an involution (finite types)."""
+    n = cd.rank
+    diff = [[w.matrix[i][j] - int(i == j) for j in range(n)] for i in range(n)]
+    return linalg.rank(diff, n) == 1 and (w * w).is_identity()
+
+
+class TestRootFromColumn:
+    @pytest.mark.parametrize(
+        "label",
+        ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "E6", "F4", "G2"],
+    )
+    def test_matches_nullspace_route(self, label):
+        cd = cw.build_cartan(label)
+        for t in cw.reflections(cd):
+            assert cw.reflection_root(cd, t) == _root_by_nullspace(cd, t)
+
+    @pytest.mark.parametrize("bound", [0, 1, 2, 3])
+    def test_matches_nullspace_route_kronecker(self, bound):
+        cd = cw.build_cartan(cw.KRONECKER)
+        for t in cw.reflections(cd, bound):
+            assert cw.reflection_root(cd, t) == _root_by_nullspace(cd, t)
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+    def test_is_reflection_matches_rank_test_on_whole_group(self, label):
+        cd = cw.build_cartan(label)
+        for w in cw.weyl_group(cd):
+            assert cw.is_reflection(cd, w) == _is_reflection_by_rank(cd, w)
+
+    def test_is_reflection_matches_determinant_in_kronecker(self):
+        cd = cw.build_cartan(cw.KRONECKER)
+        s = (cw.simple_reflection(cd, 1), cw.simple_reflection(cd, 2))
+        for length in range(1, 9):
+            for word in itertools.product((0, 1), repeat=length):
+                w = cw.identity_element(cd)
+                for k in word:
+                    w = w * s[k]
+                assert cw.is_reflection(cd, w) == (w.det() == -1)
+
+    def test_non_reflections(self):
+        a3 = cw.build_cartan("A3")
+        b2 = cw.build_cartan("B2")
+        assert not cw.is_reflection(a3, cw.identity_element(a3))
+        assert not cw.is_reflection(a3, cw.coxeter_element(a3))
+        assert not cw.is_reflection(a3, cw.coxeter_element(a3, (3, 1, 2)))
+        c = cw.coxeter_element(b2)
+        assert (c * c).matrix == ((-1, 0), (0, -1))
+        assert not cw.is_reflection(b2, c * c)
+        assert not cw.is_reflection(a3, cw.simple_reflection(a3, 1) * cw.simple_reflection(a3, 3))
+        kron = cw.build_cartan(cw.KRONECKER)
+        assert not cw.is_reflection(kron, cw.coxeter_element(kron))
+
+    def test_identity_has_no_root(self):
+        a2 = cw.build_cartan("A2")
+        with pytest.raises(NotReflectionError):
+            cw.reflection_root(a2, cw.identity_element(a2))

@@ -123,6 +123,31 @@ class TestThick:
         assert out == ""
         assert err == "error: ResourceLimitError: 120 indecomposables exceed the oracle cap 12\n"
 
+    def test_oracle_cap_before_any_work_dot(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the oracle cap check")
+
+        monkeypatch.setattr(cli.thicklat, "thick_lattice", forbidden)
+        code, out, err = _run(capsys, "thick", "lattice", "--type", "E8", "--oracle", "--format", "dot")
+        assert code == 2
+        assert out == ""
+        assert err == "error: ResourceLimitError: 120 indecomposables exceed the oracle cap 12\n"
+
+    def test_oracle_dot_prints_plain_dot(self, capsys):
+        code, plain, _ = _run(capsys, "thick", "lattice", "--type", "A3", "--format", "dot")
+        assert code == 0
+        code, checked, err = _run(capsys, "thick", "lattice", "--type", "A3", "--oracle", "--format", "dot")
+        assert code == 0 and err == ""
+        assert checked == plain
+
+    def test_oracle_mismatch_dot(self, capsys, monkeypatch):
+        wrong = cli.thicklat.WideOracleResult(count=4, subsets=())
+        monkeypatch.setattr(cli.thicklat, "wide_subcategory_oracle", lambda q: wrong)
+        code, out, err = _run(capsys, "thick", "lattice", "--type", "A2", "--oracle", "--format", "dot")
+        assert code == 1
+        assert out.startswith("digraph")
+        assert err == "error: thick lattice disagrees with the wide-subcategory oracle\n"
+
 
 class TestKronecker:
     def test_json_schema(self, capsys):
