@@ -9,6 +9,8 @@ orbits; this one is fixed here once and for all.  A reflection is named
 by its positive root, and s_a s_b s_a is the reflection at s_a(b), so a
 move is one root reflection: (a, b) -> (+-s_a(b), a), and the inverse
 (a, b) -> (b, +-s_b(a)), the sign chosen to keep the root positive.
+The brute force stays on matrices, as the independent route, and
+carries each prefix product's inverse, so it inverts no matrix.
 """
 
 from __future__ import annotations
@@ -89,19 +91,19 @@ def enumerate_factorizations(
     if c is None:
         c = cartan.coxeter_element(cd)
     refs = cartan.reflections(cd)
-    ident = cartan.identity_element(cd)
     out: list[Factorization] = []
 
-    def grow(prefix: tuple[WeylElement, ...], prod: WeylElement) -> None:
+    def grow(prefix: tuple[WeylElement, ...], inv: WeylElement) -> None:
+        # inv is the prefix product's inverse; t is an involution, so the child's is t * inv
         if len(prefix) == cd.rank - 1:
-            last = prod.inverse() * c
+            last = inv * c
             if cartan.is_reflection(cd, last):
                 out.append(Factorization(cd, prefix + (last,), c))
             return
         for t in refs:
-            grow(prefix + (t,), prod * t)
+            grow(prefix + (t,), t * inv)
 
-    grow((), ident)
+    grow((), cartan.identity_element(cd))
     return tuple(sorted(out, key=Factorization.key))
 
 

@@ -9,9 +9,10 @@ matrix C with minimal positive integer symmetrizer d.
 Supported labels: A1.., B2.., C2.., D3.., E6, E7, E8, F4, G2, and the
 rank-2 affine KRONECKER type (two vertices joined by a double bond).
 
-A reflection is named by its positive root: `reflection_element` builds
-the matrix of s_alpha and `reflection_root` reads alpha back off the
-first nonzero column of 1 - w, which is also the reflection test.
+A reflection is named by its positive root: `reflection_element` reads
+the matrix 1 - alpha (x) alpha^vee of s_alpha off the one Gram vector
+G alpha, and `reflection_root` reads alpha back off the first nonzero
+column of 1 - w, which is also the reflection test.
 
 Absolute length uses the fixed-space codimension formula for finite
 types, which the self-check suite cross-validates against an independent
@@ -196,22 +197,27 @@ def identity_element(cd: CartanDatum) -> WeylElement:
     return WeylElement(linalg.identity(cd.rank))
 
 
-def form(cd: CartanDatum, a: Vector, b: Vector) -> int:
-    """Bilinear form sum a_i b_j d_i C_ij; symmetric in its arguments."""
+def _gram_vector(cd: CartanDatum, a: Vector, b: Vector) -> Vector:
+    """G b, once a and b are both checked to have length rank."""
     if len(a) != cd.rank or len(b) != cd.rank:
         raise DimensionMismatchError(
             f"vectors of length {len(a)}, {len(b)} against rank {cd.rank}"
         )
-    gram = cd.gram()
-    return sum(a[i] * sum(g * y for g, y in zip(gram[i], b)) for i in range(cd.rank) if a[i])
+    return linalg.mat_vec(cd.gram(), b)
+
+
+def form(cd: CartanDatum, a: Vector, b: Vector) -> int:
+    """Bilinear form sum a_i b_j d_i C_ij; symmetric in its arguments."""
+    return linalg.dot(a, _gram_vector(cd, a, b))
 
 
 def reflect(cd: CartanDatum, alpha: Vector, xi: Vector) -> Vector:
     """Reflect xi in the hyperplane orthogonal to alpha."""
-    aa = form(cd, alpha, alpha)
+    g_alpha = _gram_vector(cd, xi, alpha)
+    aa = linalg.dot(alpha, g_alpha)
     if aa == 0:
         raise IsotropicVectorError(f"cannot reflect at isotropic vector {alpha}")
-    twice = 2 * form(cd, xi, alpha)
+    twice = 2 * linalg.dot(xi, g_alpha)
     q, r = divmod(twice, aa)
     if r != 0:
         raise NonIntegralReflectionError(
@@ -233,12 +239,18 @@ def is_real_root(cd: CartanDatum, v: Vector) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def reflection_element(cd: CartanDatum, alpha: Vector) -> WeylElement:
-    """Matrix of the reflection at a real root, columns = images of e_j."""
+    """The matrix 1 - alpha (x) q of s_alpha at a real root, where
+    q_j = <e_j, alpha^vee> = 2 (G alpha)_j / (alpha, alpha)."""
     if not is_real_root(cd, alpha):
         raise NotRealRootError(f"{alpha} is not a real root of {cd.label}")
-    n = cd.rank
-    cols = [reflect(cd, alpha, tuple(int(i == j) for i in range(n))) for j in range(n)]
-    return WeylElement(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+    g_alpha = linalg.mat_vec(cd.gram(), alpha)
+    aa = linalg.dot(alpha, g_alpha)
+    if any(2 * g % aa for g in g_alpha):
+        raise NonIntegralReflectionError(f"2 G alpha = 2 * {g_alpha} not divisible by {aa}")
+    q = [2 * g // aa for g in g_alpha]
+    return WeylElement(
+        tuple(tuple(int(i == j) - a * x for j, x in enumerate(q)) for i, a in enumerate(alpha))
+    )
 
 
 def simple_reflection(cd: CartanDatum, i: int) -> WeylElement:

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import braid, cartan, derived, noncrossing, repcat, selfcheck, thicklat
-from .errors import NcthickError
+from .errors import NcthickError, OutOfRangeError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,6 +43,9 @@ def _dumps(obj) -> str:
 
 
 def _cmd_nc(args) -> int:
+    # only KRONECKER reads --bound, but a negative one is refused for every label
+    if args.bound < 0:
+        raise OutOfRangeError(f"truncation bound must be at least 0, got {args.bound}")
     if args.type == cartan.KRONECKER:
         lat = noncrossing.nc_kronecker(args.bound)
     else:

@@ -1,8 +1,10 @@
 """Exact dense linear algebra over the rationals and the integers.
 
 Matrices are sequences of row sequences with int or Fraction entries;
-results come back as tuples of tuples.  Shapes with zero rows or columns
-are legal, which is why the rational routines take the column count
+results come back as tuples of tuples.  `dot` is the one dot-product
+kernel: `mat_mul` and `mat_vec`, and every form and Gram vector of the
+Weyl layer, are built on it.  Shapes with zero rows or columns are
+legal, which is why the rational routines take the column count
 explicitly instead of guessing it from a possibly empty row list.
 
 All elimination runs over the integers in one routine, `_eliminate`:
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 Row = Sequence
@@ -39,16 +42,19 @@ def identity(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
+def dot(u: Sequence, v: Sequence):
+    """The one dot-product kernel: sum of u_i v_i over the shorter length."""
+    return sum(map(mul, u, v))
+
+
 def mat_mul(a: Mat, b: Mat) -> tuple[tuple, ...]:
     """Product of a (r x k) and b (k x c); b must have at least one row."""
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple([dot(row, col) for col in bt]) for row in a)
 
 
 def mat_vec(a: Mat, v: Sequence) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple([dot(row, v) for row in a])
 
 
 def transpose(a: Mat, ncols: int) -> tuple[tuple, ...]:

@@ -124,14 +124,13 @@ def _root_reflection_table(cd: CartanDatum) -> tuple[tuple[int, ...], ...]:
     """table[a][b] = k where s_a(beta_b) = +-beta_k, over the positive roots."""
     roots = cartan.positive_roots(cd)
     position = {r: k for k, r in enumerate(roots)}
-    gram = cd.gram()
     table = []
     for a in roots:
-        ga = [sum(x * g for x, g in zip(a, col)) for col in zip(*gram)]
-        aa = sum(x * y for x, y in zip(a, ga))
+        ga = linalg.mat_vec(cd.gram(), a)
+        aa = linalg.dot(a, ga)
         row = []
         for b in roots:
-            q = 2 * sum(x * y for x, y in zip(b, ga)) // aa
+            q = 2 * linalg.dot(b, ga) // aa
             image = tuple(y - q * x for x, y in zip(a, b))
             k = position.get(image)
             row.append(k if k is not None else position[tuple(-y for y in image)])
@@ -185,9 +184,7 @@ def perp_masks(cd: CartanDatum, c: WeylElement) -> tuple[int, ...]:
     perp = []
     for b in roots:
         eb = linalg.mat_vec(e, b)
-        perp.append(
-            sum(1 << k for k, a in enumerate(roots) if not sum(x * y for x, y in zip(a, eb)))
-        )
+        perp.append(sum(1 << k for k, a in enumerate(roots) if not linalg.dot(a, eb)))
     return tuple(perp)
 
 

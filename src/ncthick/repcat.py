@@ -193,7 +193,7 @@ def hom_dim(q: Quiver, source: Representation, target: Representation) -> int:
 
 def euler_form(q: Quiver, a: Vector, b: Vector) -> int:
     """Sum a_i b_i minus sum over arrows i->j of a_i b_j."""
-    val = sum(x * y for x, y in zip(a, b))
+    val = linalg.dot(a, b)
     for s, t in q.arrows:
         val -= a[s - 1] * b[t - 1]
     return val
@@ -360,7 +360,7 @@ class _ModuleCategory:
                                     )
                                 )
                             flat.append(tuple(comp))
-                total = sum(x * y for x, y in zip(da, db))
+                total = linalg.dot(da, db)
                 dims[(a, b)] = linalg.rank(flat, total)
         return dims
 

@@ -94,11 +94,7 @@ def thick_from_nc(
     minus_one = [[x - int(i == j) for j, x in enumerate(row)] for i, row in enumerate(w.matrix)]
     normals = [linalg.mat_vec(cd.gram(), f) for f in linalg.nullspace(minus_one, cd.rank)]
     roots = cartan.positive_roots(cd)
-    mask = sum(
-        1 << k
-        for k, a in enumerate(roots)
-        if not any(sum(x * y for x, y in zip(a, g)) for g in normals)
-    )
+    mask = sum(1 << k for k, a in enumerate(roots) if not any(linalg.dot(a, g) for g in normals))
     perp = noncrossing.perp_masks(cd, c)
     bad = _exceptional_masks(cd, c)
     gens, barred = [], 0

@@ -92,6 +92,43 @@ class TestEnumerate:
                 assert cw.abs_leq(cd, prefix, f.target)
 
 
+def _factorizations_by_inverse(cd):
+    """Reference: the brute force that inverted each prefix product at its leaf."""
+    c = cw.coxeter_element(cd)
+    refs = cw.reflections(cd)
+    out = []
+
+    def grow(prefix, prod):
+        if len(prefix) == cd.rank - 1:
+            last = prod.inverse() * c
+            if cw.is_reflection(cd, last):
+                out.append(tuple(x.matrix for x in prefix + (last,)))
+            return
+        for t in refs:
+            grow(prefix + (t,), prod * t)
+
+    grow((), cw.identity_element(cd))
+    return sorted(out)
+
+
+class TestEnumerateCarriesInverses:
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4"])
+    def test_no_matrix_inverse(self, label, monkeypatch):
+        cd = cw.build_cartan(label)
+        expected = _factorizations_by_inverse(cd)
+        calls = []
+        real = linalg.int_inverse
+
+        def counted(a):
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(linalg, "int_inverse", counted)
+        facts = braid.enumerate_factorizations(cd)
+        assert len(calls) == 0
+        assert sorted(f.key() for f in facts) == expected
+
+
 class TestHurwitzOrbit:
     @pytest.mark.parametrize("label", ["A2", "A3", "B2", "G2"])
     def test_transitive(self, label):

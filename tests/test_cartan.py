@@ -11,6 +11,7 @@ from ncthick.errors import (
     DimensionMismatchError,
     InfiniteGroupError,
     IsotropicVectorError,
+    NonIntegralReflectionError,
     NotRealRootError,
     NotReflectionError,
     PermutationError,
@@ -102,6 +103,19 @@ class TestReflect:
         cd = cw.build_cartan("KRONECKER")
         with pytest.raises(IsotropicVectorError):
             cw.reflect(cd, (1, 1), (1, 0))
+
+    def test_non_integral_rejected(self):
+        # (2, 0) is no root of A2: 2((0, 1), alpha) = -4 and (alpha, alpha) = 8
+        cd = cw.build_cartan("A2")
+        assert cw.reflect(cd, (2, 0), (1, 0)) == (-1, 0)
+        with pytest.raises(NonIntegralReflectionError):
+            cw.reflect(cd, (2, 0), (0, 1))
+
+    @pytest.mark.parametrize("alpha,xi", [((1, 0, 0), (0, 1)), ((1, 0), (0, 1, 0)), ((1,), (1,))])
+    def test_dimension_mismatch(self, alpha, xi):
+        cd = cw.build_cartan("A2")
+        with pytest.raises(DimensionMismatchError):
+            cw.reflect(cd, alpha, xi)
 
 
 class TestReflectionElement:
@@ -378,3 +392,49 @@ class TestRootFromColumn:
         a2 = cw.build_cartan("A2")
         with pytest.raises(NotReflectionError):
             cw.reflection_root(a2, cw.identity_element(a2))
+
+
+def _reflection_by_columns(cd, alpha):
+    """Reference: the matrix whose column j is reflect(alpha, e_j)."""
+    n = cd.rank
+    cols = [cw.reflect(cd, alpha, tuple(int(i == j) for i in range(n))) for j in range(n)]
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+class TestReflectionFromGramVector:
+    LABELS = [
+        "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4",
+        "D4", "D5", "E6", "E7", "E8", "F4", "G2",
+    ]
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_matches_column_route(self, label):
+        cd = cw.build_cartan(label)
+        for alpha in cw.positive_roots(cd):
+            assert cw.reflection_element(cd, alpha).matrix == _reflection_by_columns(cd, alpha)
+
+    @pytest.mark.parametrize("bound", [0, 1, 2, 3])
+    def test_matches_column_route_kronecker(self, bound):
+        cd = cw.build_cartan(cw.KRONECKER)
+        for alpha in cw.positive_roots(cd, bound):
+            assert cw.reflection_element(cd, alpha).matrix == _reflection_by_columns(cd, alpha)
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "G2", "KRONECKER"])
+    def test_makes_no_reflect_call(self, label, monkeypatch):
+        cd = cw.build_cartan(label)
+        roots = cw.positive_roots(cd, 2) if label == cw.KRONECKER else cw.positive_roots(cd)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reflection_element called reflect")
+
+        monkeypatch.setattr(cw, "reflect", forbidden)
+        for alpha in roots:
+            # __wrapped__ skips the cache, so every root is built here
+            assert cw.reflection_element.__wrapped__(cd, alpha).det() == -1
+
+    def test_non_integral_coroot_rejected(self, monkeypatch):
+        # past the real-root gate, (2, 0) in A2 has 2 G alpha = (8, -4) and (alpha, alpha) = 8
+        cd = cw.build_cartan("A2")
+        monkeypatch.setattr(cw, "is_real_root", lambda cd, v: True)
+        with pytest.raises(NonIntegralReflectionError):
+            cw.reflection_element.__wrapped__(cd, (2, 0))

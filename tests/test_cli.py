@@ -216,6 +216,14 @@ class TestSizeBounds:
         err = self._rejected(capsys, monkeypatch, "OutOfRangeError", "nc", "--type", "KRONECKER", "--bound", "-1")
         assert "at least 0" in err
 
+    def test_nc_finite_negative_bound(self, capsys, monkeypatch):
+        err = self._rejected(capsys, monkeypatch, "OutOfRangeError", "nc", "--type", "A3", "--bound", "-4", "--format", "count")
+        assert "at least 0" in err
+
+    def test_nc_finite_nonnegative_bound_ignored(self, capsys):
+        for bound in ("0", "7"):
+            assert _run(capsys, "nc", "--type", "A3", "--bound", bound, "--format", "count") == (0, "14\n", "")
+
     def test_kronecker_negative_bound(self, capsys, monkeypatch):
         self._rejected(capsys, monkeypatch, "OutOfRangeError", "kronecker", "--bound", "-2", "--points", "2")
 

@@ -160,3 +160,61 @@ class TestIntInverse:
     def test_singular(self):
         with pytest.raises(StructuralError, match="invertible"):
             linalg.int_inverse(((1, 2), (2, 4)))
+
+
+def _reference_mat_mul(a, b):
+    """The generator loop `mat_mul` used to run."""
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def _reference_mat_vec(a, v):
+    """The generator loop `mat_vec` used to run."""
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def _typed(value):
+    """A nested result with each entry paired with its type, so int 0 and
+    Fraction(0) count as different."""
+    if isinstance(value, tuple):
+        return tuple(_typed(x) for x in value)
+    return (type(value), value)
+
+
+class TestDotKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(entries, max_size=6), st.data())
+    def test_dot_matches_generator_loop(self, u, data):
+        v = data.draw(st.lists(entries, min_size=len(u), max_size=len(u)))
+        assert _typed(linalg.dot(u, v)) == _typed(sum(x * y for x, y in zip(u, v)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 5), st.integers(1, 5), st.integers(0, 5), st.data())
+    def test_mat_mul_matches_generator_loop(self, r, k, c, data):
+        a, _ = data.draw(matrices(st.just(r), st.just(k), repeat=False))
+        b, _ = data.draw(matrices(st.just(k), st.just(c), repeat=False))
+        assert _typed(linalg.mat_mul(a, b)) == _typed(_reference_mat_mul(a, b))
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(repeat=False), st.data())
+    def test_mat_vec_matches_generator_loop(self, case, data):
+        a, k = case
+        v = data.draw(st.lists(entries, min_size=k, max_size=k))
+        assert _typed(linalg.mat_vec(a, v)) == _typed(_reference_mat_vec(a, v))
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ([], [[1, 2], [3, 4]]),
+            ([[1, 2], [3, 4]], [[], []]),
+            ([[Fraction(1, 2), 1]], [[2], [Fraction(-1, 3)]]),
+            ([[0]], [[Fraction(0)]]),
+        ],
+    )
+    def test_mat_mul_edge_shapes(self, a, b):
+        assert _typed(linalg.mat_mul(a, b)) == _typed(_reference_mat_mul(a, b))
+
+    def test_empty_vectors(self):
+        assert _typed(linalg.dot((), ())) == (int, 0)
+        assert linalg.mat_vec([[], []], ()) == (0, 0)
+        assert linalg.mat_vec([], (1, 2)) == ()
