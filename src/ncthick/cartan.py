@@ -9,10 +9,12 @@ matrix C with minimal positive integer symmetrizer d.
 Supported labels: A1.., B2.., C2.., D3.., E6, E7, E8, F4, G2, and the
 rank-2 affine KRONECKER type (two vertices joined by a double bond).
 
-A reflection is named by its positive root: `reflection_element` reads
-the matrix 1 - alpha (x) alpha^vee of s_alpha off the one Gram vector
-G alpha, and `reflection_root` reads alpha back off the first nonzero
-column of 1 - w, which is also the reflection test.
+A reflection is named by its positive root: `coroot` reads the row q
+of s_alpha = 1 - alpha (x) q off the one Gram vector G alpha, and
+`reflection_root` reads alpha back off the first nonzero column of
+1 - w, which is also the reflection test.  A product with a reflection
+is an O(n^2) rank-one update (`WeylElement.times_reflection`, on the
+right, and `reflection_times`, on the left).
 
 Absolute length uses the fixed-space codimension formula for finite
 types, which the self-check suite cross-validates against an independent
@@ -167,6 +169,15 @@ class WeylElement:
     def apply(self, v: Vector) -> Vector:
         return linalg.mat_vec(self.matrix, v)
 
+    def times_reflection(self, alpha: Vector, q: Vector) -> "WeylElement":
+        """self * s_alpha = self - (self alpha) (x) q, for q = coroot(alpha)."""
+        return WeylElement(linalg.sub_outer(self.matrix, self.apply(alpha), q))
+
+    def reflection_times(self, alpha: Vector, q: Vector) -> "WeylElement":
+        """s_alpha * self = self - alpha (x) (q^T self), for q = coroot(alpha)."""
+        qm = linalg.mat_vec(zip(*self.matrix), q)
+        return WeylElement(linalg.sub_outer(self.matrix, alpha, qm))
+
     def det(self) -> int:
         return linalg.int_det(self.matrix)
 
@@ -238,19 +249,21 @@ def is_real_root(cd: CartanDatum, v: Vector) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def reflection_element(cd: CartanDatum, alpha: Vector) -> WeylElement:
-    """The matrix 1 - alpha (x) q of s_alpha at a real root, where
-    q_j = <e_j, alpha^vee> = 2 (G alpha)_j / (alpha, alpha)."""
+def coroot(cd: CartanDatum, alpha: Vector) -> Vector:
+    """q_j = <e_j, alpha^vee> = 2 (G alpha)_j / (alpha, alpha): s_alpha = 1 - alpha (x) q."""
     if not is_real_root(cd, alpha):
         raise NotRealRootError(f"{alpha} is not a real root of {cd.label}")
     g_alpha = linalg.mat_vec(cd.gram(), alpha)
     aa = linalg.dot(alpha, g_alpha)
     if any(2 * g % aa for g in g_alpha):
         raise NonIntegralReflectionError(f"2 G alpha = 2 * {g_alpha} not divisible by {aa}")
-    q = [2 * g // aa for g in g_alpha]
-    return WeylElement(
-        tuple(tuple(int(i == j) - a * x for j, x in enumerate(q)) for i, a in enumerate(alpha))
-    )
+    return tuple(2 * g // aa for g in g_alpha)
+
+
+@functools.lru_cache(maxsize=None)
+def reflection_element(cd: CartanDatum, alpha: Vector) -> WeylElement:
+    """The matrix 1 - alpha (x) q of s_alpha at a real root, q = coroot(alpha)."""
+    return WeylElement(linalg.sub_outer(linalg.identity(cd.rank), alpha, coroot(cd, alpha)))
 
 
 def simple_reflection(cd: CartanDatum, i: int) -> WeylElement:
@@ -416,9 +429,9 @@ def coxeter_element(cd: CartanDatum, perm: tuple[int, ...] | None = None) -> Wey
         perm = tuple(range(1, n + 1))
     if sorted(perm) != list(range(1, n + 1)):
         raise PermutationError(f"{perm} is not a permutation of 1..{n}")
-    w = identity_element(cd)
+    w, simples = identity_element(cd), linalg.identity(n)
     for i in perm:
-        w = w * simple_reflection(cd, i)
+        w = w.times_reflection(simples[i - 1], coroot(cd, simples[i - 1]))
     return w
 
 

@@ -57,6 +57,12 @@ def mat_vec(a: Mat, v: Sequence) -> tuple:
     return tuple([dot(row, v) for row in a])
 
 
+def sub_outer(m: Mat, u: Sequence, v: Sequence) -> tuple[tuple, ...]:
+    """m - u (x) v; the rows with u_i = 0 come back as they are."""
+    return tuple([row if not x else tuple([a - x * b for a, b in zip(row, v)])
+                  for row, x in zip(m, u)])
+
+
 def transpose(a: Mat, ncols: int) -> tuple[tuple, ...]:
     return tuple(tuple(row[j] for row in a) for j in range(ncols))
 

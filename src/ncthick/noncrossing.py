@@ -6,18 +6,20 @@ positive-root order.  On [id, c] the map w -> T(w) is an order embedding
 (Brady-Watt 2002, Bessis 2003), so the order is a subset test and meets
 and joins are found among the masks.
 
-Growth never tests a rank.  With the Euler form E = G (1 - c)^-1, whose
-symmetrization is the Gram matrix G, perp[s] is the mask of the roots t
-with E(beta_t, beta_s) = 0, and the Kreweras complement of w has
-T(w^-1 c) = the AND of perp[s] over s in T(w) (Ingalls-Thomas 2009:
-perpendicular categories are Kreweras complements).  Every bit t of
-that mask gives a cover w < w t, with complement mask T(w^-1 c) &
-perp[t] and reflection set the reflection closure of T(w) and t;
-elements are told apart by their complement masks, so a cover seen
-twice costs one AND.  Growth visits every cover exactly once and
-records it, which is the Hasse diagram.  Each element's matrix is one
-product with its parent, and one more product per element certifies
-w * (w^-1 c) = c.
+Growth tests no rank and multiplies no two matrices.  With the Euler
+form E = G (1 - c)^-1, whose symmetrization is the Gram matrix G,
+perp[s] is the mask of the roots t with E(beta_t, beta_s) = 0, and the
+Kreweras complement of w has T(w^-1 c) = the AND of perp[s] over s in
+T(w) (Ingalls-Thomas 2009: perpendicular categories are Kreweras
+complements); T(w) is the AND of the transposed lperp[s] over s in
+T(w^-1 c).  Each bit t of the complement mask gives a cover w < w t with
+complement mask T(w^-1 c) & perp[t], and elements are told apart by
+their complement masks, so a cover seen twice costs one AND; the covers
+are kept as mask pairs.  The matrix of w t is the rank-one update
+w - (w alpha_t) (x) q_t of its parent's, and a chain along the growth
+tree certifies it: the complement of id is c, and that of w t is t
+times that of w, so every x has complement x^-1 c, a product of
+n - rank(x) reflections, and l(x) + l(x^-1 c) = l(c) proves x <= c.
 The Weyl group is never materialized.  The fixed-space absolute order
 of `cartan` and the prefix-product growth that tests each candidate's
 rank stay as oracles in `selfcheck`.
@@ -26,6 +28,7 @@ rank stay as oracles in `selfcheck`.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 from . import cartan, linalg
@@ -48,8 +51,9 @@ class NCLattice:
     `masks[i]` is the reflection set of `elements[i]` as a bitmask over
     the positive roots; `kreweras_index[i]` is the index of its Kreweras
     complement, or None where the complement leaves a truncated poset.
-    `hasse` holds the cover relations as sorted index pairs (lower,
-    upper).  Elements are sorted by (rank, matrix).
+    `covers` holds the cover relations as two parallel lists, the masks
+    T(lower) and T(upper); `hasse` translates them to sorted index pairs
+    (lower, upper) on first read.  Elements are sorted by (rank, matrix).
     """
 
     cartan: CartanDatum
@@ -58,12 +62,13 @@ class NCLattice:
     ranks: dict[WeylElement, int]
     masks: tuple[int, ...]
     kreweras_index: tuple[int | None, ...]
-    hasse: tuple[tuple[int, int], ...]
+    covers: tuple[list[int], list[int]]
     truncation_bound: int | None = None
 
     co_kreweras_index: tuple[int | None, ...] = field(init=False, repr=False)
     _index: dict[WeylElement, int] = field(init=False, repr=False)
     _words: tuple[tuple[Vector, ...], ...] | None = field(init=False, repr=False)
+    _hasse: tuple[tuple[int, int], ...] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         self._index = {w: i for i, w in enumerate(self.elements)}
@@ -73,6 +78,14 @@ class NCLattice:
                 inverse[k] = i
         self.co_kreweras_index = tuple(inverse)
         self._words = None
+        self._hasse = None
+
+    @property
+    def hasse(self) -> tuple[tuple[int, int], ...]:
+        if self._hasse is None:
+            index = {m: i for i, m in enumerate(self.masks)}.__getitem__
+            self._hasse = tuple(sorted(zip(*(map(index, side) for side in self.covers))))
+        return self._hasse
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -119,44 +132,6 @@ class NCLattice:
         return tuple(words[i] for i in range(len(self)))
 
 
-@functools.lru_cache(maxsize=None)
-def _root_reflection_table(cd: CartanDatum) -> tuple[tuple[int, ...], ...]:
-    """table[a][b] = k where s_a(beta_b) = +-beta_k, over the positive roots."""
-    roots = cartan.positive_roots(cd)
-    position = {r: k for k, r in enumerate(roots)}
-    table = []
-    for a in roots:
-        ga = linalg.mat_vec(cd.gram(), a)
-        aa = linalg.dot(a, ga)
-        row = []
-        for b in roots:
-            q = 2 * linalg.dot(b, ga) // aa
-            image = tuple(y - q * x for x, y in zip(a, b))
-            k = position.get(image)
-            row.append(k if k is not None else position[tuple(-y for y in image)])
-        table.append(tuple(row))
-    return tuple(table)
-
-
-def _closure(mask: int, k: int, table: tuple[tuple[int, ...], ...]) -> int:
-    """Reflection closure of the closed root set `mask` together with root k."""
-    mask |= 1 << k
-    todo = [k]
-    while todo:
-        x = todo.pop()
-        row = table[x]
-        rest = mask
-        while rest:
-            low = rest & -rest
-            y = low.bit_length() - 1
-            rest ^= low
-            for z in (row[y], table[y][x]):
-                if not mask >> z & 1:
-                    mask |= 1 << z
-                    todo.append(z)
-    return mask
-
-
 def euler_form(cd: CartanDatum, c: WeylElement) -> tuple[tuple[int, ...], ...]:
     """The Euler form E = G (1 - c)^-1 of the Coxeter element c.
 
@@ -188,10 +163,23 @@ def perp_masks(cd: CartanDatum, c: WeylElement) -> tuple[int, ...]:
     return tuple(perp)
 
 
+def left_perp_masks(perp: tuple[int, ...]) -> list[int]:
+    """lperp[s] = {t : s in perp[t]}, the roots t with E(beta_s, beta_t) = 0:
+    the bit transpose of perp, and T(w) is the AND of lperp[s] over s in T(w^-1 c)."""
+    return [sum(1 << t for t, p in enumerate(perp) if p >> s & 1) for s in range(len(perp))]
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
 def _sorted_lattice(cd, c, rows, covers, bound=None) -> NCLattice:
     """Sort (w, rank, T(w), T(w^-1 c) or None) rows by (rank, matrix) and
-    index the Kreweras complements and the (T(lower), T(upper)) covers
-    by mask."""
+    index the Kreweras complements by mask."""
     rows = sorted(rows, key=lambda row: (row[1], row[0].matrix))
     position = {row[2]: i for i, row in enumerate(rows)}
     return NCLattice(
@@ -201,7 +189,7 @@ def _sorted_lattice(cd, c, rows, covers, bound=None) -> NCLattice:
         ranks={row[0]: row[1] for row in rows},
         masks=tuple(row[2] for row in rows),
         kreweras_index=tuple(position.get(row[3]) for row in rows),
-        hasse=tuple(sorted((position[lower], position[upper]) for lower, upper in covers)),
+        covers=covers,
         truncation_bound=bound,
     )
 
@@ -222,46 +210,49 @@ def enumerate_nc(
         c = cartan.coxeter_element(cd)
     if not cartan.is_coxeter_element(cd, c):
         raise NotInPosetError("the given element is not a Coxeter element")
-    refs = cartan.reflections(cd)
-    if reflection_order is not None and not set(reflection_order) <= set(refs):
+    if reflection_order is not None and not set(reflection_order) <= set(cartan.reflections(cd)):
         raise NotReflectionError("reflection_order holds an element that is not a reflection")
     n = cd.rank
+    roots = cartan.positive_roots(cd)
+    coroots = [cartan.coroot(cd, a) for a in roots]
     perp = perp_masks(cd, c)
-    table = _root_reflection_table(cd)
-    # grown[T(w^-1 c)] = (w, rank, T(w)): the complement's mask names w,
-    # as T is injective on [id, c] and w -> w^-1 c is a bijection.  Every
-    # reflection lies below c, so rank one needs no product.
-    grown = {(1 << len(refs)) - 1: (cartan.identity_element(cd), 0, 0)}
-    grown.update({perp[k]: (t, 1, 1 << k) for k, t in enumerate(refs)})
-    covers = [(0, 1 << k) for k in range(len(refs))]
-    frontier = list(perp)
-    for r in range(2, n + 1):
+    lperp = left_perp_masks(perp)
+    full = (1 << len(roots)) - 1
+    # grown[T(w^-1 c)] = (w, rank, T(w), parent's key, k) with w = parent * t_k: the
+    # complement's mask names w, as T is injective on [id, c] and w -> w^-1 c is bijective
+    grown = {full: (cartan.identity_element(cd), 0, 0, None, None)}
+    lower, upper = [], []
+    frontier = [full]
+    for r in range(1, n + 1):
         nxt = []
         for above in frontier:
-            w, _, mask = grown[above]
-            rest = above
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                k = low.bit_length() - 1
+            w, _, mask, _, _ = grown[above]
+            for k in _bits(above):
                 # w < w t with complement t w^-1 c, and T(t x) = T(x) & T(t c) for t <= x <= c
                 comp = above & perp[k]
-                if comp not in grown:
-                    grown[comp] = (w * refs[k], r, _closure(mask, k, table))
+                entry = grown.get(comp)
+                if entry is None:
+                    own = functools.reduce(operator.and_, map(lperp.__getitem__, _bits(comp)), full)
+                    w_t = w.times_reflection(roots[k], coroots[k])
+                    entry = grown[comp] = (w_t, r, own, above, k)
                     nxt.append(comp)
-                covers.append((mask, grown[comp][2]))
+                lower.append(mask)
+                upper.append(entry[2])
         frontier = nxt
-    rows = ((w, r, m, comp) for comp, (w, r, m) in grown.items())
-    lat = _sorted_lattice(cd, c, rows, covers)
-    # w has at most rank(w) reflections and its complement at most n - rank(w),
-    # so w * (w^-1 c) = c proves both lengths exact and w <= c
-    for w, k in zip(lat.elements, lat.kreweras_index):
-        if k is None:
-            raise LatticeStructureError("Kreweras complement escaped the lattice")
-        comp = lat.elements[k]
-        if lat.ranks[w] + lat.ranks[comp] != n or w * comp != c:
+    # K(x), the element whose mask is x's key: K(id) = c and K(w t) = t K(w) on
+    # every growth link give K(x) = x^-1 c, and x and K(x) have at most rank(x)
+    # and n - rank(x) reflections, so x * K(x) = c proves both exact and x <= c
+    key_of = {entry[2]: key for key, entry in grown.items()}
+    if key_of.keys() != grown.keys():
+        raise LatticeStructureError("reflection sets and complement masks differ")
+    for key, (_, r, _, above, k) in grown.items():
+        comp, want = grown[key_of[key]], c
+        if above is not None:
+            want = grown[key_of[above]][0].reflection_times(roots[k], coroots[k])
+        if r + comp[1] != n or comp[0] != want:
             raise LatticeStructureError("an element times its Kreweras complement is not c")
-    return lat
+    rows = ((w, r, m, key) for key, (w, r, m, _, _) in grown.items())
+    return _sorted_lattice(cd, c, rows, (lower, upper))
 
 
 def nc_kronecker(bound: int) -> NCLattice:
@@ -281,7 +272,8 @@ def nc_kronecker(bound: int) -> NCLattice:
     rows = [(cartan.identity_element(cd), 0, 0, full), (c, 2, full, 0)]
     # a reflection's complement t^-1 c = t c may leave the truncation
     rows.extend((t, 1, m, bit_of.get(t * c)) for t, m in bit_of.items())
-    covers = [(0, m) for m in bit_of.values()] + [(m, full) for m in bit_of.values()]
+    atoms = list(bit_of.values())
+    covers = ([0] * len(atoms) + atoms, atoms + [full] * len(atoms))
     return _sorted_lattice(cd, c, rows, covers, bound)
 
 
@@ -333,26 +325,23 @@ def _word_label(word: tuple[Vector, ...]) -> str:
     return "".join("s(" + ",".join(str(x) for x in root) + ")" for root in word)
 
 
+def ranked_dot(name: str, labels, ranks, edges) -> str:
+    """Deterministic rank-layered DOT digraph: node i is labels[i] in the
+    row of ranks[i], and each (i, j) of edges is an arrow."""
+    lines = [f"digraph {name} {{", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
+    lines.extend(f'  n{i} [label="{label}"];' for i, label in enumerate(labels))
+    by_rank: dict[int, list[str]] = {}
+    for i, r in enumerate(ranks):
+        by_rank.setdefault(r, []).append(f"n{i};")
+    lines.extend(f"  {{ rank=same; {' '.join(by_rank[r])} }}" for r in sorted(by_rank))
+    lines.extend(f"  n{i} -> n{j};" for i, j in edges)
+    return "\n".join(lines) + "\n}\n"
+
+
 def hasse_dot(lattice: NCLattice) -> str:
     """Deterministic rank-layered DOT digraph of the cover relations."""
-    lines = [
-        "digraph nc {",
-        "  rankdir=BT;",
-        '  node [shape=box, fontname="monospace"];',
-    ]
-    by_rank: dict[int, list[int]] = {}
-    for i, w in enumerate(lattice.elements):
-        by_rank.setdefault(lattice.ranks[w], []).append(i)
-    for i, w in enumerate(lattice.elements):
-        label = _word_label(lattice.canonical_word(w))
-        lines.append(f'  n{i} [label="{label}"];')
-    for r in sorted(by_rank):
-        row = " ".join(f"n{i};" for i in by_rank[r])
-        lines.append(f"  {{ rank=same; {row} }}")
-    for i, j in lattice.hasse:
-        lines.append(f"  n{i} -> n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    labels = [_word_label(lattice.canonical_word(w)) for w in lattice.elements]
+    return ranked_dot("nc", labels, [lattice.ranks[w] for w in lattice.elements], lattice.hasse)
 
 
 def to_json(lattice: NCLattice) -> dict:

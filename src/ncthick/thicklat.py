@@ -49,7 +49,7 @@ class ThickSubcategory:
     def __post_init__(self):
         prod = cartan.identity_element(self.cartan)
         for alpha in self.generators:
-            prod = prod * cartan.reflection_element(self.cartan, alpha)
+            prod = prod.times_reflection(alpha, cartan.coroot(self.cartan, alpha))
         if prod != self.nc_element:
             raise StructuralError("generators do not multiply to the nc element")
 
@@ -144,18 +144,19 @@ class ThickLattice:
 
 
 def thick_lattice(cd: CartanDatum) -> ThickLattice:
-    """Generators by the greedy recurrence, one product per element.
+    """Generators by the greedy recurrence, one rank-one update per element.
 
     Element i with lowest root k has the rest j, the element with mask
     T(i) & perp[k]: T(t x) = T(x) & T(t c) for t <= x <= c.  So gens[i] =
     (root k,) + gens[j], j < i as elements come in rank order, and
-    elements[i] == refs[k] * elements[j] proves by induction that every
-    sequence multiplies to its element; used[j] & bad[k] == 0, one AND over
-    the roots of gens[j], that it is exceptional.
+    elements[i] == t_k * elements[j], the left update by the reflection
+    t_k, proves by induction that every sequence multiplies to its
+    element; used[j] & bad[k] == 0, one AND over the roots of gens[j],
+    that it is exceptional.
     """
     lat = noncrossing.enumerate_nc(cd)
     roots = cartan.positive_roots(cd)
-    refs = cartan.reflections(cd)
+    coroots = [cartan.coroot(cd, a) for a in roots]
     perp = noncrossing.perp_masks(cd, lat.coxeter)
     position = {m: i for i, m in enumerate(lat.masks)}
     bad = _exceptional_masks(cd, lat.coxeter)
@@ -164,8 +165,8 @@ def thick_lattice(cd: CartanDatum) -> ThickLattice:
     for i in range(1, len(lat)):
         mask = lat.masks[i]
         k = (mask & -mask).bit_length() - 1
-        j = position.get(mask & perp[k])
-        if j is None or j >= i or lat.elements[i] != refs[k] * lat.elements[j]:
+        j = position.get(mask & perp[k], i)  # a missing rest is not earlier either
+        if j >= i or lat.elements[i] != lat.elements[j].reflection_times(roots[k], coroots[k]):
             raise StructuralError("generators do not multiply to the nc element")
         if used[j] & bad[k]:
             raise StructuralError("generator roots are not an exceptional sequence")
@@ -507,16 +508,5 @@ def kronecker_to_json(lat: KroneckerLattice) -> dict:
 
 def kronecker_dot(lat: KroneckerLattice) -> str:
     data = kronecker_to_json(lat)
-    lines = ["digraph kronecker {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
-    for el in data["elements"]:
-        lines.append(f'  n{el["id"]} [label="{el["name"]}"];')
-    ranks: dict[int, list[int]] = {}
-    for el in data["elements"]:
-        ranks.setdefault(el["rank"], []).append(el["id"])
-    for r in sorted(ranks):
-        row = " ".join(f"n{i};" for i in ranks[r])
-        lines.append(f"  {{ rank=same; {row} }}")
-    for i, j in data["hasse"]:
-        lines.append(f"  n{i} -> n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    names, ranks = zip(*((el["name"], el["rank"]) for el in data["elements"]))
+    return noncrossing.ranked_dot("kronecker", names, ranks, data["hasse"])

@@ -143,9 +143,17 @@ class TestMasks:
             lat = nc.enumerate_nc(cw.build_cartan(label), _coxeters(label)[arg])
         assert lat.hasse == _subset_test_hasse(lat)
 
-    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])
-    def test_masks_are_reflection_sets(self, label):
-        lat = _lattice(label)
+    @pytest.mark.parametrize(
+        "label,which",
+        [
+            pytest.param(label, which, id=label + ("-reversed" if which else ""))
+            for label in ("A3", "B3", "D4", "G2", "A4", "B4", "D5", "F4")
+            for which in (0, 1)
+        ],
+    )
+    def test_masks_are_reflection_sets(self, label, which):
+        # the masks are ANDs of lperp rows; abs_leq tests fixed spaces
+        lat = nc.enumerate_nc(cw.build_cartan(label), _coxeters(label)[which])
         refs = cw.reflections(lat.cartan)
         for w, mask in zip(lat.elements, lat.masks):
             expected = sum(1 << k for k, t in enumerate(refs) if cw.abs_leq(lat.cartan, t, w))
@@ -223,6 +231,9 @@ class TestEulerForm:
 
 class TestGrowthCost:
     def test_d5_no_rank_tests(self, monkeypatch):
+        # no product per element: the only products are is_coxeter_element's
+        # h - 1 powers and euler_form's one; growth and certificate are
+        # rank-one updates
         counts = {"absolute_length": 0, "mat_mul": 0}
         for module, name in ((cw, "absolute_length"), (linalg, "mat_mul")):
             real = getattr(module, name)
@@ -233,14 +244,77 @@ class TestGrowthCost:
 
             monkeypatch.setattr(module, name, counted)
         nc.perp_masks.cache_clear()
-        lat = nc.enumerate_nc(cw.build_cartan("D5"))
+        cd = cw.build_cartan("D5")
+        lat = nc.enumerate_nc(cd)
         assert len(lat) == 182
         assert counts["absolute_length"] == 1
-        assert counts["mat_mul"] <= 2 * len(lat)
+        assert counts["mat_mul"] <= cw.coxeter_number(cd) + 1
 
     def test_e7_count(self, capsys):
         assert cli.run(["nc", "--type", "E7", "--format", "count"]) == 0
         assert capsys.readouterr().out == "4160\n"
+
+
+def _flip_bit(masks, s, t):
+    flipped = list(masks)
+    flipped[s] ^= 1 << t
+    return tuple(flipped)
+
+
+class TestCertificate:
+    """Each corruption of the growth data must raise, not yield a lattice."""
+
+    @pytest.mark.parametrize("table", ["perp_masks", "left_perp_masks"])
+    @pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+    def test_every_flipped_bit_is_caught(self, label, table, monkeypatch):
+        cd = cw.build_cartan(label)
+        c = cw.coxeter_element(cd)
+        perp = nc.perp_masks(cd, c)
+        rows = perp if table == "perp_masks" else nc.left_perp_masks(perp)
+        for s, t in itertools.product(range(len(rows)), repeat=2):
+            monkeypatch.setattr(nc, table, lambda *args, s=s, t=t: _flip_bit(rows, s, t))
+            with pytest.raises(LatticeStructureError):
+                nc.enumerate_nc(cd, c)
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])
+    def test_every_corrupted_growth_entry_is_caught(self, label, monkeypatch):
+        # one entry of one grown matrix off by one, for every growth step
+        cd = cw.build_cartan(label)
+        c = cw.coxeter_element(cd)
+        steps = len(nc.enumerate_nc(cd, c)) - 1
+        real = cw.WeylElement.times_reflection
+        last = cd.rank - 1
+        for target, (i, j) in itertools.product(range(steps), [(0, 0), (last, 0), (0, last)]):
+            calls = []
+
+            def corrupt(self, alpha, q, target=target, i=i, j=j):
+                out = real(self, alpha, q)
+                calls.append(1)
+                if len(calls) - 1 != target:
+                    return out
+                rows = [list(row) for row in out.matrix]
+                rows[i][j] += 1
+                return cw.WeylElement(linalg.freeze(rows))
+
+            monkeypatch.setattr(cw.WeylElement, "times_reflection", corrupt)
+            with pytest.raises(LatticeStructureError):
+                nc.enumerate_nc(cd, c)
+            assert len(calls) > target
+
+    def test_duplicate_own_mask_is_caught(self, monkeypatch):
+        # an lperp row of all roots makes keys that differ in that root alike
+        cd = cw.build_cartan("D4")
+        c = cw.coxeter_element(cd)
+        lperp = list(nc.left_perp_masks(nc.perp_masks(cd, c)))
+        lperp[0] = (1 << len(lperp)) - 1
+        monkeypatch.setattr(nc, "left_perp_masks", lambda *args: lperp)
+        with pytest.raises(LatticeStructureError, match="complement masks differ"):
+            nc.enumerate_nc(cd, c)
+
+    def test_hasse_translated_once(self):
+        lat = _lattice("A3")
+        assert lat.hasse is lat.hasse
+        assert len(lat.hasse) == len(lat.covers[0]) == len(lat.covers[1])
 
 
 class TestKreweras:

@@ -256,14 +256,34 @@ class TestThickLattice:
         assert other == tl.thick_from_nc(a2, c)
         assert hash(other) == hash(tl.thick_from_nc(a2, c))
 
-    def test_d5_one_product_per_element(self, monkeypatch):
+    def test_d5_no_products_of_its_own(self, monkeypatch):
+        # thick_lattice makes exactly the products enumerate_nc makes
+        cd = cw.build_cartan("D5")
         calls = []
         real = linalg.mat_mul
         monkeypatch.setattr(linalg, "mat_mul", lambda *args: calls.append(1) or real(*args))
-        nc.perp_masks.cache_clear()
-        lat = tl.thick_lattice(cw.build_cartan("D5"))
-        assert len(lat) == 182
-        assert len(calls) <= 3 * len(lat)
+        counts = []
+        for build in (nc.enumerate_nc, tl.thick_lattice):
+            nc.perp_masks.cache_clear()
+            tl._exceptional_masks.cache_clear()
+            calls.clear()
+            build(cd)
+            counts.append(len(calls))
+        assert counts[1] == counts[0] <= cw.coxeter_number(cd) + 1
+
+    @pytest.mark.parametrize("index", [1, 5, 40, 181])
+    def test_corrupted_element_matrix_is_caught(self, index, monkeypatch):
+        # masks intact, one entry of one element's matrix off by one
+        cd = cw.build_cartan("D5")
+        lat = nc.enumerate_nc(cd)
+        elements = list(lat.elements)
+        rows = [list(row) for row in elements[index].matrix]
+        rows[-1][0] += 1
+        elements[index] = cw.WeylElement(linalg.freeze(rows))
+        bad = dataclasses.replace(lat, elements=tuple(elements))
+        monkeypatch.setattr(nc, "enumerate_nc", lambda *args: bad)
+        with pytest.raises(StructuralError, match="multiply"):
+            tl.thick_lattice(cd)
 
     def test_swapped_perp_table_is_caught(self, monkeypatch):
         # perp[0] and perp[1] swapped: some rest is looked up with the wrong perp
