@@ -27,6 +27,7 @@ rank stay as oracles in `selfcheck`.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import operator
 from dataclasses import dataclass, field
@@ -130,6 +131,36 @@ class NCLattice:
         if len(words) != len(self):
             raise LatticeStructureError("reflection words do not cover NC exactly")
         return tuple(words[i] for i in range(len(self)))
+
+    def coxeter_word(self) -> tuple[Vector, ...]:
+        """canonical_word(coxeter) without the words of the other elements.
+
+        Words compare first letter first and every element lies below c,
+        so the least word takes the least root at each step up from id.
+        As in `_compute_words`, a cover's reflection is the one root of
+        T(j) & T(i^-1 c), and only an element with a complement in the
+        lattice is walked on from.
+        """
+        roots = cartan.positive_roots(self.cartan, self.truncation_bound or 0)
+        hasse, kreweras = self.hasse, self.kreweras_index
+        word: list[Vector] = []
+        i = 0
+        for _ in range(self.ranks[self.coxeter]):
+            k = kreweras[i]
+            steps = []
+            for p in range(bisect.bisect_left(hasse, (i,)), len(hasse)):
+                lower, j = hasse[p]
+                if lower != i:
+                    break
+                if kreweras[j] is not None:
+                    steps.append((roots[(self.masks[j] & self.masks[k]).bit_length() - 1], j))
+            if not steps:
+                raise LatticeStructureError("no reflection word reaches the Coxeter element")
+            root, i = min(steps)
+            word.append(root)
+        if self.elements[i] != self.coxeter:
+            raise LatticeStructureError("no reflection word reaches the Coxeter element")
+        return tuple(word)
 
 
 def euler_form(cd: CartanDatum, c: WeylElement) -> tuple[tuple[int, ...], ...]:
@@ -346,7 +377,7 @@ def hasse_dot(lattice: NCLattice) -> str:
 
 def to_json(lattice: NCLattice) -> dict:
     """JSON form: type, coxeter word, ranked elements, and Hasse edges."""
-    cox_word = [list(root) for root in lattice.canonical_word(lattice.coxeter)]
+    cox_word = [list(root) for root in lattice.coxeter_word()]
     data = {
         "type": lattice.cartan.label,
         "coxeter_word": cox_word,

@@ -14,10 +14,11 @@ enumeration and simple reflections of roots.  Production Hom and Ext^1
 come from the hammocks in `derived`; only `verify`, `thick lattice
 --oracle` and the tests call this module.
 
-`decompose` splits a representation by counting Hom into each
-indecomposable and applying the inverse of the Hom Gram matrix, which is
-integral because the matrix is unitriangular in a path order of the AR
-quiver.
+`decompose` certifies the zero representation with no solve and a brick
+on a positive root (End = k) with one; anything else it splits by
+counting Hom into each indecomposable and applying the inverse of the Hom
+Gram matrix, which is integral because the matrix is unitriangular in a
+path order of the AR quiver.
 
 Representations store one rational matrix per arrow with shape
 dim[target] x dim[source]; matrices with zero rows or columns are empty
@@ -158,10 +159,11 @@ def _hom_system(
                 row = [0] * total
                 # (f_t @ M_a)[r][c] contributes M_a[k][c] on f_t[r][k]
                 for k in range(dm[ti]):
-                    row[offsets[ti] + r * dm[ti] + k] += ma[k][c]
-                # (N_a @ f_s)[r][c] contributes N_a[r][k] on f_s[k][c]
+                    row[offsets[ti] + r * dm[ti] + k] = ma[k][c]
+                # (N_a @ f_s)[r][c] contributes N_a[r][k] on f_s[k][c]; the two
+                # blocks are disjoint as s != t (a Dynkin quiver has no loops)
                 for k in range(dn[si]):
-                    row[offsets[si] + k * dm[si] + c] -= na[r][k]
+                    row[offsets[si] + k * dm[si] + c] = -na[r][k]
                 rows.append(row)
     return rows, total, offsets
 
@@ -376,15 +378,27 @@ class _ModuleCategory:
         return linalg.int_inverse(g)
 
     def decompose(self, rep: Representation) -> dict[Vector, int]:
-        """Multiplicities of the indecomposable summands via Hom counting.
+        """Multiplicities of the indecomposable summands.
 
-        dim Hom(rep, X_b) = sum over a of m_a dim Hom(X_a, X_b), so m is h
-        times the inverse of the Hom Gram matrix G.  G is integral and
-        unitriangular in a path order of the AR quiver (End X_a = k, and
-        Hom(X_a, X_b) != 0 only along paths), so its inverse is integral;
-        `int_inverse` raises StructuralError otherwise.  The counts h take
-        a rank each, no Hom basis.
+        Two certificates come first.  The zero representation has no
+        summands and costs no solve.  A brick whose dimension vector is a
+        positive root is the indecomposable of that root, for one solve:
+        End = k forces it indecomposable, and Gabriel's theorem gives one
+        indecomposable per positive root.
+
+        Anything else is split by Hom counting: dim Hom(rep, X_b) = sum
+        over a of m_a dim Hom(X_a, X_b), so m is h times the inverse of the
+        Hom Gram matrix G.  G is integral and unitriangular in a path order
+        of the AR quiver (End X_a = k, and Hom(X_a, X_b) != 0 only along
+        paths), so its inverse is integral; `int_inverse` raises
+        StructuralError otherwise.  The counts h take a rank each, no Hom
+        basis, and the multiplicities must be nonnegative and add up to
+        the dimension vector.
         """
+        if not any(rep.dim):
+            return {}
+        if rep.dim in self.reps and hom_dim(self.quiver, rep, rep) == 1:
+            return {rep.dim: 1}
         h = [hom_dim(self.quiver, rep, self.reps[b]) for b in self.roots]
         mult = linalg.mat_vec(linalg.transpose(self.gram_inverse, len(self.roots)), h)
         out = {}

@@ -684,12 +684,18 @@ def _chk_biperp():
 
 
 def _chk_oracle_agreement():
-    for label in ("A1", "A2", "A3"):
-        cd = cartan.build_cartan(label)
-        fast = len(thicklat.thick_lattice(cd))
-        slow = thicklat.wide_subcategory_oracle(repcat.dynkin_quiver(label)).count
-        _expect(fast == slow, f"thick count {fast} != wide count {slow} in {label}")
-    return "thick lattice = wide subcategories on A1 A2 A3"
+    # the count of NC(W, c) does not depend on c, so every orientation must agree
+    for label, arrows in (
+        ("A1", None),
+        ("A2", None),
+        ("A3", None),
+        ("A4", None),
+        ("A4", ((2, 1), (2, 3), (4, 3))),
+    ):
+        fast = len(thicklat.thick_lattice(cartan.build_cartan(label)))
+        slow = thicklat.wide_subcategory_oracle(repcat.dynkin_quiver(label, arrows)).count
+        _expect(fast == slow, f"thick count {fast} != wide count {slow} in {label} {arrows}")
+    return "thick lattice = wide subcategories on A1 A2 A3, A4 in two orientations"
 
 
 def _chk_reflection_root_bijection():

@@ -9,7 +9,10 @@ Hom and Ext^1 read off the hammocks of `derived`.  Perpendicular
 subcategories are Kreweras complements.  The independent oracle
 enumerates wide subcategories of the module category by closing subsets
 of indecomposables under kernels, cokernels, and extensions, all computed
-on explicit intertwiner matrices.
+on explicit intertwiner matrices and split into summands by
+`repcat`'s `decompose` (zero and brick certificates, else Hom counts).
+The consequences of each ordered pair become one bitmask, so the search
+over subsets tests masks with one AND per pair.
 """
 
 from __future__ import annotations
@@ -185,18 +188,26 @@ class WideOracleResult:
     subsets: tuple[tuple[Vector, ...], ...]
 
 
+_NOT_MULTIPLICITY_FREE = "wide oracle needs multiplicity-free Hom and Ext tables"
+
+
 class _ClosureTables:
     """Kernels, cokernels, and extension middle terms between
-    indecomposables, decomposed into indecomposable summands."""
+    indecomposables, decomposed into indecomposable summands.
+
+    consequences[(a, b)] holds the summands of the kernel and cokernel of
+    a nonzero map X_a -> X_b and of the middle term of a nonsplit
+    extension in Ext^1(X_a, X_b).  The key is ordered: Hom(X_a, X_b) and
+    Ext^1(X_b, X_a) can both be nonzero, and each brings its own terms."""
 
     def __init__(self, q: repcat.Quiver):
         self.cat = repcat._category(q)
-        self.consequences: dict[frozenset, frozenset] = {}
+        self.consequences: dict[tuple[Vector, Vector], frozenset] = {}
         for a, b in itertools.product(self.cat.roots, repeat=2):
             h = self.cat.hom_dim(a, b)
             e = h - repcat.euler_form(q, a, b)  # dim Ext^1 (hereditary)
             if h > 1 or e > 1:
-                raise ResourceLimitError("wide oracle needs multiplicity-free Hom and Ext tables")
+                raise ResourceLimitError(_NOT_MULTIPLICITY_FREE)
             need: set[Vector] = set()
             if a != b and h == 1:
                 f = self.cat.hom_spaces[(a, b)].basis[0]
@@ -205,7 +216,7 @@ class _ClosureTables:
             if e == 1:
                 need |= self._summands(self._middle(a, b))
             if need:
-                self.consequences[frozenset((a, b))] = frozenset(need)
+                self.consequences[(a, b)] = frozenset(need)
 
     def _summands(self, rep: repcat.Representation) -> set[Vector]:
         return set(self.cat.decompose(rep))
@@ -322,27 +333,42 @@ def _closure_tables(q: repcat.Quiver) -> _ClosureTables:
 
 def wide_subcategory_oracle(q: repcat.Quiver, max_indecomposables: int = 12) -> WideOracleResult:
     """Brute force over subsets of indecomposables, closing each under
-    kernels, cokernels, and extension middle terms.  The cap is checked
-    on the positive-root count, before the module category is built."""
-    count = len(cartan.positive_roots(cartan.build_cartan(q.label)))
-    if count > max_indecomposables:
+    kernels, cokernels, and extension middle terms.
+
+    Both limits are checked before the module category is built: the cap
+    on the positive-root count, then multiplicity-freeness from the Euler
+    form alone.  Hom and Ext^1 between indecomposables are never both
+    nonzero (the category is directed), so max(dim Hom, dim Ext^1) is
+    |<a, b>|; `_ClosureTables` still checks the dimensions themselves.
+
+    A subset is an int mask over the roots; rows[i] lists (bit of b, mask
+    of the consequences of (a_i, b)), and the subset is closed iff, for
+    each of its members i, every entry of rows[i] whose b lies in it has
+    its consequences in it too.
+    """
+    roots = cartan.positive_roots(cartan.build_cartan(q.label))
+    if len(roots) > max_indecomposables:
         raise ResourceLimitError(
-            f"{count} indecomposables exceed the oracle cap {max_indecomposables}"
+            f"{len(roots)} indecomposables exceed the oracle cap {max_indecomposables}"
         )
+    if any(abs(repcat.euler_form(q, a, b)) > 1 for a in roots for b in roots):
+        raise ResourceLimitError(_NOT_MULTIPLICITY_FREE)
     tables = _closure_tables(q)
-    roots = tables.cat.roots
+    bit = {a: 1 << i for i, a in enumerate(roots)}
+    rows = []
+    for a in roots:
+        row = []
+        for b in roots:
+            need = tables.consequences.get((a, b), ())
+            if need:
+                row.append((bit[b], sum(bit[x] for x in need)))
+        rows.append(row)
     wide = []
     for size in range(len(roots) + 1):
-        for combo in itertools.combinations(roots, size):
-            s = set(combo)
-            closed = True
-            for a, b in itertools.product(combo, repeat=2):
-                extra = tables.consequences.get(frozenset((a, b)), ())
-                if any(x not in s for x in extra):
-                    closed = False
-                    break
-            if closed:
-                wide.append(tuple(sorted(s)))
+        for combo in itertools.combinations(range(len(roots)), size):
+            s = sum(1 << i for i in combo)
+            if all(not need & ~s for i in combo for b, need in rows[i] if b & s):
+                wide.append(tuple(roots[i] for i in combo))
     return WideOracleResult(count=len(wide), subsets=tuple(wide))
 
 

@@ -133,6 +133,22 @@ class TestThick:
         assert out == ""
         assert err == "error: ResourceLimitError: 120 indecomposables exceed the oracle cap 12\n"
 
+    def test_oracle_multiplicity_before_any_work(self, capsys, monkeypatch):
+        # D4 passes the 12-root cap, but some Hom or Ext^1 has dimension 2:
+        # the Euler form tells before the module category is built
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the multiplicity check")
+
+        monkeypatch.setattr(cli.thicklat.repcat, "_category", forbidden)
+        monkeypatch.setattr(cli.thicklat, "_closure_tables", forbidden)
+        monkeypatch.setattr(cli.thicklat, "thick_lattice", forbidden)
+        code, out, err = _run(capsys, "thick", "lattice", "--type", "D4", "--oracle")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: ResourceLimitError: wide oracle needs multiplicity-free Hom and Ext tables\n"
+        )
+
     def test_oracle_dot_prints_plain_dot(self, capsys):
         code, plain, _ = _run(capsys, "thick", "lattice", "--type", "A3", "--format", "dot")
         assert code == 0

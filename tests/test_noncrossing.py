@@ -482,6 +482,32 @@ class TestDotAndJson:
         assert all(set(e) == {"id", "rank", "matrix"} for e in data["elements"])
         json.dumps(data)  # serializable
 
+    @pytest.mark.parametrize(
+        "label", "A1 A2 A3 A4 A5 B2 B3 B4 C3 C4 D4 D5 D6 E6 E7 F4 G2".split()
+    )
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_coxeter_word_is_canonical(self, label, reverse):
+        cd = cw.build_cartan(label)
+        perm = tuple(range(cd.rank, 0, -1)) if reverse else None
+        lat = nc.enumerate_nc(cd, cw.coxeter_element(cd, perm))
+        assert lat.coxeter_word() == lat.canonical_word(lat.coxeter)
+
+    @pytest.mark.parametrize("bound", [0, 1, 2, 3])
+    def test_coxeter_word_is_canonical_kronecker(self, bound):
+        lat = nc.nc_kronecker(bound)
+        assert lat.coxeter_word() == lat.canonical_word(lat.coxeter)
+
+    @pytest.mark.parametrize("label", ["A3", "D4", "KRONECKER"])
+    def test_to_json_builds_no_other_words(self, label, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("to_json built every canonical word")
+
+        lat = nc.nc_kronecker(2) if label == "KRONECKER" else nc.enumerate_nc(cw.build_cartan(label))
+        monkeypatch.setattr(nc.NCLattice, "_compute_words", forbidden)
+        data = nc.to_json(lat)
+        assert data["coxeter_word"] == [list(a) for a in lat.coxeter_word()]
+        assert len(data["coxeter_word"]) == lat.ranks[lat.coxeter]
+
     def test_canonical_words_shortest(self):
         lat = _lattice("A3")
         for w in lat.elements:

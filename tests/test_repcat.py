@@ -268,7 +268,7 @@ class TestDecompose:
         summands = [cat.roots[i] for i in picks]
         rep = _direct_sum(q, [cat.reps[a] for a in summands])
         expected = {a: summands.count(a) for a in summands}
-        assert cat.decompose(rep) == expected
+        assert cat.decompose(rep) == expected == _hom_count_decompose(cat, rep)
 
     @pytest.mark.parametrize("label", ["A3", "A4", "D4"])
     def test_gram_inverse_is_integral(self, label):
@@ -296,3 +296,76 @@ class TestDecompose:
         tables = thicklat._ClosureTables(q)
         assert tables.consequences
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "label,maps,expected",
+        [
+            ("A2", (((0,),),), {(0, 1): 1, (1, 0): 1}),
+            ("A3", (((1,),), ((0,),)), {(0, 0, 1): 1, (1, 1, 0): 1}),
+            ("A3", (((0,),), ((1,),)), {(0, 1, 1): 1, (1, 0, 0): 1}),
+        ],
+    )
+    def test_decomposable_on_a_root_falls_through(self, label, maps, expected, monkeypatch):
+        # the dimension vector is a root, but End is not k: the brick test
+        # must fail and Hom counting must find both summands
+        q = rc.dynkin_quiver(label)
+        cat = rc._category(q)
+        rep = rc.Representation(q, tuple(map(sum, zip(*expected))), maps)
+        assert rep.dim in cat.reps
+        calls = []
+        real = rc.hom_dim
+        monkeypatch.setattr(rc, "hom_dim", lambda *args: calls.append(args[1:]) or real(*args))
+        assert cat.decompose(rep) == expected
+        assert calls[0] == (rep, rep)
+        assert len(calls) == 1 + len(cat.roots)
+        assert _hom_count_decompose(cat, rep) == expected
+
+    @pytest.mark.parametrize("label", ["A1", "A3", "D4"])
+    def test_zero_representation_takes_no_solve(self, label, monkeypatch):
+        q = rc.dynkin_quiver(label)
+        cat = rc._category(q)
+        zero = rc.Representation(q, (0,) * q.rank, tuple(() for _ in q.arrows))
+        monkeypatch.setattr(rc, "hom_dim", _forbidden)
+        assert cat.decompose(zero) == {}
+
+    @pytest.mark.parametrize("label", ["A3", "D4"])
+    def test_brick_takes_one_solve(self, label, monkeypatch):
+        q = rc.dynkin_quiver(label)
+        cat = rc._category(q)
+        calls = []
+        real = rc.hom_dim
+        monkeypatch.setattr(rc, "hom_dim", lambda *args: calls.append(1) or real(*args))
+        for a in cat.roots:
+            assert cat.decompose(cat.reps[a]) == {a: 1}
+        assert len(calls) == len(cat.roots)
+
+    @pytest.mark.parametrize("arrows", [None, ((2, 1), (2, 3), (4, 3)), ((2, 1), (3, 2), (4, 3))])
+    def test_closure_tables_match_hom_counting(self, arrows, monkeypatch):
+        # the certificates leave every consequence as the all-Hom-count
+        # route finds it, for at most 150 rank solves (650 by Hom counts)
+        q = rc.dynkin_quiver("A4", arrows)
+        rc._category(q)
+        calls = []
+        real = rc.hom_dim
+        monkeypatch.setattr(rc, "hom_dim", lambda *args: calls.append(1) or real(*args))
+        fast = thicklat._ClosureTables(q).consequences
+        assert 0 < len(calls) <= 150
+        monkeypatch.setattr(rc._ModuleCategory, "decompose", _hom_count_decompose)
+        assert fast == thicklat._ClosureTables(q).consequences
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a Hom system was solved")
+
+
+def _hom_count_decompose(cat, rep):
+    """The reference route: Hom counts into every indecomposable for every
+    representation, times the inverse Hom Gram matrix."""
+    h = [rc.hom_dim(cat.quiver, rep, cat.reps[b]) for b in cat.roots]
+    mult = linalg.mat_vec(linalg.transpose(cat.gram_inverse, len(cat.roots)), h)
+    assert all(m >= 0 for m in mult)
+    out = {a: m for a, m in zip(cat.roots, mult) if m}
+    assert tuple(
+        sum(m * a[v] for a, m in out.items()) for v in range(cat.quiver.rank)
+    ) == rep.dim
+    return out

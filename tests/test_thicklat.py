@@ -372,6 +372,58 @@ class TestWideOracle:
         with pytest.raises(ResourceLimitError):
             tl.wide_subcategory_oracle(rc.dynkin_quiver("D4"), max_indecomposables=6)
 
+    @pytest.mark.parametrize(
+        "label,arrows",
+        [
+            ("A1", None),
+            ("A2", None),
+            ("A2", ((2, 1),)),
+            ("A3", None),
+            ("A3", ((2, 1), (2, 3))),
+            ("A4", None),
+            ("A4", ((2, 1), (2, 3), (4, 3))),
+            ("A4", ((2, 1), (3, 2), (4, 3))),
+        ],
+    )
+    def test_bitmask_search_matches_set_search(self, label, arrows):
+        # the reference closes each subset as a set of roots, pair by pair
+        q = rc.dynkin_quiver(label, arrows)
+        tables = tl._closure_tables(q)
+        wide = []
+        for size in range(len(tables.cat.roots) + 1):
+            for combo in itertools.combinations(tables.cat.roots, size):
+                s = set(combo)
+                if all(
+                    x in s
+                    for a, b in itertools.product(combo, repeat=2)
+                    for x in tables.consequences.get((a, b), ())
+                ):
+                    wide.append(tuple(sorted(s)))
+        assert tl.wide_subcategory_oracle(q).subsets == tuple(wide)
+
+    def test_consequences_keep_both_directions(self):
+        # on A3, Hom(P2, I2) has kernel S3 and cokernel S1, while the
+        # nonsplit extension of I2 by P2 has middle term P1 + S2
+        tables = tl._closure_tables(rc.dynkin_quiver("A3"))
+        p2, i2 = (0, 1, 1), (1, 1, 0)
+        assert tables.consequences[(p2, i2)] == {(0, 0, 1), (1, 0, 0)}
+        assert tables.consequences[(i2, p2)] == {(1, 1, 1), (0, 1, 0)}
+
+    @pytest.mark.parametrize("label,largest", [("A3", 1), ("A4", 1), ("D4", 2)])
+    def test_euler_form_is_the_larger_dimension(self, label, largest):
+        # directedness: Hom and Ext^1 between indecomposables are never
+        # both nonzero, so |<a, b>| is the larger of the two dimensions
+        q = rc.dynkin_quiver(label)
+        cat = rc._category(q)
+        seen = 0
+        for a, b in itertools.product(cat.roots, repeat=2):
+            h = cat.hom_dim(a, b)
+            e = h - rc.euler_form(q, a, b)
+            assert h * e == 0
+            assert max(h, e) == abs(rc.euler_form(q, a, b))
+            seen = max(seen, h, e)
+        assert seen == largest
+
     @pytest.mark.parametrize("arrows", [None, ((2, 1), (2, 3), (4, 3))])
     def test_middle_terms_are_nonsplit(self, arrows):
         q = rc.dynkin_quiver("A4", arrows)
