@@ -285,6 +285,8 @@ def real_roots(cd: CartanDatum, bound: int = 0) -> frozenset[Vector]:
                     out.add((p, q))
                     out.add((-p, -q))
         return frozenset(out)
+    # s_i(v) = v - (sum_j C_ij v_j) e_i: one Cartan row per simple
+    # reflection, and v is fixed where that sum is 0
     n = cd.rank
     simples = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     roots = set(simples)
@@ -292,11 +294,13 @@ def real_roots(cd: CartanDatum, bound: int = 0) -> frozenset[Vector]:
     while frontier:
         nxt = []
         for v in frontier:
-            for alpha in simples:
-                w = reflect(cd, alpha, v)
-                if w not in roots:
-                    roots.add(w)
-                    nxt.append(w)
+            for i, row in enumerate(cd.matrix):
+                q = linalg.dot(row, v)
+                if q:
+                    w = v[:i] + (v[i] - q,) + v[i + 1:]
+                    if w not in roots:
+                        roots.add(w)
+                        nxt.append(w)
         frontier = nxt
     return frozenset(roots)
 

@@ -16,6 +16,12 @@ outside any window, and moved up to every level; knitting stops when the
 hammock dies out, at most 64 levels past the source whatever the window's
 width, so that broken inputs terminate.
 
+Output and the mesh check reuse that sharing.  `hammocks_json` formats
+each vertex name once, in a flat table indexed by level and node, and
+turns each node's hammock into a template of offsets into it, so a
+vertex's entries are read off one slice of the table.  `verify_mesh`
+reads ell once per node, since ell does not depend on the level.
+
 The bridge to the module category: the projectives' hammocks place each
 indecomposable module at the vertex v with (dim Hom(P_i, v))_i its
 dimension vector; Hom is a hammock value at equal shift, Ext^1 at shift
@@ -26,6 +32,7 @@ one, and everything else vanishes since the algebra is hereditary.
 from __future__ import annotations
 
 import functools
+import operator
 import types
 from dataclasses import dataclass
 
@@ -101,9 +108,13 @@ def _require_meta(t: TranslationQuiver) -> tuple[str, tuple[tuple[int, int], ...
     return t.meta["label"], t.meta["orientation"], t.meta["window"]
 
 
+def _nodes(label: str) -> range:
+    return range(1, cartan.parse_label(label)[1] + 1)
+
+
 def _node_order(label: str, orientation: tuple[tuple[int, int], ...]) -> list[int]:
     """Topological order of the tree nodes along the orientation."""
-    remaining = set(range(1, cartan.parse_label(label)[1] + 1))
+    remaining = set(_nodes(label))
     order = []
     while remaining:
         for v in sorted(remaining):
@@ -198,20 +209,25 @@ def ell(t: TranslationQuiver, x: Vertex) -> int:
 
 
 def verify_mesh(t: TranslationQuiver, levels: tuple[int, int] | None = None) -> MeshReport:
-    """Check 2*ell(Z) = ell(Z) + ell(tau Z) = 2 + sum d * ell(Y) vertex-wise."""
+    """Check 2*ell(Z) = ell(Z) + ell(tau Z) = 2 + sum d * ell(Y) vertex-wise.
+
+    ell depends only on the node, so it is read once per node off the
+    opposite orientation's hammocks, and each vertex compares table entries."""
     label, orientation, (lo, hi) = _require_meta(t)
     if levels is None:
         levels = (lo + 1, hi)
+    opposite = tuple((b, a) for a, b in orientation)
+    ells = {x: _knit(label, opposite, x)[3] for x in _nodes(label)}
     checked = []
     violations = []
     for z in t.vertices:
-        n, _ = z
+        n, x = z
         if not (levels[0] <= n <= levels[1]) or z not in t.tau:
             continue
         checked.append(z)
-        lz = ell(t, z)
-        ltz = ell(t, t.tau[z])
-        mesh = 2 + sum(val[0] * ell(t, y) for y, val in t.arrows_into(z))
+        lz = ells[x]
+        ltz = ells[t.tau[z][1]]
+        mesh = 2 + sum(val[0] * ells[y[1]] for y, val in t.arrows_into(z))
         if not (2 * lz == lz + ltz == mesh):
             violations.append(
                 f"at {z}: 2*{lz} vs {lz}+{ltz} vs {mesh}"
@@ -297,23 +313,47 @@ def window_dot(t: TranslationQuiver) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _template(items, sigma: Vertex, width: int):
+    """A node's hammock as offsets into the name table from its source's
+    row: a getter for the value keys, the span it reads, the values and the
+    suspension's offset."""
+    offsets = [n * width + y - 1 for (n, y), _ in items]
+    get = operator.itemgetter(*offsets)
+    if len(offsets) == 1:  # a one-item getter returns the bare item
+        get = lambda row, one=get: (one(row),)  # noqa: E731
+    return get, offsets[-1] + 1, [k for _, k in items], sigma[0] * width + sigma[1] - 1
+
+
 def hammocks_json(t: TranslationQuiver) -> dict:
-    """All forward hammocks of the window's vertices, JSON-ready."""
-    label, orientation, window = _require_meta(t)
-    name = lambda v: f"{v[0]}:{v[1]}"  # noqa: E731
+    """All forward hammocks of the window's vertices, JSON-ready.
+
+    Every name is formatted once, in a table indexed by
+    (level - lo) * width + node - 1 that runs past the window as far as
+    the hammocks reach; each node's hammock is a template of offsets into
+    it, so a vertex's entries are one slice of the table, and all keys
+    naming a vertex are one shared string."""
+    label, orientation, (lo, hi) = _require_meta(t)
+    nodes = _nodes(label)
+    width = len(nodes)
+    knits = {x: _knit(label, orientation, x) for x in nodes}
+    top = hi + max(last for _, _, last, _ in knits.values())
+    table = [f"{n}:{x}" for n in range(lo, top + 1) for x in nodes]
+    name = {v: table[(v[0] - lo) * width + v[1] - 1] for v in t.vertices}
+    templates = {x: _template(items, sigma, width) for x, (items, sigma, _, _) in knits.items()}
     hams = {}
-    for level, node in t.vertices:
-        items, (s, x), _, _ = _knit(label, orientation, node)
-        hams[f"{level}:{node}"] = {
-            "values": {f"{n + level}:{y}": k for (n, y), k in items},
-            "suspension": f"{s + level}:{x}",
+    for (level, node), key in name.items():
+        get, span, ks, sigma_at = templates[node]
+        base = (level - lo) * width
+        hams[key] = {
+            "values": dict(zip(get(table[base:base + span]), ks)),
+            "suspension": table[base + sigma_at],
         }
     return {
         "type": label,
         "orientation": [list(a) for a in orientation],
-        "window": list(window),
-        "vertices": [name(v) for v in t.vertices],
-        "arrows": [[name(s), name(d), list(val)] for s, d, val in t.arrows],
-        "tau": {name(z): name(tz) for z, tz in sorted(t.tau.items())},
+        "window": [lo, hi],
+        "vertices": list(name.values()),
+        "arrows": [[name[s], name[d], list(val)] for s, d, val in t.arrows],
+        "tau": {name[z]: name[tz] for z, tz in sorted(t.tau.items())},
         "hammocks": hams,
     }

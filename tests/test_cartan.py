@@ -144,6 +144,29 @@ class TestReflectionElement:
             cw.reflection_element(cd, (2, 0))
 
 
+FINITE_LABELS = [
+    "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3", "C4",
+    "D4", "D5", "D6", "E6", "E7", "E8", "F4", "G2",
+]
+
+
+def _reflect_closure(cd):
+    """Reference: close the simple roots under `reflect` in every simple root."""
+    n = cd.rank
+    simples = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    roots, frontier = set(simples), list(simples)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for alpha in simples:
+                w = cw.reflect(cd, alpha, v)
+                if w not in roots:
+                    roots.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return frozenset(roots)
+
+
 class TestRealRoots:
     def test_a2(self):
         cd = cw.build_cartan("A2")
@@ -161,6 +184,19 @@ class TestRealRoots:
     def test_kronecker_bound1(self):
         cd = cw.build_cartan("KRONECKER")
         assert cw.positive_roots(cd, 1) == ((0, 1), (1, 0), (1, 2), (2, 1))
+
+    @pytest.mark.parametrize("label", FINITE_LABELS)
+    def test_cartan_rows_match_reflect_closure(self, label):
+        cd = cw.build_cartan(label)
+        assert cw.real_roots(cd) == _reflect_closure(cd)
+
+    @pytest.mark.parametrize("label", FINITE_LABELS)
+    def test_no_reflect_call(self, label, monkeypatch):
+        # the closure reads Cartan rows, never the O(n^2) Gram reflection
+        cd = cw.build_cartan(label)
+        expected = _reflect_closure(cd)
+        monkeypatch.setattr(cw, "reflect", lambda *args: pytest.fail("reflect called"))
+        assert cw.real_roots.__wrapped__(cd) == expected
 
 
 class TestWeylGroup:

@@ -1,9 +1,11 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from ncthick import cartan as cw
+from ncthick import cli
 from ncthick import derived as dv
 from ncthick import repcat as rc
 from ncthick.errors import ResourceLimitError, StructuralError, WindowError
@@ -388,3 +390,160 @@ class TestOutputs:
         data = dv.hammocks_json(dv.build_zdelta("A2", (0, 2)))
         assert data["type"] == "A2"
         assert data["hammocks"]["0:1"]["values"]["0:1"] == 1
+
+
+ADE_LABELS = ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6", "E7", "E8"]
+
+
+def _seeded_orientation(label, seed):
+    """None (the default, low -> high) at seed 0, else seeded random arrows."""
+    if seed == 0:
+        return None
+    rng = random.Random(f"{label}/{seed}")
+    return tuple((b, a) if rng.random() < 0.5 else (a, b) for a, b in cw.tree_edges(label))
+
+
+def _hammocks_json_reference(t):
+    """The per-vertex route: every name and entry formatted as a fresh string."""
+    label, orientation, window = t.meta["label"], t.meta["orientation"], t.meta["window"]
+    name = lambda v: f"{v[0]}:{v[1]}"  # noqa: E731
+    hams = {}
+    for level, node in t.vertices:
+        items, (s, x), _, _ = dv._knit(label, orientation, node)
+        hams[f"{level}:{node}"] = {
+            "values": {f"{n + level}:{y}": k for (n, y), k in items},
+            "suspension": f"{s + level}:{x}",
+        }
+    return {
+        "type": label,
+        "orientation": [list(a) for a in orientation],
+        "window": list(window),
+        "vertices": [name(v) for v in t.vertices],
+        "arrows": [[name(s), name(d), list(val)] for s, d, val in t.arrows],
+        "tau": {name(z): name(tz) for z, tz in sorted(t.tau.items())},
+        "hammocks": hams,
+    }
+
+
+def _verify_mesh_reference(t, levels=None):
+    """The per-vertex route: ell read at each vertex, its translate and
+    each arrow source.  Returns (checked, violations)."""
+    lo, hi = t.meta["window"]
+    if levels is None:
+        levels = (lo + 1, hi)
+    checked, violations = [], []
+    for z in t.vertices:
+        if not (levels[0] <= z[0] <= levels[1]) or z not in t.tau:
+            continue
+        checked.append(z)
+        lz, ltz = dv.ell(t, z), dv.ell(t, t.tau[z])
+        mesh = 2 + sum(val[0] * dv.ell(t, y) for y, val in t.arrows_into(z))
+        if not (2 * lz == lz + ltz == mesh):
+            violations.append(f"at {z}: 2*{lz} vs {lz}+{ltz} vs {mesh}")
+    return tuple(checked), tuple(violations)
+
+
+def _dumps(data):
+    return json.dumps(data, sort_keys=True)
+
+
+class TestHammocksJsonTable:
+    @pytest.mark.parametrize("label", ADE_LABELS)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_reference(self, label, seed):
+        rank = cw.parse_label(label)[1]
+        t = dv.build_zdelta(label, (-2, 2 * rank), _seeded_orientation(label, seed))
+        assert _dumps(dv.hammocks_json(t)) == _dumps(_hammocks_json_reference(t))
+
+    @pytest.mark.parametrize(
+        "label,window",
+        [
+            ("A1", (0, 0)),
+            ("A1", (-3, -3)),
+            ("D4", (5, 5)),
+            ("E6", (0, 0)),
+            ("A4", (-5, 7)),
+            ("D5", (-40, -20)),
+            ("E7", (-7, 3)),
+            ("A1", (-512, 511)),
+            ("E8", (0, 1023)),
+        ],
+    )
+    def test_windows_match_reference(self, label, window):
+        t = dv.build_zdelta(label, window, _seeded_orientation(label, 1))
+        assert _dumps(dv.hammocks_json(t)) == _dumps(_hammocks_json_reference(t))
+
+    @pytest.mark.parametrize("label", ["A1", "A4", "D6", "E8"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_knit_misses_per_request(self, label, seed):
+        # as a request does it: window, mesh check, hammocks, encoding
+        dv._knit.cache_clear()
+        t = dv.build_zdelta(label, (0, 24), _seeded_orientation(label, seed))
+        assert dv.verify_mesh(t).ok
+        _dumps(dv.hammocks_json(t))
+        assert dv._knit.cache_info().misses <= 2 * cw.parse_label(label)[1]
+
+    def test_keys_share_the_name_table(self):
+        label, (lo, hi) = "E8", (0, 24)
+        t = dv.build_zdelta(label, (lo, hi), _seeded_orientation(label, 1))
+        data = dv.hammocks_json(t)
+        keys = list(data["hammocks"])
+        for ham in data["hammocks"].values():
+            keys.extend(ham["values"])
+            keys.append(ham["suspension"])
+        orientation = t.meta["orientation"]
+        top = hi + max(dv._knit(label, orientation, x)[2] for x in range(1, 9))
+        table = (top - lo + 1) * 8
+        assert len(keys) > 10 * table
+        assert len({id(k) for k in keys}) <= table
+
+    def test_single_value_hammocks(self):
+        # A1 hammocks hold one entry: the template must not split its name
+        data = dv.hammocks_json(dv.build_zdelta("A1", (-10, 12)))
+        assert data["hammocks"]["-10:1"] == {"values": {"-10:1": 1}, "suspension": "-9:1"}
+        assert all(len(h["values"]) == 1 for h in data["hammocks"].values())
+
+
+class TestVerifyMeshTable:
+    @pytest.mark.parametrize("label", ADE_LABELS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("levels", [None, (2, 5), (-10, 3)])
+    def test_matches_per_vertex_ell(self, label, seed, levels):
+        t = dv.build_zdelta(label, (-2, 12), _seeded_orientation(label, seed))
+        report = dv.verify_mesh(t, levels)
+        assert (report.checked, report.violations) == _verify_mesh_reference(t, levels)
+        assert report.ok
+
+    def test_one_knit_per_node(self, monkeypatch):
+        real, calls = dv._knit, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dv, "_knit", counted)
+        monkeypatch.setattr(dv, "ell", lambda *args: pytest.fail("ell called per vertex"))
+        assert dv.verify_mesh(dv.build_zdelta("E8", (0, 24))).ok
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("label,node", [("D5", 3), ("E7", 4), ("A3", 1)])
+    def test_off_by_one_ell_is_caught(self, label, node, monkeypatch, capsys):
+        # one node's opposite-orientation sum off by one, after every ell
+        # of the window is already cached: the report must still bite
+        real = dv._knit
+        opposite = tuple((b, a) for a, b in rc.dynkin_quiver(label).arrows)
+
+        def off(lab, orientation, x):
+            items, sigma, last, total = real(lab, orientation, x)
+            return items, sigma, last, total + (orientation == opposite and x == node)
+
+        t = dv.build_zdelta(label, (-2, 2 * cw.parse_label(label)[1]))
+        assert dv.verify_mesh(t).ok
+        monkeypatch.setattr(dv, "_knit", off)
+        report = dv.verify_mesh(t)
+        assert report.violations
+        assert (report.checked, report.violations) == _verify_mesh_reference(t)
+        assert cli.run(["arq", "knit", "--type", label, "--check-mesh"]) == 1
+        out = capsys.readouterr()
+        assert out.err.count("mesh-violation: ") == len(report.violations)
+        assert f"{len(report.violations)} violations" in out.out
