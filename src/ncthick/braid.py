@@ -15,8 +15,6 @@ carries each prefix product's inverse, so it inverts no matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import cartan
 from .cartan import CartanDatum, WeylElement
 from .errors import NotInPosetError, NotReflectionError, ResourceLimitError
@@ -27,15 +25,16 @@ MAX_BRUTE_FORCE_RANK = 4
 MAX_ORBIT_SIZE = 1_000_000
 
 
-@dataclass(frozen=True)
 class Factorization:
     """An ordered tuple of reflections multiplying to a fixed target."""
 
-    cartan: CartanDatum
-    parts: tuple[WeylElement, ...]
-    target: WeylElement
+    __slots__ = ("cartan", "parts", "target")
 
-    def __post_init__(self):
+    def __init__(self, cartan: CartanDatum, parts: tuple[WeylElement, ...], target: WeylElement):
+        self.cartan, self.parts, self.target = cartan, parts, target
+        self._validate()
+
+    def _validate(self):
         prod = cartan.identity_element(self.cartan)
         for x in self.parts:
             if not cartan.is_reflection(self.cartan, x):

@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
 
 from . import linalg
 from .errors import (
@@ -46,7 +45,7 @@ IntMat = tuple[tuple[int, ...], ...]
 
 KRONECKER = "KRONECKER"
 
-_LABEL_RE = re.compile(r"^([ABCDEFG])(\d+)$")
+_LABEL_RE = re.compile(r"([ABCDEFG])([1-9][0-9]*)")
 
 # Coxeter numbers, used to sanity-check Coxeter elements without
 # enumerating the group.
@@ -62,10 +61,15 @@ _COXETER_NUMBER = {
 
 
 def parse_label(label: str) -> tuple[str, int]:
-    """Normalize a type label into (family, rank); KRONECKER -> ('K', 2)."""
+    """Normalize a type label into (family, rank); KRONECKER -> ('K', 2).
+
+    Only the canonical spelling is accepted (the whole string, ASCII
+    digits, no leading zero), so each type has one CartanDatum and one
+    set of cache entries.
+    """
     if label == KRONECKER:
         return "K", 2
-    m = _LABEL_RE.match(label)
+    m = _LABEL_RE.fullmatch(label)
     if not m:
         raise UnsupportedLabelError(f"unknown type label {label!r}")
     family, n = m.group(1), int(m.group(2))
@@ -109,19 +113,52 @@ def _root_lengths(family: str, n: int) -> tuple[int, ...]:
     return (2, 6)  # G2
 
 
-@dataclass(frozen=True)
-class CartanDatum:
-    """A symmetrizable generalized Cartan matrix with its symmetrizer."""
+class _Value:
+    """A read-only value, equal and hashed by `_key()`.
 
-    label: str
-    rank: int
-    matrix: IntMat
-    symmetrizer: tuple[int, ...]
-    _gram: IntMat = field(init=False, repr=False, compare=False)
+    Fields are set once, in __init__, through object.__setattr__;
+    assigning or deleting one afterwards raises AttributeError, so a value
+    that keys a dict or a cache cannot change under it.
+    """
 
-    def __post_init__(self):
-        n = self.rank
-        c, d = self.matrix, self.symmetrizer
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_init = object.__setattr__  # one global lookup on WeylElement's hot path
+
+
+class CartanDatum(_Value):
+    """A symmetrizable generalized Cartan matrix with its symmetrizer.
+
+    Equal and hashed by (label, rank, matrix, symmetrizer); the Gram
+    matrix and the hash are computed once.
+    """
+
+    __slots__ = ("label", "rank", "matrix", "symmetrizer", "_gram", "_hash")
+
+    def __init__(self, label: str, rank: int, matrix: IntMat, symmetrizer: tuple[int, ...]):
+        _init(self, "label", label)
+        _init(self, "rank", rank)
+        _init(self, "matrix", matrix)
+        _init(self, "symmetrizer", symmetrizer)
+        n, c, d = rank, matrix, symmetrizer
         if len(c) != n or any(len(row) != n for row in c) or len(d) != n:
             raise DimensionMismatchError("Cartan data of inconsistent rank")
         for i in range(n):
@@ -137,7 +174,7 @@ class CartanDatum:
                 if d[i] * c[i][j] != d[j] * c[j][i]:
                     raise UnsupportedLabelError("Cartan matrix is not symmetrizable by d")
         gram = tuple(tuple(d[i] * c[i][j] for j in range(n)) for i in range(n))
-        object.__setattr__(self, "_gram", gram)
+        _init(self, "_gram", gram)
         minors = [linalg.int_det([row[: k + 1] for row in gram[: k + 1]]) for k in range(n)]
         if self.is_finite():
             if any(m <= 0 for m in minors):
@@ -145,6 +182,19 @@ class CartanDatum:
         else:
             if any(m <= 0 for m in minors[:-1]) or minors[-1] != 0:
                 raise UnsupportedLabelError("affine form must be semidefinite with 1-dim kernel")
+        _init(self, "_hash", hash(self._key()))
+
+    def _key(self) -> tuple:
+        return (self.label, self.rank, self.matrix, self.symmetrizer)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return (
+            f"CartanDatum(label={self.label!r}, rank={self.rank!r}, "
+            f"matrix={self.matrix!r}, symmetrizer={self.symmetrizer!r})"
+        )
 
     def is_finite(self) -> bool:
         return self.label != KRONECKER
@@ -154,11 +204,25 @@ class CartanDatum:
         return self._gram
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """An integer matrix acting on the root lattice in the e-basis."""
+class WeylElement(_Value):
+    """An integer matrix acting on the root lattice in the e-basis; equal
+    and hashed by the matrix, with no `_key()` call on that hot path."""
 
-    matrix: IntMat
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: IntMat):
+        _init(self, "matrix", matrix)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.matrix == other.matrix
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.matrix,))
+
+    def __repr__(self):
+        return f"WeylElement(matrix={self.matrix!r})"
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return WeylElement(linalg.mat_mul(self.matrix, other.matrix))

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import braid, cartan, derived, noncrossing, repcat, selfcheck, thicklat
+from . import braid, cartan, derived, noncrossing, repcat, thicklat
 from .errors import NcthickError, OutOfRangeError
 
 
@@ -124,6 +124,8 @@ def _cmd_kronecker(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import selfcheck  # loaded for verify only: the other commands skip compiling it
+
     results = selfcheck.run_suites(args.suite)
     failures = 0
     for r in results:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import operator
 import types
-from dataclasses import dataclass
 
 from . import cartan, repcat
 from .errors import ResourceLimitError, StructuralError, WindowError
@@ -47,25 +46,23 @@ _HARD_CAP = 64  # levels a hammock may be knitted past its source
 MAX_WINDOW_LEVELS = 1024  # levels hi - lo + 1 a window may span
 
 
-@dataclass(frozen=True)
 class Hammock:
     """dim Hom(source, -) on the repetition, with the located suspension."""
 
-    source: Vertex
-    values: dict[Vertex, int]
-    sigma_of_source: Vertex
+    __slots__ = ("source", "values", "sigma_of_source")
+
+    def __init__(self, source: Vertex, values: dict[Vertex, int], sigma_of_source: Vertex):
+        self.source, self.values, self.sigma_of_source = source, values, sigma_of_source
 
     def value(self, z: Vertex) -> int:
         return self.values.get(z, 0)
 
-    def __hash__(self):  # values dict is never mutated after build
-        return hash((self.source, self.sigma_of_source))
 
-
-@dataclass(frozen=True)
 class MeshReport:
-    checked: tuple[Vertex, ...]
-    violations: tuple[str, ...]
+    __slots__ = ("checked", "violations")
+
+    def __init__(self, checked: tuple[Vertex, ...], violations: tuple[str, ...]):
+        self.checked, self.violations = checked, violations
 
     @property
     def ok(self) -> bool:

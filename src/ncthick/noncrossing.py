@@ -30,7 +30,6 @@ from __future__ import annotations
 import bisect
 import functools
 import operator
-from dataclasses import dataclass, field
 
 from . import cartan, linalg
 from .cartan import CartanDatum, WeylElement
@@ -45,7 +44,6 @@ from .errors import (
 Vector = tuple[int, ...]
 
 
-@dataclass
 class NCLattice:
     """Interval [id, c] in the absolute order, with rank and cover data.
 
@@ -57,24 +55,28 @@ class NCLattice:
     (lower, upper) on first read.  Elements are sorted by (rank, matrix).
     """
 
-    cartan: CartanDatum
-    coxeter: WeylElement
-    elements: tuple[WeylElement, ...]
-    ranks: dict[WeylElement, int]
-    masks: tuple[int, ...]
-    kreweras_index: tuple[int | None, ...]
-    covers: tuple[list[int], list[int]]
-    truncation_bound: int | None = None
+    __slots__ = (
+        "cartan", "coxeter", "elements", "ranks", "masks", "kreweras_index", "covers",
+        "truncation_bound", "co_kreweras_index", "_index", "_words", "_hasse",
+    )
 
-    co_kreweras_index: tuple[int | None, ...] = field(init=False, repr=False)
-    _index: dict[WeylElement, int] = field(init=False, repr=False)
-    _words: tuple[tuple[Vector, ...], ...] | None = field(init=False, repr=False)
-    _hasse: tuple[tuple[int, int], ...] | None = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._index = {w: i for i, w in enumerate(self.elements)}
-        inverse: list[int | None] = [None] * len(self.elements)
-        for i, k in enumerate(self.kreweras_index):
+    def __init__(
+        self,
+        cartan: CartanDatum,
+        coxeter: WeylElement,
+        elements: tuple[WeylElement, ...],
+        ranks: dict[WeylElement, int],
+        masks: tuple[int, ...],
+        kreweras_index: tuple[int | None, ...],
+        covers: tuple[list[int], list[int]],
+        truncation_bound: int | None = None,
+    ):
+        self.cartan, self.coxeter, self.elements, self.ranks = cartan, coxeter, elements, ranks
+        self.masks, self.kreweras_index, self.covers = masks, kreweras_index, covers
+        self.truncation_bound = truncation_bound
+        self._index = {w: i for i, w in enumerate(elements)}
+        inverse: list[int | None] = [None] * len(elements)
+        for i, k in enumerate(kreweras_index):
             if k is not None:
                 inverse[k] = i
         self.co_kreweras_index = tuple(inverse)

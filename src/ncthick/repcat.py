@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cartan, linalg
@@ -48,15 +47,16 @@ Mat = tuple[tuple[Fraction, ...], ...]
 _SIMPLY_LACED = "ADE"
 
 
-@dataclass(frozen=True)
-class Quiver:
-    """An orientation of a simply-laced Dynkin tree, vertices 1..n."""
+class Quiver(cartan._Value):
+    """An orientation of a simply-laced Dynkin tree, vertices 1..n; equal
+    and hashed by (label, vertices, arrows)."""
 
-    label: str
-    vertices: tuple[int, ...]
-    arrows: tuple[tuple[int, int], ...]
+    __slots__ = ("label", "vertices", "arrows")
 
-    def __post_init__(self):
+    def __init__(self, label: str, vertices: tuple[int, ...], arrows: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "arrows", arrows)
         family, n = cartan.parse_label(self.label)
         if family not in _SIMPLY_LACED:
             raise UnsupportedLabelError(
@@ -69,6 +69,9 @@ class Quiver:
             raise DimensionMismatchError(
                 f"arrows are not an orientation of the {self.label} tree"
             )
+
+    def _key(self) -> tuple:
+        return (self.label, self.vertices, self.arrows)
 
     @property
     def rank(self) -> int:
@@ -83,13 +86,15 @@ def dynkin_quiver(label: str, arrows: tuple[tuple[int, int], ...] | None = None)
     return Quiver(label=label, vertices=tuple(range(1, n + 1)), arrows=tuple(arrows))
 
 
-@dataclass(frozen=True)
-class Representation:
-    quiver: Quiver
-    dim: Vector
-    maps: tuple[Mat, ...]
+class Representation(cartan._Value):
+    """Equal and hashed by (quiver, dim, maps)."""
 
-    def __post_init__(self):
+    __slots__ = ("quiver", "dim", "maps")
+
+    def __init__(self, quiver: Quiver, dim: Vector, maps: tuple[Mat, ...]):
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "maps", maps)
         if len(self.dim) != self.quiver.rank or any(d < 0 for d in self.dim):
             raise DimensionMismatchError("dimension vector does not fit the quiver")
         if len(self.maps) != len(self.quiver.arrows):
@@ -101,14 +106,19 @@ class Representation:
                     f"matrix for arrow {s}->{t} must be {rows}x{cols}"
                 )
 
+    def _key(self) -> tuple:
+        return (self.quiver, self.dim, self.maps)
 
-@dataclass(frozen=True)
+
 class HomSpace:
     """A basis of intertwiners; each element is one matrix per vertex."""
 
-    source: Representation
-    target: Representation
-    basis: tuple[tuple[Mat, ...], ...]
+    __slots__ = ("source", "target", "basis")
+
+    def __init__(
+        self, source: Representation, target: Representation, basis: tuple[tuple[Mat, ...], ...]
+    ):
+        self.source, self.target, self.basis = source, target, basis
 
     @property
     def dim(self) -> int:

@@ -12,18 +12,16 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from . import braid, cartan, derived, noncrossing, repcat, thicklat
 from .errors import LatticeStructureError, UnsupportedLabelError
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    suite: str
-    name: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ("suite", "name", "ok", "detail")
+
+    def __init__(self, suite: str, name: str, ok: bool, detail: str = ""):
+        self.suite, self.name, self.ok, self.detail = suite, name, ok, detail
 
 
 def _check(suite: str, name: str, fn) -> CheckResult:

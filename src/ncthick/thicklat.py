@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cartan, derived, linalg, noncrossing, repcat
@@ -37,19 +36,27 @@ from .noncrossing import NCLattice
 Vector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ThickSubcategory:
+class ThickSubcategory(cartan._Value):
     """An NC element together with a generating exceptional sequence.
 
     Two thick subcategories are the same iff their labels and nc
     elements agree; the generators are a certificate, not compared.
     """
 
-    cartan: CartanDatum
-    nc_element: WeylElement
-    generators: tuple[Vector, ...] = field(compare=False)
+    __slots__ = ("cartan", "nc_element", "generators")
 
-    def __post_init__(self):
+    def __init__(
+        self, cartan: CartanDatum, nc_element: WeylElement, generators: tuple[Vector, ...]
+    ):
+        object.__setattr__(self, "cartan", cartan)
+        object.__setattr__(self, "nc_element", nc_element)
+        object.__setattr__(self, "generators", generators)
+        self._validate()
+
+    def _key(self) -> tuple:
+        return (self.cartan, self.nc_element)
+
+    def _validate(self):
         prod = cartan.identity_element(self.cartan)
         for alpha in self.generators:
             prod = prod.times_reflection(alpha, cartan.coroot(self.cartan, alpha))
@@ -131,7 +138,6 @@ def right_perp(u: ThickSubcategory, c: WeylElement | None = None) -> ThickSubcat
     return thick_from_nc(u.cartan, c * u.nc_element.inverse(), c)
 
 
-@dataclass
 class ThickLattice:
     """The NC lattice plus one generating exceptional sequence per element.
 
@@ -139,8 +145,10 @@ class ThickLattice:
     one `thick_from_nc` computes.
     """
 
-    nc: NCLattice
-    generators: tuple[tuple[Vector, ...], ...]
+    __slots__ = ("nc", "generators")
+
+    def __init__(self, nc: NCLattice, generators: tuple[tuple[Vector, ...], ...]):
+        self.nc, self.generators = nc, generators
 
     def __len__(self):
         return len(self.generators)
@@ -182,10 +190,11 @@ def thick_lattice(cd: CartanDatum) -> ThickLattice:
 # wide subcategory oracle
 
 
-@dataclass(frozen=True)
 class WideOracleResult:
-    count: int
-    subsets: tuple[tuple[Vector, ...], ...]
+    __slots__ = ("count", "subsets")
+
+    def __init__(self, count: int, subsets: tuple[tuple[Vector, ...], ...]):
+        self.count, self.subsets = count, subsets
 
 
 _NOT_MULTIPLICITY_FREE = "wide oracle needs multiplicity-free Hom and Ext tables"
@@ -378,18 +387,16 @@ def wide_subcategory_oracle(q: repcat.Quiver, max_indecomposables: int = 12) -> 
 Element = tuple  # ("bottom",) | ("top",) | ("nc", WeylElement) | ("tube", frozenset)
 
 
-@dataclass
 class KroneckerLattice:
     """NC part glued to an augmented power set along bottom and top."""
 
-    nc_part: NCLattice
-    tube_points: tuple[str, ...]
-    elements: tuple[Element, ...]
+    __slots__ = ("nc_part", "tube_points", "elements", "_index")
 
-    _index: dict[Element, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._index = {e: i for i, e in enumerate(self.elements)}
+    def __init__(
+        self, nc_part: NCLattice, tube_points: tuple[str, ...], elements: tuple[Element, ...]
+    ):
+        self.nc_part, self.tube_points, self.elements = nc_part, tube_points, elements
+        self._index = {e: i for i, e in enumerate(elements)}
 
     def __len__(self):
         return len(self.elements)

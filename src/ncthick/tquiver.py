@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Hashable
 
 Valuation = tuple[int, int]
 
 
-@dataclass
 class TranslationQuiver:
     """A quiver with arrow valuations (d, d') and a partial translate tau.
 
@@ -18,15 +16,16 @@ class TranslationQuiver:
     that windows cut out of an ambient quiver remain representable.
     """
 
-    vertices: tuple[Hashable, ...]
-    arrows: tuple[tuple[Hashable, Hashable, Valuation], ...]
-    tau: dict[Hashable, Hashable]
-    meta: dict | None = None
+    __slots__ = ("vertices", "arrows", "tau", "meta", "_into", "_out")
 
-    _into: dict[Hashable, tuple] = field(init=False, repr=False)
-    _out: dict[Hashable, tuple] = field(init=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        vertices: tuple[Hashable, ...],
+        arrows: tuple[tuple[Hashable, Hashable, Valuation], ...],
+        tau: dict[Hashable, Hashable],
+        meta: dict | None = None,
+    ):
+        self.vertices, self.arrows, self.tau, self.meta = vertices, arrows, tau, meta
         for _, _, (d, dp) in self.arrows:
             if d < 1 or dp < 1:
                 raise ValueError("valuations must be positive")

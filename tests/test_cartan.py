@@ -54,7 +54,12 @@ class TestBuildCartan:
             for j in range(n):
                 assert cd.symmetrizer[i] * cd.matrix[i][j] == cd.symmetrizer[j] * cd.matrix[j][i]
 
-    @pytest.mark.parametrize("label", ["H3", "A0", "E9", "D2", "F5", "nonsense", "a2"])
+    # a trailing newline, a non-ASCII digit or a leading zero would each
+    # name a second, unequal CartanDatum of the same type
+    @pytest.mark.parametrize(
+        "label",
+        ["H3", "A0", "E9", "D2", "F5", "nonsense", "a2", "A3\n", "A\u0663", "A01", "E08", " A3", "A3 "],
+    )
     def test_rejects_unknown(self, label):
         with pytest.raises(UnsupportedLabelError):
             cw.build_cartan(label)

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from ncthick import cli
 
@@ -196,6 +197,13 @@ class TestErrors:
         code, _, err = _run(capsys, "nc", "--type", "H3")
         assert code == 2
         assert err.startswith("error:") and "\n" == err[err.index("\n") :]
+
+    @pytest.mark.parametrize("label", ["A3\n", "A\u0663", "A01"])
+    def test_non_canonical_label(self, capsys, label):
+        code, out, err = _run(capsys, "nc", "--type", label, "--format", "count")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: UnsupportedLabelError: unknown type label {label!r}\n"
 
     def test_unknown_flag(self, capsys):
         code, _, err = _run(capsys, "nc", "--type", "A2", "--bogus")
