@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from collections.abc import Sequence
 
 Row = Sequence
 Mat = Sequence[Sequence]

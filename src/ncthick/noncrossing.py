@@ -3,8 +3,12 @@
 Each element w carries its reflection set T(w) = {t in T : t <= w}, the
 positive roots in the moved space of w, as an int bitmask over the
 positive-root order.  On [id, c] the map w -> T(w) is an order embedding
-(Brady-Watt 2002, Bessis 2003), so the order is a subset test and meets
-and joins are found among the masks.
+(Brady-Watt 2002, Bessis 2003), so the order is a subset test.  Each
+lattice keeps one mask -> index table, `position`, and meets and joins
+are one lookup in it: atoms are reflections, and t <= meet(u, v) iff
+t <= u and t <= v, so T(meet(u, v)) = T(u) & T(v); the Kreweras map
+x -> x^-1 c reverses the order, so the join is the element whose
+complement has the mask T(u^-1 c) & T(v^-1 c).
 
 Growth tests no rank and multiplies no two matrices.  With the Euler
 form E = G (1 - c)^-1, whose symmetrization is the Gram matrix G,
@@ -48,16 +52,17 @@ class NCLattice:
     """Interval [id, c] in the absolute order, with rank and cover data.
 
     `masks[i]` is the reflection set of `elements[i]` as a bitmask over
-    the positive roots; `kreweras_index[i]` is the index of its Kreweras
-    complement, or None where the complement leaves a truncated poset.
-    `covers` holds the cover relations as two parallel lists, the masks
-    T(lower) and T(upper); `hasse` translates them to sorted index pairs
-    (lower, upper) on first read.  Elements are sorted by (rank, matrix).
+    the positive roots, and `position` maps each mask back to its index;
+    `kreweras_index[i]` is the index of its Kreweras complement, or None
+    where the complement leaves a truncated poset.  `covers` holds the
+    cover relations as two parallel lists, the masks T(lower) and
+    T(upper); `hasse` translates them to sorted index pairs (lower,
+    upper) on first read.  Elements are sorted by (rank, matrix).
     """
 
     __slots__ = (
         "cartan", "coxeter", "elements", "ranks", "masks", "kreweras_index", "covers",
-        "truncation_bound", "co_kreweras_index", "_index", "_words", "_hasse",
+        "truncation_bound", "co_kreweras_index", "position", "_index", "_words", "_hasse",
     )
 
     def __init__(
@@ -72,21 +77,26 @@ class NCLattice:
         truncation_bound: int | None = None,
     ):
         self.cartan, self.coxeter, self.elements, self.ranks = cartan, coxeter, elements, ranks
-        self.masks, self.kreweras_index, self.covers = masks, kreweras_index, covers
+        self.masks, self.covers = masks, covers
         self.truncation_bound = truncation_bound
+        self.position = {m: i for i, m in enumerate(masks)}
         self._index = {w: i for i, w in enumerate(elements)}
-        inverse: list[int | None] = [None] * len(elements)
+        self._link_kreweras(kreweras_index)
+        self._words = None
+        self._hasse = None
+
+    def _link_kreweras(self, kreweras_index: tuple[int | None, ...]) -> None:
+        """Set the Kreweras index and its inverse, the co-Kreweras index."""
+        inverse: list[int | None] = [None] * len(kreweras_index)
         for i, k in enumerate(kreweras_index):
             if k is not None:
                 inverse[k] = i
-        self.co_kreweras_index = tuple(inverse)
-        self._words = None
-        self._hasse = None
+        self.kreweras_index, self.co_kreweras_index = kreweras_index, tuple(inverse)
 
     @property
     def hasse(self) -> tuple[tuple[int, int], ...]:
         if self._hasse is None:
-            index = {m: i for i, m in enumerate(self.masks)}.__getitem__
+            index = self.position.__getitem__
             self._hasse = tuple(sorted(zip(*(map(index, side) for side in self.covers))))
         return self._hasse
 
@@ -212,19 +222,20 @@ def _bits(mask: int):
 
 def _sorted_lattice(cd, c, rows, covers, bound=None) -> NCLattice:
     """Sort (w, rank, T(w), T(w^-1 c) or None) rows by (rank, matrix) and
-    index the Kreweras complements by mask."""
+    index the Kreweras complements through the lattice's mask table."""
     rows = sorted(rows, key=lambda row: (row[1], row[0].matrix))
-    position = {row[2]: i for i, row in enumerate(rows)}
-    return NCLattice(
+    lattice = NCLattice(
         cartan=cd,
         coxeter=c,
         elements=tuple(row[0] for row in rows),
         ranks={row[0]: row[1] for row in rows},
         masks=tuple(row[2] for row in rows),
-        kreweras_index=tuple(position.get(row[3]) for row in rows),
+        kreweras_index=(),
         covers=covers,
         truncation_bound=bound,
     )
+    lattice._link_kreweras(tuple(lattice.position.get(row[3]) for row in rows))
+    return lattice
 
 
 def enumerate_nc(
@@ -310,6 +321,9 @@ def nc_kronecker(bound: int) -> NCLattice:
     return _sorted_lattice(cd, c, rows, covers, bound)
 
 
+_NO_EXTREMUM = "bound set has no unique extremum; poset is not a lattice"
+
+
 def kreweras(lattice: NCLattice, w: WeylElement) -> WeylElement:
     """The complement map w -> w^-1 c."""
     k = lattice.kreweras_index[lattice.index(w)]
@@ -327,29 +341,40 @@ def co_kreweras(lattice: NCLattice, w: WeylElement) -> WeylElement:
 
 
 def meet(lattice: NCLattice, u: WeylElement, v: WeylElement) -> WeylElement:
-    """Greatest lower bound; finite labels only."""
+    """Greatest lower bound; finite labels only.
+
+    Atoms are reflections, and t <= meet(u, v) iff t <= u and t <= v, so
+    T(meet(u, v)) = T(u) & T(v): the meet is the element with that mask,
+    and a miss means the poset is not a lattice.
+    """
     if lattice.truncation_bound is not None:
         raise UnsupportedLabelError("meet is defined for finite labels only")
-    common = lattice.masks[lattice.index(u)] & lattice.masks[lattice.index(v)]
-    lower = [i for i, m in enumerate(lattice.masks) if not m & ~common]
-    # the last lower bound in (rank, matrix) order must lie above all others
-    top = lattice.masks[lower[-1]]
-    if any(lattice.masks[i] & ~top for i in lower):
-        raise LatticeStructureError("bound set has no unique extremum; poset is not a lattice")
-    return lattice.elements[lower[-1]]
+    i = lattice.position.get(lattice.masks[lattice.index(u)] & lattice.masks[lattice.index(v)])
+    if i is None:
+        raise LatticeStructureError(_NO_EXTREMUM)
+    return lattice.elements[i]
 
 
 def join(lattice: NCLattice, u: WeylElement, v: WeylElement) -> WeylElement:
-    """Least upper bound; finite labels only."""
+    """Least upper bound; finite labels only.
+
+    x -> x^-1 c reverses the order, so join(u, v)^-1 c is the meet of
+    u^-1 c and v^-1 c, whose mask is T(u^-1 c) & T(v^-1 c): the join is
+    the co-Kreweras image of the element with that mask.  One AND checks
+    that it lies above u and v; a miss or a missing complement means the
+    poset is not a lattice.
+    """
     if lattice.truncation_bound is not None:
         raise UnsupportedLabelError("join is defined for finite labels only")
-    both = lattice.masks[lattice.index(u)] | lattice.masks[lattice.index(v)]
-    upper = [i for i, m in enumerate(lattice.masks) if not both & ~m]
-    # the first upper bound in (rank, matrix) order must lie below all others
-    bottom = lattice.masks[upper[0]]
-    if any(bottom & ~lattice.masks[i] for i in upper):
-        raise LatticeStructureError("bound set has no unique extremum; poset is not a lattice")
-    return lattice.elements[upper[0]]
+    masks, kreweras = lattice.masks, lattice.kreweras_index
+    i, j = lattice.index(u), lattice.index(v)
+    if kreweras[i] is None or kreweras[j] is None:
+        raise LatticeStructureError(_NO_EXTREMUM)
+    k = lattice.position.get(masks[kreweras[i]] & masks[kreweras[j]])
+    top = None if k is None else lattice.co_kreweras_index[k]
+    if top is None or (masks[i] | masks[j]) & ~masks[top]:
+        raise LatticeStructureError(_NO_EXTREMUM)
+    return lattice.elements[top]
 
 
 def _word_label(word: tuple[Vector, ...]) -> str:

@@ -250,9 +250,26 @@ def _chk_mask_oracle():
         for c in (cartan.coxeter_element(cd), cartan.coxeter_element(cd, reverse)):
             lat = noncrossing.enumerate_nc(cd, c)
             leq, _ = _fixed_space_leq(cd, lat.elements)
+            n = len(lat)
+            table = [[leq(i, j) for j in range(n)] for i in range(n)]
+            below = [frozenset(k for k in range(n) if table[k][j]) for j in range(n)]
+            above = [frozenset(k for k in range(n) if table[j][k]) for j in range(n)]
             for i, u in enumerate(lat.elements):
                 for j, v in enumerate(lat.elements):
-                    _expect(lat.leq(u, v) == leq(i, j), f"mask order differs from abs_leq in {label}")
+                    _expect(
+                        lat.leq(u, v) == table[i][j], f"mask order differs from abs_leq in {label}"
+                    )
+                    lower, upper = below[i] & below[j], above[i] & above[j]
+                    greatest = [lat.elements[g] for g in lower if lower <= below[g]]
+                    least = [lat.elements[g] for g in upper if upper <= above[g]]
+                    _expect(
+                        greatest == [noncrossing.meet(lat, u, v)],
+                        f"meet is not the greatest abs_leq lower bound in {label}",
+                    )
+                    _expect(
+                        least == [noncrossing.join(lat, u, v)],
+                        f"join is not the least abs_leq upper bound in {label}",
+                    )
                 _expect(
                     noncrossing.kreweras(lat, noncrossing.co_kreweras(lat, u)) == u,
                     f"kreweras o co_kreweras != id in {label}",
@@ -286,7 +303,8 @@ def _chk_mask_oracle():
             escaped += 1
     _expect(escaped > 0, "no Kreweras complement escapes the truncated Kronecker poset")
     return (
-        "leq = abs_leq on A3 B3 D4 G2 (two Coxeter elements), "
+        "leq = abs_leq, meet and join = unique abs_leq extrema on A3 B3 D4 G2 "
+        "(two Coxeter elements), "
         "hasse = abs_leq covers on A4 B4 F4 D5, injective masks, Kronecker errors"
     )
 

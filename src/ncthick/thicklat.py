@@ -169,14 +169,13 @@ def thick_lattice(cd: CartanDatum) -> ThickLattice:
     roots = cartan.positive_roots(cd)
     coroots = [cartan.coroot(cd, a) for a in roots]
     perp = noncrossing.perp_masks(cd, lat.coxeter)
-    position = {m: i for i, m in enumerate(lat.masks)}
     bad = _exceptional_masks(cd, lat.coxeter)
     gens: list[tuple[Vector, ...]] = [()]
     used = [0]
     for i in range(1, len(lat)):
         mask = lat.masks[i]
         k = (mask & -mask).bit_length() - 1
-        j = position.get(mask & perp[k], i)  # a missing rest is not earlier either
+        j = lat.position.get(mask & perp[k], i)  # a missing rest is not earlier either
         if j >= i or lat.elements[i] != lat.elements[j].reflection_times(roots[k], coroots[k]):
             raise StructuralError("generators do not multiply to the nc element")
         if used[j] & bad[k]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Hashable
+from collections.abc import Hashable
 
 Valuation = tuple[int, int]
 

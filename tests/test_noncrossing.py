@@ -358,7 +358,109 @@ class TestKreweras:
             nc.kreweras(lat, c * c)
 
 
+def _scan_meet(lattice, u, v):
+    """Reference: the last element in (rank, matrix) order whose mask lies
+    inside T(u) & T(v), checked to lie above every other such element."""
+    common = lattice.masks[lattice.index(u)] & lattice.masks[lattice.index(v)]
+    lower = [i for i, m in enumerate(lattice.masks) if not m & ~common]
+    top = lattice.masks[lower[-1]]
+    if any(lattice.masks[i] & ~top for i in lower):
+        raise LatticeStructureError("bound set has no unique extremum; poset is not a lattice")
+    return lattice.elements[lower[-1]]
+
+
+def _scan_join(lattice, u, v):
+    """Reference: the first element in (rank, matrix) order whose mask
+    contains T(u) | T(v), checked to lie below every other such element."""
+    both = lattice.masks[lattice.index(u)] | lattice.masks[lattice.index(v)]
+    upper = [i for i, m in enumerate(lattice.masks) if not both & ~m]
+    bottom = lattice.masks[upper[0]]
+    if any(bottom & ~lattice.masks[i] for i in upper):
+        raise LatticeStructureError("bound set has no unique extremum; poset is not a lattice")
+    return lattice.elements[upper[0]]
+
+
+def _bowtie(kreweras_index=(5, 3, 4, 1, 2, 0)):
+    """bottom < a, b < c, d < top: the atoms a and b have the two
+    incomparable upper bounds c and d, so neither meet(c, d) nor
+    join(a, b) exists.  The masks are injective and order the poset by
+    subset; the default Kreweras table reverses the order."""
+    cd = cw.build_cartan("A2")
+    names = ("bottom", "a", "b", "c", "d", "top")
+    return nc.NCLattice(
+        cartan=cd,
+        coxeter=cw.coxeter_element(cd),
+        elements=names,
+        ranks=dict(zip(names, (0, 1, 1, 2, 2, 3))),
+        masks=(0b0000, 0b0001, 0b0010, 0b0111, 0b1011, 0b1111),
+        kreweras_index=kreweras_index,
+        covers=([], []),
+    )
+
+
 class TestMeetJoin:
+    @pytest.mark.parametrize(
+        "label,which",
+        [
+            pytest.param(label, which, id=label + ("-reversed" if which else ""))
+            for label in ("A5", "B4", "D5", "F4")
+            for which in (0, 1)
+        ],
+    )
+    def test_lookup_matches_scan(self, label, which):
+        lat = nc.enumerate_nc(cw.build_cartan(label), _coxeters(label)[which])
+        for u in lat.elements:
+            for v in lat.elements:
+                assert nc.meet(lat, u, v) == _scan_meet(lat, u, v)
+                assert nc.join(lat, u, v) == _scan_join(lat, u, v)
+
+    def test_bowtie_has_no_meet_or_join(self):
+        lat = _bowtie()
+        assert nc.meet(lat, "a", "c") == "a" and nc.join(lat, "a", "c") == "c"
+        assert nc.meet(lat, "c", "top") == "c" and nc.join(lat, "c", "d") == "top"
+        assert nc.meet(lat, "a", "b") == "bottom" and nc.join(lat, "bottom", "d") == "d"
+        with pytest.raises(LatticeStructureError, match="not a lattice"):
+            nc.meet(lat, "c", "d")
+        with pytest.raises(LatticeStructureError, match="not a lattice"):
+            nc.join(lat, "a", "b")
+
+    def test_missing_complement_raises(self):
+        # a has no complement; nothing has bottom as its complement
+        for kreweras_index, u, v in [
+            ((5, None, 4, 1, 2, 0), "a", "c"),
+            ((5, None, 4, 1, 2, 0), "top", "a"),
+            ((5, 3, 4, 1, 2, None), "c", "d"),
+        ]:
+            lat = _bowtie(kreweras_index)
+            with pytest.raises(LatticeStructureError, match="not a lattice"):
+                nc.join(lat, u, v)
+
+    def test_join_checks_the_bounds(self):
+        # an identity Kreweras table sends the lookup to the meet, which
+        # does not lie above two distinct atoms
+        lat = _lattice("A2")
+        bad = nc.NCLattice(
+            lat.cartan, lat.coxeter, lat.elements, lat.ranks, lat.masks,
+            tuple(range(len(lat))), lat.covers,
+        )
+        s1, s2 = lat.reflection_members()[:2]
+        assert nc.join(bad, s1, s1) == s1
+        with pytest.raises(LatticeStructureError, match="not a lattice"):
+            nc.join(bad, s1, s2)
+
+    def test_outsider_rejected(self):
+        lat = _lattice("A2")
+        c2 = lat.coxeter * lat.coxeter
+        for op in (nc.meet, nc.join):
+            with pytest.raises(NotInPosetError):
+                op(lat, c2, lat.coxeter)
+            with pytest.raises(NotInPosetError):
+                op(lat, lat.coxeter, c2)
+
+    def test_one_mask_table(self):
+        lat = _lattice("B3")
+        assert lat.position == {m: i for i, m in enumerate(lat.masks)}
+
     def test_idempotence_and_units(self):
         lat = _lattice("A3")
         for w in lat.elements:

@@ -1,5 +1,6 @@
 """The package has no runtime dependencies: every import is stdlib or relative.
-A cold import loads neither `dataclasses` nor, outside `verify`, `selfcheck`."""
+A cold import loads neither `dataclasses`, `typing` nor, outside `verify`,
+`selfcheck`."""
 
 import ast
 import subprocess
@@ -52,4 +53,5 @@ def test_import_loads_no_dataclasses_machinery():
 def test_cli_import_leaves_selfcheck_for_verify():
     loaded = _loaded_after("import ncthick.cli")
     assert "ncthick.cli" in loaded
-    assert not {"ncthick.selfcheck", "dataclasses", "inspect"} & loaded
+    # annotation aliases come from collections.abc, which the interpreter loads anyway
+    assert not {"ncthick.selfcheck", "dataclasses", "inspect", "typing"} & loaded
