@@ -24,19 +24,19 @@ w - (w alpha_t) (x) q_t of its parent's, and a chain along the growth
 tree certifies it: the complement of id is c, and that of w t is t
 times that of w, so every x has complement x^-1 c, a product of
 n - rank(x) reflections, and l(x) + l(x^-1 c) = l(c) proves x <= c.
-The Weyl group is never materialized.  The fixed-space absolute order
-of `cartan` and the prefix-product growth that tests each candidate's
-rank stay as oracles in `selfcheck`.
+The Weyl group is never materialized.  One greedy step, `NCLattice.step`,
+gives canonical words, the JSON Coxeter word and the thick generators.
+The fixed-space absolute order of `cartan` and the prefix-product growth
+that tests each candidate's rank stay as oracles in `selfcheck`.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import operator
 
 from . import cartan, linalg
-from .cartan import CartanDatum, WeylElement
+from .cartan import CartanDatum, WeylElement, positive_roots
 from .errors import (
     LatticeStructureError,
     NotInPosetError,
@@ -52,17 +52,17 @@ class NCLattice:
     """Interval [id, c] in the absolute order, with rank and cover data.
 
     `masks[i]` is the reflection set of `elements[i]` as a bitmask over
-    the positive roots, and `position` maps each mask back to its index;
-    `kreweras_index[i]` is the index of its Kreweras complement, or None
-    where the complement leaves a truncated poset.  `covers` holds the
-    cover relations as two parallel lists, the masks T(lower) and
+    `roots`, the positive roots, and `position` maps each mask back to its
+    index; `kreweras_index[i]` is the index of its Kreweras complement, or
+    None where the complement leaves a truncated poset.  `covers` holds
+    the cover relations as two parallel lists, the masks T(lower) and
     T(upper); `hasse` translates them to sorted index pairs (lower,
     upper) on first read.  Elements are sorted by (rank, matrix).
     """
 
     __slots__ = (
         "cartan", "coxeter", "elements", "ranks", "masks", "kreweras_index", "covers",
-        "truncation_bound", "co_kreweras_index", "position", "_index", "_words", "_hasse",
+        "truncation_bound", "co_kreweras_index", "position", "roots", "_index", "_words", "_hasse",
     )
 
     def __init__(
@@ -80,9 +80,10 @@ class NCLattice:
         self.masks, self.covers = masks, covers
         self.truncation_bound = truncation_bound
         self.position = {m: i for i, m in enumerate(masks)}
+        self.roots = positive_roots(cartan, truncation_bound or 0)
         self._index = {w: i for i, w in enumerate(elements)}
         self._link_kreweras(kreweras_index)
-        self._words = None
+        self._words: dict[int, tuple[Vector, ...]] = {0: ()}  # index 0 is id
         self._hasse = None
 
     def _link_kreweras(self, kreweras_index: tuple[int | None, ...]) -> None:
@@ -123,58 +124,36 @@ class NCLattice:
 
     def canonical_word(self, w: WeylElement) -> tuple[Vector, ...]:
         """Lexicographically least shortest reflection word for w."""
-        if self._words is None:
-            self._words = self._compute_words()
-        return self._words[self.index(w)]
+        return self._word(self.index(w))
 
-    def _compute_words(self) -> tuple[tuple[Vector, ...], ...]:
-        # the reflection of a cover i < j = i t is the one root of
-        # T(j) & T(i^-1 c); edges come rank by rank, so words[i] is final
-        # before it is extended, and index 0 is the identity
-        roots = cartan.positive_roots(self.cartan, self.truncation_bound or 0)
-        words: dict[int, tuple[Vector, ...]] = {0: ()}
-        for i, j in self.hasse:
-            k = self.kreweras_index[i]
-            if k is None or i not in words:
-                continue
-            word = words[i] + (roots[(self.masks[j] & self.masks[k]).bit_length() - 1],)
-            if j not in words or word < words[j]:
-                words[j] = word
-        if len(words) != len(self):
-            raise LatticeStructureError("reflection words do not cover NC exactly")
-        return tuple(words[i] for i in range(len(self)))
+    def step(self, i: int) -> tuple[int, int]:
+        """(k, j): element i is t_k times its rest j, for the least bit k of
+        T(i) whose rest lies in the lattice: id if T(i) is that bit, else the
+        element with mask T(i) & T(t_k c), read at the atom's Kreweras
+        complement (T(t x) = T(x) & T(t c) for t <= x <= c).  Every t <= w
+        starts a reduced word of w, so root k then j's least word is i's
+        least word.  A truncated poset skips an atom whose complement left it."""
+        mask = rest = self.masks[i]
+        while rest:
+            low = rest & -rest
+            if mask == low:
+                return low.bit_length() - 1, 0
+            comp = self.kreweras_index[self.position[low]]
+            j = None if comp is None else self.position.get(mask & self.masks[comp])
+            if j is not None:
+                return low.bit_length() - 1, j
+            rest ^= low
+        raise LatticeStructureError("no reflection word reaches the element")
 
-    def coxeter_word(self) -> tuple[Vector, ...]:
-        """canonical_word(coxeter) without the words of the other elements.
-
-        Words compare first letter first and every element lies below c,
-        so the least word takes the least root at each step up from id.
-        As in `_compute_words`, a cover's reflection is the one root of
-        T(j) & T(i^-1 c), and only an element with a complement in the
-        lattice is walked on from.
-        """
-        roots = cartan.positive_roots(self.cartan, self.truncation_bound or 0)
-        hasse, kreweras = self.hasse, self.kreweras_index
-        word: list[Vector] = []
-        i = 0
-        for _ in range(self.ranks[self.coxeter]):
-            k = kreweras[i]
-            steps = []
-            for p in range(bisect.bisect_left(hasse, (i,)), len(hasse)):
-                lower, j = hasse[p]
-                if lower != i:
-                    break
-                if kreweras[j] is not None:
-                    steps.append((roots[(self.masks[j] & self.masks[k]).bit_length() - 1], j))
-            if not steps:
-                raise LatticeStructureError("no reflection word reaches the Coxeter element")
-            root, i = min(steps)
-            word.append(root)
-        if self.elements[i] != self.coxeter:
-            raise LatticeStructureError("no reflection word reaches the Coxeter element")
-        return tuple(word)
+    def _word(self, i: int) -> tuple[Vector, ...]:
+        word = self._words.get(i)
+        if word is None:
+            k, j = self.step(i)
+            word = self._words[i] = (self.roots[k],) + self._word(j)
+        return word
 
 
+@functools.lru_cache(maxsize=None)
 def euler_form(cd: CartanDatum, c: WeylElement) -> tuple[tuple[int, ...], ...]:
     """The Euler form E = G (1 - c)^-1 of the Coxeter element c.
 
@@ -404,7 +383,7 @@ def hasse_dot(lattice: NCLattice) -> str:
 
 def to_json(lattice: NCLattice) -> dict:
     """JSON form: type, coxeter word, ranked elements, and Hasse edges."""
-    cox_word = [list(root) for root in lattice.coxeter_word()]
+    cox_word = [list(root) for root in lattice.canonical_word(lattice.coxeter)]
     data = {
         "type": lattice.cartan.label,
         "coxeter_word": cox_word,

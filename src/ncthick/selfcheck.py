@@ -249,7 +249,7 @@ def _chk_mask_oracle():
         reverse = tuple(range(cd.rank, 0, -1))
         for c in (cartan.coxeter_element(cd), cartan.coxeter_element(cd, reverse)):
             lat = noncrossing.enumerate_nc(cd, c)
-            leq, _ = _fixed_space_leq(cd, lat.elements)
+            leq, lengths = _fixed_space_leq(cd, lat.elements)
             n = len(lat)
             table = [[leq(i, j) for j in range(n)] for i in range(n)]
             below = [frozenset(k for k in range(n) if table[k][j]) for j in range(n)]
@@ -273,6 +273,11 @@ def _chk_mask_oracle():
                 _expect(
                     noncrossing.kreweras(lat, noncrossing.co_kreweras(lat, u)) == u,
                     f"kreweras o co_kreweras != id in {label}",
+                )
+                word = lat.canonical_word(u)
+                _expect(
+                    len(word) == lengths[i] and _product(cd, word) == u,
+                    f"canonical word is not a reduced reflection word in {label}",
                 )
             _expect(len(set(lat.masks)) == len(lat), f"masks not injective in {label}")
     for label in ("A4", "B4", "F4", "D5"):
@@ -303,8 +308,8 @@ def _chk_mask_oracle():
             escaped += 1
     _expect(escaped > 0, "no Kreweras complement escapes the truncated Kronecker poset")
     return (
-        "leq = abs_leq, meet and join = unique abs_leq extrema on A3 B3 D4 G2 "
-        "(two Coxeter elements), "
+        "leq = abs_leq, meet and join = unique abs_leq extrema, canonical words "
+        "reduced by matrix products on A3 B3 D4 G2 (two Coxeter elements), "
         "hasse = abs_leq covers on A4 B4 F4 D5, injective masks, Kronecker errors"
     )
 

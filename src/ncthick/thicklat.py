@@ -68,14 +68,18 @@ class ThickSubcategory(cartan._Value):
 def _exceptional_masks(cd: CartanDatum, c: WeylElement) -> tuple[int, ...]:
     """bad[k]: the roots b with Hom(E_b, E_k) or Ext^1(E_b, E_k) nonzero, read
     from the hammock table (k among them), so (k,) + rest is exceptional iff
-    rest is and misses bad[k]; each E_k is checked exceptional.  All zero,
-    so no check, unless simply-laced with the standard Coxeter element.
-    Cached per (cd, c): `thick_from_nc` and the perps ask once per call."""
+    rest is and misses bad[k]; each E_k is checked exceptional.  The quiver
+    of c has an arrow s -> t where E(alpha_s, alpha_t) = -1 (`repcat.Quiver`
+    checks the tree); non-simply-laced labels get all-zero masks, so no
+    check.  Cached per (cd, c): `thick_from_nc` and the perps ask once."""
     roots = cartan.positive_roots(cd)
     family, _ = cartan.parse_label(cd.label)
-    if family not in "ADE" or c != cartan.coxeter_element(cd):
+    if family not in "ADE":
         return (0,) * len(roots)
-    table = derived.hom_ext_table(cd.label, cartan.tree_edges(cd.label))
+    e = noncrossing.euler_form(cd, c)
+    arrows = tuple((s + 1, t + 1) for s, row in enumerate(e) for t, x in enumerate(row) if x == -1)
+    q = repcat.Quiver(label=cd.label, vertices=tuple(range(1, cd.rank + 1)), arrows=arrows)
+    table = derived.hom_ext_table(cd.label, q.arrows)
     bad = []
     for a in roots:
         if table[(a, a)] != (1, 0):
@@ -91,9 +95,9 @@ def thick_from_nc(
 
     T(w) comes from one scan over the roots: those orthogonal to the
     fixed space of w, which is the orthogonal complement of its moved
-    space.  The generators are the greedy factorization of
-    `thick_lattice`: the lowest root k, then T(w) &= perp[k], repeated at
-    most rank times; each new root must miss the masks of the earlier ones.
+    space.  The generators are the least word of `NCLattice.step` without
+    a lattice: the lowest root k, then T(w) &= perp[k] = T(t_k c), repeated
+    at most rank times; each new root must miss the masks of the earlier ones.
     """
     if not cd.is_finite():
         raise UnsupportedLabelError("thick subcategories need a finite label")
@@ -155,34 +159,25 @@ class ThickLattice:
 
 
 def thick_lattice(cd: CartanDatum) -> ThickLattice:
-    """Generators by the greedy recurrence, one rank-one update per element.
+    """The NC lattice with each element's least word as its generators.
 
-    Element i with lowest root k has the rest j, the element with mask
-    T(i) & perp[k]: T(t x) = T(x) & T(t c) for t <= x <= c.  So gens[i] =
-    (root k,) + gens[j], j < i as elements come in rank order, and
-    elements[i] == t_k * elements[j], the left update by the reflection
-    t_k, proves by induction that every sequence multiplies to its
-    element; used[j] & bad[k] == 0, one AND over the roots of gens[j],
-    that it is exceptional.
+    `NCLattice.step` factors element i as t_k times a rest j of lower rank,
+    so j < i, and elements[i] == t_k * elements[j], one left update, proves
+    by induction that every word multiplies to its element; used[j] &
+    bad[k] == 0, one AND over the roots of j's word, that it is exceptional.
     """
     lat = noncrossing.enumerate_nc(cd)
-    roots = cartan.positive_roots(cd)
-    coroots = [cartan.coroot(cd, a) for a in roots]
-    perp = noncrossing.perp_masks(cd, lat.coxeter)
+    coroots = [cartan.coroot(cd, a) for a in lat.roots]
     bad = _exceptional_masks(cd, lat.coxeter)
-    gens: list[tuple[Vector, ...]] = [()]
     used = [0]
     for i in range(1, len(lat)):
-        mask = lat.masks[i]
-        k = (mask & -mask).bit_length() - 1
-        j = lat.position.get(mask & perp[k], i)  # a missing rest is not earlier either
-        if j >= i or lat.elements[i] != lat.elements[j].reflection_times(roots[k], coroots[k]):
+        k, j = lat.step(i)
+        if j >= i or lat.elements[i] != lat.elements[j].reflection_times(lat.roots[k], coroots[k]):
             raise StructuralError("generators do not multiply to the nc element")
         if used[j] & bad[k]:
             raise StructuralError("generator roots are not an exceptional sequence")
-        gens.append((roots[k],) + gens[j])
         used.append(used[j] | 1 << k)
-    return ThickLattice(nc=lat, generators=tuple(gens))
+    return ThickLattice(nc=lat, generators=tuple(map(lat._word, range(len(lat)))))
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,44 @@ class TestThickLattice:
         with pytest.raises(StructuralError, match="exceptional"):
             tl.thick_from_nc(cd, cw.coxeter_element(cd))
 
+    @pytest.mark.parametrize(
+        "label,perm,fails",
+        [
+            ("A4", (2, 3, 4, 1), {"reversed": 21, "standard": 14}),
+            ("D5", (3, 1, 4, 2, 5), {"reversed": 115, "standard": 97}),
+            ("E6", (5, 3, 2, 6, 1, 4), {"reversed": 616, "standard": 626}),
+        ],
+    )
+    def test_masks_follow_the_coxeter_element(self, label, perm, fails, monkeypatch):
+        # the quiver of c is read off its Euler form, so every greedy word
+        # passes a nonzero certificate; tables of the reversed quiver or
+        # of the standard one fail on the counted elements
+        cd = cw.build_cartan(label)
+        c = cw.coxeter_element(cd, perm)
+        e = nc.euler_form(cd, c)
+        arrows = tuple(
+            (s + 1, t + 1) for s, row in enumerate(e) for t, x in enumerate(row) if x == -1
+        )
+        elements = nc.enumerate_nc(cd, c).elements
+        assert arrows != cw.tree_edges(label) and any(tl._exceptional_masks(cd, c))
+        for w in elements:
+            assert _cox(cd, tl.thick_from_nc(cd, w, c).generators) == w
+        real = dv.hom_ext_table
+        wrong = {"reversed": tuple((t, s) for s, t in arrows), "standard": cw.tree_edges(label)}
+        for name, orientation in wrong.items():
+            monkeypatch.setattr(dv, "hom_ext_table", lambda name, _: real(name, orientation))
+            monkeypatch.setattr(
+                tl, "_exceptional_masks", functools.lru_cache(tl._exceptional_masks.__wrapped__)
+            )
+            caught = 0
+            for w in elements:
+                try:
+                    tl.thick_from_nc(cd, w, c)
+                except StructuralError as err:
+                    assert "exceptional" in str(err)
+                    caught += 1
+            assert caught == fails[name]
+
     def test_equality_by_nc_element(self, a2):
         lat = tl.thick_lattice(a2)
         u = tl.thick_from_nc(a2, lat.nc.elements[1])
@@ -263,6 +301,7 @@ class TestThickLattice:
         monkeypatch.setattr(linalg, "mat_mul", lambda *args: calls.append(1) or real(*args))
         counts = []
         for build in (nc.enumerate_nc, tl.thick_lattice):
+            nc.euler_form.cache_clear()
             nc.perp_masks.cache_clear()
             tl._exceptional_masks.cache_clear()
             calls.clear()
@@ -287,14 +326,19 @@ class TestThickLattice:
         with pytest.raises(StructuralError, match="multiply"):
             tl.thick_lattice(cd)
 
-    def test_swapped_perp_table_is_caught(self, monkeypatch):
-        # perp[0] and perp[1] swapped: some rest is looked up with the wrong perp
+    def test_swapped_kreweras_table_is_caught(self, monkeypatch):
+        # the complements of the first two atoms swapped: some rest is
+        # looked up with the wrong atom's complement
         cd = cw.build_cartan("D4")
         lat = nc.enumerate_nc(cd)
-        perp = list(nc.perp_masks(cd, lat.coxeter))
-        perp[0], perp[1] = perp[1], perp[0]
-        monkeypatch.setattr(nc, "enumerate_nc", lambda *args: lat)
-        monkeypatch.setattr(nc, "perp_masks", lambda *args: tuple(perp))
+        kreweras = list(lat.kreweras_index)
+        a, b = (lat.position[1 << k] for k in (0, 1))
+        kreweras[a], kreweras[b] = kreweras[b], kreweras[a]
+        bad = nc.NCLattice(
+            lat.cartan, lat.coxeter, lat.elements, lat.ranks, lat.masks,
+            tuple(kreweras), lat.covers, lat.truncation_bound,
+        )
+        monkeypatch.setattr(nc, "enumerate_nc", lambda *args: bad)
         with pytest.raises(StructuralError, match="multiply"):
             tl.thick_lattice(cd)
 
