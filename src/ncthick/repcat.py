@@ -16,9 +16,10 @@ come from the hammocks in `derived`; only `verify`, `thick lattice
 
 `decompose` certifies the zero representation with no solve and a brick
 on a positive root (End = k) with one; anything else it splits by
-counting Hom into each indecomposable and applying the inverse of the Hom
-Gram matrix, which is integral because the matrix is unitriangular in a
-path order of the AR quiver.
+counting Hom into each indecomposable whose dimension vector lies under
+its own and applying the inverse of the Hom Gram matrix on those roots,
+which is integral because the matrix is unitriangular in a path order of
+the AR quiver.
 
 Representations store one rational matrix per arrow with shape
 dim[target] x dim[source]; matrices with zero rows or columns are empty
@@ -342,6 +343,7 @@ class _ModuleCategory:
         for a in self.roots:
             if self.hom_spaces[(a, a)].dim != 1:
                 raise StructuralError(f"endomorphism ring at {a} is not scalar")
+        self._gram_inverses: dict[tuple[Vector, ...], tuple[tuple[int, ...], ...]] = {}
 
     def hom_dim(self, a: Vector, b: Vector) -> int:
         return self.hom_spaces[(a, b)].dim
@@ -382,11 +384,6 @@ class _ModuleCategory:
     def irr_dim(self, a: Vector, b: Vector) -> int:
         return self.rad_dim(a, b) - self.rad2_dims[(a, b)]
 
-    @functools.cached_property
-    def gram_inverse(self) -> tuple[tuple[int, ...], ...]:
-        g = [[self.hom_dim(a, b) for b in self.roots] for a in self.roots]
-        return linalg.int_inverse(g)
-
     def decompose(self, rep: Representation) -> dict[Vector, int]:
         """Multiplicities of the indecomposable summands.
 
@@ -396,31 +393,33 @@ class _ModuleCategory:
         End = k forces it indecomposable, and Gabriel's theorem gives one
         indecomposable per positive root.
 
-        Anything else is split by Hom counting: dim Hom(rep, X_b) = sum
-        over a of m_a dim Hom(X_a, X_b), so m is h times the inverse of the
-        Hom Gram matrix G.  G is integral and unitriangular in a path order
-        of the AR quiver (End X_a = k, and Hom(X_a, X_b) != 0 only along
-        paths), so its inverse is integral; `int_inverse` raises
-        StructuralError otherwise.  The counts h take a rank each, no Hom
-        basis, and the multiplicities must be nonnegative and add up to
-        the dimension vector.
+        Anything else is split by Hom counting.  A summand's dimension
+        vector lies under rep's, so only the roots D <= dim rep can occur,
+        and dim Hom(rep, X_b) = sum over a in D of m_a dim Hom(X_a, X_b)
+        for b in D: m is h times the inverse of the Hom Gram matrix G on D.
+        G is integral and unitriangular in a path order of the AR quiver
+        (End X_a = k, and Hom(X_a, X_b) != 0 only along paths), and so is
+        every principal submatrix, so its inverse is integral (one
+        `int_inverse` per root set D, which raises StructuralError
+        otherwise).  The counts h take a rank each, no Hom basis, and the
+        multiplicities must be nonnegative and add up to the dimension
+        vector.
         """
         if not any(rep.dim):
             return {}
         if rep.dim in self.reps and hom_dim(self.quiver, rep, rep) == 1:
             return {rep.dim: 1}
-        h = [hom_dim(self.quiver, rep, self.reps[b]) for b in self.roots]
-        mult = linalg.mat_vec(linalg.transpose(self.gram_inverse, len(self.roots)), h)
-        out = {}
-        for a, m in zip(self.roots, mult):
-            if m < 0:
-                raise StructuralError("Hom-count decomposition failed")
-            if m:
-                out[a] = m
-        if tuple(
-            sum(out.get(a, 0) * self.reps[a].dim[v] for a in self.roots)
-            for v in range(self.quiver.rank)
-        ) != rep.dim:
+        below = tuple(a for a in self.roots if all(x <= y for x, y in zip(a, rep.dim)))
+        h = [hom_dim(self.quiver, rep, self.reps[b]) for b in below]
+        inverse = self._gram_inverses.get(below)
+        if inverse is None:
+            gram_t = [[self.hom_dim(a, b) for a in below] for b in below]
+            inverse = self._gram_inverses[below] = linalg.int_inverse(gram_t)
+        mult = linalg.mat_vec(inverse, h)
+        if min(mult) < 0:
+            raise StructuralError("Hom-count decomposition failed")
+        out = {a: m for a, m in zip(below, mult) if m}
+        if tuple(sum(m * a[v] for a, m in out.items()) for v in range(self.quiver.rank)) != rep.dim:
             raise StructuralError("decomposition does not add up to the dimension vector")
         return out
 

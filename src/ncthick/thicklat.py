@@ -11,8 +11,8 @@ enumerates wide subcategories of the module category by closing subsets
 of indecomposables under kernels, cokernels, and extensions, all computed
 on explicit intertwiner matrices and split into summands by
 `repcat`'s `decompose` (zero and brick certificates, else Hom counts).
-The consequences of each ordered pair become one bitmask, so the search
-over subsets tests masks with one AND per pair.
+Every subset of indecomposables is one bit of a 2^n-bit integer, so each
+ordered pair rules out all the subsets its consequences break at once.
 """
 
 from __future__ import annotations
@@ -165,11 +165,12 @@ def thick_lattice(cd: CartanDatum) -> ThickLattice:
     so j < i, and elements[i] == t_k * elements[j], one left update, proves
     by induction that every word multiplies to its element; used[j] &
     bad[k] == 0, one AND over the roots of j's word, that it is exceptional.
+    Each word, root k then j's, goes straight into the lattice's word memo.
     """
     lat = noncrossing.enumerate_nc(cd)
     coroots = [cartan.coroot(cd, a) for a in lat.roots]
     bad = _exceptional_masks(cd, lat.coxeter)
-    used = [0]
+    used, words = [0], lat._words
     for i in range(1, len(lat)):
         k, j = lat.step(i)
         if j >= i or lat.elements[i] != lat.elements[j].reflection_times(lat.roots[k], coroots[k]):
@@ -177,7 +178,8 @@ def thick_lattice(cd: CartanDatum) -> ThickLattice:
         if used[j] & bad[k]:
             raise StructuralError("generator roots are not an exceptional sequence")
         used.append(used[j] | 1 << k)
-    return ThickLattice(nc=lat, generators=tuple(map(lat._word, range(len(lat)))))
+        words[i] = (lat.roots[k],) + words[j]
+    return ThickLattice(nc=lat, generators=tuple(map(words.__getitem__, range(len(lat)))))
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +216,12 @@ class _ClosureTables:
             need: set[Vector] = set()
             if a != b and h == 1:
                 f = self.cat.hom_spaces[(a, b)].basis[0]
-                need |= self._summands(self._kernel(a, b, f))
-                need |= self._summands(self._cokernel(a, b, f))
+                need.update(self.cat.decompose(self._kernel(a, b, f)))
+                need.update(self.cat.decompose(self._cokernel(a, b, f)))
             if e == 1:
-                need |= self._summands(self._middle(a, b))
+                need.update(self.cat.decompose(self._middle(a, b)))
             if need:
                 self.consequences[(a, b)] = frozenset(need)
-
-    def _summands(self, rep: repcat.Representation) -> set[Vector]:
-        return set(self.cat.decompose(rep))
 
     def _kernel(self, a, b, f) -> repcat.Representation:
         q = self.cat.quiver
@@ -240,9 +239,8 @@ class _ClosureTables:
             if dims[si] == 0 or m.dim[ti] == 0:
                 maps.append(tuple((Fraction(0),) * dims[si] for _ in range(dims[ti])))
                 continue
-            image = linalg.mat_mul(m.maps[idx], bases[si]) if m.dim[ti] else ()
-            z = linalg.solve_columns(bases[ti], dims[ti], image, dims[si])
-            maps.append(z)
+            image = linalg.mat_mul(m.maps[idx], bases[si])
+            maps.append(linalg.solve_columns(bases[ti], dims[ti], image, dims[si]))
         return repcat.Representation(q, tuple(dims), tuple(maps))
 
     def _cokernel(self, a, b, f) -> repcat.Representation:
@@ -344,10 +342,10 @@ def wide_subcategory_oracle(q: repcat.Quiver, max_indecomposables: int = 12) -> 
     nonzero (the category is directed), so max(dim Hom, dim Ext^1) is
     |<a, b>|; `_ClosureTables` still checks the dimensions themselves.
 
-    A subset is an int mask over the roots; rows[i] lists (bit of b, mask
-    of the consequences of (a_i, b)), and the subset is closed iff, for
-    each of its members i, every entry of rows[i] whose b lies in it has
-    its consequences in it too.
+    Subset s is bit s of a 2^n-bit integer, and member[i] holds the
+    subsets containing root i.  Pair (a, b) with consequence x rules out
+    member[a] & member[b] & ~member[x] in one step; the closed subsets
+    are the bits left, listed by size and then in combinations order.
     """
     roots = cartan.positive_roots(cartan.build_cartan(q.label))
     if len(roots) > max_indecomposables:
@@ -357,22 +355,21 @@ def wide_subcategory_oracle(q: repcat.Quiver, max_indecomposables: int = 12) -> 
     if any(abs(repcat.euler_form(q, a, b)) > 1 for a in roots for b in roots):
         raise ResourceLimitError(_NOT_MULTIPLICITY_FREE)
     tables = _closure_tables(q)
-    bit = {a: 1 << i for i, a in enumerate(roots)}
-    rows = []
-    for a in roots:
-        row = []
-        for b in roots:
-            need = tables.consequences.get((a, b), ())
-            if need:
-                row.append((bit[b], sum(bit[x] for x in need)))
-        rows.append(row)
-    wide = []
-    for size in range(len(roots) + 1):
-        for combo in itertools.combinations(range(len(roots)), size):
-            s = sum(1 << i for i in combo)
-            if all(not need & ~s for i in combo for b, need in rows[i] if b & s):
-                wide.append(tuple(roots[i] for i in combo))
-    return WideOracleResult(count=len(wide), subsets=tuple(wide))
+    full = (1 << (1 << len(roots))) - 1
+    # the subsets holding root i: the upper half of each run of 2^(i+1) bits
+    member = {a: full // ((1 << (1 << i)) + 1) << (1 << i) for i, a in enumerate(roots)}
+    bad = 0
+    for (a, b), need in tables.consequences.items():
+        both = member[a] & member[b]
+        for x in need:
+            bad |= both & ~member[x]
+    closed, combos = full ^ bad, []
+    while closed:
+        s = (closed & -closed).bit_length() - 1
+        combos.append(tuple(i for i in range(len(roots)) if s >> i & 1))
+        closed ^= 1 << s
+    wide = tuple(tuple(roots[i] for i in c) for c in sorted(combos, key=lambda c: (len(c), c)))
+    return WideOracleResult(count=len(wide), subsets=wide)
 
 
 # ---------------------------------------------------------------------------
@@ -499,37 +496,40 @@ def _kron_name(lat: KroneckerLattice, e: Element) -> str:
         return "0"
     if e == ("top",):
         return "1"
-    if e[0] == "nc":
-        root = cartan.reflection_root(lat.nc_part.cartan, e[1])
-        return "s(" + ",".join(str(x) for x in root) + ")"
-    return "{" + ",".join(sorted(e[1])) + "}"
+    root = cartan.reflection_root(lat.nc_part.cartan, e[1])
+    return "s(" + ",".join(str(x) for x in root) + ")"
 
 
 def kronecker_to_json(lat: KroneckerLattice) -> dict:
-    names = [_kron_name(lat, e) for e in lat.elements]
+    """Tube sets as masks over the sorted tube points: covers S | {p} by lookup."""
+    points = lat.tube_points
+    bit = {p: 1 << n for n, p in enumerate(points)}
+    masks = {i: sum(bit[p] for p in e[1]) for i, e in enumerate(lat.elements) if e[0] == "tube"}
+    position = {m: i for i, m in masks.items()}
     bottom, top = 0, len(lat.elements) - 1
     atoms = range(1, 1 + len(lat.nc_part.reflection_members()))
-    edges = [(bottom, a) for a in atoms] + [(a, top) for a in atoms]
+    edges = [[bottom, a] for a in atoms] + [[a, top] for a in atoms]
+    elements = []
     for i, e in enumerate(lat.elements):
-        if e[0] != "tube":
+        m = masks.get(i)
+        if m is None:
+            elements.append({"id": i, "name": _kron_name(lat, e), "rank": lat.rank_of(e)})
             continue
-        if len(e[1]) == 1:
-            edges.append((bottom, i))
-        if len(e[1]) == len(lat.tube_points):
-            edges.append((i, top))
-        edges.extend(
-            (i, lat.index(("tube", e[1] | {p}))) for p in lat.tube_points if p not in e[1]
-        )
+        members = [p for p, b in bit.items() if m & b]
+        elements.append({"id": i, "name": "{" + ",".join(members) + "}", "rank": len(members)})
+        if len(members) == 1:
+            edges.append([bottom, i])
+        if len(members) == len(points):
+            edges.append([i, top])
+        edges += [[i, position[m | b]] for b in bit.values() if not m & b]
     if top == bottom + 1:
-        edges.append((bottom, top))
+        edges.append([bottom, top])
+    edges.sort()
     return {
-        "tube_points": list(lat.tube_points),
+        "tube_points": list(points),
         "truncation_bound": lat.nc_part.truncation_bound,
-        "elements": [
-            {"id": i, "name": names[i], "rank": lat.rank_of(e)}
-            for i, e in enumerate(lat.elements)
-        ],
-        "hasse": [list(e) for e in sorted(edges)],
+        "elements": elements,
+        "hasse": edges,
     }
 
 

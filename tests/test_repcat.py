@@ -273,7 +273,7 @@ class TestDecompose:
     @pytest.mark.parametrize("label", ["A3", "A4", "D4"])
     def test_gram_inverse_is_integral(self, label):
         cat = rc._category(rc.dynkin_quiver(label))
-        inv = cat.gram_inverse
+        inv = _gram_inverse(cat)
         assert all(type(x) is int for row in inv for x in row)
         gram = [[cat.hom_dim(a, b) for b in cat.roots] for a in cat.roots]
         assert linalg.mat_mul(gram, inv) == linalg.identity(len(cat.roots))
@@ -353,6 +353,47 @@ class TestDecompose:
         monkeypatch.setattr(rc._ModuleCategory, "decompose", _hom_count_decompose)
         assert fast == thicklat._ClosureTables(q).consequences
 
+    def test_negative_multiplicity_is_caught(self, monkeypatch):
+        # Hom counts that no module has, into X_(1,1) alone on A2: the
+        # inverse Gram matrix asks for -1 copies of X_(1,0), and the rest
+        # would still add up to the dimension vector
+        q = rc.dynkin_quiver("A2")
+        cat = rc._category(q)
+        rep = _direct_sum(q, [cat.reps[(1, 0)], cat.reps[(0, 1)]])
+        fake = {rep: 2, cat.reps[(1, 1)]: 1}
+        monkeypatch.setattr(rc, "hom_dim", lambda q, m, n: fake.get(n, 0))
+        with pytest.raises(StructuralError, match="Hom-count decomposition failed"):
+            cat.decompose(rep)
+
+    @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4"])
+    def test_split_modules_count_hom_under_their_dimension(self, label, monkeypatch):
+        # every split module the closure tables meet, on every orientation:
+        # Hom is counted only into the roots under its dimension vector,
+        # and the summands are those of the all-roots reference
+        split = []
+        real_decompose, real_hom_dim = rc._ModuleCategory.decompose, rc.hom_dim
+        for arrows in _orientations(label):
+            q = rc.dynkin_quiver(label, arrows)
+            cat = rc._category(q)
+            calls = []
+
+            def decompose(cat, rep):
+                before = len(calls)
+                out = real_decompose(cat, rep)
+                if any(rep.dim) and out != {rep.dim: 1}:
+                    split.append((cat, rep, out, len(calls) - before))
+                return out
+
+            monkeypatch.setattr(rc, "hom_dim", lambda *a: calls.append(1) or real_hom_dim(*a))
+            monkeypatch.setattr(rc._ModuleCategory, "decompose", decompose)
+            thicklat._ClosureTables(q)
+            monkeypatch.undo()
+        assert bool(split) == (label in ("A3", "A4"))
+        for cat, rep, out, solves in split:
+            below = [a for a in cat.roots if all(x <= y for x, y in zip(a, rep.dim))]
+            assert solves == (rep.dim in cat.reps) + len(below)
+            assert out == _hom_count_decompose(cat, rep)
+
 
 def _forbidden(*args, **kwargs):
     raise AssertionError("a Hom system was solved")
@@ -362,10 +403,15 @@ def _hom_count_decompose(cat, rep):
     """The reference route: Hom counts into every indecomposable for every
     representation, times the inverse Hom Gram matrix."""
     h = [rc.hom_dim(cat.quiver, rep, cat.reps[b]) for b in cat.roots]
-    mult = linalg.mat_vec(linalg.transpose(cat.gram_inverse, len(cat.roots)), h)
+    mult = linalg.mat_vec(linalg.transpose(_gram_inverse(cat), len(cat.roots)), h)
     assert all(m >= 0 for m in mult)
     out = {a: m for a, m in zip(cat.roots, mult) if m}
     assert tuple(
         sum(m * a[v] for a, m in out.items()) for v in range(cat.quiver.rank)
     ) == rep.dim
     return out
+
+
+def _gram_inverse(cat):
+    """The inverse of the Hom Gram matrix on every positive root."""
+    return linalg.int_inverse([[cat.hom_dim(a, b) for b in cat.roots] for a in cat.roots])

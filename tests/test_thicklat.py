@@ -31,6 +31,31 @@ def a3():
     return cw.build_cartan("A3")
 
 
+def _orientations(label):
+    edges = cw.tree_edges(label)
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        yield tuple((t, s) if flip else (s, t) for (s, t), flip in zip(edges, flips))
+
+
+# every orientation of A1-A4, the default written as None
+_ORACLE_CASES = [
+    ("A1", None),
+    ("A2", None),
+    ("A2", ((2, 1),)),
+    ("A3", None),
+    ("A3", ((2, 1), (2, 3))),
+    ("A4", None),
+    ("A4", ((2, 1), (2, 3), (4, 3))),
+    ("A4", ((2, 1), (3, 2), (4, 3))),
+]
+_ORACLE_CASES += [
+    (label, arrows)
+    for label in ("A1", "A2", "A3", "A4")
+    for arrows in _orientations(label)
+    if arrows != cw.tree_edges(label) and (label, arrows) not in _ORACLE_CASES
+]
+
+
 def _cox(cd, roots):
     """The product of the generator reflections, left to right."""
     prod = cw.identity_element(cd)
@@ -152,6 +177,18 @@ class TestThickLattice:
         lat = tl.thick_lattice(cd)
         for w, gens in zip(lat.nc.elements, lat.generators):
             assert tl.thick_from_nc(cd, w).generators == gens
+
+    @pytest.mark.parametrize("label", ["A4", "D4"])
+    def test_each_element_is_stepped_once(self, label, monkeypatch):
+        # the certificate loop fills the word memo, so collecting the
+        # generators takes no second step
+        calls = []
+        real = nc.NCLattice.step
+        monkeypatch.setattr(nc.NCLattice, "step", lambda lat, i: calls.append(i) or real(lat, i))
+        lat = tl.thick_lattice(cw.build_cartan(label))
+        assert sorted(calls) == list(range(1, len(lat)))
+        assert lat.generators == tuple(map(lat.nc.canonical_word, lat.nc.elements))
+        assert len(calls) == len(lat) - 1  # reading the memo back steps nothing
 
     def test_thick_lattice_skips_abs_leq(self, monkeypatch):
         calls = []
@@ -421,19 +458,10 @@ class TestWideOracle:
         with pytest.raises(ResourceLimitError):
             tl.wide_subcategory_oracle(rc.dynkin_quiver("D4"), max_indecomposables=6)
 
-    @pytest.mark.parametrize(
-        "label,arrows",
-        [
-            ("A1", None),
-            ("A2", None),
-            ("A2", ((2, 1),)),
-            ("A3", None),
-            ("A3", ((2, 1), (2, 3))),
-            ("A4", None),
-            ("A4", ((2, 1), (2, 3), (4, 3))),
-            ("A4", ((2, 1), (3, 2), (4, 3))),
-        ],
-    )
+    def test_oracle_cases_cover_every_orientation(self):
+        assert len(_ORACLE_CASES) == len(set(_ORACLE_CASES)) == 1 + 2 + 4 + 8
+
+    @pytest.mark.parametrize("label,arrows", _ORACLE_CASES)
     def test_bitmask_search_matches_set_search(self, label, arrows):
         # the reference closes each subset as a set of roots, pair by pair
         q = rc.dynkin_quiver(label, arrows)
@@ -550,6 +578,14 @@ class TestKroneckerLattice:
         ]
         assert tl.kronecker_to_json(lat)["hasse"] == cubic
 
+    @pytest.mark.parametrize("bound", [0, 1, 3])
+    @pytest.mark.parametrize("points", [0, 1, 2, 8, ("t9", "t10", "t100")])
+    def test_to_json_matches_frozenset_reference(self, bound, points):
+        # "t10" < "t100" < "t9" as strings: names and covers follow the
+        # sorted tube_points, not the numeric order
+        lat = tl.kronecker_lattice(bound, points)
+        assert tl.kronecker_to_json(lat) == _kronecker_json_reference(lat)
+
     def test_negative_sizes_rejected(self):
         with pytest.raises(OutOfRangeError):
             tl.kronecker_lattice(-1, 2)
@@ -562,6 +598,39 @@ class TestKroneckerLattice:
             tl.kronecker_lattice(0, tl.MAX_TUBE_POINTS + 1)
         with pytest.raises(ResourceLimitError):
             tl.kronecker_lattice(0, tuple(f"x{i}" for i in range(17)))
+
+
+def _kronecker_json_reference(lat):
+    """Covers and names straight from the frozenset elements, one
+    `index` lookup of S | {p} per cover."""
+    def name(e):
+        if e[0] == "nc":
+            return "s(" + ",".join(map(str, cw.reflection_root(lat.nc_part.cartan, e[1]))) + ")"
+        return {"bottom": "0", "top": "1"}.get(e[0]) or "{" + ",".join(sorted(e[1])) + "}"
+
+    bottom, top = 0, len(lat.elements) - 1
+    atoms = range(1, 1 + len(lat.nc_part.reflection_members()))
+    edges = [(bottom, a) for a in atoms] + [(a, top) for a in atoms]
+    for i, e in enumerate(lat.elements):
+        if e[0] != "tube":
+            continue
+        if len(e[1]) == 1:
+            edges.append((bottom, i))
+        if len(e[1]) == len(lat.tube_points):
+            edges.append((i, top))
+        edges.extend(
+            (i, lat.index(("tube", e[1] | {p}))) for p in lat.tube_points if p not in e[1]
+        )
+    if top == bottom + 1:
+        edges.append((bottom, top))
+    return {
+        "tube_points": list(lat.tube_points),
+        "truncation_bound": lat.nc_part.truncation_bound,
+        "elements": [
+            {"id": i, "name": name(e), "rank": lat.rank_of(e)} for i, e in enumerate(lat.elements)
+        ],
+        "hasse": [list(e) for e in sorted(edges)],
+    }
 
 
 class TestJson:
