@@ -118,7 +118,8 @@ class _Value:
 
     Fields are set once, in __init__, through object.__setattr__;
     assigning or deleting one afterwards raises AttributeError, so a value
-    that keys a dict or a cache cannot change under it.
+    that keys a dict or a cache cannot change under it.  A value is equal
+    to itself without building a key.
     """
 
     __slots__ = ()
@@ -128,7 +129,7 @@ class _Value:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            return other is self or self._key() == other._key()
         return NotImplemented
 
     def __hash__(self):
@@ -205,21 +206,23 @@ class CartanDatum(_Value):
 
 
 class WeylElement(_Value):
-    """An integer matrix acting on the root lattice in the e-basis; equal
-    and hashed by the matrix, with no `_key()` call on that hot path."""
+    """An integer matrix acting on the root lattice in the e-basis, equal
+    by the matrix; its hash, that of (matrix,), is computed once, in
+    __init__, so a dict or cache lookup does not rehash n^2 entries."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_hash")
 
     def __init__(self, matrix: IntMat):
         _init(self, "matrix", matrix)
+        _init(self, "_hash", hash((matrix,)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.matrix == other.matrix
+            return other is self or self.matrix == other.matrix
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.matrix,))
+        return self._hash
 
     def __repr__(self):
         return f"WeylElement(matrix={self.matrix!r})"

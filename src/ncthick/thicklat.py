@@ -434,7 +434,7 @@ class KroneckerLattice:
         return len(e[1])
 
 
-MAX_TUBE_POINTS = 16
+MAX_TUBE_POINTS = 16  # the bound cap is noncrossing.MAX_KRONECKER_BOUND
 
 
 def kronecker_lattice(bound: int, points) -> KroneckerLattice:
@@ -442,18 +442,18 @@ def kronecker_lattice(bound: int, points) -> KroneckerLattice:
     given tube labels, identifying bottoms and tops.
 
     `points` is a count or a sequence of labels; the power set has 2^p
-    elements, so p is capped at MAX_TUBE_POINTS."""
-    if bound < 0:
-        raise OutOfRangeError(f"truncation bound must be at least 0, got {bound}")
-    if isinstance(points, int):
-        if points < 0:
-            raise OutOfRangeError(f"tube point count must be at least 0, got {points}")
-        points = tuple(f"p{i}" for i in range(1, points + 1))
-    points = tuple(sorted(str(p) for p in points))
-    if len(points) > MAX_TUBE_POINTS:
-        raise ResourceLimitError(
-            f"{len(points)} tube points exceed the cap {MAX_TUBE_POINTS}"
-        )
+    elements, so p is capped at MAX_TUBE_POINTS.  Both caps are checked
+    before any label is made."""
+    noncrossing.check_kronecker_bound(bound)
+    labels = None if isinstance(points, int) else tuple(points)
+    count = points if labels is None else len(labels)
+    if count < 0:
+        raise OutOfRangeError(f"tube point count must be at least 0, got {count}")
+    if count > MAX_TUBE_POINTS:
+        raise ResourceLimitError(f"{count} tube points exceed the cap {MAX_TUBE_POINTS}")
+    if labels is None:
+        labels = (f"p{i}" for i in range(1, count + 1))
+    points = tuple(sorted(str(p) for p in labels))
     nc_part = noncrossing.nc_kronecker(bound)
     elements: list[Element] = [("bottom",)]
     for w in nc_part.reflection_members():

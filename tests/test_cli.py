@@ -245,7 +245,7 @@ class TestSizeBounds:
         assert "at least 0" in err
 
     def test_nc_finite_nonnegative_bound_ignored(self, capsys):
-        for bound in ("0", "7"):
+        for bound in ("0", "7", "4097"):  # past the KRONECKER cap too
             assert _run(capsys, "nc", "--type", "A3", "--bound", bound, "--format", "count") == (0, "14\n", "")
 
     def test_kronecker_negative_bound(self, capsys, monkeypatch):
@@ -263,3 +263,8 @@ class TestSizeBounds:
         code, out, _ = _run(capsys, "kronecker", "--bound", "0", "--points", "0")
         assert code == 0
         assert len(json.loads(out)["elements"]) == 4
+
+    @pytest.mark.parametrize("command", [("nc", "--type", "KRONECKER"), ("kronecker",)])
+    def test_kronecker_bound_cap(self, capsys, monkeypatch, command):
+        err = self._rejected(capsys, monkeypatch, "ResourceLimitError", *command, "--bound", "4097")
+        assert err == "error: ResourceLimitError: truncation bound 4097 exceeds the cap 4096\n"

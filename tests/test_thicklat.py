@@ -599,6 +599,28 @@ class TestKroneckerLattice:
         with pytest.raises(ResourceLimitError):
             tl.kronecker_lattice(0, tuple(f"x{i}" for i in range(17)))
 
+    def test_points_cap_before_labels(self):
+        class Count(int):
+            def __add__(self, other):
+                raise AssertionError("labels made before the points cap check")
+
+        with pytest.raises(ResourceLimitError, match="17 tube points exceed the cap 16"):
+            tl.kronecker_lattice(0, Count(tl.MAX_TUBE_POINTS + 1))
+
+    def test_bound_cap_before_any_work(self, monkeypatch):
+        cap = nc.MAX_KRONECKER_BOUND
+        assert nc.nc_kronecker(cap).truncation_bound == cap
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reflections built before the bound cap check")
+
+        monkeypatch.setattr(cw, "reflections", forbidden)
+        match = f"truncation bound {cap + 1} exceeds the cap {cap}"
+        with pytest.raises(ResourceLimitError, match=match):
+            nc.nc_kronecker(cap + 1)
+        with pytest.raises(ResourceLimitError, match=match):
+            tl.kronecker_lattice(cap + 1, 2)
+
 
 def _kronecker_json_reference(lat):
     """Covers and names straight from the frozenset elements, one

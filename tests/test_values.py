@@ -68,6 +68,46 @@ class TestWeylElement:
     def test_read_only(self, a2):
         _read_only(cw.simple_reflection(a2, 2), "matrix")
 
+    def test_hash_slot_read_only(self, a2):
+        w = cw.simple_reflection(a2, 2)
+        assert w._hash == hash((w.matrix,))
+        _read_only(w, "_hash")
+
+    def test_matrix_hashed_once(self):
+        class CountingMatrix(tuple):
+            hashes = 0
+
+            def __hash__(self):
+                CountingMatrix.hashes += 1
+                return tuple.__hash__(self)
+
+        lat = noncrossing.enumerate_nc(cw.build_cartan("A3"))
+        w = cw.WeylElement(CountingMatrix(lat.elements[5].matrix))
+        assert [lat.index(w) for _ in range(10)] == [5] * 10
+        assert CountingMatrix.hashes == 1
+
+    @pytest.mark.parametrize("label", ["A5", "E6"])
+    def test_hash_is_the_matrix_tuple_hash(self, label):
+        lat = noncrossing.enumerate_nc(cw.build_cartan(label))
+        assert all(hash(w) == hash((w.matrix,)) for w in lat.elements)
+
+    def test_lookup_by_value(self):
+        lat = noncrossing.enumerate_nc(cw.build_cartan("A3"))
+        for i, w in enumerate(lat.elements):
+            fresh = cw.WeylElement(tuple(tuple(list(row)) for row in w.matrix))
+            assert fresh.matrix is not w.matrix and fresh is not w
+            assert lat.index(fresh) == i and fresh in lat
+
+    def test_equal_to_itself_without_comparing(self, a2):
+        class Incomparable(tuple):
+            def __eq__(self, other):
+                raise AssertionError("matrices compared")
+
+            __hash__ = tuple.__hash__
+
+        w = cw.WeylElement(Incomparable(cw.simple_reflection(a2, 1).matrix))
+        assert w == w and not w != w
+
     def test_kronecker_index_names_the_element(self):
         lat = thicklat.kronecker_lattice(1, 1)
         w = cw.simple_reflection(cw.build_cartan("A2"), 1)
@@ -83,6 +123,15 @@ class TestQuiverAndRepresentation:
         assert same == q and hash(same) == hash(("A3", (1, 2, 3), ((1, 2), (2, 3))))
         assert repcat._category(same) is repcat._category(q)
         assert q != repcat.dynkin_quiver("A3", ((2, 1), (2, 3)))
+
+    def test_equal_to_itself_without_a_key(self, monkeypatch):
+        q = repcat.dynkin_quiver("A3")
+
+        def no_key(self):
+            raise AssertionError("key built")
+
+        monkeypatch.setattr(repcat.Quiver, "_key", no_key)
+        assert q == q and not q != q
 
     @pytest.mark.parametrize("field", ["label", "vertices", "arrows"])
     def test_quiver_read_only(self, field):
