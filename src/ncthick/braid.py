@@ -46,11 +46,18 @@ class Factorization:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def key(self) -> tuple:
-        return tuple(x.matrix for x in self.parts)
+    def key(self) -> tuple[WeylElement, ...]:
+        """The parts: equal for equal factorizations, and hashed by the hash
+        each WeylElement keeps, so a set of keys rehashes no matrix."""
+        return self.parts
 
     def roots(self) -> tuple[Vector, ...]:
         return tuple(cartan.reflection_root(self.cartan, x) for x in self.parts)
+
+
+def _matrix_order(f: Factorization) -> tuple:
+    """Sort key: the parts' matrices, compared entry by entry."""
+    return tuple(x.matrix for x in f.parts)
 
 
 def _move(cd: CartanDatum, roots: tuple[Vector, ...], i: int, inverse: bool) -> tuple[Vector, ...]:
@@ -103,7 +110,7 @@ def enumerate_factorizations(
             grow(prefix + (t,), t * inv)
 
     grow((), cartan.identity_element(cd))
-    return tuple(sorted(out, key=Factorization.key))
+    return tuple(sorted(out, key=_matrix_order))
 
 
 def hurwitz_orbit(f: Factorization) -> tuple[Factorization, ...]:
@@ -130,7 +137,7 @@ def hurwitz_orbit(f: Factorization) -> tuple[Factorization, ...]:
                         if len(seen) > MAX_ORBIT_SIZE:
                             raise ResourceLimitError("Hurwitz orbit exceeded cap")
         frontier = nxt
-    return tuple(sorted((_from_roots(cd, r, f.target) for r in seen), key=Factorization.key))
+    return tuple(sorted((_from_roots(cd, r, f.target) for r in seen), key=_matrix_order))
 
 
 def to_json(facts: tuple[Factorization, ...]) -> dict:

@@ -372,8 +372,10 @@ def real_roots(cd: CartanDatum, bound: int = 0) -> frozenset[Vector]:
     return frozenset(roots)
 
 
+@functools.lru_cache(maxsize=None)
 def positive_roots(cd: CartanDatum, bound: int = 0) -> tuple[Vector, ...]:
-    """The roots with nonnegative coordinates, sorted by coordinates."""
+    """The roots with nonnegative coordinates, sorted by coordinates; sorted
+    once per (cd, bound), as each lattice, oracle and certificate reads them."""
     return tuple(sorted(v for v in real_roots(cd, bound) if all(x >= 0 for x in v)))
 
 

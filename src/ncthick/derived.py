@@ -11,16 +11,21 @@ recursion
 
 where the suspension of X is not prescribed: it is detected as the unique
 vertex at which the uncorrected recursion first hits -1.  The translate
-shifts levels, so each node's hammock is knitted once per orientation,
-outside any window, and moved up to every level; knitting stops when the
-hammock dies out, at most 64 levels past the source whatever the window's
-width, so that broken inputs terminate.
+shifts levels, so one table per orientation knits every node's hammock
+once, outside any window, on integer rows indexed by node, and each
+hammock is moved up to every level; knitting stops when the hammock dies
+out, at most 64 levels past the source whatever the window's width, so
+that broken inputs terminate.
 
-Output and the mesh check reuse that sharing.  `hammocks_json` formats
+Output and the mesh check reuse that table.  `hammocks_json` formats
 each vertex name once, in a flat table indexed by level and node, and
 turns each node's hammock into a template of offsets into it, so a
 vertex's entries are read off one slice of the table.  `verify_mesh`
-reads ell once per node, since ell does not depend on the level.
+checks ell(x) = sum of dim Hom(-, x), which does not depend on the level;
+by translation invariance it is the column sum, at node x, of the
+hammocks the output prints, so the check knits nothing more.  `ell`
+still reads it off the opposite orientation's hammocks, as the
+independent route the table is tested against.
 
 The bridge to the module category: the projectives' hammocks place each
 indecomposable module at the vertex v with (dim Hom(P_i, v))_i its
@@ -125,44 +130,60 @@ def _node_order(label: str, orientation: tuple[tuple[int, int], ...]) -> list[in
 
 
 @functools.lru_cache(maxsize=None)
-def _knit(label: str, orientation: tuple[tuple[int, int], ...], node: int):
-    """The hammock of (0, node) in the full repetition, knitted once per
-    (label, orientation, node): its (vertex, value) items in sorted order,
-    the suspension, the last level knitted and the sum of the values."""
-    order = _node_order(label, orientation)
-    first = order[order.index(node):]
-    # arrows into (n, x) leave (n, s) for s -> x and (n - 1, t) for x -> t
-    into = {
-        x: [(0, s) for s, t in orientation if t == x] + [(-1, t) for s, t in orientation if s == x]
-        for x in order
-    }
-    values: dict[Vertex, int] = {}
-    sigma: Vertex | None = None
-    n = 0
-    while True:
-        slice_total = 0
-        for x in first if n == 0 else order:
-            z = (n, x)
-            u = -values.get((n - 1, x), 0)
-            for d, y in into[x]:
-                u += values.get((n + d, y), 0)
-            if z == (0, node):
-                u += 1
-            if u == -1 and sigma is None:
-                sigma = z
-                u = 0
-            if u < 0:
-                raise StructuralError(
-                    f"mesh recursion produced {u} at {z}; duplicate suspension event"
-                )
-            if u:
-                values[z] = u
-            slice_total += u
-        if sigma is not None and slice_total == 0 and n > sigma[0]:
-            return tuple(sorted(values.items())), sigma, n, sum(values.values())
-        if n >= _HARD_CAP:
+def _knit(label: str, orientation: tuple[tuple[int, int], ...]):
+    """The hammock of (0, x) in the full repetition for every node x,
+    knitted once per (label, orientation) on integer rows, one per level
+    and indexed by node.
+
+    Returns (hammocks, ell), both indexed by node - 1.  A hammock is its
+    (vertex, value) items in sorted order, the suspension, the last level
+    knitted and the sum of the values; ell(x) is the column sum
+    sum_y sum_k dim Hom((0, y), (k, x)), which translation invariance
+    makes the sum of dim Hom(-, (0, x))."""
+    # arrows into (n, x) leave (n, s) for s -> x and (n - 1, t) for x -> t;
+    # a row holds node x at index x - 1
+    steps = [
+        (
+            x - 1,
+            [s - 1 for s, t in orientation if t == x],
+            [t - 1 for s, t in orientation if s == x],
+        )
+        for x in _node_order(label, orientation)
+    ]
+    width = len(steps)
+    hammocks = []
+    ell = [0] * width
+    for node in range(1, width + 1):
+        items: list[tuple[Vertex, int]] = []
+        sigma: Vertex | None = None
+        prev = [0] * width
+        for n in range(_HARD_CAP + 1):
+            row = [0] * width
+            if n == 0:
+                row[node - 1] = 1  # the term [Z = X] at the source
+            for x, same, back in steps:
+                u = row[x] - prev[x]
+                for s in same:
+                    u += row[s]
+                for t in back:
+                    u += prev[t]
+                if u == -1 and sigma is None:
+                    sigma = (n, x + 1)
+                    u = 0
+                if u < 0:
+                    raise StructuralError(
+                        f"mesh recursion produced {u} at {(n, x + 1)}; duplicate suspension event"
+                    )
+                row[x] = u
+            items.extend(((n, y), k) for y, k in enumerate(row, 1) if k)
+            ell = list(map(operator.add, ell, row))
+            if sigma is not None and n > sigma[0] and not any(row):
+                break
+            prev = row
+        else:
             raise WindowError(f"hammock of node {node} does not die out within the cap")
-        n += 1
+        hammocks.append((tuple(items), sigma, n, sum(k for _, k in items)))
+    return tuple(hammocks), tuple(ell)
 
 
 def _in_window(t: TranslationQuiver, v: Vertex) -> tuple[str, tuple[tuple[int, int], ...], int]:
@@ -178,7 +199,7 @@ def knit_hammock(t: TranslationQuiver, source: Vertex, auto_extend: bool = True)
     level.  Without auto_extend it must die out inside the window."""
     label, orientation, hi = _in_window(t, source)
     level, node = source
-    items, (s, x), last, _ = _knit(label, orientation, node)
+    items, (s, x), last, _ = _knit(label, orientation)[0][node - 1]
     if not auto_extend and level + last > hi:
         raise WindowError(f"window exhausted before hammock of {source} died out")
     values = {(n + level, y): k for (n, y), k in items}
@@ -188,7 +209,7 @@ def knit_hammock(t: TranslationQuiver, source: Vertex, auto_extend: bool = True)
 def suspension(t: TranslationQuiver, x: Vertex) -> Vertex:
     """The shift of x, located by the hammock's -1 event."""
     label, orientation, _ = _in_window(t, x)
-    level, node = _knit(label, orientation, x[1])[1]
+    level, node = _knit(label, orientation)[0][x[1] - 1][1]
     return (level + x[0], node)
 
 
@@ -200,21 +221,23 @@ def serre(t: TranslationQuiver, x: Vertex) -> Vertex:
 
 def ell(t: TranslationQuiver, x: Vertex) -> int:
     """Total morphism length into x, summed over all indecomposables: the
-    sum of dim Hom(-, x), which is a hammock of the opposite orientation."""
+    sum of dim Hom(-, x), which is a hammock of the opposite orientation.
+    `verify_mesh` reads the same number off the window's own table; this
+    route stays as the reference it is tested against."""
     label, orientation, _ = _in_window(t, x)
-    return _knit(label, tuple((b, a) for a, b in orientation), x[1])[3]
+    return _knit(label, tuple((b, a) for a, b in orientation))[0][x[1] - 1][3]
 
 
 def verify_mesh(t: TranslationQuiver, levels: tuple[int, int] | None = None) -> MeshReport:
     """Check 2*ell(Z) = ell(Z) + ell(tau Z) = 2 + sum d * ell(Y) vertex-wise.
 
-    ell depends only on the node, so it is read once per node off the
-    opposite orientation's hammocks, and each vertex compares table entries."""
+    ell depends only on the node, so it is read off the column sums of the
+    window's own hammock table, the one `hammocks_json` prints, and each
+    vertex compares table entries."""
     label, orientation, (lo, hi) = _require_meta(t)
     if levels is None:
         levels = (lo + 1, hi)
-    opposite = tuple((b, a) for a, b in orientation)
-    ells = {x: _knit(label, opposite, x)[3] for x in _nodes(label)}
+    ells = dict(zip(_nodes(label), _knit(label, orientation)[1]))
     checked = []
     violations = []
     for z in t.vertices:
@@ -268,9 +291,10 @@ def _slice(
             elif t in grade:
                 grade[s] = grade[t] + 1
     low = min(grade.values())
+    hammocks = _knit(label, orientation)[0]
     dims: dict[Vertex, list[int]] = {}
     for i in nodes:
-        for (n, y), k in _knit(label, orientation, i)[0]:
+        for (n, y), k in hammocks[i - 1][0]:
             dims.setdefault((n + grade[i] - low, y), [0] * len(nodes))[i - 1] = k
     placed = {tuple(d): v for v, d in dims.items()}
     roots = cartan.positive_roots(cartan.build_cartan(label))
@@ -286,11 +310,12 @@ def hom_ext_table(
     """(dim Hom, dim Ext^1) for each ordered pair (a, b) of positive roots:
     the hammock of a's vertex read at b's vertex and at its suspension."""
     slice_ = _slice(label, orientation)
+    hammocks = _knit(label, orientation)[0]
     table = {}
     for a, (n, x) in slice_:
-        values = {(k + n, y): d for (k, y), d in _knit(label, orientation, x)[0]}
+        values = {(k + n, y): d for (k, y), d in hammocks[x - 1][0]}
         for b, (m, y) in slice_:
-            s, z = _knit(label, orientation, y)[1]
+            s, z = hammocks[y - 1][1]
             table[(a, b)] = (values.get((m, y), 0), values.get((s + m, z), 0))
     return types.MappingProxyType(table)
 
@@ -332,7 +357,7 @@ def hammocks_json(t: TranslationQuiver) -> dict:
     label, orientation, (lo, hi) = _require_meta(t)
     nodes = _nodes(label)
     width = len(nodes)
-    knits = {x: _knit(label, orientation, x) for x in nodes}
+    knits = dict(zip(nodes, _knit(label, orientation)[0]))
     top = hi + max(last for _, _, last, _ in knits.values())
     table = [f"{n}:{x}" for n in range(lo, top + 1) for x in nodes]
     name = {v: table[(v[0] - lo) * width + v[1] - 1] for v in t.vertices}

@@ -32,6 +32,31 @@ class TestFactorization:
         f = _standard("A2")
         assert f.roots() == ((1, 0), (0, 1))
 
+    def test_key_hashes_no_matrix(self):
+        # the key is the parts, whose hashes were computed once in __init__:
+        # comparing sets of keys rehashes no matrix
+        class CountingMatrix(tuple):
+            hashes = 0
+
+            def __hash__(self):
+                CountingMatrix.hashes += 1
+                return tuple.__hash__(self)
+
+        cd = cw.build_cartan("A3")
+        facts = braid.enumerate_factorizations(cd)
+        copies = [
+            braid.Factorization(
+                cd, tuple(cw.WeylElement(CountingMatrix(x.matrix)) for x in f.parts), f.target
+            )
+            for f in facts
+        ]
+        built = CountingMatrix.hashes
+        assert built >= 3 * len(facts)  # once per part, in WeylElement.__init__
+        for _ in range(5):
+            assert {f.key() for f in copies} == {f.key() for f in facts}
+            assert [f.key() for f in copies] == [f.key() for f in facts]
+        assert CountingMatrix.hashes == built
+
 
 class TestBraidAct:
     def test_a2_forward(self):
@@ -126,7 +151,7 @@ class TestEnumerateCarriesInverses:
         monkeypatch.setattr(linalg, "int_inverse", counted)
         facts = braid.enumerate_factorizations(cd)
         assert len(calls) == 0
-        assert sorted(f.key() for f in facts) == expected
+        assert [tuple(x.matrix for x in f.parts) for f in facts] == expected
 
 
 class TestHurwitzOrbit:

@@ -190,6 +190,14 @@ class TestRealRoots:
         cd = cw.build_cartan("KRONECKER")
         assert cw.positive_roots(cd, 1) == ((0, 1), (1, 0), (1, 2), (2, 1))
 
+    @pytest.mark.parametrize("label,bound", [("A4", 0), ("E8", 0), ("G2", 0), ("KRONECKER", 3)])
+    def test_positive_roots_sorted_once(self, label, bound):
+        cd = cw.build_cartan(label)
+        roots = cw.positive_roots(cd, bound)
+        assert roots == tuple(sorted(v for v in cw.real_roots(cd, bound) if min(v) >= 0))
+        assert all(cw.positive_roots(cd, bound) is roots for _ in range(3))
+        assert cw.positive_roots(cw.build_cartan(label), bound) is roots
+
     @pytest.mark.parametrize("label", FINITE_LABELS)
     def test_cartan_rows_match_reflect_closure(self, label):
         cd = cw.build_cartan(label)

@@ -204,9 +204,10 @@ class TestMesh:
         assert len(report.checked) >= 4
 
     def test_one_knit_per_node_and_orientation(self, monkeypatch):
-        # every hammock is a translate of a level-0 one, and ell reads the
-        # opposite orientation's hammocks, so no window is built besides
-        # t and each of the 8 nodes is knitted once per orientation
+        # every hammock is a translate of a level-0 one, and ell is read off
+        # the column sums of the same table, so no window is built besides
+        # t and one table of the 8 nodes' hammocks is knitted, on t's own
+        # orientation only
         t = dv.build_zdelta("E8", (0, 24))
         dv._knit.cache_clear()
         calls = []
@@ -214,7 +215,9 @@ class TestMesh:
         assert dv.verify_mesh(t).ok
         dv.hammocks_json(t)
         assert calls == []
-        assert dv._knit.cache_info().misses == 16
+        assert dv._knit.cache_info().misses == 1
+        assert dv._knit.cache_info().currsize == 1
+        assert len(dv._knit("E8", t.meta["orientation"])[0]) == 8
 
 
 class TestDerivedHom:
@@ -336,9 +339,10 @@ class TestModuleSlice:
         # a knit that loses one value leaves a root unplaced or placed twice
         real = dv._knit.__wrapped__
 
-        def lossy(label, orientation, node):
-            items, sigma, last, total = real(label, orientation, node)
-            return items[1:] if node == 1 else items, sigma, last, total
+        def lossy(label, orientation):
+            hammocks, ell = real(label, orientation)
+            (items, sigma, last, total), *rest = hammocks
+            return ((items[1:], sigma, last, total), *rest), ell
 
         monkeypatch.setattr(dv, "_knit", lossy)
         with pytest.raises(StructuralError, match="once"):
@@ -403,15 +407,85 @@ def _seeded_orientation(label, seed):
     return tuple((b, a) if rng.random() < 0.5 else (a, b) for a, b in cw.tree_edges(label))
 
 
+def _knit_reference(label, orientation, node):
+    """One node's hammock knitted alone, on a dict keyed by vertex: its
+    values, the suspension, the last level knitted and the sum of the
+    values."""
+    order = dv._node_order(label, orientation)
+    into = {
+        x: [(0, s) for s, t in orientation if t == x] + [(-1, t) for s, t in orientation if s == x]
+        for x in order
+    }
+    values, sigma, n = {}, None, 0
+    while True:
+        slice_total = 0
+        for x in order:
+            z = (n, x)
+            u = -values.get((n - 1, x), 0) + (z == (0, node))
+            for d, y in into[x]:
+                u += values.get((n + d, y), 0)
+            if u == -1 and sigma is None:
+                sigma, u = z, 0
+            assert u >= 0
+            if u:
+                values[z] = u
+            slice_total += u
+        if sigma is not None and slice_total == 0 and n > sigma[0]:
+            return values, sigma, n, sum(values.values())
+        assert n < dv._HARD_CAP
+        n += 1
+
+
+ADE_UP_TO_RANK_8 = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
+
+
+class TestKnitTable:
+    @pytest.mark.parametrize("label", ADE_UP_TO_RANK_8)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ell_matches_opposite_orientation(self, label, seed):
+        # column sums of the forward table against the opposite
+        # orientation's hammock totals, which share no sum with them
+        t = dv.build_zdelta(label, (0, 0), _seeded_orientation(label, seed))
+        ell = dv._knit(label, t.meta["orientation"])[1]
+        assert ell == tuple(dv.ell(t, v) for v in t.vertices)
+
+    @pytest.mark.parametrize("label", ADE_UP_TO_RANK_8)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_match_dict_knit(self, label, seed):
+        orientation = rc.dynkin_quiver(label, _seeded_orientation(label, seed)).arrows
+        hammocks = dv._knit(label, orientation)[0]
+        assert len(hammocks) == cw.parse_label(label)[1]
+        for node, (items, sigma, last, total) in enumerate(hammocks, 1):
+            values, *rest = _knit_reference(label, orientation, node)
+            assert items == tuple(sorted(values.items()))
+            assert (sigma, last, total) == tuple(rest)
+
+    def test_one_node_knits_its_orientation_once(self):
+        dv._knit.cache_clear()
+        t = dv.build_zdelta("D6", (0, 4), _seeded_orientation("D6", 1))
+        for v in t.vertices:
+            dv.knit_hammock(t, v)
+            dv.suspension(t, v)
+        assert dv._knit.cache_info().misses == 1
+        dv.ell(t, (0, 1))
+        assert dv._knit.cache_info().misses == 2
+
+    def test_cap_on_a_euclidean_star(self):
+        # four arms on one node are not Dynkin: no hammock dies out
+        with pytest.raises(WindowError, match="hammock of node 1 does not die out within the cap"):
+            dv._knit.__wrapped__("A5", ((3, 1), (3, 2), (3, 4), (3, 5)))
+
+
 def _hammocks_json_reference(t):
     """The per-vertex route: every name and entry formatted as a fresh string."""
     label, orientation, window = t.meta["label"], t.meta["orientation"], t.meta["window"]
     name = lambda v: f"{v[0]}:{v[1]}"  # noqa: E731
     hams = {}
+    knits = {x: _knit_reference(label, orientation, x) for x in dv._nodes(label)}
     for level, node in t.vertices:
-        items, (s, x), _, _ = dv._knit(label, orientation, node)
+        values, (s, x), _, _ = knits[node]
         hams[f"{level}:{node}"] = {
-            "values": {f"{n + level}:{y}": k for (n, y), k in items},
+            "values": {f"{n + level}:{y}": k for (n, y), k in sorted(values.items())},
             "suspension": f"{s + level}:{x}",
         }
     return {
@@ -425,9 +499,10 @@ def _hammocks_json_reference(t):
     }
 
 
-def _verify_mesh_reference(t, levels=None):
-    """The per-vertex route: ell read at each vertex, its translate and
-    each arrow source.  Returns (checked, violations)."""
+def _verify_mesh_reference(t, levels=None, ell=None):
+    """The per-vertex route: ell (by default dv.ell) read at each vertex,
+    its translate and each arrow source.  Returns (checked, violations)."""
+    ell = ell or dv.ell
     lo, hi = t.meta["window"]
     if levels is None:
         levels = (lo + 1, hi)
@@ -436,8 +511,8 @@ def _verify_mesh_reference(t, levels=None):
         if not (levels[0] <= z[0] <= levels[1]) or z not in t.tau:
             continue
         checked.append(z)
-        lz, ltz = dv.ell(t, z), dv.ell(t, t.tau[z])
-        mesh = 2 + sum(val[0] * dv.ell(t, y) for y, val in t.arrows_into(z))
+        lz, ltz = ell(t, z), ell(t, t.tau[z])
+        mesh = 2 + sum(val[0] * ell(t, y) for y, val in t.arrows_into(z))
         if not (2 * lz == lz + ltz == mesh):
             violations.append(f"at {z}: 2*{lz} vs {lz}+{ltz} vs {mesh}")
     return tuple(checked), tuple(violations)
@@ -481,7 +556,7 @@ class TestHammocksJsonTable:
         t = dv.build_zdelta(label, (0, 24), _seeded_orientation(label, seed))
         assert dv.verify_mesh(t).ok
         _dumps(dv.hammocks_json(t))
-        assert dv._knit.cache_info().misses <= 2 * cw.parse_label(label)[1]
+        assert dv._knit.cache_info().misses == 1
 
     def test_keys_share_the_name_table(self):
         label, (lo, hi) = "E8", (0, 24)
@@ -492,7 +567,7 @@ class TestHammocksJsonTable:
             keys.extend(ham["values"])
             keys.append(ham["suspension"])
         orientation = t.meta["orientation"]
-        top = hi + max(dv._knit(label, orientation, x)[2] for x in range(1, 9))
+        top = hi + max(last for _, _, last, _ in dv._knit(label, orientation)[0])
         table = (top - lo + 1) * 8
         assert len(keys) > 10 * table
         assert len({id(k) for k in keys}) <= table
@@ -523,26 +598,31 @@ class TestVerifyMeshTable:
 
         monkeypatch.setattr(dv, "_knit", counted)
         monkeypatch.setattr(dv, "ell", lambda *args: pytest.fail("ell called per vertex"))
-        assert dv.verify_mesh(dv.build_zdelta("E8", (0, 24))).ok
-        assert len(calls) == 8
+        t = dv.build_zdelta("E8", (0, 24))
+        assert dv.verify_mesh(t).ok
+        assert calls == [("E8", t.meta["orientation"])]
 
     @pytest.mark.parametrize("label,node", [("D5", 3), ("E7", 4), ("A3", 1)])
     def test_off_by_one_ell_is_caught(self, label, node, monkeypatch, capsys):
-        # one node's opposite-orientation sum off by one, after every ell
-        # of the window is already cached: the report must still bite
+        # one node's ell in the forward table off by one, after the table
+        # is already cached: the report must still bite, exactly where the
+        # per-vertex route with the same +1 does
         real = dv._knit
-        opposite = tuple((b, a) for a, b in rc.dynkin_quiver(label).arrows)
+        forward = rc.dynkin_quiver(label).arrows
 
-        def off(lab, orientation, x):
-            items, sigma, last, total = real(lab, orientation, x)
-            return items, sigma, last, total + (orientation == opposite and x == node)
+        def off(lab, orientation):
+            hammocks, ell = real(lab, orientation)
+            if orientation == forward:
+                ell = tuple(v + (x == node) for x, v in enumerate(ell, 1))
+            return hammocks, ell
 
         t = dv.build_zdelta(label, (-2, 2 * cw.parse_label(label)[1]))
         assert dv.verify_mesh(t).ok
         monkeypatch.setattr(dv, "_knit", off)
         report = dv.verify_mesh(t)
         assert report.violations
-        assert (report.checked, report.violations) == _verify_mesh_reference(t)
+        off_ell = lambda t, z: dv.ell(t, z) + (z[1] == node)  # noqa: E731
+        assert (report.checked, report.violations) == _verify_mesh_reference(t, ell=off_ell)
         assert cli.run(["arq", "knit", "--type", label, "--check-mesh"]) == 1
         out = capsys.readouterr()
         assert out.err.count("mesh-violation: ") == len(report.violations)

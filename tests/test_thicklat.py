@@ -198,7 +198,7 @@ class TestThickLattice:
 
     def test_indecomposables_built_once_per_root(self, monkeypatch):
         # no indecomposable is built: each root's hammock is a translate of
-        # the hammock of one node, and each node's is knitted once
+        # the hammock of one node, and one table knits every node's once
         for cache in (dv._knit, dv._slice, dv.hom_ext_table, tl._exceptional_masks):
             cache.cache_clear()
         built = []
@@ -209,7 +209,8 @@ class TestThickLattice:
         cd = cw.build_cartan("D4")
         tl.thick_lattice(cd)
         assert built == []
-        assert dv._knit.cache_info().misses == cd.rank
+        assert len(dv._knit(cd.label, rc.dynkin_quiver(cd.label).arrows)[0]) == cd.rank
+        assert dv._knit.cache_info().misses == 1
 
     def test_exceptional_checks_solve_each_pair_once(self, monkeypatch):
         # Hom and Ext^1 come from one hammock table with an entry per ordered
