@@ -10,7 +10,12 @@ by its positive root, and s_a s_b s_a is the reflection at s_a(b), so a
 move is one root reflection: (a, b) -> (+-s_a(b), a), and the inverse
 (a, b) -> (b, +-s_b(a)), the sign chosen to keep the root positive.
 The brute force stays on matrices, as the independent route, and
-carries each prefix product's inverse, so it inverts no matrix.
+shares no code with the root-tuple search: it carries the rest P^-1 c
+of each prefix product P, so a child's rest t P^-1 c is one rank-one
+update and a leaf's rest is its last factor, and it inverts and
+multiplies no matrix.  `Factorization` checks its parts the same way:
+`reflection_root` names each part's root, and the product is built by
+rank-one updates, never by a matrix product.
 """
 
 from __future__ import annotations
@@ -28,20 +33,29 @@ MAX_ORBIT_SIZE = 1_000_000
 class Factorization:
     """An ordered tuple of reflections multiplying to a fixed target."""
 
-    __slots__ = ("cartan", "parts", "target")
+    __slots__ = ("cartan", "parts", "target", "_roots")
 
     def __init__(self, cartan: CartanDatum, parts: tuple[WeylElement, ...], target: WeylElement):
         self.cartan, self.parts, self.target = cartan, parts, target
-        self._validate()
+        self._roots = self._validate()
 
-    def _validate(self):
-        prod = cartan.identity_element(self.cartan)
+    def _validate(self) -> tuple[Vector, ...]:
+        """The parts' roots, each named by `reflection_root` (which is the
+        reflection check), once the parts are multiplied out by rank-one
+        updates, prod * s_alpha = prod - (prod alpha) (x) coroot(alpha)."""
+        cd = self.cartan
+        prod = cartan.identity_element(cd)
+        roots = []
         for x in self.parts:
-            if not cartan.is_reflection(self.cartan, x):
-                raise NotReflectionError("factorization entry is not a reflection")
-            prod = prod * x
+            try:
+                alpha = cartan.reflection_root(cd, x)
+            except NotReflectionError:
+                raise NotReflectionError("factorization entry is not a reflection") from None
+            prod = prod.times_reflection(alpha, cartan.coroot(cd, alpha))
+            roots.append(alpha)
         if prod != self.target:
             raise NotInPosetError("parts do not multiply to the target")
+        return tuple(roots)
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -52,7 +66,7 @@ class Factorization:
         return self.parts
 
     def roots(self) -> tuple[Vector, ...]:
-        return tuple(cartan.reflection_root(self.cartan, x) for x in self.parts)
+        return self._roots
 
 
 def _matrix_order(f: Factorization) -> tuple:
@@ -96,20 +110,21 @@ def enumerate_factorizations(
         )
     if c is None:
         c = cartan.coxeter_element(cd)
-    refs = cartan.reflections(cd)
+    roots = cartan.positive_roots(cd)
+    steps = [(cartan.reflection_element(cd, a), a, cartan.coroot(cd, a)) for a in roots]
     out: list[Factorization] = []
 
-    def grow(prefix: tuple[WeylElement, ...], inv: WeylElement) -> None:
-        # inv is the prefix product's inverse; t is an involution, so the child's is t * inv
+    def grow(prefix: tuple[WeylElement, ...], rest: WeylElement) -> None:
+        # rest = P^-1 c for the prefix product P; t is an involution, so the
+        # child's rest is t * rest, and at a leaf the rest is the last factor
         if len(prefix) == cd.rank - 1:
-            last = inv * c
-            if cartan.is_reflection(cd, last):
-                out.append(Factorization(cd, prefix + (last,), c))
+            if cartan.is_reflection(cd, rest):
+                out.append(Factorization(cd, prefix + (rest,), c))
             return
-        for t in refs:
-            grow(prefix + (t,), t * inv)
+        for t, a, q in steps:
+            grow(prefix + (t,), rest.reflection_times(a, q))
 
-    grow((), cartan.identity_element(cd))
+    grow((), c)
     return tuple(sorted(out, key=_matrix_order))
 
 
@@ -146,5 +161,5 @@ def to_json(facts: tuple[Factorization, ...]) -> dict:
         return {"type": None, "factorizations": []}
     return {
         "type": facts[0].cartan.label,
-        "factorizations": [[list(r) for r in f.roots()] for f in facts],
+        "factorizations": [f.roots() for f in facts],
     }

@@ -14,9 +14,13 @@ divided by the gcd of its entries so the numbers stay small.  `rank`
 counts its pivots and builds no Fraction; `rref` divides each pivot row
 by its pivot once at the end, which gives the unique reduced row echelon
 form, so `nullspace`, `solve_columns` and `inverse` get the same exact
-values a rational elimination would give.  Ranks of integer matrices,
-such as the `w - 1` of absolute length, go through `rank` too; only the
-determinant `int_det` keeps its own (Bareiss) loop.
+values a rational elimination would give.  Integer systems known to
+have an integer solution go through `int_solve`, which reads that
+solution off the eliminated rows with no Fraction: the Euler form
+solves (1 - c)^T E^T = G with it, and `int_inverse` is the case b = 1.
+Ranks of integer matrices, such as the `w - 1` of absolute length, go
+through `rank` too; only the determinant `int_det` keeps its own
+(Bareiss) loop.
 """
 
 from __future__ import annotations
@@ -179,22 +183,27 @@ def inverse(a: Mat) -> tuple[tuple[Fraction, ...], ...]:
     return freeze(row[n:] for row in m[:n])
 
 
-def int_inverse(a: Mat) -> tuple[tuple[int, ...], ...]:
-    """Inverse of an integer matrix known to be invertible over Z.
+def int_solve(a: Mat, b: Mat) -> tuple[tuple[int, ...], ...]:
+    """The integer x with a @ x = b, for a square integer a and integer b.
 
-    Row r of the eliminated [a | 1] is primitive, so its pivot divides
-    the inverse's row exactly when the pivot is 1.
+    One `_eliminate` on [a | b]: every eliminated row is primitive, so
+    its pivot divides the row's right-hand side exactly when the pivot
+    is 1.  Raises StructuralError when a is singular or x is not integral.
     """
     from .errors import StructuralError
 
     n = len(a)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    m, pivots = _eliminate(aug, 2 * n)
-    if pivots[:n] != list(range(n)):
+    m, pivots = _eliminate([list(ra) + list(rb) for ra, rb in zip(a, b)], n)
+    if len(pivots) != n:
         raise StructuralError("matrix not invertible")
     if any(m[r][r] != 1 for r in range(n)):
-        raise StructuralError("inverse is not integral")
-    return freeze(row[n:] for row in m[:n])
+        raise StructuralError("solution is not integral")
+    return freeze(row[n:] for row in m)
+
+
+def int_inverse(a: Mat) -> tuple[tuple[int, ...], ...]:
+    """Inverse of an integer matrix known to be invertible over Z."""
+    return int_solve(a, identity(len(a)))
 
 
 def int_det(a: Mat) -> int:

@@ -43,6 +43,7 @@ from .errors import (
     NotReflectionError,
     OutOfRangeError,
     ResourceLimitError,
+    StructuralError,
     UnsupportedLabelError,
 )
 
@@ -161,13 +162,21 @@ def euler_form(cd: CartanDatum, c: WeylElement) -> tuple[tuple[int, ...], ...]:
     E + E^T is the Gram matrix G; for simply-laced labels E is the Euler
     form of the quiver whose arrows point from the earlier to the later
     vertex of c's word.  1 - c is invertible because l(c) = n, and E is
-    integral for every Coxeter element.
+    integral for every Coxeter element, so E^T is the one integer
+    solution of (1 - c)^T E^T = G: one `linalg.int_solve`, with no
+    Fraction and no matrix product.  A singular 1 - c raises
+    StructuralError; a non-integral E, told apart by a rank taken only
+    after a failed solve, raises NotInPosetError.
     """
-    one_minus_c = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(c.matrix)]
-    e = linalg.mat_mul(cd.gram(), linalg.inverse(one_minus_c))
-    if any(x.denominator != 1 for row in e for x in row):
-        raise NotInPosetError("the given element is not a Coxeter element")
-    return tuple(tuple(int(x) for x in row) for row in e)
+    n = cd.rank
+    lhs = [[int(i == j) - row[i] for j, row in enumerate(c.matrix)] for i in range(n)]
+    try:
+        e_t = linalg.int_solve(lhs, cd.gram())
+    except StructuralError:
+        if linalg.rank(lhs, n) < n:
+            raise
+        raise NotInPosetError("the given element is not a Coxeter element") from None
+    return linalg.transpose(e_t, n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -369,12 +378,6 @@ def join(lattice: NCLattice, u: WeylElement, v: WeylElement) -> WeylElement:
     return lattice.elements[top]
 
 
-def _word_label(word: tuple[Vector, ...]) -> str:
-    if not word:
-        return "id"
-    return "".join("s(" + ",".join(str(x) for x in root) + ")" for root in word)
-
-
 def ranked_dot(name: str, labels, ranks, edges) -> str:
     """Deterministic rank-layered DOT digraph: node i is labels[i] in the
     row of ranks[i], and each (i, j) of edges is an arrow."""
@@ -390,7 +393,8 @@ def ranked_dot(name: str, labels, ranks, edges) -> str:
 
 def hasse_dot(lattice: NCLattice) -> str:
     """Deterministic rank-layered DOT digraph of the cover relations."""
-    labels = [_word_label(lattice.canonical_word(w)) for w in lattice.elements]
+    label = {a: "s(" + ",".join(map(str, a)) + ")" for a in lattice.roots}.__getitem__
+    labels = ["".join(map(label, lattice.canonical_word(w))) or "id" for w in lattice.elements]
     return ranked_dot("nc", labels, [lattice.ranks[w] for w in lattice.elements], lattice.hasse)
 
 
@@ -404,11 +408,11 @@ def to_json(lattice: NCLattice) -> dict:
             {
                 "id": i,
                 "rank": lattice.ranks[w],
-                "matrix": [list(row) for row in w.matrix],
+                "matrix": w.matrix,
             }
             for i, w in enumerate(lattice.elements)
         ],
-        "hasse": [list(e) for e in lattice.hasse],
+        "hasse": lattice.hasse,
     }
     if lattice.truncation_bound is not None:
         data["truncation_bound"] = lattice.truncation_bound

@@ -1,3 +1,8 @@
+import functools
+import itertools
+import json
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +36,28 @@ class TestFactorization:
     def test_roots(self):
         f = _standard("A2")
         assert f.roots() == ((1, 0), (0, 1))
+
+    @pytest.mark.parametrize("label", ["B3", "C3", "G2"])
+    def test_rank_one_check_against_products(self, label):
+        # coroot entries of 2: each reordering of a factorization is accepted
+        # exactly when its matrix product is the target
+        cd = cw.build_cartan(label)
+        c = cw.coxeter_element(cd)
+        for f in braid.enumerate_factorizations(cd):
+            assert f.roots() == tuple(cw.reflection_root(cd, x) for x in f.parts)
+            for parts in itertools.permutations(f.parts):
+                if functools.reduce(operator.mul, parts) == c:
+                    assert braid.Factorization(cd, parts, c).parts == parts
+                else:
+                    with pytest.raises(NotInPosetError, match="multiply"):
+                        braid.Factorization(cd, parts, c)
+
+    def test_non_reflection_message(self):
+        cd = cw.build_cartan("G2")
+        c = cw.coxeter_element(cd)
+        for bad in (c, cw.identity_element(cd)):
+            with pytest.raises(NotReflectionError, match="factorization entry is not a reflection"):
+                braid.Factorization(cd, (cw.simple_reflection(cd, 1), bad), c)
 
     def test_key_hashes_no_matrix(self):
         # the key is the parts, whose hashes were computed once in __init__:
@@ -136,6 +163,39 @@ def _factorizations_by_inverse(cd):
     return sorted(out)
 
 
+def _factorizations_by_products(cd):
+    """Reference: every n-tuple of reflection matrices, multiplied out."""
+    c = cw.coxeter_element(cd)
+    return sorted(
+        tuple(x.matrix for x in parts)
+        for parts in itertools.product(cw.reflections(cd), repeat=cd.rank)
+        if functools.reduce(operator.mul, parts) == c
+    )
+
+
+class TestEnumerateCarriesRest:
+    @pytest.mark.parametrize("label", ["A2", "A3", "B3", "G2"])
+    def test_equals_all_tuples(self, label):
+        cd = cw.build_cartan(label)
+        facts = braid.enumerate_factorizations(cd)
+        assert [tuple(x.matrix for x in f.parts) for f in facts] == _factorizations_by_products(cd)
+
+
+class TestNoMatrixProducts:
+    @pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "G2"])
+    def test_no_mat_mul(self, label, monkeypatch):
+        # the brute force carries P^-1 c by rank-one updates and the
+        # constructor checks by rank-one updates: no general product
+        calls = []
+        real = linalg.mat_mul
+        monkeypatch.setattr(linalg, "mat_mul", lambda *args: calls.append(1) or real(*args))
+        start = _standard(label)
+        facts = braid.enumerate_factorizations(start.cartan, start.target)
+        orbit = braid.hurwitz_orbit(start)
+        assert {f.key() for f in orbit} == {f.key() for f in facts}
+        assert len(calls) == 0
+
+
 class TestEnumerateCarriesInverses:
     @pytest.mark.parametrize("label", ["A3", "B3", "D4"])
     def test_no_matrix_inverse(self, label, monkeypatch):
@@ -186,8 +246,8 @@ class TestRootMoves:
                 assert braid.braid_act(f, i, inverse=True).parts == backward
 
     def test_d4_orbit_products(self, monkeypatch):
-        # one product per part of each member, for its constructor check;
-        # the moves themselves multiply no matrices
+        # the moves multiply no matrices, and each member's constructor
+        # check is a chain of rank-one updates
         start = _standard("D4")
         real = linalg.mat_mul
         calls = 0
@@ -200,7 +260,7 @@ class TestRootMoves:
         monkeypatch.setattr(linalg, "mat_mul", counted)
         orbit = braid.hurwitz_orbit(start)
         assert len(orbit) == 162
-        assert calls <= len(orbit) * 4
+        assert calls == 0
 
     def test_infinite_type_rejected_before_any_move(self, monkeypatch):
         cd = cw.build_cartan(cw.KRONECKER)
@@ -232,3 +292,10 @@ class TestJson:
         assert data["type"] == "A2"
         assert len(data["factorizations"]) == 3
         assert all(len(f) == 2 for f in data["factorizations"])
+
+    @pytest.mark.parametrize("label", ["A3", "C3", "G2"])
+    def test_bytes_of_list_form(self, label):
+        # the roots go out as tuples; json writes them as the lists it wrote before
+        facts = braid.enumerate_factorizations(cw.build_cartan(label))
+        reference = {"type": label, "factorizations": [[list(r) for r in f.roots()] for f in facts]}
+        assert json.dumps(braid.to_json(facts)) == json.dumps(reference)

@@ -68,6 +68,13 @@ def matrices(draw, nrows=st.integers(0, 6), ncols=st.integers(0, 6), elements=en
     return rows, c
 
 
+def _unimodular(a, n, data):
+    """A unimodular matrix: lower times upper unitriangular, the lower part read off a."""
+    lower = [[1 if i == j else a[i][j] if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else data.draw(ints) if j > i else 0 for j in range(n)] for i in range(n)]
+    return [list(row) for row in linalg.mat_mul(lower, upper)] if n else []
+
+
 EDGE_CASES = [
     ([], 0),
     ([], 3),
@@ -133,10 +140,7 @@ class TestAgainstRationalElimination:
     def test_int_inverse(self, case, data):
         a, n = case
         if data.draw(st.booleans()):
-            # a unimodular matrix: lower times upper unitriangular
-            lower = [[1 if i == j else a[i][j] if j < i else 0 for j in range(n)] for i in range(n)]
-            upper = [[1 if i == j else data.draw(ints) if j > i else 0 for j in range(n)] for i in range(n)]
-            a = [list(row) for row in linalg.mat_mul(lower, upper)] if n else []
+            a = _unimodular(a, n, data)
         expected = _reference(linalg.inverse, a)
         got = _outcome(linalg.int_inverse, a)
         if expected is StructuralError or any(x.denominator != 1 for row in expected for x in row):
@@ -144,6 +148,50 @@ class TestAgainstRationalElimination:
         else:
             assert got == expected
             assert all(type(x) is int for row in got for x in row)
+
+
+class TestIntSolve:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 5).flatmap(lambda n: matrices(st.just(n), st.just(n), ints, repeat=False)),
+        st.integers(0, 3),
+        st.data(),
+    )
+    def test_against_inverse_times_b(self, case, k, data):
+        a, n = case
+        if data.draw(st.booleans()):
+            a = _unimodular(a, n, data)
+        column = st.lists(ints, min_size=k, max_size=k)
+        b = [data.draw(column) for _ in range(n)]
+        if n and data.draw(st.booleans()):
+            # b = a x for an integer x: integral whenever a is invertible
+            x = [data.draw(column) for _ in range(n)]
+            b = [list(row) for row in linalg.mat_mul(a, x)]
+        inv = _reference(linalg.inverse, a)
+        got = _outcome(linalg.int_solve, a, b)
+        if inv is StructuralError:
+            assert got is StructuralError
+            return
+        expected = linalg.mat_mul(inv, b) if n else ()
+        if any(x.denominator != 1 for row in expected for x in row):
+            assert got is StructuralError
+        else:
+            assert got == expected
+            assert all(type(x) is int for row in got for x in row)
+
+    def test_unimodular(self):
+        assert linalg.int_solve(((2, 1), (1, 1)), ((3, 0), (2, 1))) == ((1, -1), (1, 2))
+
+    def test_integral_solution_of_a_non_unimodular_matrix(self):
+        assert linalg.int_solve(((2, 0), (0, 3)), ((4,), (-3,))) == ((2,), (-1,))
+
+    def test_singular(self):
+        with pytest.raises(StructuralError, match="invertible"):
+            linalg.int_solve(((1, 2), (2, 4)), ((1,), (2,)))
+
+    def test_not_integral(self):
+        with pytest.raises(StructuralError, match="integral"):
+            linalg.int_solve(((2, 0), (0, 1)), ((1,), (0,)))
 
 
 class TestIntInverse:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from ncthick.errors import (
     LatticeStructureError,
     NotInPosetError,
     OutOfRangeError,
+    StructuralError,
     UnsupportedLabelError,
 )
 
@@ -194,7 +196,60 @@ def _orientations(label):
         yield tuple((b, a) if f else (a, b) for (a, b), f in zip(edges, flips))
 
 
+def _euler_form_reference(cd, c):
+    """G (1 - c)^-1 over Fraction: a rational inverse and a product."""
+    one_minus_c = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(c.matrix)]
+    return linalg.mat_mul(cd.gram(), linalg.inverse(one_minus_c))
+
+
+def _seeded_perms(label, count=6):
+    n = cw.build_cartan(label).rank
+    rng = random.Random(f"euler/{label}")
+    return [tuple(rng.sample(range(1, n + 1), n)) for _ in range(count)]
+
+
 class TestEulerForm:
+    @pytest.mark.parametrize(
+        "label,perm",
+        [
+            (lb, p)
+            for lb in ("A1", "A2", "A3", "A4", "B3", "C3", "D4", "G2")
+            for p in itertools.permutations(range(1, cw.build_cartan(lb).rank + 1))
+        ]
+        + [(lb, p) for lb in ("E6", "E7", "E8", "F4") for p in _seeded_perms(lb)],
+    )
+    def test_equals_rational_inverse(self, label, perm):
+        cd = cw.build_cartan(label)
+        c = cw.coxeter_element(cd, perm)
+        e = nc.euler_form(cd, c)
+        assert e == _euler_form_reference(cd, c)
+        assert all(type(x) is int for row in e for x in row)
+
+    def test_one_integer_solve(self, monkeypatch):
+        # no Fraction elimination and no matrix product: one int_solve
+        calls = []
+        for name in ("mat_mul", "inverse", "rref", "int_solve"):
+            real = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda *a, _r=real, _n=name: calls.append(_n) or _r(*a))
+        cd = cw.build_cartan("E8")
+        c = cw.coxeter_element(cd, _seeded_perms("E8", 1)[0])
+        nc.euler_form.cache_clear()
+        nc.euler_form(cd, c)
+        assert calls == ["int_solve"]
+
+    @pytest.mark.parametrize("which", ["identity", "s1"])
+    def test_singular_one_minus_c(self, which):
+        cd = cw.build_cartan("A2")
+        w = cw.identity_element(cd) if which == "identity" else cw.simple_reflection(cd, 1)
+        with pytest.raises(StructuralError, match="matrix not invertible"):
+            nc.euler_form(cd, w)
+
+    def test_non_integral_form(self):
+        # -id has 1 - c = 2, so E = G / 2 is not integral
+        cd = cw.build_cartan("A2")
+        with pytest.raises(NotInPosetError):
+            nc.euler_form(cd, cw.WeylElement(((-1, 0), (0, -1))))
+
     @pytest.mark.parametrize(
         "label,arrows",
         [(lb, arr) for lb in ("A4", "D4") for arr in _orientations(lb)]
@@ -232,8 +287,8 @@ class TestEulerForm:
 class TestGrowthCost:
     def test_d5_no_rank_tests(self, monkeypatch):
         # no product per element: the only products are is_coxeter_element's
-        # h - 1 powers and euler_form's one; growth and certificate are
-        # rank-one updates
+        # h - 1 powers; euler_form is one integer solve, and growth and
+        # certificate are rank-one updates
         counts = {"absolute_length": 0, "mat_mul": 0}
         for module, name in ((cw, "absolute_length"), (linalg, "mat_mul")):
             real = getattr(module, name)
@@ -248,7 +303,7 @@ class TestGrowthCost:
         lat = nc.enumerate_nc(cd)
         assert len(lat) == 182
         assert counts["absolute_length"] == 1
-        assert counts["mat_mul"] <= cw.coxeter_number(cd) + 1
+        assert counts["mat_mul"] == cw.coxeter_number(cd) - 1
 
     def test_e7_count(self, capsys):
         assert cli.run(["nc", "--type", "E7", "--format", "count"]) == 0
@@ -589,6 +644,28 @@ class TestDotAndJson:
         dot = nc.hasse_dot(nc.nc_kronecker(0))
         assert dot.count("[label=") == 4
         assert dot.count("->") == 4
+
+    @pytest.mark.parametrize("label", ["A1", "A3", "B3", "G2", "D4", "KRONECKER"])
+    def test_dot_labels(self, label):
+        # one label per root, joined per word, against formatting each word's roots
+        lat = nc.nc_kronecker(3) if label == "KRONECKER" else _lattice(label)
+
+        def word_label(word):
+            return "".join("s(" + ",".join(str(x) for x in root) + ")" for root in word) or "id"
+
+        labels = [word_label(lat.canonical_word(w)) for w in lat.elements]
+        expected = nc.ranked_dot("nc", labels, [lat.ranks[w] for w in lat.elements], lat.hasse)
+        assert nc.hasse_dot(lat) == expected
+
+    def test_json_bytes_of_list_form(self):
+        lat = _lattice("B3")
+        reference = dict(nc.to_json(lat))
+        reference["elements"] = [
+            {"id": i, "rank": lat.ranks[w], "matrix": [list(row) for row in w.matrix]}
+            for i, w in enumerate(lat.elements)
+        ]
+        reference["hasse"] = [list(e) for e in lat.hasse]
+        assert json.dumps(nc.to_json(lat), sort_keys=True) == json.dumps(reference, sort_keys=True)
 
     def test_dot_deterministic(self):
         assert nc.hasse_dot(_lattice("A3")) == nc.hasse_dot(_lattice("A3"))
