@@ -7,6 +7,11 @@ Weyl layer, are built on it.  Shapes with zero rows or columns are
 legal, which is why the rational routines take the column count
 explicitly instead of guessing it from a possibly empty row list.
 
+The rational routines `rref`, `nullspace`, `solve_columns` and `inverse`
+return canonical exact values: an int wherever a value is integral, and
+a Fraction only where a denominator remains, so each entry's type
+follows from its value.
+
 All elimination runs over the integers in one routine, `_eliminate`:
 each row is scaled by the lcm of its denominators, Gauss-Jordan clears
 every pivot column with integer row operations, and each changed row is
@@ -14,13 +19,14 @@ divided by the gcd of its entries so the numbers stay small.  `rank`
 counts its pivots and builds no Fraction; `rref` divides each pivot row
 by its pivot once at the end, which gives the unique reduced row echelon
 form, so `nullspace`, `solve_columns` and `inverse` get the same exact
-values a rational elimination would give.  Integer systems known to
-have an integer solution go through `int_solve`, which reads that
-solution off the eliminated rows with no Fraction: the Euler form
-solves (1 - c)^T E^T = G with it, and `int_inverse` is the case b = 1.
-Ranks of integer matrices, such as the `w - 1` of absolute length, go
-through `rank` too; only the determinant `int_det` keeps its own
-(Bareiss) loop.
+values a rational elimination would give.  A pivot of 1 leaves its row
+as it is, and otherwise an entry the pivot divides stays an int.
+Integer systems known to have an integer solution go through
+`int_solve`, which reads that solution off the eliminated rows with no
+Fraction: the Euler form solves (1 - c)^T E^T = G with it, and
+`int_inverse` is the case b = 1.  Ranks of integer matrices, such as the
+`w - 1` of absolute length, go through `rank` too; only the determinant
+`int_det` keeps its own (Bareiss) loop.
 """
 
 from __future__ import annotations
@@ -36,10 +42,6 @@ Mat = Sequence[Sequence]
 
 def freeze(rows: Mat) -> tuple[tuple, ...]:
     return tuple(tuple(r) for r in rows)
-
-
-def zeros(nrows: int, ncols: int) -> tuple[tuple[int, ...], ...]:
-    return tuple((0,) * ncols for _ in range(nrows))
 
 
 def identity(n: int) -> tuple[tuple[int, ...], ...]:
@@ -112,43 +114,45 @@ def _eliminate(rows: Mat, ncols: int) -> tuple[list[list[int]], list[int]]:
     return m, pivots
 
 
-def rref(rows: Mat, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows: Mat, ncols: int) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices).
 
     The integer form of `_eliminate` with each pivot row divided by its
-    pivot, the only step that makes fractions; zero rows come last.
+    pivot, the only step that can make fractions: a row with pivot 1
+    comes back as it is, and an entry its pivot divides stays an int.
+    Zero rows come last.
     """
     m, pivots = _eliminate(rows, ncols)
-    out = []
-    for r, row in enumerate(m):
-        p = row[pivots[r]] if r < len(pivots) else 1
-        out.append([Fraction(x) for x in row] if p == 1 else [Fraction(x, p) for x in row])
-    return out, pivots
+    for r, c in enumerate(pivots):
+        p = m[r][c]
+        if p != 1:
+            m[r] = [x // p if x % p == 0 else Fraction(x, p) for x in m[r]]
+    return m, pivots
 
 
 def rank(rows: Mat, ncols: int) -> int:
     return len(_eliminate(rows, ncols)[1])
 
 
-def nullspace(rows: Mat, ncols: int) -> tuple[tuple[Fraction, ...], ...]:
+def nullspace(rows: Mat, ncols: int) -> tuple[tuple, ...]:
     """Basis of the right kernel, one vector per free column."""
     if ncols == 0:
         return ()
     if not rows:
-        return tuple(tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols))
+        return identity(ncols)
     m, pivots = rref(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [0] * ncols
+        v[f] = 1
         for r, c in enumerate(pivots):
             v[c] = -m[r][f]
         basis.append(tuple(v))
     return tuple(basis)
 
 
-def solve_columns(a: Mat, ncols_a: int, b: Mat, ncols_b: int) -> tuple[tuple[Fraction, ...], ...]:
+def solve_columns(a: Mat, ncols_a: int, b: Mat, ncols_b: int) -> tuple[tuple, ...]:
     """Solve a @ x = b for x, where a has full column rank.
 
     Raises StructuralError when the system is inconsistent or the rank
@@ -158,23 +162,26 @@ def solve_columns(a: Mat, ncols_a: int, b: Mat, ncols_b: int) -> tuple[tuple[Fra
     from .errors import StructuralError
 
     if not a:
+        # no equations: rank 0, full column rank only with no unknowns
+        if ncols_a:
+            raise StructuralError("solve_columns: matrix not of full column rank or inconsistent")
         if any(any(x != 0 for x in row) for row in b):
             raise StructuralError("inconsistent empty system")
-        return zeros(ncols_a, ncols_b)
+        return ()
     aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
     m, pivots = rref(aug, ncols_a + ncols_b)
     if len(pivots) != ncols_a or any(p >= ncols_a for p in pivots):
         raise StructuralError("solve_columns: matrix not of full column rank or inconsistent")
-    x = [[Fraction(0)] * ncols_b for _ in range(ncols_a)]
+    x = [[0] * ncols_b for _ in range(ncols_a)]
     for r, c in enumerate(pivots):
         for j in range(ncols_b):
             x[c][j] = m[r][ncols_a + j]
     return freeze(x)
 
 
-def inverse(a: Mat) -> tuple[tuple[Fraction, ...], ...]:
+def inverse(a: Mat) -> tuple[tuple, ...]:
     n = len(a)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     m, pivots = rref(aug, 2 * n)
     from .errors import StructuralError
 

@@ -1,18 +1,19 @@
 """Exact quiver representations for simply-laced Dynkin types.
 
 Morphism spaces are computed by solving the arrow-commutation linear
-system over Q, with `linalg`'s integer elimination (one division per
-pivot row, at the end): `hom` reads a basis off the system, `hom_dim`
-only its rank.  Ext^1 comes through the hereditary Euler form, and one
-indecomposable per positive root is built deterministically by
-reflection-functor transport of a simple along sink reorderings.  For a
-Dynkin quiver the transport reaches every positive root (Bernstein-
-Gelfand-Ponomarev), so a failed transport raises StructuralError.  This
-module is the independent oracle the combinatorial modules are checked
-against, so nothing here consults the Weyl-group machinery beyond root
-enumeration and simple reflections of roots.  Production Hom and Ext^1
-come from the hammocks in `derived`; only `verify`, `thick lattice
---oracle` and the tests call this module.
+system in exact arithmetic, with `linalg`'s integer elimination (one
+division per pivot row, at the end, and an int wherever a value is
+integral): `hom` reads a basis off the system, `hom_dim` only its rank.
+Ext^1 comes through the hereditary Euler form, and one indecomposable
+per positive root is built deterministically by reflection-functor
+transport of a simple along sink reorderings.  For a Dynkin quiver the
+transport reaches every positive root (Bernstein-Gelfand-Ponomarev), so
+a failed transport raises StructuralError.  This module is the
+independent oracle the combinatorial modules are checked against, so
+nothing here consults the Weyl-group machinery beyond root enumeration
+and simple reflections of roots.  Production Hom and Ext^1 come from
+the hammocks in `derived`; only `verify`, `thick lattice --oracle` and
+the tests call this module.
 
 `decompose` certifies the zero representation with no solve and a brick
 on a positive root (End = k) with one; anything else it splits by
@@ -21,16 +22,17 @@ its own and applying the inverse of the Hom Gram matrix on those roots,
 which is integral because the matrix is unitriangular in a path order of
 the AR quiver.
 
-Representations store one rational matrix per arrow with shape
-dim[target] x dim[source]; matrices with zero rows or columns are empty
-tuples, with shapes recovered from the dimension vector.
+Representations store one exact matrix per arrow with shape
+dim[target] x dim[source], with int entries wherever a value is integral
+and Fraction entries only where a denominator remains; matrices with
+zero rows or columns are empty tuples, with shapes recovered from the
+dimension vector.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 
 from . import cartan, linalg
 from .errors import (
@@ -43,7 +45,7 @@ from .errors import (
 from .tquiver import TranslationQuiver
 
 Vector = tuple[int, ...]
-Mat = tuple[tuple[Fraction, ...], ...]
+Mat = tuple[tuple, ...]  # int entries, Fraction where one is not integral
 
 _SIMPLY_LACED = "ADE"
 
@@ -127,7 +129,7 @@ class HomSpace:
 
 
 def _zero(rows: int, cols: int) -> Mat:
-    return tuple((Fraction(0),) * cols for _ in range(rows))
+    return tuple((0,) * cols for _ in range(rows))
 
 
 def simple_rep(q: Quiver, i: int) -> Representation:
@@ -139,7 +141,7 @@ def simple_rep(q: Quiver, i: int) -> Representation:
 def _mm(a: Mat, b: Mat, n: int, k: int, m: int) -> Mat:
     """a (n x k) times b (k x m) with explicit shapes, empty-safe."""
     return tuple(
-        tuple(sum((a[i][r] * b[r][j] for r in range(k)), Fraction(0)) for j in range(m))
+        tuple(sum(a[i][r] * b[r][j] for r in range(k)) for j in range(m))
         for i in range(n)
     )
 
@@ -180,7 +182,7 @@ def _hom_system(
 
 
 def hom(q: Quiver, source: Representation, target: Representation) -> HomSpace:
-    """Solve the intertwining system over Q exactly: a basis of its kernel."""
+    """Solve the intertwining system exactly: a basis of its kernel."""
     rows, total, offsets = _hom_system(q, source, target)
     dm, dn = source.dim, target.dim
     basis = []
@@ -251,7 +253,7 @@ def _coreflect(
     out_idx = [k for k, (s, _) in enumerate(arrows) if s == i]
     di = dim[i - 1]
     # stack the outgoing maps vertically: (sum of target dims) x di
-    stacked: list[tuple[Fraction, ...]] = []
+    stacked: list[tuple] = []
     slots = []
     for k in out_idx:
         t = arrows[k][1]
@@ -334,7 +336,8 @@ class _ModuleCategory:
         self.quiver = q
         cd = cartan.build_cartan(q.label)
         self.roots: tuple[Vector, ...] = cartan.positive_roots(cd)
-        self.reps = {a: indecomposable_for_root(q, a) for a in self.roots}
+        # the (a, a) Hom basis below is each transport's End = k check
+        self.reps = {a: _transport_rep(q, a) for a in self.roots}
         self.hom_spaces = {
             (a, b): hom(q, self.reps[a], self.reps[b])
             for a in self.roots
@@ -361,7 +364,7 @@ class _ModuleCategory:
         for a in self.roots:
             for b in self.roots:
                 da, db = self.reps[a].dim, self.reps[b].dim
-                flat: list[tuple[Fraction, ...]] = []
+                flat: list[tuple] = []
                 for z in self.roots:
                     dz = self.reps[z].dim
                     for f in self.rad_basis(a, z):

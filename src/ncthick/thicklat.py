@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 
 from . import cartan, derived, linalg, noncrossing, repcat
 from .cartan import CartanDatum, WeylElement
@@ -237,7 +236,7 @@ class _ClosureTables:
         for idx, (s, t) in enumerate(q.arrows):
             si, ti = s - 1, t - 1
             if dims[si] == 0 or m.dim[ti] == 0:
-                maps.append(tuple((Fraction(0),) * dims[si] for _ in range(dims[ti])))
+                maps.append(repcat._zero(dims[ti], dims[si]))
                 continue
             image = linalg.mat_mul(m.maps[idx], bases[si])
             maps.append(linalg.solve_columns(bases[ti], dims[ti], image, dims[si]))
@@ -257,7 +256,7 @@ class _ClosureTables:
         for idx, (s, t) in enumerate(q.arrows):
             si, ti = s - 1, t - 1
             if dims[si] == 0 or dims[ti] == 0:
-                maps.append(tuple((Fraction(0),) * dims[si] for _ in range(dims[ti])))
+                maps.append(repcat._zero(dims[ti], dims[si]))
                 continue
             rhs = linalg.mat_mul(projs[ti], n.maps[idx]) if n.dim[si] else ()
             # want W with W @ projs[si] = projs[ti] @ n.maps[idx]
@@ -286,7 +285,7 @@ class _ClosureTables:
         for v in range(q.rank):
             for r in range(n.dim[v]):
                 for c in range(m.dim[v]):
-                    col = [Fraction(0)] * total
+                    col = [0] * total
                     for idx, (s, t) in enumerate(q.arrows):
                         si, ti = s - 1, t - 1
                         if ti == v:
@@ -303,7 +302,7 @@ class _ClosureTables:
         red, pivots = linalg.rref(cob, total)
         span = dict(zip(pivots, red))
         for k in range(total):
-            z = [Fraction(int(j == k)) for j in range(total)]
+            z = [int(j == k) for j in range(total)]
             if span.get(k) != z:
                 break
         else:
@@ -321,7 +320,7 @@ class _ClosureTables:
                 ]
                 blk.append(tuple(row))
             for r in range(rows_m):
-                row = [Fraction(0)] * cols_n + list(m.maps[idx][r])
+                row = [0] * cols_n + list(m.maps[idx][r])
                 blk.append(tuple(row))
             maps.append(tuple(blk))
         return repcat.Representation(q, dims, tuple(maps))

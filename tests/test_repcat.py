@@ -18,6 +18,17 @@ def _orientations(label):
         yield tuple((b, a) if flip else (a, b) for (a, b), flip in zip(edges, flips))
 
 
+# every orientation of A1-A4 by its arrows, A_n having n - 1 of them; None
+# is the default orientation of A4, and the first three are A4's
+_CLOSURE_CASES = [None, ((2, 1), (2, 3), (4, 3)), ((2, 1), (3, 2), (4, 3))]
+_CLOSURE_CASES += [
+    arrows
+    for label in ("A1", "A2", "A3", "A4")
+    for arrows in _orientations(label)
+    if arrows not in _CLOSURE_CASES and arrows != rc.dynkin_quiver("A4").arrows
+]
+
+
 @pytest.fixture(scope="module")
 def a2():
     return rc.dynkin_quiver("A2")
@@ -48,6 +59,22 @@ class TestQuiver:
     def test_rejects_wrong_tree(self):
         with pytest.raises(DimensionMismatchError):
             rc.dynkin_quiver("A3", ((1, 2), (1, 3)))
+
+
+class TestRepresentation:
+    @pytest.mark.parametrize(
+        "dim,maps",
+        [
+            ((1,), (((1,),),)),  # one entry per vertex
+            ((1, -1), ((),)),  # no negative dimension
+            ((1, 1), ()),  # one matrix per arrow
+            ((1, 1), (((1,), (0,)),)),  # dim[target] rows
+            ((1, 1), (((1, 0),),)),  # dim[source] columns
+        ],
+    )
+    def test_rejects_shapes(self, a2, dim, maps):
+        with pytest.raises(DimensionMismatchError):
+            rc.Representation(a2, dim, maps)
 
 
 class TestHom:
@@ -137,6 +164,27 @@ class TestIndecomposables:
         monkeypatch.setattr(rc, "_transport_rep", lambda q, alpha: split)
         with pytest.raises(StructuralError):
             rc.indecomposable_for_root(a2, (1, 1))
+
+    def test_category_checks_each_transport(self, a2, monkeypatch):
+        # the module category builds its indecomposables by transport and
+        # checks End = k on its own (a, a) Hom basis
+        split = rc.Representation(a2, (1, 1), (((0,),),))
+        real = rc._transport_rep
+        monkeypatch.setattr(
+            rc, "_transport_rep", lambda q, alpha: split if alpha == (1, 1) else real(q, alpha)
+        )
+        with pytest.raises(StructuralError, match="not scalar"):
+            rc._ModuleCategory(a2)
+
+    def test_category_solves_each_hom_system_once(self, monkeypatch):
+        # one system per ordered pair of the 10 roots of A4, End included
+        q = rc.dynkin_quiver("A4")
+        calls = []
+        real = rc._hom_system
+        monkeypatch.setattr(rc, "_hom_system", lambda *args: calls.append(args[1:]) or real(*args))
+        cat = rc._ModuleCategory(q)
+        assert len(calls) == len(cat.roots) ** 2 == 100
+        assert len({(m.dim, n.dim) for m, n in calls}) == 100
 
     @pytest.mark.parametrize(
         "label,arrows", [(label, o) for label in ("A4", "D4") for o in _orientations(label)]
@@ -339,17 +387,23 @@ class TestDecompose:
             assert cat.decompose(cat.reps[a]) == {a: 1}
         assert len(calls) == len(cat.roots)
 
-    @pytest.mark.parametrize("arrows", [None, ((2, 1), (2, 3), (4, 3)), ((2, 1), (3, 2), (4, 3))])
+    def test_closure_cases_cover_every_orientation(self):
+        assert len(_CLOSURE_CASES) == len(set(_CLOSURE_CASES)) == 1 + 2 + 4 + 8
+
+    @pytest.mark.parametrize("arrows", _CLOSURE_CASES)
     def test_closure_tables_match_hom_counting(self, arrows, monkeypatch):
         # the certificates leave every consequence as the all-Hom-count
-        # route finds it, for at most 150 rank solves (650 by Hom counts)
-        q = rc.dynkin_quiver("A4", arrows)
+        # route finds it, for at most 150 rank solves (650 by Hom counts
+        # on A4); A1 has no consequence and takes no solve
+        label = "A4" if arrows is None else f"A{len(arrows) + 1}"
+        q = rc.dynkin_quiver(label, arrows)
         rc._category(q)
         calls = []
         real = rc.hom_dim
         monkeypatch.setattr(rc, "hom_dim", lambda *args: calls.append(1) or real(*args))
         fast = thicklat._ClosureTables(q).consequences
-        assert 0 < len(calls) <= 150
+        assert len(calls) <= 150
+        assert bool(calls) == bool(fast) == (label != "A1")
         monkeypatch.setattr(rc._ModuleCategory, "decompose", _hom_count_decompose)
         assert fast == thicklat._ClosureTables(q).consequences
 
@@ -363,6 +417,19 @@ class TestDecompose:
         fake = {rep: 2, cat.reps[(1, 1)]: 1}
         monkeypatch.setattr(rc, "hom_dim", lambda q, m, n: fake.get(n, 0))
         with pytest.raises(StructuralError, match="Hom-count decomposition failed"):
+            cat.decompose(rep)
+
+    def test_multiplicities_must_add_up(self, monkeypatch):
+        # Hom counts of X_(1,0) + X_(1,1) for the split module S1 + S2 on
+        # A2: nonnegative multiplicities whose sum (2, 1) is not (1, 1)
+        q = rc.dynkin_quiver("A2")
+        cat = rc._category(q)
+        rep = _direct_sum(q, [cat.reps[(1, 0)], cat.reps[(0, 1)]])
+        fake = {rep: 2}
+        for b in cat.roots:
+            fake[cat.reps[b]] = cat.hom_dim((1, 0), b) + cat.hom_dim((1, 1), b)
+        monkeypatch.setattr(rc, "hom_dim", lambda q, m, n: fake[n])
+        with pytest.raises(StructuralError, match="does not add up"):
             cat.decompose(rep)
 
     @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4"])

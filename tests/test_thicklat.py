@@ -480,6 +480,24 @@ class TestWideOracle:
                     wide.append(tuple(sorted(s)))
         assert tl.wide_subcategory_oracle(q).subsets == tuple(wide)
 
+    @pytest.mark.parametrize("label,arrows", _ORACLE_CASES)
+    def test_oracle_matrices_hold_ints(self, label, arrows, monkeypatch):
+        # the module category's maps and Hom bases, and every kernel,
+        # cokernel and middle term the closure tables split, carry no Fraction
+        q = rc.dynkin_quiver(label, arrows)
+        cat = rc._category(q)
+        built = []
+        real = rc._ModuleCategory.decompose
+        monkeypatch.setattr(
+            rc._ModuleCategory, "decompose", lambda cat, rep: built.append(rep) or real(cat, rep)
+        )
+        tl._ClosureTables(q)
+        assert bool(built) == (label != "A1")
+        mats = [m for rep in list(cat.reps.values()) + built for m in rep.maps]
+        mats += [m for space in cat.hom_spaces.values() for f in space.basis for m in f]
+        entries = [x for m in mats for row in m for x in row]
+        assert entries and all(type(x) is int for x in entries)
+
     def test_consequences_keep_both_directions(self):
         # on A3, Hom(P2, I2) has kernel S3 and cokernel S1, while the
         # nonsplit extension of I2 by P2 has middle term P1 + S2
@@ -502,6 +520,21 @@ class TestWideOracle:
             assert max(h, e) == abs(rc.euler_form(q, a, b))
             seen = max(seen, h, e)
         assert seen == largest
+
+    def test_middle_needs_a_cocycle_off_the_coboundaries(self):
+        # with Ext^1(X_a, X_b) = 0 every unit cocycle is a coboundary
+        q = rc.dynkin_quiver("A3")
+        tables = tl._closure_tables(q)
+        cat = tables.cat
+        pairs = [
+            (a, b)
+            for a, b in itertools.product(cat.roots, repeat=2)
+            if cat.hom_dim(a, b) == rc.euler_form(q, a, b)
+        ]
+        assert len(pairs) > len(cat.roots)
+        for a, b in pairs:
+            with pytest.raises(StructuralError, match="extension class vanished"):
+                tables._middle(a, b)
 
     @pytest.mark.parametrize("arrows", [None, ((2, 1), (2, 3), (4, 3))])
     def test_middle_terms_are_nonsplit(self, arrows):
