@@ -238,7 +238,7 @@ class WeylElement(_Value):
 
     def times_reflection(self, alpha: Vector, q: Vector) -> "WeylElement":
         """self * s_alpha = self - (self alpha) (x) q, for q = coroot(alpha)."""
-        return WeylElement(linalg.sub_outer(self.matrix, self.apply(alpha), q))
+        return WeylElement(linalg.sub_outer(self.matrix, linalg.mat_vec(self.matrix, alpha), q))
 
     def reflection_times(self, alpha: Vector, q: Vector) -> "WeylElement":
         """s_alpha * self = self - alpha (x) (q^T self), for q = coroot(alpha)."""

@@ -1,40 +1,49 @@
 """Exact dense linear algebra over the rationals and the integers.
 
 Matrices are sequences of row sequences with int or Fraction entries;
-results come back as tuples of tuples.  `dot` is the one dot-product
-kernel: `mat_mul` and `mat_vec`, and every form and Gram vector of the
-Weyl layer, are built on it.  Shapes with zero rows or columns are
-legal, which is why the rational routines take the column count
+results come back as tuples of tuples.  Shapes with zero rows or columns
+are legal, which is why the rational routines take the column count
 explicitly instead of guessing it from a possibly empty row list.
+
+The matrices of this package are small (most of the representation
+oracle's are 1 x 1 or 1 x 2), so a kernel costs its calls and its
+bytecode per entry, not its arithmetic, and each kernel runs its
+per-entry loop in a builtin: `dot`, `mat_vec` and `mat_mul` take each
+entry as one `sum(map(mul, ...))`, `sub_outer` (the rank-one update of a
+Weyl element) rebuilds each row with u_i != 0 by one `map(sub, ...)`,
+and `transpose` is `zip`.
 
 The rational routines `rref`, `nullspace`, `solve_columns` and `inverse`
 return canonical exact values: an int wherever a value is integral, and
 a Fraction only where a denominator remains, so each entry's type
 follows from its value.
 
-All elimination runs over the integers in one routine, `_eliminate`:
-each row is scaled by the lcm of its denominators, Gauss-Jordan clears
-every pivot column with integer row operations, and each changed row is
-divided by the gcd of its entries so the numbers stay small.  `rank`
-counts its pivots and builds no Fraction; `rref` divides each pivot row
-by its pivot once at the end, which gives the unique reduced row echelon
-form, so `nullspace`, `solve_columns` and `inverse` get the same exact
-values a rational elimination would give.  A pivot of 1 leaves its row
-as it is, and otherwise an entry the pivot divides stays an int.
-Integer systems known to have an integer solution go through
-`int_solve`, which reads that solution off the eliminated rows with no
-Fraction: the Euler form solves (1 - c)^T E^T = G with it, and
-`int_inverse` is the case b = 1.  Ranks of integer matrices, such as the
-`w - 1` of absolute length, go through `rank` too; only the determinant
-`int_det` keeps its own (Bareiss) loop.
+All elimination runs over the integers in one routine, `_eliminate`: an
+all-int row is copied as it is, any other row is scaled by the lcm of
+its denominators, Gauss-Jordan clears every pivot column with integer
+row operations, and each changed row is divided by the gcd of its
+entries so the numbers stay small.  `rank` counts its pivots and builds
+no Fraction; `rref` divides each pivot row by its pivot once at the end,
+which gives the unique reduced row echelon form, so `nullspace`,
+`solve_columns` and `inverse` get the same exact values a rational
+elimination would give.  A pivot of 1 leaves its row as it is, and
+otherwise an entry the pivot divides stays an int.  Integer systems
+known to have an integer solution go through `int_solve`, which reads
+that solution off the eliminated rows with no Fraction: the Euler form
+solves (1 - c)^T E^T = G with it, and `int_inverse` is the case b = 1.
+Ranks of integer matrices, such as the `w - 1` of absolute length, go
+through `rank` too; only the determinant `int_det` keeps its own
+(Bareiss) loop.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from operator import mul
 from collections.abc import Sequence
+from fractions import Fraction
+from operator import mul, sub
+
+from .errors import StructuralError
 
 Row = Sequence
 Mat = Sequence[Sequence]
@@ -45,32 +54,44 @@ def freeze(rows: Mat) -> tuple[tuple, ...]:
 
 
 def identity(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    zeros = (0,) * n
+    return tuple([zeros[:i] + (1,) + zeros[i + 1:] for i in range(n)])
 
 
 def dot(u: Sequence, v: Sequence):
-    """The one dot-product kernel: sum of u_i v_i over the shorter length."""
+    """Sum of u_i v_i over the shorter length."""
     return sum(map(mul, u, v))
 
 
 def mat_mul(a: Mat, b: Mat) -> tuple[tuple, ...]:
     """Product of a (r x k) and b (k x c); b must have at least one row."""
     bt = tuple(zip(*b))
-    return tuple(tuple([dot(row, col) for col in bt]) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
 def mat_vec(a: Mat, v: Sequence) -> tuple:
-    return tuple([dot(row, v) for row in a])
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def sub_outer(m: Mat, u: Sequence, v: Sequence) -> tuple[tuple, ...]:
-    """m - u (x) v; the rows with u_i = 0 come back as they are."""
-    return tuple([row if not x else tuple([a - x * b for a, b in zip(row, v)])
-                  for row, x in zip(m, u)])
+    """m - u (x) v; the rows with u_i = 0 come back as they are.
+
+    Row i is map(sub, m_i, u_i v), with v itself for the int u_i = 1 (a
+    Fraction(1) still multiplies, so entry types stay those of
+    a - u_i * b).  The list in between gives each row tuple its exact
+    size; a tuple built from the iterator keeps a larger allocation.
+    """
+    out = []
+    for row, x in zip(m, u):
+        if x:
+            row = tuple([*map(sub, row, v if x == 1 and type(x) is int else [x * b for b in v])])
+        out.append(row)
+    return tuple(out)
 
 
 def transpose(a: Mat, ncols: int) -> tuple[tuple, ...]:
-    return tuple(tuple(row[j] for row in a) for j in range(ncols))
+    """The transpose of a, whose rows have ncols entries each."""
+    return tuple(zip(*a)) if a else ((),) * ncols
 
 
 def _eliminate(rows: Mat, ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -79,21 +100,28 @@ def _eliminate(rows: Mat, ncols: int) -> tuple[list[list[int]], list[int]]:
     Returns integer rows with the row span of `rows`, each changed row
     primitive, and the pivot columns: row r has a positive entry at
     pivots[r] and zeros in every other pivot column; rows past
-    len(pivots) are zero in the first ncols columns.
+    len(pivots) are zero in the first ncols columns.  An all-int row is
+    copied as it is; any other is scaled by the lcm of its denominators.
     """
     m = []
     for row in rows:
-        d = math.lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (d // x.denominator) for x in row])
+        if set(map(type, row)) <= {int}:
+            m.append(list(row))
+        else:
+            d = math.lcm(*(x.denominator for x in row))
+            m.append([x.numerator * (d // x.denominator) for x in row])
+    nrows = len(m)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        if r == len(m):
+        if r == nrows:
             break
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
+        for i in range(r, nrows):
+            if m[i][c]:
+                break
+        else:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        m[r], m[i] = m[i], m[r]
         prow = m[r]
         g = math.gcd(*prow)
         if prow[c] < 0:
@@ -159,8 +187,6 @@ def solve_columns(a: Mat, ncols_a: int, b: Mat, ncols_b: int) -> tuple[tuple, ..
     assumption fails; shapes: a is (r x ncols_a), b is (r x ncols_b),
     result is (ncols_a x ncols_b).
     """
-    from .errors import StructuralError
-
     if not a:
         # no equations: rank 0, full column rank only with no unknowns
         if ncols_a:
@@ -183,8 +209,6 @@ def inverse(a: Mat) -> tuple[tuple, ...]:
     n = len(a)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     m, pivots = rref(aug, 2 * n)
-    from .errors import StructuralError
-
     if pivots[:n] != list(range(n)):
         raise StructuralError("matrix not invertible")
     return freeze(row[n:] for row in m[:n])
@@ -197,8 +221,6 @@ def int_solve(a: Mat, b: Mat) -> tuple[tuple[int, ...], ...]:
     its pivot divides the row's right-hand side exactly when the pivot
     is 1.  Raises StructuralError when a is singular or x is not integral.
     """
-    from .errors import StructuralError
-
     n = len(a)
     m, pivots = _eliminate([list(ra) + list(rb) for ra, rb in zip(a, b)], n)
     if len(pivots) != n:

@@ -204,12 +204,14 @@ class _ClosureTables:
     extension in Ext^1(X_a, X_b).  The key is ordered: Hom(X_a, X_b) and
     Ext^1(X_b, X_a) can both be nonzero, and each brings its own terms."""
 
-    def __init__(self, q: repcat.Quiver):
+    def __init__(self, q: repcat.Quiver, euler: dict[tuple[Vector, Vector], int] | None = None):
         self.cat = repcat._category(q)
+        if euler is None:
+            euler = _euler_table(q, self.cat.roots)
         self.consequences: dict[tuple[Vector, Vector], frozenset] = {}
         for a, b in itertools.product(self.cat.roots, repeat=2):
             h = self.cat.hom_dim(a, b)
-            e = h - repcat.euler_form(q, a, b)  # dim Ext^1 (hereditary)
+            e = h - euler[a, b]  # dim Ext^1 (hereditary)
             if h > 1 or e > 1:
                 raise ResourceLimitError(_NOT_MULTIPLICITY_FREE)
             need: set[Vector] = set()
@@ -326,9 +328,23 @@ class _ClosureTables:
         return repcat.Representation(q, dims, tuple(maps))
 
 
-@functools.lru_cache(maxsize=None)
-def _closure_tables(q: repcat.Quiver) -> _ClosureTables:
-    return _ClosureTables(q)
+def _euler_table(q: repcat.Quiver, roots: tuple[Vector, ...]) -> dict[tuple[Vector, Vector], int]:
+    """The Euler form <a, b> of every ordered pair of roots."""
+    return {(a, b): repcat.euler_form(q, a, b) for a, b in itertools.product(roots, repeat=2)}
+
+
+_TABLES: dict[repcat.Quiver, _ClosureTables] = {}
+
+
+def _closure_tables(
+    q: repcat.Quiver, euler: dict[tuple[Vector, Vector], int] | None = None
+) -> _ClosureTables:
+    """q's closure tables, built once per quiver; `euler` is its
+    `_euler_table` when the caller has computed it already."""
+    tables = _TABLES.get(q)
+    if tables is None:
+        tables = _TABLES[q] = _ClosureTables(q, euler)
+    return tables
 
 
 def wide_subcategory_oracle(q: repcat.Quiver, max_indecomposables: int = 12) -> WideOracleResult:
@@ -337,9 +353,11 @@ def wide_subcategory_oracle(q: repcat.Quiver, max_indecomposables: int = 12) -> 
 
     Both limits are checked before the module category is built: the cap
     on the positive-root count, then multiplicity-freeness from the Euler
-    form alone.  Hom and Ext^1 between indecomposables are never both
-    nonzero (the category is directed), so max(dim Hom, dim Ext^1) is
-    |<a, b>|; `_ClosureTables` still checks the dimensions themselves.
+    form alone, whose table `_ClosureTables` then reads instead of
+    evaluating the form again.  Hom and Ext^1 between indecomposables are
+    never both nonzero (the category is directed), so max(dim Hom,
+    dim Ext^1) is |<a, b>|; `_ClosureTables` still checks the dimensions
+    themselves.
 
     Subset s is bit s of a 2^n-bit integer, and member[i] holds the
     subsets containing root i.  Pair (a, b) with consequence x rules out
@@ -351,9 +369,10 @@ def wide_subcategory_oracle(q: repcat.Quiver, max_indecomposables: int = 12) -> 
         raise ResourceLimitError(
             f"{len(roots)} indecomposables exceed the oracle cap {max_indecomposables}"
         )
-    if any(abs(repcat.euler_form(q, a, b)) > 1 for a in roots for b in roots):
+    euler = _euler_table(q, roots)
+    if any(abs(x) > 1 for x in euler.values()):
         raise ResourceLimitError(_NOT_MULTIPLICITY_FREE)
-    tables = _closure_tables(q)
+    tables = _closure_tables(q, euler)
     full = (1 << (1 << len(roots))) - 1
     # the subsets holding root i: the upper half of each run of 2^(i+1) bits
     member = {a: full // ((1 << (1 << i)) + 1) << (1 << i) for i, a in enumerate(roots)}

@@ -290,3 +290,132 @@ class TestDotKernel:
         assert _typed(linalg.dot((), ())) == (int, 0)
         assert linalg.mat_vec([[], []], ()) == (0, 0)
         assert linalg.mat_vec([], (1, 2)) == ()
+
+
+def _reference_sub_outer(m, u, v):
+    """The comprehension `sub_outer` used to run: a - x * b per entry."""
+    return tuple(
+        row if not x else tuple(a - x * b for a, b in zip(row, v)) for row, x in zip(m, u)
+    )
+
+
+def _reference_transpose(a, ncols):
+    """The generator loop `transpose` used to run."""
+    return tuple(tuple(row[j] for row in a) for j in range(ncols))
+
+
+# the values a rank-one update meets: the int 1 takes sub_outer's shortcut,
+# Fraction(1) must not
+multipliers = st.one_of(st.sampled_from([0, 1, -1, 2, Fraction(1)]), entries)
+
+
+class TestRankOneUpdate:
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(repeat=False), st.data())
+    def test_sub_outer_matches_comprehension(self, case, data):
+        rows, k = case
+        m = tuple(tuple(row) for row in rows)
+        u = data.draw(st.lists(multipliers, min_size=len(m), max_size=len(m)))
+        v = data.draw(st.lists(entries, min_size=k, max_size=k))
+        got = linalg.sub_outer(m, u, v)
+        assert _typed(got) == _typed(_reference_sub_outer(m, u, v))
+        assert all(new is old for new, old, x in zip(got, m, u) if not x)
+
+    @pytest.mark.parametrize(
+        "m,u,v",
+        [
+            (((1, 2), (3, 4)), (1, 0), (1, 1)),
+            (((1, 2), (3, 4)), (Fraction(1), 0), (1, 1)),
+            (((1, 2), (3, 4)), (-1, 2), (1, -1)),
+            (((Fraction(1, 2), 2),), (1,), (Fraction(1, 2), 2)),
+            (((1, 2),), (Fraction(1),), (Fraction(1, 3), 0)),
+            (((1, 2),), (Fraction(2, 3),), (3, 0)),
+        ],
+    )
+    def test_sub_outer_types(self, m, u, v):
+        assert _typed(linalg.sub_outer(m, u, v)) == _typed(_reference_sub_outer(m, u, v))
+
+    def test_sub_outer_fraction_one_multiplies(self):
+        # Fraction(1) * b is a Fraction, so the updated row holds Fractions
+        # even where a - b would be an int
+        got = linalg.sub_outer(((1, 2),), (Fraction(1),), (1, 1))
+        assert _typed(got) == (((Fraction, Fraction(0)), (Fraction, Fraction(1))),)
+
+    def test_sub_outer_zero_rows_kept(self):
+        m = ((1, 2), (3, 4), (5, 6))
+        got = linalg.sub_outer(m, (0, 1, 0), (1, 1))
+        assert got == ((1, 2), (2, 3), (5, 6))
+        assert got[0] is m[0] and got[2] is m[2]
+
+    def test_sub_outer_edge_shapes(self):
+        assert linalg.sub_outer((), (), (1, 2)) == ()
+        assert linalg.sub_outer(((), ()), (1, 0), ()) == ((), ())
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(repeat=False))
+    def test_transpose_matches_generator_loop(self, case):
+        rows, ncols = case
+        a = tuple(tuple(row) for row in rows)
+        assert _typed(linalg.transpose(a, ncols)) == _typed(_reference_transpose(a, ncols))
+        assert _typed(linalg.transpose(rows, ncols)) == _typed(_reference_transpose(a, ncols))
+
+    @pytest.mark.parametrize(
+        "a,ncols,expected",
+        [
+            ((), 3, ((), (), ())),
+            ([], 0, ()),
+            (((), ()), 0, ()),
+            (((1, Fraction(1, 2)),), 2, ((1,), (Fraction(1, 2),))),
+        ],
+    )
+    def test_transpose_edge_shapes(self, a, ncols, expected):
+        assert _typed(linalg.transpose(a, ncols)) == _typed(expected)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_identity(self, n):
+        expected = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert _typed(linalg.identity(n)) == _typed(expected)
+
+
+class TestDenominatorOneFractions:
+    # a Fraction with denominator 1 is not an int: its row takes the scaled
+    # path of the elimination, and the result must still be canonical
+
+    @pytest.mark.parametrize(
+        "rows,ncols",
+        [
+            ([[Fraction(4, 2), 1], [2, Fraction(3, 1)]], 2),
+            ([[Fraction(4, 2), 2, 6]], 3),
+            ([[Fraction(-3), 0], [0, 0], [1, Fraction(6, 3)]], 2),
+            ([[Fraction(2), 4], [1, 2]], 2),
+            ([[1, 2, Fraction(3)], [Fraction(2), 4, 7]], 3),
+        ],
+    )
+    def test_rref_and_rank(self, rows, ncols):
+        got, pivots = linalg.rref(rows, ncols)
+        assert (got, pivots) == _reference_rref(rows, ncols)
+        assert _is_canonical_table(got)
+        assert linalg.rank(rows, ncols) == len(pivots)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(elements=st.one_of(ints, st.builds(Fraction, ints))))
+    def test_mixed_rows(self, case):
+        rows, ncols = case
+        got, pivots = linalg.rref(rows, ncols)
+        assert (got, pivots) == _reference_rref(rows, ncols)
+        assert _is_canonical_table(got)
+        assert linalg.rank(rows, ncols) == len(pivots)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(), st.booleans())
+    def test_rows_are_fresh_lists(self, case, as_tuples):
+        # an all-int row is copied, so rref hands back no row of its input
+        # and leaves the input as it was
+        rows, ncols = case
+        if as_tuples:
+            rows = [tuple(row) for row in rows]
+        before = _typed(tuple(map(tuple, rows)))
+        got, _ = linalg.rref(rows, ncols)
+        assert all(type(row) is list for row in got)
+        assert not any(new is old for new in got for old in rows)
+        assert _typed(tuple(map(tuple, rows))) == before

@@ -460,6 +460,30 @@ class TestWideOracle:
         with pytest.raises(ResourceLimitError):
             tl.wide_subcategory_oracle(rc.dynkin_quiver("D4"), max_indecomposables=6)
 
+    @pytest.mark.parametrize("label,arrows", _ORACLE_CASES)
+    def test_euler_form_once_per_ordered_pair(self, label, arrows, monkeypatch):
+        # the multiplicity pre-check's table is the one the closure tables
+        # read: one evaluation per ordered pair of roots, not two
+        q = rc.dynkin_quiver(label, arrows)
+        monkeypatch.setattr(tl, "_TABLES", {})
+        calls = []
+        real = rc.euler_form
+        monkeypatch.setattr(rc, "euler_form", lambda *args: calls.append(args[1:]) or real(*args))
+        roots = cw.positive_roots(cw.build_cartan(label))
+        tl.wide_subcategory_oracle(q)
+        assert sorted(calls) == sorted(itertools.product(roots, repeat=2))
+        calls.clear()
+        assert tl.wide_subcategory_oracle(q).count == len(tl.thick_lattice(cw.build_cartan(label)))
+        assert len(calls) == len(roots) ** 2  # the pre-check runs again; the tables are kept
+
+    def test_closure_tables_built_once_per_quiver(self, monkeypatch):
+        q = rc.dynkin_quiver("A3", ((2, 1), (2, 3)))
+        monkeypatch.setattr(tl, "_TABLES", {})
+        tables = tl._closure_tables(q)
+        assert tl._closure_tables(q) is tables
+        assert tl._closure_tables(q, tl._euler_table(q, tables.cat.roots)) is tables
+        assert tables.consequences == tl._ClosureTables(q).consequences
+
     def test_oracle_cases_cover_every_orientation(self):
         assert len(_ORACLE_CASES) == len(set(_ORACLE_CASES)) == 1 + 2 + 4 + 8
 
