@@ -3,7 +3,9 @@
 Morphism spaces are computed by solving the arrow-commutation linear
 system in exact arithmetic, with `linalg`'s integer elimination (one
 division per pivot row, at the end, and an int wherever a value is
-integral): `hom` reads a basis off the system, `hom_dim` only its rank.
+integral): `hom` reads a basis off the system, `hom_dim` only its rank,
+and a system with no unknowns (no vertex where both spaces are nonzero)
+is Hom = 0 with no row built.
 Ext^1 comes through the hereditary Euler form, and one indecomposable
 per positive root is built deterministically by reflection-functor
 transport of a simple along sink reorderings.  For a Dynkin quiver the
@@ -15,12 +17,13 @@ and simple reflections of roots.  Production Hom and Ext^1 come from
 the hammocks in `derived`; only `verify`, `thick lattice --oracle` and
 the tests call this module.
 
-`decompose` certifies the zero representation with no solve and a brick
-on a positive root (End = k) with one; anything else it splits by
-counting Hom into each indecomposable whose dimension vector lies under
-its own and applying the inverse of the Hom Gram matrix on those roots,
-which is integral because the matrix is unitriangular in a path order of
-the AR quiver.
+`decompose` has three certificates: the zero representation and the
+stored indecomposable of a root take no solve, and any other brick on a
+positive root (End = k) takes one.  Anything else it splits by counting
+Hom into each indecomposable whose dimension vector lies under its own
+and applying the inverse of the Hom Gram matrix on those roots, which is
+integral because the matrix is unitriangular in a path order of the AR
+quiver.
 
 Representations store one exact matrix per arrow with shape
 dim[target] x dim[source], with int entries wherever a value is integral
@@ -98,13 +101,14 @@ class Representation(cartan._Value):
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "maps", maps)
-        if len(self.dim) != self.quiver.rank or any(d < 0 for d in self.dim):
+        arrows = quiver.arrows
+        if len(dim) != len(quiver.vertices) or min(dim) < 0:
             raise DimensionMismatchError("dimension vector does not fit the quiver")
-        if len(self.maps) != len(self.quiver.arrows):
+        if len(maps) != len(arrows):
             raise DimensionMismatchError("one matrix per arrow required")
-        for (s, t), m in zip(self.quiver.arrows, self.maps):
-            rows, cols = self.dim[t - 1], self.dim[s - 1]
-            if len(m) != rows or any(len(r) != cols for r in m):
+        for (s, t), m in zip(arrows, maps):
+            rows, cols = dim[t - 1], dim[s - 1]
+            if len(m) != rows or rows and {*map(len, m)} != {cols}:
                 raise DimensionMismatchError(
                     f"matrix for arrow {s}->{t} must be {rows}x{cols}"
                 )
@@ -129,7 +133,7 @@ class HomSpace:
 
 
 def _zero(rows: int, cols: int) -> Mat:
-    return tuple((0,) * cols for _ in range(rows))
+    return ((0,) * cols,) * rows
 
 
 def simple_rep(q: Quiver, i: int) -> Representation:
@@ -152,7 +156,8 @@ def _hom_system(
     """The intertwining system f_t M_a = N_a f_s: (rows, unknowns, offsets).
 
     The unknowns are the entries of f_v (dn[v] x dm[v]) for each vertex,
-    row-major, f_v starting at offsets[v].
+    row-major, f_v starting at offsets[v].  With no unknowns Hom is 0 and
+    no row is built.
     """
     if source.quiver != q or target.quiver != q:
         raise DimensionMismatchError("representations live over a different quiver")
@@ -163,6 +168,8 @@ def _hom_system(
         offsets.append(total)
         total += dn[v] * dm[v]
     rows: list[list] = []
+    if not total:
+        return rows, total, offsets
     for a_idx, (s, t) in enumerate(q.arrows):
         ma = source.maps[a_idx]
         na = target.maps[a_idx]
@@ -184,6 +191,8 @@ def _hom_system(
 def hom(q: Quiver, source: Representation, target: Representation) -> HomSpace:
     """Solve the intertwining system exactly: a basis of its kernel."""
     rows, total, offsets = _hom_system(q, source, target)
+    if not total:
+        return HomSpace(source=source, target=target, basis=())
     dm, dn = source.dim, target.dim
     basis = []
     for vec in linalg.nullspace(rows, total):
@@ -201,9 +210,10 @@ def hom(q: Quiver, source: Representation, target: Representation) -> HomSpace:
 
 
 def hom_dim(q: Quiver, source: Representation, target: Representation) -> int:
-    """dim Hom from the same system: unknowns minus rank, no basis built."""
+    """dim Hom from the same system: unknowns minus rank, no basis built;
+    with no equation (no unknown among them) every unknown is free."""
     rows, total, _ = _hom_system(q, source, target)
-    return total - linalg.rank(rows, total)
+    return total - linalg.rank(rows, total) if rows else total
 
 
 def euler_form(q: Quiver, a: Vector, b: Vector) -> int:
@@ -390,11 +400,13 @@ class _ModuleCategory:
     def decompose(self, rep: Representation) -> dict[Vector, int]:
         """Multiplicities of the indecomposable summands.
 
-        Two certificates come first.  The zero representation has no
-        summands and costs no solve.  A brick whose dimension vector is a
-        positive root is the indecomposable of that root, for one solve:
-        End = k forces it indecomposable, and Gabriel's theorem gives one
-        indecomposable per positive root.
+        Three certificates come first.  The zero representation has no
+        summands and costs no solve.  The stored indecomposable of a root
+        costs none either: its End = k was checked when the category was
+        built.  Any other brick whose dimension vector is a positive root
+        is the indecomposable of that root, for one solve: End = k forces
+        it indecomposable, and Gabriel's theorem gives one indecomposable
+        per positive root.
 
         Anything else is split by Hom counting.  A summand's dimension
         vector lies under rep's, so only the roots D <= dim rep can occur,
@@ -410,7 +422,8 @@ class _ModuleCategory:
         """
         if not any(rep.dim):
             return {}
-        if rep.dim in self.reps and hom_dim(self.quiver, rep, rep) == 1:
+        stored = self.reps.get(rep.dim)
+        if stored is not None and (rep == stored or hom_dim(self.quiver, rep, rep) == 1):
             return {rep.dim: 1}
         below = tuple(a for a in self.roots if all(x <= y for x, y in zip(a, rep.dim)))
         h = [hom_dim(self.quiver, rep, self.reps[b]) for b in below]

@@ -10,7 +10,8 @@ subcategories are Kreweras complements.  The independent oracle
 enumerates wide subcategories of the module category by closing subsets
 of indecomposables under kernels, cokernels, and extensions, all computed
 on explicit intertwiner matrices and split into summands by
-`repcat`'s `decompose` (zero and brick certificates, else Hom counts).
+`repcat`'s `decompose` (zero, stored and brick certificates, else Hom
+counts).
 Every subset of indecomposables is one bit of a 2^n-bit integer, so each
 ordered pair rules out all the subsets its consequences break at once.
 """
@@ -202,7 +203,15 @@ class _ClosureTables:
     consequences[(a, b)] holds the summands of the kernel and cokernel of
     a nonzero map X_a -> X_b and of the middle term of a nonsplit
     extension in Ext^1(X_a, X_b).  The key is ordered: Hom(X_a, X_b) and
-    Ext^1(X_b, X_a) can both be nonzero, and each brings its own terms."""
+    Ext^1(X_b, X_a) can both be nonzero, and each brings its own terms.
+
+    A kernel or cokernel solves only what the dimension vectors leave
+    open.  Where either space at a vertex is 0 it is all of X_a (kernel)
+    or X_b (cokernel) there, with no nullspace; on an arrow where it keeps
+    the whole space at both ends, the basis is the identity and the map is
+    X_a's (or X_b's) own, with no solve_columns.  On A1-A4 every arrow is
+    of that kind or zero, and most summands are the stored
+    indecomposables, which `decompose` certifies with no solve."""
 
     def __init__(self, q: repcat.Quiver, euler: dict[tuple[Vector, Vector], int] | None = None):
         self.cat = repcat._category(q)
@@ -230,8 +239,10 @@ class _ClosureTables:
         bases = []
         dims = []
         for v in range(q.rank):
-            k = linalg.nullspace(f[v], m.dim[v])
-            cols = linalg.transpose(k, m.dim[v]) if k else ()
+            d = m.dim[v]
+            # f_v has no entries when either space is 0: the kernel is all of M_v
+            k = linalg.nullspace(f[v], d) if d and f[v] else linalg.identity(d)
+            cols = linalg.transpose(k, d) if k else ()
             bases.append(cols)  # m.dim[v] x (kernel dim)
             dims.append(len(k))
         maps = []
@@ -240,18 +251,23 @@ class _ClosureTables:
             if dims[si] == 0 or m.dim[ti] == 0:
                 maps.append(repcat._zero(dims[ti], dims[si]))
                 continue
+            if dims[si] == m.dim[si] and dims[ti] == m.dim[ti]:
+                maps.append(m.maps[idx])  # identity bases at both ends
+                continue
             image = linalg.mat_mul(m.maps[idx], bases[si])
             maps.append(linalg.solve_columns(bases[ti], dims[ti], image, dims[si]))
         return repcat.Representation(q, tuple(dims), tuple(maps))
 
     def _cokernel(self, a, b, f) -> repcat.Representation:
         q = self.cat.quiver
-        n = self.cat.reps[b]
+        m, n = self.cat.reps[a], self.cat.reps[b]
         projs = []
         dims = []
         for v in range(q.rank):
-            # rows spanning the annihilator of the image of f_v
-            rows = linalg.nullspace(linalg.transpose(f[v], self.cat.reps[a].dim[v]), n.dim[v])
+            d, e = n.dim[v], m.dim[v]
+            # rows spanning the annihilator of the image of f_v, which is 0
+            # when either space is: then the cokernel is all of N_v
+            rows = linalg.nullspace(linalg.transpose(f[v], e), d) if d and e else linalg.identity(d)
             projs.append(rows)  # (coker dim) x n.dim[v]
             dims.append(len(rows))
         maps = []
@@ -259,6 +275,9 @@ class _ClosureTables:
             si, ti = s - 1, t - 1
             if dims[si] == 0 or dims[ti] == 0:
                 maps.append(repcat._zero(dims[ti], dims[si]))
+                continue
+            if dims[si] == n.dim[si] and dims[ti] == n.dim[ti]:
+                maps.append(n.maps[idx])  # identity projections at both ends
                 continue
             rhs = linalg.mat_mul(projs[ti], n.maps[idx]) if n.dim[si] else ()
             # want W with W @ projs[si] = projs[ti] @ n.maps[idx]
@@ -459,9 +478,10 @@ def kronecker_lattice(bound: int, points) -> KroneckerLattice:
     """Glue the truncated NC part to the augmented power set of the
     given tube labels, identifying bottoms and tops.
 
-    `points` is a count or a sequence of labels; the power set has 2^p
-    elements, so p is capped at MAX_TUBE_POINTS.  Both caps are checked
-    before any label is made."""
+    `points` is a count or a sequence of labels, distinct after `str()`;
+    the power set has 2^p elements, so p is capped at MAX_TUBE_POINTS.
+    Both caps are checked before any label is made, and distinctness
+    before any label set is built."""
     noncrossing.check_kronecker_bound(bound)
     labels = None if isinstance(points, int) else tuple(points)
     count = points if labels is None else len(labels)
@@ -472,6 +492,9 @@ def kronecker_lattice(bound: int, points) -> KroneckerLattice:
     if labels is None:
         labels = (f"p{i}" for i in range(1, count + 1))
     points = tuple(sorted(str(p) for p in labels))
+    distinct = len(set(points))
+    if distinct != count:
+        raise OutOfRangeError(f"{count} tube point labels name only {distinct} distinct points")
     nc_part = noncrossing.nc_kronecker(bound)
     elements: list[Element] = [("bottom",)]
     for w in nc_part.reflection_members():
@@ -522,7 +545,8 @@ def kronecker_to_json(lat: KroneckerLattice) -> dict:
     """Tube sets as masks over the sorted tube points: covers S | {p} by lookup."""
     points = lat.tube_points
     bit = {p: 1 << n for n, p in enumerate(points)}
-    masks = {i: sum(bit[p] for p in e[1]) for i, e in enumerate(lat.elements) if e[0] == "tube"}
+    bits = tuple(bit.values())
+    masks = {i: sum(map(bit.__getitem__, e[1])) for i, e in enumerate(lat.elements) if e[0] == "tube"}
     position = {m: i for i, m in masks.items()}
     bottom, top = 0, len(lat.elements) - 1
     atoms = range(1, 1 + len(lat.nc_part.reflection_members()))
@@ -533,13 +557,13 @@ def kronecker_to_json(lat: KroneckerLattice) -> dict:
         if m is None:
             elements.append({"id": i, "name": _kron_name(lat, e), "rank": lat.rank_of(e)})
             continue
-        members = [p for p, b in bit.items() if m & b]
+        members = sorted(e[1])  # bit order, as the points are sorted
         elements.append({"id": i, "name": "{" + ",".join(members) + "}", "rank": len(members)})
         if len(members) == 1:
             edges.append([bottom, i])
         if len(members) == len(points):
             edges.append([i, top])
-        edges += [[i, position[m | b]] for b in bit.values() if not m & b]
+        edges += [[i, position[m | b]] for b in bits if not m & b]
     if top == bottom + 1:
         edges.append([bottom, top])
     edges.sort()

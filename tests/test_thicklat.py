@@ -651,6 +651,20 @@ class TestKroneckerLattice:
         with pytest.raises(OutOfRangeError):
             tl.kronecker_lattice(1, -1)
 
+    @pytest.mark.parametrize("points", [("a", "a", "b"), (1, "1"), ("p1", "p1")])
+    def test_labels_equal_after_str_rejected(self, points, monkeypatch):
+        # repeated labels would list the same tube set several times and
+        # break the Hasse diagram; refused before the NC part or any tube
+        # set is built
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lattice built before the label check")
+
+        monkeypatch.setattr(nc, "nc_kronecker", forbidden)
+        with pytest.raises(OutOfRangeError, match="name only"):
+            tl.kronecker_lattice(0, points)
+        monkeypatch.undo()
+        assert len(tl.kronecker_lattice(0, ("a", "b"))) == 7
+
     def test_points_cap(self):
         tl.kronecker_lattice(0, tl.MAX_TUBE_POINTS)
         with pytest.raises(ResourceLimitError, match="cap 16"):
