@@ -13,8 +13,8 @@ entry as one `sum(map(mul, ...))`, `sub_outer` (the rank-one update of a
 Weyl element) rebuilds each row with u_i != 0 by one `map(sub, ...)`,
 and `transpose` is `zip`.
 
-The rational routines `rref`, `nullspace`, `solve_columns` and `inverse`
-return canonical exact values: an int wherever a value is integral, and
+The rational routines `rref`, `nullspace` and `inverse` return
+canonical exact values: an int wherever a value is integral, and
 a Fraction only where a denominator remains, so each entry's type
 follows from its value.
 
@@ -24,10 +24,10 @@ its denominators, Gauss-Jordan clears every pivot column with integer
 row operations, and each changed row is divided by the gcd of its
 entries so the numbers stay small.  `rank` counts its pivots and builds
 no Fraction; `rref` divides each pivot row by its pivot once at the end,
-which gives the unique reduced row echelon form, so `nullspace`,
-`solve_columns` and `inverse` get the same exact values a rational
-elimination would give.  A pivot of 1 leaves its row as it is, and
-otherwise an entry the pivot divides stays an int.  Integer systems
+which gives the unique reduced row echelon form, so `nullspace` and
+`inverse` get the same exact values a rational elimination would give.
+A pivot of 1 leaves its row as it is, and otherwise an entry the pivot
+divides stays an int.  Integer systems
 known to have an integer solution go through `int_solve`, which reads
 that solution off the eliminated rows with no Fraction: the Euler form
 solves (1 - c)^T E^T = G with it, and `int_inverse` is the case b = 1.
@@ -178,31 +178,6 @@ def nullspace(rows: Mat, ncols: int) -> tuple[tuple, ...]:
             v[c] = -m[r][f]
         basis.append(tuple(v))
     return tuple(basis)
-
-
-def solve_columns(a: Mat, ncols_a: int, b: Mat, ncols_b: int) -> tuple[tuple, ...]:
-    """Solve a @ x = b for x, where a has full column rank.
-
-    Raises StructuralError when the system is inconsistent or the rank
-    assumption fails; shapes: a is (r x ncols_a), b is (r x ncols_b),
-    result is (ncols_a x ncols_b).
-    """
-    if not a:
-        # no equations: rank 0, full column rank only with no unknowns
-        if ncols_a:
-            raise StructuralError("solve_columns: matrix not of full column rank or inconsistent")
-        if any(any(x != 0 for x in row) for row in b):
-            raise StructuralError("inconsistent empty system")
-        return ()
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    m, pivots = rref(aug, ncols_a + ncols_b)
-    if len(pivots) != ncols_a or any(p >= ncols_a for p in pivots):
-        raise StructuralError("solve_columns: matrix not of full column rank or inconsistent")
-    x = [[0] * ncols_b for _ in range(ncols_a)]
-    for r, c in enumerate(pivots):
-        for j in range(ncols_b):
-            x[c][j] = m[r][ncols_a + j]
-    return freeze(x)
 
 
 def inverse(a: Mat) -> tuple[tuple, ...]:

@@ -106,9 +106,6 @@ class NCLattice:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, w: WeylElement) -> bool:
-        return w in self._index
-
     def index(self, w: WeylElement) -> int:
         try:
             return self._index[w]

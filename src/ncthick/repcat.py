@@ -470,12 +470,6 @@ def indecomposables(q: Quiver) -> tuple[Representation, ...]:
     return tuple(cat.reps[a] for a in cat.roots)
 
 
-def _root_of(cat: _ModuleCategory, rep: Representation) -> Vector:
-    if rep.dim not in cat.reps:
-        raise NotRealRootError(f"{rep.dim} is not a positive root")
-    return rep.dim
-
-
 def is_exceptional_sequence(q: Quiver, seq) -> bool:
     """No self-extensions, and Hom/Ext vanish from later to earlier terms;
     one Hom solve per pair, Ext^1 being dim Hom minus the Euler form."""
@@ -486,21 +480,6 @@ def is_exceptional_sequence(q: Quiver, seq) -> bool:
             if (h and j > i) or h != euler_form(q, seq[j].dim, x.dim):
                 return False
     return True
-
-
-def rad_dims(q: Quiver) -> dict[tuple[Vector, Vector], tuple[int, int]]:
-    """Table (dim Rad, dim Rad^2) keyed by pairs of positive roots."""
-    cat = _category(q)
-    return {
-        (a, b): (cat.rad_dim(a, b), cat.rad2_dims[(a, b)])
-        for a in cat.roots
-        for b in cat.roots
-    }
-
-
-def irr_dim(q: Quiver, source: Representation, target: Representation) -> int:
-    cat = _category(q)
-    return cat.irr_dim(_root_of(cat, source), _root_of(cat, target))
 
 
 def ar_quiver_module_category(q: Quiver) -> TranslationQuiver:

@@ -8,9 +8,13 @@ lattice plus one generator tuple per element, certified exceptional with
 Hom and Ext^1 read off the hammocks of `derived`.  Perpendicular
 subcategories are Kreweras complements.  The independent oracle
 enumerates wide subcategories of the module category by closing subsets
-of indecomposables under kernels, cokernels, and extensions, all computed
-on explicit intertwiner matrices and split into summands by
-`repcat`'s `decompose` (zero, stored and brick certificates, else Hom
+of indecomposables under kernels, cokernels, and extensions.  It accepts
+only A1-A4, whose indecomposables are thin (each space of dimension 0 or
+1): a kernel or cokernel is the source or target cut down to the
+vertices where the map is zero, and a middle term comes from a unit
+cocycle off the coboundaries, the transposed rows of `repcat`'s Hom
+system (the map with kernel Hom and cokernel Ext^1).  Each term is split
+by `repcat`'s `decompose` (zero, stored and brick certificates, else Hom
 counts).
 Every subset of indecomposables is one bit of a 2^n-bit integer, so each
 ordered pair rules out all the subsets its consequences break at once.
@@ -194,6 +198,24 @@ class WideOracleResult:
 
 
 _NOT_MULTIPLICITY_FREE = "wide oracle needs multiplicity-free Hom and Ext tables"
+_NOT_THIN = "wide oracle needs thin indecomposables (dimension 0 or 1 at every vertex)"
+
+
+def _where_zero(x: repcat.Representation, f) -> repcat.Representation:
+    """x cut down to the vertices where f_v is zero: ker f for x = X_a and
+    coker f for x = X_b, for a map f: X_a -> X_b of thin representations.
+
+    A nonzero f_v between thin spaces is 1 x 1, an isomorphism, so the
+    kernel and the cokernel are 0 there, and all of x_v where f_v is
+    zero.  An arrow keeps x's own map where both its ends are kept and
+    is zero otherwise."""
+    keep = [not any(map(any, fv)) for fv in f]
+    dims = tuple(d if k else 0 for d, k in zip(x.dim, keep))
+    maps = tuple(
+        x.maps[idx] if keep[s - 1] and keep[t - 1] else repcat._zero(dims[t - 1], dims[s - 1])
+        for idx, (s, t) in enumerate(x.quiver.arrows)
+    )
+    return repcat.Representation(x.quiver, dims, maps)
 
 
 class _ClosureTables:
@@ -205,15 +227,15 @@ class _ClosureTables:
     extension in Ext^1(X_a, X_b).  The key is ordered: Hom(X_a, X_b) and
     Ext^1(X_b, X_a) can both be nonzero, and each brings its own terms.
 
-    A kernel or cokernel solves only what the dimension vectors leave
-    open.  Where either space at a vertex is 0 it is all of X_a (kernel)
-    or X_b (cokernel) there, with no nullspace; on an arrow where it keeps
-    the whole space at both ends, the basis is the identity and the map is
-    X_a's (or X_b's) own, with no solve_columns.  On A1-A4 every arrow is
-    of that kind or zero, and most summands are the stored
-    indecomposables, which `decompose` certifies with no solve."""
+    Every indecomposable must be thin, which holds on A1-A4, the only
+    quivers the oracle accepts; any other quiver is refused before the
+    module category is built.  Kernels and cokernels then take no solve
+    (`_where_zero`), and most summands are the stored indecomposables,
+    which `decompose` certifies with no solve."""
 
     def __init__(self, q: repcat.Quiver, euler: dict[tuple[Vector, Vector], int] | None = None):
+        if any(x > 1 for a in cartan.positive_roots(cartan.build_cartan(q.label)) for x in a):
+            raise ResourceLimitError(_NOT_THIN)
         self.cat = repcat._category(q)
         if euler is None:
             euler = _euler_table(q, self.cat.roots)
@@ -226,101 +248,33 @@ class _ClosureTables:
             need: set[Vector] = set()
             if a != b and h == 1:
                 f = self.cat.hom_spaces[(a, b)].basis[0]
-                need.update(self.cat.decompose(self._kernel(a, b, f)))
-                need.update(self.cat.decompose(self._cokernel(a, b, f)))
+                need.update(self.cat.decompose(_where_zero(self.cat.reps[a], f)))
+                need.update(self.cat.decompose(_where_zero(self.cat.reps[b], f)))
             if e == 1:
                 need.update(self.cat.decompose(self._middle(a, b)))
             if need:
                 self.consequences[(a, b)] = frozenset(need)
 
-    def _kernel(self, a, b, f) -> repcat.Representation:
-        q = self.cat.quiver
-        m = self.cat.reps[a]
-        bases = []
-        dims = []
-        for v in range(q.rank):
-            d = m.dim[v]
-            # f_v has no entries when either space is 0: the kernel is all of M_v
-            k = linalg.nullspace(f[v], d) if d and f[v] else linalg.identity(d)
-            cols = linalg.transpose(k, d) if k else ()
-            bases.append(cols)  # m.dim[v] x (kernel dim)
-            dims.append(len(k))
-        maps = []
-        for idx, (s, t) in enumerate(q.arrows):
-            si, ti = s - 1, t - 1
-            if dims[si] == 0 or m.dim[ti] == 0:
-                maps.append(repcat._zero(dims[ti], dims[si]))
-                continue
-            if dims[si] == m.dim[si] and dims[ti] == m.dim[ti]:
-                maps.append(m.maps[idx])  # identity bases at both ends
-                continue
-            image = linalg.mat_mul(m.maps[idx], bases[si])
-            maps.append(linalg.solve_columns(bases[ti], dims[ti], image, dims[si]))
-        return repcat.Representation(q, tuple(dims), tuple(maps))
-
-    def _cokernel(self, a, b, f) -> repcat.Representation:
-        q = self.cat.quiver
-        m, n = self.cat.reps[a], self.cat.reps[b]
-        projs = []
-        dims = []
-        for v in range(q.rank):
-            d, e = n.dim[v], m.dim[v]
-            # rows spanning the annihilator of the image of f_v, which is 0
-            # when either space is: then the cokernel is all of N_v
-            rows = linalg.nullspace(linalg.transpose(f[v], e), d) if d and e else linalg.identity(d)
-            projs.append(rows)  # (coker dim) x n.dim[v]
-            dims.append(len(rows))
-        maps = []
-        for idx, (s, t) in enumerate(q.arrows):
-            si, ti = s - 1, t - 1
-            if dims[si] == 0 or dims[ti] == 0:
-                maps.append(repcat._zero(dims[ti], dims[si]))
-                continue
-            if dims[si] == n.dim[si] and dims[ti] == n.dim[ti]:
-                maps.append(n.maps[idx])  # identity projections at both ends
-                continue
-            rhs = linalg.mat_mul(projs[ti], n.maps[idx]) if n.dim[si] else ()
-            # want W with W @ projs[si] = projs[ti] @ n.maps[idx]
-            wt = linalg.solve_columns(
-                linalg.transpose(projs[si], n.dim[si]),
-                dims[si],
-                linalg.transpose(rhs, n.dim[si]) if rhs else (),
-                dims[ti],
-            )
-            maps.append(linalg.transpose(wt, dims[ti]))
-        return repcat.Representation(q, tuple(dims), tuple(maps))
-
     def _middle(self, a, b) -> repcat.Representation:
-        """Middle term of the nonsplit extension of X_a by X_b."""
+        """Middle term of the nonsplit extension of X_a by X_b.
+
+        The Hom system is the map d: g -> (g_t M_a - N_a g_s) from the
+        vertex maps to the cocycles, the direct sum over arrows s -> t of
+        Hom(M_s, N_t); its kernel is Hom and its cokernel Ext^1 (Ringel).
+        Its rows are the cocycle coordinates, so the transposed rows are
+        the coboundary columns."""
         q = self.cat.quiver
         m, n = self.cat.reps[a], self.cat.reps[b]
-        # cocycles live in the direct sum over arrows of Hom(M_s, N_t);
-        # coboundaries are images of vertex maps g: (g_t M_a - N_a g_s)
         slots = []
         total = 0
         for s, t in q.arrows:
             slots.append(total)
             total += m.dim[s - 1] * n.dim[t - 1]
-        # coboundaries, one column per basis vertex map g
-        cob = []
-        for v in range(q.rank):
-            for r in range(n.dim[v]):
-                for c in range(m.dim[v]):
-                    col = [0] * total
-                    for idx, (s, t) in enumerate(q.arrows):
-                        si, ti = s - 1, t - 1
-                        if ti == v:
-                            # (g_t @ M_a) entry rows r', cols c'
-                            for cc in range(m.dim[si]):
-                                col[slots[idx] + r * m.dim[si] + cc] += m.maps[idx][c][cc]
-                        if si == v:
-                            for rr in range(n.dim[ti]):
-                                col[slots[idx] + rr * m.dim[si] + c] -= n.maps[idx][rr][r]
-                    cob.append(col)
+        rows, unknowns, _ = repcat._hom_system(q, m, n)
         # the first unit cocycle e_k outside the coboundary span: with the
         # span in reduced echelon form, e_k is inside it exactly when k is
         # a pivot and the row with pivot k is e_k itself
-        red, pivots = linalg.rref(cob, total)
+        red, pivots = linalg.rref(linalg.transpose(rows, unknowns), total)
         span = dict(zip(pivots, red))
         for k in range(total):
             z = [int(j == k) for j in range(total)]
@@ -366,14 +320,16 @@ def _closure_tables(
     return tables
 
 
-def wide_subcategory_oracle(q: repcat.Quiver, max_indecomposables: int = 12) -> WideOracleResult:
+def wide_subcategory_oracle(q: repcat.Quiver) -> WideOracleResult:
     """Brute force over subsets of indecomposables, closing each under
     kernels, cokernels, and extension middle terms.
 
     Both limits are checked before the module category is built: the cap
-    on the positive-root count, then multiplicity-freeness from the Euler
-    form alone, whose table `_ClosureTables` then reads instead of
-    evaluating the form again.  Hom and Ext^1 between indecomposables are
+    MAX_ORACLE_INDECOMPOSABLES on the positive-root count, then
+    multiplicity-freeness from the Euler form alone, whose table
+    `_ClosureTables` then reads instead of evaluating the form again.
+    They leave the 15 orientations of A1-A4 (D4 passes the cap and fails
+    the second), on which every indecomposable is thin.  Hom and Ext^1 between indecomposables are
     never both nonzero (the category is directed), so max(dim Hom,
     dim Ext^1) is |<a, b>|; `_ClosureTables` still checks the dimensions
     themselves.
@@ -384,9 +340,9 @@ def wide_subcategory_oracle(q: repcat.Quiver, max_indecomposables: int = 12) -> 
     are the bits left, listed by size and then in combinations order.
     """
     roots = cartan.positive_roots(cartan.build_cartan(q.label))
-    if len(roots) > max_indecomposables:
+    if len(roots) > MAX_ORACLE_INDECOMPOSABLES:
         raise ResourceLimitError(
-            f"{len(roots)} indecomposables exceed the oracle cap {max_indecomposables}"
+            f"{len(roots)} indecomposables exceed the oracle cap {MAX_ORACLE_INDECOMPOSABLES}"
         )
     euler = _euler_table(q, roots)
     if any(abs(x) > 1 for x in euler.values()):
@@ -472,6 +428,7 @@ class KroneckerLattice:
 
 
 MAX_TUBE_POINTS = 16  # the bound cap is noncrossing.MAX_KRONECKER_BOUND
+MAX_ORACLE_INDECOMPOSABLES = 12  # A4 has 10 positive roots, D4 has 12
 
 
 def kronecker_lattice(bound: int, points) -> KroneckerLattice:

@@ -7,6 +7,7 @@ from ncthick import repcat as rc
 from ncthick.errors import (
     DimensionMismatchError,
     NotRealRootError,
+    ResourceLimitError,
     StructuralError,
     UnsupportedLabelError,
 )
@@ -258,21 +259,23 @@ class TestExceptionalSequences:
 
 class TestRadIrr:
     def test_a2_values(self, a2):
-        p1 = rc.indecomposable_for_root(a2, (1, 1))
-        s1, s2 = rc.simple_rep(a2, 1), rc.simple_rep(a2, 2)
-        assert rc.irr_dim(a2, p1, s1) == 1
-        assert rc.irr_dim(a2, s2, s1) == 0
-        assert rc.irr_dim(a2, s2, p1) == 1
+        cat = rc._category(a2)
+        p1, s1, s2 = (1, 1), (1, 0), (0, 1)
+        assert cat.irr_dim(p1, s1) == 1
+        assert cat.irr_dim(s2, s1) == 0
+        assert cat.irr_dim(s2, p1) == 1
 
     def test_no_irreducible_endomorphisms(self, a3):
-        for m in rc.indecomposables(a3):
-            assert rc.irr_dim(a3, m, m) == 0
+        cat = rc._category(a3)
+        for m in cat.roots:
+            assert cat.irr_dim(m, m) == 0
 
     def test_rad_table_shape(self, a2):
-        table = rc.rad_dims(a2)
-        assert len(table) == 9
-        assert table[((1, 1), (1, 0))] == (1, 0)  # P1 -> S1 irreducible
-        assert table[((0, 1), (1, 0))] == (0, 0)  # Hom(S2, S1) = 0
+        cat = rc._category(a2)
+        assert len(cat.rad2_dims) == 9
+        p1, s1, s2 = (1, 1), (1, 0), (0, 1)
+        assert (cat.rad_dim(p1, s1), cat.rad2_dims[(p1, s1)]) == (1, 0)  # P1 -> S1 irreducible
+        assert (cat.rad_dim(s2, s1), cat.rad2_dims[(s2, s1)]) == (0, 0)  # Hom(S2, S1) = 0
 
 
 class TestARQuiver:
@@ -467,45 +470,38 @@ class TestDecompose:
 
     @pytest.mark.parametrize("arrows", _CLOSURE_CASES)
     def test_kernel_and_cokernel_match_solve_route(self, arrows, monkeypatch):
-        # the maps taken whole where a kernel or cokernel keeps both ends,
-        # and the vertices skipped where a space is 0, give the
-        # representations of a nullspace at every vertex and a
-        # solve_columns at every arrow
+        # the thin rule, X_a or X_b cut down to the vertices where f is
+        # zero, gives the representations of a nullspace at every vertex
+        # and a solve_columns at every arrow, and solves nothing itself
         label = "A4" if arrows is None else f"A{len(arrows) + 1}"
         q = rc.dynkin_quiver(label, arrows)
         cat = rc._category(q)
-        tables = thicklat._ClosureTables(q)
         pairs = [(a, b) for a in cat.roots for b in cat.roots if a != b and cat.hom_dim(a, b)]
         assert bool(pairs) == (label != "A1")
         bases = [cat.hom_spaces[pair].basis[0] for pair in pairs]
-        # every A1-A4 kernel and cokernel arrow is whole or zero: no solve
-        monkeypatch.setattr(linalg, "solve_columns", _forbidden)
-        fast = [(tables._kernel(a, b, f), tables._cokernel(a, b, f)) for (a, b), f in zip(pairs, bases)]
+        for name in ("nullspace", "rref", "_eliminate", "mat_mul"):
+            monkeypatch.setattr(linalg, name, _forbidden)
+        fast = [
+            (thicklat._where_zero(cat.reps[a], f), thicklat._where_zero(cat.reps[b], f))
+            for (a, b), f in zip(pairs, bases)
+        ]
         monkeypatch.undo()
         for (a, b), f, (kernel, cokernel) in zip(pairs, bases, fast):
             assert kernel == _kernel_reference(cat, a, f)
             assert cokernel == _cokernel_reference(cat, a, b, f)
 
     @pytest.mark.parametrize("arrows", list(_orientations("D4")))
-    def test_kernel_and_cokernel_match_solve_route_on_d4(self, arrows):
-        # D4 has a 2-dimensional space at its centre, so kernels and
-        # cokernels keep part of a space and still solve there; the oracle
-        # refuses D4, so the tables are not built, only their two methods
+    def test_closure_tables_refuse_non_thin_quivers(self, arrows, monkeypatch):
+        # D4 has a 2-dimensional space at its centre, where a kernel or
+        # cokernel can keep part of a space: the thin rule does not hold,
+        # so the tables refuse before any module category or Hom count
         q = rc.dynkin_quiver("D4", arrows)
-        cat = rc._category(q)
-        tables = object.__new__(thicklat._ClosureTables)
-        tables.cat = cat
-        partial = 0
-        for a in cat.roots:
-            for b in cat.roots:
-                for f in cat.hom_spaces[(a, b)].basis if a != b else ():
-                    kernel = tables._kernel(a, b, f)
-                    cokernel = tables._cokernel(a, b, f)
-                    assert kernel == _kernel_reference(cat, a, f)
-                    assert cokernel == _cokernel_reference(cat, a, b, f)
-                    partial += any(0 < x < y for x, y in zip(kernel.dim, a))
-                    partial += any(0 < x < y for x, y in zip(cokernel.dim, b))
-        assert partial
+        for name in ("_category", "hom", "hom_dim", "_hom_system"):
+            monkeypatch.setattr(rc, name, _forbidden)
+        monkeypatch.setattr(rc._ModuleCategory, "decompose", _forbidden)
+        monkeypatch.setattr(rc._ModuleCategory, "hom_dim", _forbidden)
+        with pytest.raises(ResourceLimitError, match="thin indecomposables"):
+            thicklat._ClosureTables(q)
 
     def test_negative_multiplicity_is_caught(self, monkeypatch):
         # Hom counts that no module has, into X_(1,1) alone on A2: the
@@ -566,6 +562,32 @@ def _forbidden(*args, **kwargs):
     raise AssertionError("a Hom system was solved")
 
 
+def solve_columns(a, ncols_a, b, ncols_b):
+    """Solve a @ x = b for x, where a has full column rank.
+
+    Raises StructuralError when the system is inconsistent or the rank
+    assumption fails; shapes: a is (r x ncols_a), b is (r x ncols_b),
+    result is (ncols_a x ncols_b).  The kernel and cokernel references
+    below solve each arrow's map with it.
+    """
+    if not a:
+        # no equations: rank 0, full column rank only with no unknowns
+        if ncols_a:
+            raise StructuralError("solve_columns: matrix not of full column rank or inconsistent")
+        if any(any(x != 0 for x in row) for row in b):
+            raise StructuralError("inconsistent empty system")
+        return ()
+    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    m, pivots = linalg.rref(aug, ncols_a + ncols_b)
+    if len(pivots) != ncols_a or any(p >= ncols_a for p in pivots):
+        raise StructuralError("solve_columns: matrix not of full column rank or inconsistent")
+    x = [[0] * ncols_b for _ in range(ncols_a)]
+    for r, c in enumerate(pivots):
+        for j in range(ncols_b):
+            x[c][j] = m[r][ncols_a + j]
+    return linalg.freeze(x)
+
+
 def _kernel_reference(cat, a, f):
     """ker f as a subrepresentation of X_a: a nullspace basis at every
     vertex and one solve_columns at every arrow between nonzero spaces."""
@@ -580,7 +602,7 @@ def _kernel_reference(cat, a, f):
             maps.append(((0,) * dims[si],) * dims[ti])
             continue
         image = linalg.mat_mul(m.maps[idx], bases[si])
-        maps.append(linalg.solve_columns(bases[ti], dims[ti], image, dims[si]))
+        maps.append(solve_columns(bases[ti], dims[ti], image, dims[si]))
     return rc.Representation(q, tuple(dims), tuple(maps))
 
 
@@ -596,7 +618,7 @@ def _cokernel_reference(cat, a, b, f):
             maps.append(((0,) * dims[si],) * dims[ti])
             continue
         rhs = linalg.mat_mul(projs[ti], n.maps[idx])
-        wt = linalg.solve_columns(
+        wt = solve_columns(
             linalg.transpose(projs[si], n.dim[si]), dims[si], linalg.transpose(rhs, n.dim[si]), dims[ti]
         )
         maps.append(linalg.transpose(wt, dims[ti]))

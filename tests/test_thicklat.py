@@ -55,6 +55,15 @@ _ORACLE_CASES += [
     if arrows != cw.tree_edges(label) and (label, arrows) not in _ORACLE_CASES
 ]
 
+# the same 15 orientations by their arrows alone, A4's first two leading:
+# A_n has n - 1 arrows, and None is A4's default
+_ORACLE_ARROWS = [None, ((2, 1), (2, 3), (4, 3))]
+_ORACLE_ARROWS += [
+    cw.tree_edges(label) if arrows is None else arrows
+    for label, arrows in _ORACLE_CASES
+    if label != "A4" or arrows not in _ORACLE_ARROWS
+]
+
 
 def _cox(cd, roots):
     """The product of the generator reflections, left to right."""
@@ -456,9 +465,11 @@ class TestWideOracle:
             == len(tl.thick_lattice(cw.build_cartan(label)))
         )
 
-    def test_scale_cap(self):
-        with pytest.raises(ResourceLimitError):
-            tl.wide_subcategory_oracle(rc.dynkin_quiver("D4"), max_indecomposables=6)
+    def test_scale_cap(self, monkeypatch):
+        # the cap comes first: D4 would also fail the multiplicity check
+        monkeypatch.setattr(tl, "MAX_ORACLE_INDECOMPOSABLES", 6)
+        with pytest.raises(ResourceLimitError, match="12 indecomposables exceed the oracle cap 6"):
+            tl.wide_subcategory_oracle(rc.dynkin_quiver("D4"))
 
     @pytest.mark.parametrize("label,arrows", _ORACLE_CASES)
     def test_euler_form_once_per_ordered_pair(self, label, arrows, monkeypatch):
@@ -486,6 +497,7 @@ class TestWideOracle:
 
     def test_oracle_cases_cover_every_orientation(self):
         assert len(_ORACLE_CASES) == len(set(_ORACLE_CASES)) == 1 + 2 + 4 + 8
+        assert len(_ORACLE_ARROWS) == len(set(_ORACLE_ARROWS)) == 1 + 2 + 4 + 8
 
     @pytest.mark.parametrize("label,arrows", _ORACLE_CASES)
     def test_bitmask_search_matches_set_search(self, label, arrows):
@@ -560,9 +572,12 @@ class TestWideOracle:
             with pytest.raises(StructuralError, match="extension class vanished"):
                 tables._middle(a, b)
 
-    @pytest.mark.parametrize("arrows", [None, ((2, 1), (2, 3), (4, 3))])
-    def test_middle_terms_are_nonsplit(self, arrows):
-        q = rc.dynkin_quiver("A4", arrows)
+    @pytest.mark.parametrize("arrows", _ORACLE_ARROWS)
+    def test_middle_terms_are_nonsplit(self, arrows, monkeypatch):
+        # each middle term reads its coboundaries off the one Hom system
+        # of (X_a, X_b) and builds no other
+        label = "A4" if arrows is None else f"A{len(arrows) + 1}"
+        q = rc.dynkin_quiver(label, arrows)
         tables = tl._ClosureTables(q)
         cat = tables.cat
         pairs = [
@@ -570,9 +585,14 @@ class TestWideOracle:
             for a, b in itertools.product(cat.roots, repeat=2)
             if cat.hom_dim(a, b) - rc.euler_form(q, a, b) == 1
         ]
-        assert pairs
+        assert bool(pairs) == (label != "A1")
+        systems = []
+        real = rc._hom_system
+        monkeypatch.setattr(rc, "_hom_system", lambda *args: systems.append(args) or real(*args))
         for a, b in pairs:
+            systems.clear()
             middle = tables._middle(a, b)
+            assert systems == [(q, cat.reps[a], cat.reps[b])]
             assert middle.dim == tuple(x + y for x, y in zip(a, b))
             assert cat.decompose(middle) != {a: 1, b: 1}
 

@@ -96,7 +96,7 @@ class TestWeylElement:
         for i, w in enumerate(lat.elements):
             fresh = cw.WeylElement(tuple(tuple(list(row)) for row in w.matrix))
             assert fresh.matrix is not w.matrix and fresh is not w
-            assert lat.index(fresh) == i and fresh in lat
+            assert lat.index(fresh) == i
 
     def test_equal_to_itself_without_comparing(self, a2):
         class Incomparable(tuple):
