@@ -26,7 +26,6 @@ from .derived import (
     Hammock,
     build_zdelta,
     derived_hom,
-    ell,
     knit_hammock,
     module_slice,
     serre,
@@ -53,7 +52,6 @@ from .repcat import (
     hom,
     indecomposable_for_root,
     is_exceptional_sequence,
-    simple_rep,
 )
 from .thicklat import (
     KroneckerLattice,
@@ -103,7 +101,6 @@ __all__ = [
     "enumerate_factorizations",
     "hurwitz_orbit",
     "dynkin_quiver",
-    "simple_rep",
     "hom",
     "ext1_dim",
     "indecomposable_for_root",
@@ -113,7 +110,6 @@ __all__ = [
     "knit_hammock",
     "suspension",
     "serre",
-    "ell",
     "verify_mesh",
     "derived_hom",
     "module_slice",

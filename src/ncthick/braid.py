@@ -57,9 +57,6 @@ class Factorization:
             raise NotInPosetError("parts do not multiply to the target")
         return tuple(roots)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
     def key(self) -> tuple[WeylElement, ...]:
         """The parts: equal for equal factorizations, and hashed by the hash
         each WeylElement keeps, so a set of keys rehashes no matrix."""

@@ -419,8 +419,12 @@ def reflection_root(cd: CartanDatum, w: WeylElement) -> Vector:
     return alpha
 
 
-def weyl_group(cd: CartanDatum, max_order: int = 10_000_000) -> frozenset[WeylElement]:
-    """Closure of the simple reflections under multiplication."""
+MAX_WEYL_ORDER = 10_000_000  # elements a whole-group enumeration may hold
+
+
+def weyl_group(cd: CartanDatum) -> frozenset[WeylElement]:
+    """Closure of the simple reflections under multiplication, refused
+    past MAX_WEYL_ORDER elements."""
     if not cd.is_finite():
         raise InfiniteGroupError("the KRONECKER Weyl group is infinite")
     gens = [simple_reflection(cd, i) for i in range(1, cd.rank + 1)]
@@ -434,10 +438,8 @@ def weyl_group(cd: CartanDatum, max_order: int = 10_000_000) -> frozenset[WeylEl
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
-                    if len(seen) > max_order:
-                        raise ResourceLimitError(
-                            f"group order exceeds cap {max_order}"
-                        )
+                    if len(seen) > MAX_WEYL_ORDER:
+                        raise ResourceLimitError(f"group order exceeds cap {MAX_WEYL_ORDER}")
         frontier = nxt
     return frozenset(seen)
 
@@ -461,7 +463,8 @@ def absolute_length(cd: CartanDatum, w: WeylElement) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _bfs_length_table(cd: CartanDatum) -> dict[WeylElement, int]:
-    """Distances from the identity in the Cayley graph on all reflections."""
+    """Distances from the identity in the Cayley graph on all reflections,
+    refused past MAX_WEYL_ORDER elements."""
     refs = reflections(cd)
     dist = {identity_element(cd): 0}
     frontier = list(dist)
@@ -475,6 +478,8 @@ def _bfs_length_table(cd: CartanDatum) -> dict[WeylElement, int]:
                 if u not in dist:
                     dist[u] = d
                     nxt.append(u)
+                    if len(dist) > MAX_WEYL_ORDER:
+                        raise ResourceLimitError(f"group order exceeds cap {MAX_WEYL_ORDER}")
         frontier = nxt
     return dist
 

@@ -23,9 +23,9 @@ turns each node's hammock into a template of offsets into it, so a
 vertex's entries are read off one slice of the table.  `verify_mesh`
 checks ell(x) = sum of dim Hom(-, x), which does not depend on the level;
 by translation invariance it is the column sum, at node x, of the
-hammocks the output prints, so the check knits nothing more.  `ell`
-still reads it off the opposite orientation's hammocks, as the
-independent route the table is tested against.
+hammocks the output prints, so the check knits nothing more.  The tests
+read ell off the opposite orientation's hammocks, as the independent
+route the table is checked against.
 
 The bridge to the module category: the projectives' hammocks place each
 indecomposable module at the vertex v with (dim Hom(P_i, v))_i its
@@ -186,29 +186,27 @@ def _knit(label: str, orientation: tuple[tuple[int, int], ...]):
     return tuple(hammocks), tuple(ell)
 
 
-def _in_window(t: TranslationQuiver, v: Vertex) -> tuple[str, tuple[tuple[int, int], ...], int]:
-    """Label, orientation and top level of the window, which must hold v."""
+def _in_window(t: TranslationQuiver, v: Vertex) -> tuple[str, tuple[tuple[int, int], ...]]:
+    """Label and orientation of the window, which must hold v."""
     label, orientation, (lo, hi) = _require_meta(t)
     if not (lo <= v[0] <= hi):
         raise WindowError(f"source {v} outside window {(lo, hi)}")
-    return label, orientation, hi
+    return label, orientation
 
 
-def knit_hammock(t: TranslationQuiver, source: Vertex, auto_extend: bool = True) -> Hammock:
+def knit_hammock(t: TranslationQuiver, source: Vertex) -> Hammock:
     """dim Hom(source, -): the hammock of the source's node, moved up to its
-    level.  Without auto_extend it must die out inside the window."""
-    label, orientation, hi = _in_window(t, source)
+    level, past the window's top if it dies out later."""
+    label, orientation = _in_window(t, source)
     level, node = source
-    items, (s, x), last, _ = _knit(label, orientation)[0][node - 1]
-    if not auto_extend and level + last > hi:
-        raise WindowError(f"window exhausted before hammock of {source} died out")
+    items, (s, x), _, _ = _knit(label, orientation)[0][node - 1]
     values = {(n + level, y): k for (n, y), k in items}
     return Hammock(source=source, values=values, sigma_of_source=(s + level, x))
 
 
 def suspension(t: TranslationQuiver, x: Vertex) -> Vertex:
     """The shift of x, located by the hammock's -1 event."""
-    label, orientation, _ = _in_window(t, x)
+    label, orientation = _in_window(t, x)
     level, node = _knit(label, orientation)[0][x[1] - 1][1]
     return (level + x[0], node)
 
@@ -219,33 +217,22 @@ def serre(t: TranslationQuiver, x: Vertex) -> Vertex:
     return (level - 1, node)
 
 
-def ell(t: TranslationQuiver, x: Vertex) -> int:
-    """Total morphism length into x, summed over all indecomposables: the
-    sum of dim Hom(-, x), which is a hammock of the opposite orientation.
-    `verify_mesh` reads the same number off the window's own table; this
-    route stays as the reference it is tested against."""
-    label, orientation, _ = _in_window(t, x)
-    return _knit(label, tuple((b, a) for a, b in orientation))[0][x[1] - 1][3]
-
-
-def verify_mesh(t: TranslationQuiver, levels: tuple[int, int] | None = None) -> MeshReport:
-    """Check 2*ell(Z) = ell(Z) + ell(tau Z) = 2 + sum d * ell(Y) vertex-wise.
+def verify_mesh(t: TranslationQuiver) -> MeshReport:
+    """Check 2*ell(Z) = ell(Z) + ell(tau Z) = 2 + sum d * ell(Y) at every
+    vertex Z of the window whose translate lies in it.
 
     ell depends only on the node, so it is read off the column sums of the
     window's own hammock table, the one `hammocks_json` prints, and each
     vertex compares table entries."""
-    label, orientation, (lo, hi) = _require_meta(t)
-    if levels is None:
-        levels = (lo + 1, hi)
+    label, orientation, _ = _require_meta(t)
     ells = dict(zip(_nodes(label), _knit(label, orientation)[1]))
     checked = []
     violations = []
     for z in t.vertices:
-        n, x = z
-        if not (levels[0] <= n <= levels[1]) or z not in t.tau:
+        if z not in t.tau:
             continue
         checked.append(z)
-        lz = ells[x]
+        lz = ells[z[1]]
         ltz = ells[t.tau[z][1]]
         mesh = 2 + sum(val[0] * ells[y[1]] for y, val in t.arrows_into(z))
         if not (2 * lz == lz + ltz == mesh):

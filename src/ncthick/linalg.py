@@ -13,10 +13,9 @@ entry as one `sum(map(mul, ...))`, `sub_outer` (the rank-one update of a
 Weyl element) rebuilds each row with u_i != 0 by one `map(sub, ...)`,
 and `transpose` is `zip`.
 
-The rational routines `rref`, `nullspace` and `inverse` return
-canonical exact values: an int wherever a value is integral, and
-a Fraction only where a denominator remains, so each entry's type
-follows from its value.
+The rational routines `rref` and `nullspace` return canonical exact
+values: an int wherever a value is integral, and a Fraction only where a
+denominator remains, so each entry's type follows from its value.
 
 All elimination runs over the integers in one routine, `_eliminate`: an
 all-int row is copied as it is, any other row is scaled by the lcm of
@@ -24,8 +23,8 @@ its denominators, Gauss-Jordan clears every pivot column with integer
 row operations, and each changed row is divided by the gcd of its
 entries so the numbers stay small.  `rank` counts its pivots and builds
 no Fraction; `rref` divides each pivot row by its pivot once at the end,
-which gives the unique reduced row echelon form, so `nullspace` and
-`inverse` get the same exact values a rational elimination would give.
+which gives the unique reduced row echelon form, so `nullspace` gets the
+same exact values a rational elimination would give.
 A pivot of 1 leaves its row as it is, and otherwise an entry the pivot
 divides stays an int.  Integer systems
 known to have an integer solution go through `int_solve`, which reads
@@ -178,15 +177,6 @@ def nullspace(rows: Mat, ncols: int) -> tuple[tuple, ...]:
             v[c] = -m[r][f]
         basis.append(tuple(v))
     return tuple(basis)
-
-
-def inverse(a: Mat) -> tuple[tuple, ...]:
-    n = len(a)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    m, pivots = rref(aug, 2 * n)
-    if pivots[:n] != list(range(n)):
-        raise StructuralError("matrix not invertible")
-    return freeze(row[n:] for row in m[:n])
 
 
 def int_solve(a: Mat, b: Mat) -> tuple[tuple[int, ...], ...]:

@@ -24,8 +24,11 @@ w - (w alpha_t) (x) q_t of its parent's, and a chain along the growth
 tree certifies it: the complement of id is c, and that of w t is t
 times that of w, so every x has complement x^-1 c, a product of
 n - rank(x) reflections, and l(x) + l(x^-1 c) = l(c) proves x <= c.
-The Weyl group is never materialized.  One greedy step, `NCLattice.step`,
-gives canonical words, the JSON Coxeter word and the thick generators.
+The Weyl group is never materialized.  One greedy step on masks,
+`least_step`, gives canonical words, the JSON Coxeter word and the thick
+generators, both of the whole lattice (`NCLattice.step`, on the masks of
+the atoms' complements) and of a lone element (`thicklat.thick_from_nc`,
+on the perp masks).
 The fixed-space absolute order of `cartan` and the prefix-product growth
 that tests each candidate's rank stay as oracles in `selfcheck`.
 """
@@ -40,7 +43,6 @@ from .cartan import CartanDatum, WeylElement, positive_roots
 from .errors import (
     LatticeStructureError,
     NotInPosetError,
-    NotReflectionError,
     OutOfRangeError,
     ResourceLimitError,
     StructuralError,
@@ -56,15 +58,17 @@ class NCLattice:
     `masks[i]` is the reflection set of `elements[i]` as a bitmask over
     `roots`, the positive roots, and `position` maps each mask back to its
     index; `kreweras_index[i]` is the index of its Kreweras complement, or
-    None where the complement leaves a truncated poset.  `covers` holds
-    the cover relations as two parallel lists, the masks T(lower) and
-    T(upper); `hasse` translates them to sorted index pairs (lower,
+    None where the complement leaves a truncated poset, and `perp[k]` is
+    T(t_k c), the mask of atom k's complement, or None likewise.  `covers`
+    holds the cover relations as two parallel lists, the masks T(lower)
+    and T(upper); `hasse` translates them to sorted index pairs (lower,
     upper) on first read.  Elements are sorted by (rank, matrix).
     """
 
     __slots__ = (
         "cartan", "coxeter", "elements", "ranks", "masks", "kreweras_index", "covers",
-        "truncation_bound", "co_kreweras_index", "position", "roots", "_index", "_words", "_hasse",
+        "truncation_bound", "co_kreweras_index", "position", "roots", "perp", "_index", "_words",
+        "_hasse",
     )
 
     def __init__(
@@ -84,17 +88,16 @@ class NCLattice:
         self.position = {m: i for i, m in enumerate(masks)}
         self.roots = positive_roots(cartan, truncation_bound or 0)
         self._index = {w: i for i, w in enumerate(elements)}
-        self._link_kreweras(kreweras_index)
-        self._words: dict[int, tuple[Vector, ...]] = {0: ()}  # index 0 is id
-        self._hasse = None
-
-    def _link_kreweras(self, kreweras_index: tuple[int | None, ...]) -> None:
-        """Set the Kreweras index and its inverse, the co-Kreweras index."""
         inverse: list[int | None] = [None] * len(kreweras_index)
         for i, k in enumerate(kreweras_index):
             if k is not None:
                 inverse[k] = i
         self.kreweras_index, self.co_kreweras_index = kreweras_index, tuple(inverse)
+        atoms = (self.position.get(1 << k) for k in range(len(self.roots)))
+        comps = (None if a is None else kreweras_index[a] for a in atoms)
+        self.perp = tuple(None if k is None else masks[k] for k in comps)
+        self._words: dict[int, tuple[Vector, ...]] = {0: ()}  # index 0 is id
+        self._hasse = None
 
     @property
     def hasse(self) -> tuple[tuple[int, int], ...]:
@@ -126,23 +129,10 @@ class NCLattice:
         return self._word(self.index(w))
 
     def step(self, i: int) -> tuple[int, int]:
-        """(k, j): element i is t_k times its rest j, for the least bit k of
-        T(i) whose rest lies in the lattice: id if T(i) is that bit, else the
-        element with mask T(i) & T(t_k c), read at the atom's Kreweras
-        complement (T(t x) = T(x) & T(t c) for t <= x <= c).  Every t <= w
-        starts a reduced word of w, so root k then j's least word is i's
-        least word.  A truncated poset skips an atom whose complement left it."""
-        mask = rest = self.masks[i]
-        while rest:
-            low = rest & -rest
-            if mask == low:
-                return low.bit_length() - 1, 0
-            comp = self.kreweras_index[self.position[low]]
-            j = None if comp is None else self.position.get(mask & self.masks[comp])
-            if j is not None:
-                return low.bit_length() - 1, j
-            rest ^= low
-        raise LatticeStructureError("no reflection word reaches the element")
+        """(k, j): element i is t_k times its rest j, the `least_step` of
+        T(i) on the masks T(t_k c) of the atoms' Kreweras complements."""
+        k, rest = least_step(self.masks[i], self.perp)
+        return k, self.position[rest]
 
     def _word(self, i: int) -> tuple[Vector, ...]:
         word = self._words.get(i)
@@ -198,6 +188,25 @@ def left_perp_masks(perp: tuple[int, ...]) -> list[int]:
     return [sum(1 << t for t, p in enumerate(perp) if p >> s & 1) for s in range(len(perp))]
 
 
+def least_step(mask: int, perp) -> tuple[int, int]:
+    """(k, rest): the least bit k of mask whose perp[k] = T(t_k c) is known,
+    and rest = mask & perp[k], the mask of t_k w (T(t x) = T(x) & T(t c) for
+    t <= x <= c); a lone bit has rest 0.  perp[k] is None where t_k c leaves
+    a truncated poset, and the step then skips k.  Every t <= w starts a
+    reduced word of w, so root k then the rest's least word is w's least word."""
+    bits = mask
+    while bits:
+        low = bits & -bits
+        k = low.bit_length() - 1
+        if mask == low:
+            return k, 0
+        p = perp[k]
+        if p is not None:
+            return k, mask & p
+        bits ^= low
+    raise LatticeStructureError("no reflection word reaches the element")
+
+
 def _bits(mask: int):
     """The indices of the set bits of mask, lowest first."""
     while mask:
@@ -208,40 +217,29 @@ def _bits(mask: int):
 
 def _sorted_lattice(cd, c, rows, covers, bound=None) -> NCLattice:
     """Sort (w, rank, T(w), T(w^-1 c) or None) rows by (rank, matrix) and
-    index the Kreweras complements through the lattice's mask table."""
+    index the Kreweras complements through a mask -> index table."""
     rows = sorted(rows, key=lambda row: (row[1], row[0].matrix))
-    lattice = NCLattice(
+    position = {row[2]: i for i, row in enumerate(rows)}
+    return NCLattice(
         cartan=cd,
         coxeter=c,
         elements=tuple(row[0] for row in rows),
         ranks={row[0]: row[1] for row in rows},
         masks=tuple(row[2] for row in rows),
-        kreweras_index=(),
+        kreweras_index=tuple(position.get(row[3]) for row in rows),
         covers=covers,
         truncation_bound=bound,
     )
-    lattice._link_kreweras(tuple(lattice.position.get(row[3]) for row in rows))
-    return lattice
 
 
-def enumerate_nc(
-    cd: CartanDatum,
-    c: WeylElement | None = None,
-    reflection_order: tuple[WeylElement, ...] | None = None,
-) -> NCLattice:
-    """All w with id <= w <= c, grown cover by cover from the perp masks.
-
-    `reflection_order` must hold reflections only; the lattice does not
-    depend on it.
-    """
+def enumerate_nc(cd: CartanDatum, c: WeylElement | None = None) -> NCLattice:
+    """All w with id <= w <= c, grown cover by cover from the perp masks."""
     if not cd.is_finite():
         raise UnsupportedLabelError("use nc_kronecker for the affine rank-2 type")
     if c is None:
         c = cartan.coxeter_element(cd)
     if not cartan.is_coxeter_element(cd, c):
         raise NotInPosetError("the given element is not a Coxeter element")
-    if reflection_order is not None and not set(reflection_order) <= set(cartan.reflections(cd)):
-        raise NotReflectionError("reflection_order holds an element that is not a reflection")
     n = cd.rank
     roots = cartan.positive_roots(cd)
     coroots = [cartan.coroot(cd, a) for a in roots]

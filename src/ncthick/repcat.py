@@ -136,12 +136,6 @@ def _zero(rows: int, cols: int) -> Mat:
     return ((0,) * cols,) * rows
 
 
-def simple_rep(q: Quiver, i: int) -> Representation:
-    dim = tuple(int(v == i) for v in q.vertices)
-    maps = tuple(_zero(dim[t - 1], dim[s - 1]) for s, t in q.arrows)
-    return Representation(q, dim, maps)
-
-
 def _mm(a: Mat, b: Mat, n: int, k: int, m: int) -> Mat:
     """a (n x k) times b (k x m) with explicit shapes, empty-safe."""
     return tuple(

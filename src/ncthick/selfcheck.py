@@ -769,16 +769,7 @@ SUITES = {
 }
 
 
-def run_suites(names) -> list[CheckResult]:
-    """Run the named suites; 'all' expands to every suite in order."""
-    if isinstance(names, str):
-        names = [names]
-    expanded: list[str] = []
-    for n in names:
-        if n == "all":
-            expanded.extend(SUITES)
-        elif n in SUITES:
-            expanded.append(n)
-        else:
-            raise KeyError(f"unknown suite {n!r}")
-    return [_check(suite, name, fn) for suite in expanded for name, fn in SUITES[suite]]
+def run_suites(name: str) -> list[CheckResult]:
+    """Run the named suite; 'all' runs every suite in order."""
+    suites = SUITES if name == "all" else (name,)
+    return [_check(suite, check, fn) for suite in suites for check, fn in SUITES[suite]]

@@ -99,9 +99,9 @@ def thick_from_nc(
 
     T(w) comes from one scan over the roots: those orthogonal to the
     fixed space of w, which is the orthogonal complement of its moved
-    space.  The generators are the least word of `NCLattice.step` without
-    a lattice: the lowest root k, then T(w) &= perp[k] = T(t_k c), repeated
-    at most rank times; each new root must miss the masks of the earlier ones.
+    space.  The generators are its least word without a lattice:
+    `noncrossing.least_step` on the perp masks, perp[k] = T(t_k c), at most
+    rank times; each new root must miss the masks of the earlier ones.
     """
     if not cd.is_finite():
         raise UnsupportedLabelError("thick subcategories need a finite label")
@@ -119,14 +119,14 @@ def thick_from_nc(
     for _ in range(cd.rank):
         if not mask:
             break
-        k = (mask & -mask).bit_length() - 1
+        k, rest = noncrossing.least_step(mask, perp)
         if perp[k] >> k & 1:
             raise StructuralError(f"the perp of root {roots[k]} keeps the root")
         if barred >> k & 1:
             raise StructuralError("generator roots are not an exceptional sequence")
         barred |= bad[k]
         gens.append(roots[k])
-        mask &= perp[k]
+        mask = rest
     if mask:
         raise StructuralError("roots are left over after rank many generators")
     return ThickSubcategory(cartan=cd, nc_element=w, generators=tuple(gens))

@@ -223,9 +223,20 @@ class TestWeylGroup:
         with pytest.raises(InfiniteGroupError):
             cw.weyl_group(cw.build_cartan("KRONECKER"))
 
-    def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            cw.weyl_group(cw.build_cartan("A4"), max_order=10)
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(cw, "MAX_WEYL_ORDER", 10)
+        with pytest.raises(ResourceLimitError, match="exceeds cap 10"):
+            cw.weyl_group(cw.build_cartan("A4"))
+
+    def test_bfs_length_table_cap(self, monkeypatch):
+        # the length oracle enumerates the whole group too, and its cache
+        # would keep the table: past the cap it stops, and caches nothing
+        monkeypatch.setattr(cw, "MAX_WEYL_ORDER", 10)
+        cw._bfs_length_table.cache_clear()
+        cd = cw.build_cartan("A4")
+        with pytest.raises(ResourceLimitError, match="exceeds cap 10"):
+            cw.absolute_length_bfs(cd, cw.coxeter_element(cd))
+        assert cw._bfs_length_table.cache_info().currsize == 0
 
 
 class TestAbsoluteLength:

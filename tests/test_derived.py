@@ -9,6 +9,15 @@ from ncthick import cli
 from ncthick import derived as dv
 from ncthick import repcat as rc
 from ncthick.errors import ResourceLimitError, StructuralError, WindowError
+from test_repcat import simple_rep  # the test-side simple representation
+
+
+def ell(t, x):
+    """Total morphism length into x, the sum of dim Hom(-, x): a hammock
+    total of the opposite orientation, the reference for the column sums
+    `verify_mesh` reads off the window's own table."""
+    label, orientation = dv._in_window(t, x)
+    return dv._knit(label, tuple((b, a) for a, b in orientation))[0][x[1] - 1][3]
 
 
 @pytest.fixture(scope="module")
@@ -71,11 +80,6 @@ class TestKnit:
         h = dv.knit_hammock(a3_window, (0, 1))
         assert all(v > 0 for v in h.values.values())
         assert len(h.values) < 40
-
-    def test_auto_extend_disabled(self):
-        t = dv.build_zdelta("A3", (0, 1))
-        with pytest.raises(WindowError):
-            dv.knit_hammock(t, (0, 1), auto_extend=False)
 
     def test_auto_extend_matches_large_window(self):
         small = dv.build_zdelta("A3", (0, 1))
@@ -167,19 +171,19 @@ class TestSuspension:
 class TestEll:
     def test_a1_all_one(self):
         t = dv.build_zdelta("A1", (0, 4))
-        assert all(dv.ell(t, (n, 1)) == 1 for n in range(0, 4))
+        assert all(ell(t, (n, 1)) == 1 for n in range(0, 4))
 
     def test_a2_simples(self, a2_window):
         q = rc.dynkin_quiver("A2")
         emb = dv.module_slice(q)
-        assert dv.ell(a2_window, emb[(1, 0)]) == 2
-        assert dv.ell(a2_window, emb[(0, 1)]) == 2
-        assert dv.ell(a2_window, emb[(1, 1)]) == 2
+        assert ell(a2_window, emb[(1, 0)]) == 2
+        assert ell(a2_window, emb[(0, 1)]) == 2
+        assert ell(a2_window, emb[(1, 1)]) == 2
 
     def test_tau_invariance(self, a3_window):
         for x in [1, 2, 3]:
             for n in range(1, 5):
-                assert dv.ell(a3_window, (n, x)) == dv.ell(a3_window, (n - 1, x))
+                assert ell(a3_window, (n, x)) == ell(a3_window, (n - 1, x))
 
 
 class TestMesh:
@@ -187,9 +191,9 @@ class TestMesh:
         q = rc.dynkin_quiver("A2")
         emb = dv.module_slice(q)
         z = emb[(1, 0)]  # S1
-        lz = dv.ell(a2_window, z)
+        lz = ell(a2_window, z)
         arrows_in = a2_window.arrows_into(z)
-        assert 2 * lz == 2 + sum(val[0] * dv.ell(a2_window, y) for y, val in arrows_in) == 4
+        assert 2 * lz == 2 + sum(val[0] * ell(a2_window, y) for y, val in arrows_in) == 4
 
     def test_a1_degenerate(self):
         t = dv.build_zdelta("A1", (0, 3))
@@ -224,7 +228,7 @@ class TestDerivedHom:
     def test_a2_bridge_values(self):
         q = rc.dynkin_quiver("A2")
         p1 = rc.indecomposable_for_root(q, (1, 1))
-        s1, s2 = rc.simple_rep(q, 1), rc.simple_rep(q, 2)
+        s1, s2 = simple_rep(q, 1), simple_rep(q, 2)
         assert dv.derived_hom(q, (p1, 0), (s1, 0)) == 1
         assert dv.derived_hom(q, (s1, 0), (s2, 1)) == 1
         assert dv.derived_hom(q, (s1, 0), (s2, 2)) == 0
@@ -232,7 +236,7 @@ class TestDerivedHom:
 
     def test_shift_invariance(self):
         q = rc.dynkin_quiver("A2")
-        s1, s2 = rc.simple_rep(q, 1), rc.simple_rep(q, 2)
+        s1, s2 = simple_rep(q, 1), simple_rep(q, 2)
         assert dv.derived_hom(q, (s1, 3), (s2, 4)) == dv.derived_hom(q, (s1, 0), (s2, 1))
 
     @pytest.mark.parametrize("label", ["A2", "A3", "D4", "D5"])
@@ -446,8 +450,8 @@ class TestKnitTable:
         # column sums of the forward table against the opposite
         # orientation's hammock totals, which share no sum with them
         t = dv.build_zdelta(label, (0, 0), _seeded_orientation(label, seed))
-        ell = dv._knit(label, t.meta["orientation"])[1]
-        assert ell == tuple(dv.ell(t, v) for v in t.vertices)
+        sums = dv._knit(label, t.meta["orientation"])[1]
+        assert sums == tuple(ell(t, v) for v in t.vertices)
 
     @pytest.mark.parametrize("label", ADE_UP_TO_RANK_8)
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -467,7 +471,7 @@ class TestKnitTable:
             dv.knit_hammock(t, v)
             dv.suspension(t, v)
         assert dv._knit.cache_info().misses == 1
-        dv.ell(t, (0, 1))
+        ell(t, (0, 1))
         assert dv._knit.cache_info().misses == 2
 
     def test_cap_on_a_euclidean_star(self):
@@ -499,16 +503,13 @@ def _hammocks_json_reference(t):
     }
 
 
-def _verify_mesh_reference(t, levels=None, ell=None):
-    """The per-vertex route: ell (by default dv.ell) read at each vertex,
-    its translate and each arrow source.  Returns (checked, violations)."""
-    ell = ell or dv.ell
-    lo, hi = t.meta["window"]
-    if levels is None:
-        levels = (lo + 1, hi)
+def _verify_mesh_reference(t, ell=ell):
+    """The per-vertex route: ell read at each vertex with a translate, at
+    the translate and at each arrow source.  Returns (checked, violations)."""
+    lo, _ = t.meta["window"]
     checked, violations = [], []
     for z in t.vertices:
-        if not (levels[0] <= z[0] <= levels[1]) or z not in t.tau:
+        if z[0] == lo:
             continue
         checked.append(z)
         lz, ltz = ell(t, z), ell(t, t.tau[z])
@@ -584,9 +585,10 @@ class TestVerifyMeshTable:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("levels", [None, (2, 5), (-10, 3)])
     def test_matches_per_vertex_ell(self, label, seed, levels):
-        t = dv.build_zdelta(label, (-2, 12), _seeded_orientation(label, seed))
-        report = dv.verify_mesh(t, levels)
-        assert (report.checked, report.violations) == _verify_mesh_reference(t, levels)
+        # levels: the window's, lo..hi; None is the default (-2, 12)
+        t = dv.build_zdelta(label, levels or (-2, 12), _seeded_orientation(label, seed))
+        report = dv.verify_mesh(t)
+        assert (report.checked, report.violations) == _verify_mesh_reference(t)
         assert report.ok
 
     def test_one_knit_per_node(self, monkeypatch):
@@ -597,7 +599,6 @@ class TestVerifyMeshTable:
             return real(*args)
 
         monkeypatch.setattr(dv, "_knit", counted)
-        monkeypatch.setattr(dv, "ell", lambda *args: pytest.fail("ell called per vertex"))
         t = dv.build_zdelta("E8", (0, 24))
         assert dv.verify_mesh(t).ok
         assert calls == [("E8", t.meta["orientation"])]
@@ -621,7 +622,7 @@ class TestVerifyMeshTable:
         monkeypatch.setattr(dv, "_knit", off)
         report = dv.verify_mesh(t)
         assert report.violations
-        off_ell = lambda t, z: dv.ell(t, z) + (z[1] == node)  # noqa: E731
+        off_ell = lambda t, z: ell(t, z) + (z[1] == node)  # noqa: E731
         assert (report.checked, report.violations) == _verify_mesh_reference(t, ell=off_ell)
         assert cli.run(["arq", "knit", "--type", label, "--check-mesh"]) == 1
         out = capsys.readouterr()

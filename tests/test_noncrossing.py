@@ -15,6 +15,7 @@ from ncthick.errors import (
     StructuralError,
     UnsupportedLabelError,
 )
+from test_linalg import inverse  # the test-side rational inverse
 
 
 def _lattice(label):
@@ -65,12 +66,6 @@ class TestEnumerate:
         c = cw.coxeter_element(cd)
         with pytest.raises(NotInPosetError):
             nc.enumerate_nc(cd, c * c)
-
-    def test_reflection_order_irrelevant(self):
-        cd = cw.build_cartan("A3")
-        base = nc.enumerate_nc(cd)
-        permuted = nc.enumerate_nc(cd, reflection_order=tuple(reversed(cw.reflections(cd))))
-        assert set(base.elements) == set(permuted.elements)
 
 
 def _abs_order(cd, elements):
@@ -171,13 +166,6 @@ class TestMasks:
             assert nc.co_kreweras(lat, nc.kreweras(lat, w)) == w
             assert nc.kreweras(lat, w) == w.inverse() * lat.coxeter
 
-    def test_reversed_reflection_order_same_masks(self):
-        cd = cw.build_cartan("B3")
-        base = nc.enumerate_nc(cd)
-        permuted = nc.enumerate_nc(cd, reflection_order=tuple(reversed(cw.reflections(cd))))
-        assert base.masks == permuted.masks
-        assert base.kreweras_index == permuted.kreweras_index
-
 
 def _topological_perm(n, arrows):
     """Vertices 1..n ordered so that every arrow points forward."""
@@ -199,7 +187,7 @@ def _orientations(label):
 def _euler_form_reference(cd, c):
     """G (1 - c)^-1 over Fraction: a rational inverse and a product."""
     one_minus_c = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(c.matrix)]
-    return linalg.mat_mul(cd.gram(), linalg.inverse(one_minus_c))
+    return linalg.mat_mul(cd.gram(), inverse(one_minus_c))
 
 
 def _seeded_perms(label, count=6):
@@ -228,7 +216,7 @@ class TestEulerForm:
     def test_one_integer_solve(self, monkeypatch):
         # no Fraction elimination and no matrix product: one int_solve
         calls = []
-        for name in ("mat_mul", "inverse", "rref", "int_solve"):
+        for name in ("mat_mul", "rref", "int_solve"):
             real = getattr(linalg, name)
             monkeypatch.setattr(linalg, name, lambda *a, _r=real, _n=name: calls.append(_n) or _r(*a))
         cd = cw.build_cartan("E8")
@@ -429,6 +417,38 @@ def _cover_words(lat):
             words[j] = word
     assert len(words) == len(lat)
     return [words[i] for i in range(len(lat))]
+
+
+class TestLeastStep:
+    def test_lone_bit_has_rest_zero(self):
+        # even where the atom's complement left the poset
+        assert nc.least_step(0b100, (None, None, None)) == (2, 0)
+
+    def test_takes_the_least_known_bit(self):
+        assert nc.least_step(0b1110, (0, 0b1001, 0b1011, 0)) == (1, 0b1000)
+        assert nc.least_step(0b1110, (0, None, 0b1011, 0)) == (2, 0b1010)
+
+    def test_no_known_bit_raises(self):
+        with pytest.raises(LatticeStructureError, match="no reflection word"):
+            nc.least_step(0b11, (None, None))
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2", "E6"])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_lattice_perp_is_the_perp_masks(self, label, which):
+        # the atoms' complements in the lattice against the Euler form
+        cd = cw.build_cartan(label)
+        c = _coxeters(label)[which]
+        assert nc.enumerate_nc(cd, c).perp == nc.perp_masks(cd, c)
+
+    @pytest.mark.parametrize("bound", [0, 3])
+    def test_kronecker_perp(self, bound):
+        # perp[k] is the mask of atom k's complement t c, or None where
+        # t c leaves the truncation
+        lat = nc.nc_kronecker(bound)
+        c = lat.coxeter
+        for k, p in enumerate(lat.perp):
+            comp = lat.elements[lat.position[1 << k]] * c
+            assert p == (lat.masks[lat.index(comp)] if comp in lat.elements else None)
 
 
 def _scan_meet(lattice, u, v):

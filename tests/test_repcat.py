@@ -33,6 +33,13 @@ _CLOSURE_CASES += [
 _CLOSURE_SOLVES = dict(zip(_CLOSURE_CASES, (51, 60, 42, 0, 0, 0, 9, 11, 8, 6, 58, 59, 56, 56, 50)))
 
 
+def simple_rep(q, i):
+    """The simple representation at vertex i: k there, 0 elsewhere."""
+    dim = tuple(int(v == i) for v in q.vertices)
+    maps = tuple(((0,) * dim[s - 1],) * dim[t - 1] for s, t in q.arrows)
+    return rc.Representation(q, dim, maps)
+
+
 @pytest.fixture(scope="module")
 def a2():
     return rc.dynkin_quiver("A2")
@@ -84,7 +91,7 @@ class TestRepresentation:
 class TestHom:
     def test_p1_to_s1(self, a2):
         p1 = rc.indecomposable_for_root(a2, (1, 1))
-        s1 = rc.simple_rep(a2, 1)
+        s1 = simple_rep(a2, 1)
         assert rc.hom(a2, p1, s1).dim == 1
         assert rc.hom(a2, s1, p1).dim == 0
 
@@ -107,14 +114,14 @@ class TestHom:
     def test_no_unknowns_builds_no_rows(self, a3, routine, monkeypatch):
         # S1 and S2 share no vertex: no unknown, so Hom = 0 with no linalg,
         # although the arrow 1 -> 2 would give an equation with no unknown
-        s1, s2 = rc.simple_rep(a3, 1), rc.simple_rep(a3, 2)
+        s1, s2 = simple_rep(a3, 1), simple_rep(a3, 2)
         monkeypatch.setattr(linalg, routine, _forbidden)
         assert rc._hom_system(a3, s1, s2) == ([], 0, [0, 0, 0])
         assert rc.hom(a3, s1, s2).basis == ()
         assert rc.hom_dim(a3, s1, s2) == rc.hom_dim(a3, s2, s1) == 0
         assert rc.ext1_dim(a3, s1, s2) == 1
         # the quiver check still comes first
-        other = rc.simple_rep(rc.dynkin_quiver("A3", ((2, 1), (2, 3))), 3)
+        other = simple_rep(rc.dynkin_quiver("A3", ((2, 1), (2, 3))), 3)
         for source, target in ((s1, other), (other, s1)):
             with pytest.raises(DimensionMismatchError):
                 rc.hom(a3, source, target)
@@ -124,7 +131,7 @@ class TestHom:
     def test_no_equation_takes_no_rank(self, a3, monkeypatch):
         # End(S2) on A3: one unknown at vertex 2, and each arrow has a zero
         # space at one end, so no equation: the unknown is free
-        s2 = rc.simple_rep(a3, 2)
+        s2 = simple_rep(a3, 2)
         monkeypatch.setattr(linalg, "rank", _forbidden)
         rows, total, _ = rc._hom_system(a3, s2, s2)
         assert (rows, total) == ([], 1)
@@ -134,7 +141,7 @@ class TestHom:
 
 class TestExt:
     def test_a2_simples(self, a2):
-        s1, s2 = rc.simple_rep(a2, 1), rc.simple_rep(a2, 2)
+        s1, s2 = simple_rep(a2, 1), simple_rep(a2, 2)
         assert rc.ext1_dim(a2, s1, s2) == 1
         assert rc.ext1_dim(a2, s2, s1) == 0
 
@@ -146,7 +153,7 @@ class TestExt:
         # projectives are the reps whose dim vector is a reachability set
         p1 = rc.indecomposable_for_root(a3, (1, 1, 1))
         p2 = rc.indecomposable_for_root(a3, (0, 1, 1))
-        p3 = rc.simple_rep(a3, 3)
+        p3 = simple_rep(a3, 3)
         for p in (p1, p2, p3):
             for n in rc.indecomposables(a3):
                 assert rc.ext1_dim(a3, p, n) == 0
@@ -167,7 +174,7 @@ class TestIndecomposables:
 
     def test_simples(self, a3):
         s2 = rc.indecomposable_for_root(a3, (0, 1, 0))
-        assert s2 == rc.simple_rep(a3, 2)
+        assert s2 == simple_rep(a3, 2)
 
     def test_a3_full_interval(self, a3):
         m = rc.indecomposable_for_root(a3, (1, 1, 1))
@@ -231,7 +238,7 @@ class TestIndecomposables:
 
 class TestExceptionalSequences:
     def test_a2_order_matters(self, a2):
-        s1, s2 = rc.simple_rep(a2, 1), rc.simple_rep(a2, 2)
+        s1, s2 = simple_rep(a2, 1), simple_rep(a2, 2)
         assert rc.is_exceptional_sequence(a2, [s1, s2])
         assert not rc.is_exceptional_sequence(a2, [s2, s1])
 

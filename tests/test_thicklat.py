@@ -19,6 +19,7 @@ from ncthick.errors import (
     ResourceLimitError,
     StructuralError,
 )
+from test_repcat import simple_rep  # the test-side simple representation
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +161,7 @@ class TestPerpendiculars:
         q = rc.dynkin_quiver("A2")
         u = tl.thick_from_nc(a2, cw.simple_reflection(a2, 1))
         lp = tl.left_perp(u)
-        s1 = rc.simple_rep(q, 1)
+        s1 = simple_rep(q, 1)
         for alpha in lp.generators:
             m = rc.indecomposable_for_root(q, alpha)
             assert rc.hom(q, m, s1).dim == 0
@@ -179,13 +180,20 @@ class TestThickLattice:
         for w, gens in zip(lat.nc.elements, lat.generators):
             assert gens == _greedy_factorization(cd, w)
 
-    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])
-    def test_lone_element_matches_lattice(self, label):
-        # thick_from_nc builds T(w) from the fixed space, not from the lattice
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2", "F4", "E6"])
+    def test_lone_element_matches_lattice(self, label, monkeypatch):
+        # thick_from_nc builds T(w) from the fixed space, not from the
+        # lattice; both take every root from the one least_step
+        calls = []
+        real = nc.least_step
+        monkeypatch.setattr(nc, "least_step", lambda *args: calls.append(args) or real(*args))
         cd = cw.build_cartan(label)
         lat = tl.thick_lattice(cd)
+        assert len(calls) == len(lat) - 1
         for w, gens in zip(lat.nc.elements, lat.generators):
+            calls.clear()
             assert tl.thick_from_nc(cd, w).generators == gens
+            assert len(calls) == len(gens)
 
     @pytest.mark.parametrize("label", ["A4", "D4"])
     def test_each_element_is_stepped_once(self, label, monkeypatch):

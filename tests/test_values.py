@@ -13,6 +13,7 @@ from ncthick import braid, derived, noncrossing, repcat, selfcheck, thicklat
 from ncthick import cartan as cw
 from ncthick.errors import NotInPosetError
 from ncthick.tquiver import TranslationQuiver
+from test_repcat import simple_rep  # the test-side simple representation
 
 A2_REPR = "CartanDatum(label='A2', rank=2, matrix=((2, -1), (-1, 2)), symmetrizer=(1, 1))"
 
@@ -140,8 +141,8 @@ class TestQuiverAndRepresentation:
     def test_representation_value(self):
         q = repcat.dynkin_quiver("A2")
         rep = repcat.Representation(quiver=q, dim=(1, 0), maps=((),))
-        assert rep == repcat.simple_rep(q, 1) and hash(rep) == hash(repcat.simple_rep(q, 1))
-        assert rep != repcat.simple_rep(q, 2)
+        assert rep == simple_rep(q, 1) and hash(rep) == hash(simple_rep(q, 1))
+        assert rep != simple_rep(q, 2)
         _read_only(rep, "dim")
 
 
@@ -156,7 +157,7 @@ class TestKeywordConstruction:
     def test_factorization(self, a2):
         s1, s2 = cw.simple_reflection(a2, 1), cw.simple_reflection(a2, 2)
         f = braid.Factorization(cartan=a2, parts=(s1, s2), target=cw.coxeter_element(a2))
-        assert len(f) == 2 and f.roots() == ((1, 0), (0, 1))
+        assert len(f.parts) == 2 and f.roots() == ((1, 0), (0, 1))
 
     def test_lattices(self, a2):
         lat = noncrossing.enumerate_nc(a2)
@@ -179,7 +180,7 @@ class TestKeywordConstruction:
         check = selfcheck.CheckResult(suite="nc", name="x", ok=True)
         assert (result.count, report.ok, hammock.value((5, 5)), check.detail) == (1, True, 0, "")
         q = repcat.dynkin_quiver("A2")
-        space = repcat.hom(q, repcat.simple_rep(q, 1), repcat.simple_rep(q, 1))
+        space = repcat.hom(q, simple_rep(q, 1), simple_rep(q, 1))
         assert repcat.HomSpace(source=space.source, target=space.target, basis=space.basis).dim == 1
 
     def test_translation_quiver(self):
