@@ -47,16 +47,20 @@ KRONECKER = "KRONECKER"
 
 _LABEL_RE = re.compile(r"([ABCDEFG])([1-9][0-9]*)")
 
-# Coxeter numbers, used to sanity-check Coxeter elements without
-# enumerating the group.
-_COXETER_NUMBER = {
-    "A": lambda n: n + 1,
-    "B": lambda n: 2 * n,
-    "C": lambda n: 2 * n,
-    "D": lambda n: 2 * n - 2,
-    "E": lambda n: {6: 12, 7: 18, 8: 30}[n],
-    "F": lambda n: 12,
-    "G": lambda n: 6,
+# Degrees of the basic invariants (Humphreys 1990, Table 3.1); the largest
+# is the Coxeter number, which checks Coxeter elements without the group
+_DEGREES = {
+    "A": lambda n: tuple(range(2, n + 2)),
+    "B": lambda n: tuple(range(2, 2 * n + 1, 2)),
+    "C": lambda n: tuple(range(2, 2 * n + 1, 2)),
+    "D": lambda n: tuple(sorted((*range(2, 2 * n - 1, 2), n))),
+    "E": lambda n: {
+        6: (2, 5, 6, 8, 9, 12),
+        7: (2, 6, 8, 10, 12, 14, 18),
+        8: (2, 8, 12, 14, 18, 20, 24, 30),
+    }[n],
+    "F": lambda n: (2, 6, 8, 12),
+    "G": lambda n: (2, 6),
 }
 
 
@@ -419,14 +423,26 @@ def reflection_root(cd: CartanDatum, w: WeylElement) -> Vector:
     return alpha
 
 
-MAX_WEYL_ORDER = 10_000_000  # elements a whole-group enumeration may hold
+# elements a whole-group enumeration may hold.  At 51,840 (E6; one core of
+# an x86_64 VM, Python 3.11): weyl_group 7 s and the BFS length table 46 s,
+# each at 56-58 MB peak RSS, so twice that is minutes and about 100 MB
+MAX_WEYL_ORDER = 100_000
+
+
+def _check_weyl_order(cd: CartanDatum) -> None:
+    """Refuse a whole-group enumeration of an infinite group, or of one
+    whose order |W| = prod d_i exceeds MAX_WEYL_ORDER."""
+    if not cd.is_finite():
+        raise InfiniteGroupError("the KRONECKER Weyl group is infinite")
+    order = math.prod(degrees(cd))
+    if order > MAX_WEYL_ORDER:
+        raise ResourceLimitError(f"group order {order} exceeds cap {MAX_WEYL_ORDER}")
 
 
 def weyl_group(cd: CartanDatum) -> frozenset[WeylElement]:
     """Closure of the simple reflections under multiplication, refused
-    past MAX_WEYL_ORDER elements."""
-    if not cd.is_finite():
-        raise InfiniteGroupError("the KRONECKER Weyl group is infinite")
+    past MAX_WEYL_ORDER elements before the first product."""
+    _check_weyl_order(cd)
     gens = [simple_reflection(cd, i) for i in range(1, cd.rank + 1)]
     seen = {identity_element(cd)}
     frontier = list(seen)
@@ -438,8 +454,6 @@ def weyl_group(cd: CartanDatum) -> frozenset[WeylElement]:
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
-                    if len(seen) > MAX_WEYL_ORDER:
-                        raise ResourceLimitError(f"group order exceeds cap {MAX_WEYL_ORDER}")
         frontier = nxt
     return frozenset(seen)
 
@@ -464,7 +478,8 @@ def absolute_length(cd: CartanDatum, w: WeylElement) -> int:
 @functools.lru_cache(maxsize=None)
 def _bfs_length_table(cd: CartanDatum) -> dict[WeylElement, int]:
     """Distances from the identity in the Cayley graph on all reflections,
-    refused past MAX_WEYL_ORDER elements."""
+    refused past MAX_WEYL_ORDER elements before the first product."""
+    _check_weyl_order(cd)
     refs = reflections(cd)
     dist = {identity_element(cd): 0}
     frontier = list(dist)
@@ -478,16 +493,12 @@ def _bfs_length_table(cd: CartanDatum) -> dict[WeylElement, int]:
                 if u not in dist:
                     dist[u] = d
                     nxt.append(u)
-                    if len(dist) > MAX_WEYL_ORDER:
-                        raise ResourceLimitError(f"group order exceeds cap {MAX_WEYL_ORDER}")
         frontier = nxt
     return dist
 
 
 def absolute_length_bfs(cd: CartanDatum, w: WeylElement) -> int:
     """Independent oracle for absolute_length; enumerates the whole group."""
-    if not cd.is_finite():
-        raise InfiniteGroupError("BFS length oracle needs a finite group")
     return _bfs_length_table(cd)[w]
 
 
@@ -513,11 +524,19 @@ def coxeter_element(cd: CartanDatum, perm: tuple[int, ...] | None = None) -> Wey
     return w
 
 
-def coxeter_number(cd: CartanDatum) -> int:
+def degrees(cd: CartanDatum) -> tuple[int, ...]:
+    """The degrees d_1 <= ... <= d_n of W's basic invariants: |W| = prod d_i,
+    h = max d_i and |Phi+| = n h / 2."""
     family, n = parse_label(cd.label)
     if family == "K":
+        raise InfiniteGroupError("the KRONECKER Weyl group has no invariant degrees")
+    return _DEGREES[family](n)
+
+
+def coxeter_number(cd: CartanDatum) -> int:
+    if not cd.is_finite():
         raise InfiniteGroupError("the KRONECKER Coxeter element has infinite order")
-    return _COXETER_NUMBER[family](n)
+    return max(degrees(cd))
 
 
 def is_coxeter_element(cd: CartanDatum, c: WeylElement) -> bool:

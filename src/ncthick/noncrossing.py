@@ -19,16 +19,19 @@ complements); T(w) is the AND of the transposed lperp[s] over s in
 T(w^-1 c).  Each bit t of the complement mask gives a cover w < w t with
 complement mask T(w^-1 c) & perp[t], and elements are told apart by
 their complement masks, so a cover seen twice costs one AND; the covers
-are kept as mask pairs.  The matrix of w t is the rank-one update
-w - (w alpha_t) (x) q_t of its parent's, and a chain along the growth
-tree certifies it: the complement of id is c, and that of w t is t
-times that of w, so every x has complement x^-1 c, a product of
-n - rank(x) reflections, and l(x) + l(x^-1 c) = l(c) proves x <= c.
-The Weyl group is never materialized.  One greedy step on masks,
-`least_step`, gives canonical words, the JSON Coxeter word and the thick
-generators, both of the whole lattice (`NCLattice.step`, on the masks of
-the atoms' complements) and of a lone element (`thicklat.thick_from_nc`,
-on the perp masks).
+are kept as mask pairs.  Growth builds no matrix.  One greedy step on
+masks, `least_step`, factors each element w as t_k times a rest one rank
+lower, and in rank order w's matrix is built once from the rest's, by
+the rank-one update s_k M = M - alpha_k (x) (q_k^T M).  A chain along
+the growth tree, which multiplies in another order, certifies them: the
+complement of id is c, and that of w t is t times that of w, so
+g K(x) = c for g the product along x's growth path.  g has rank(x)
+reflections and K(x) was built from n - rank(x), so l(g) + l(K(x)) =
+l(c) puts every built matrix below c, with its rank as its length.  The
+Weyl group is never materialized.  The same step gives canonical words,
+the JSON Coxeter word and the thick generators, both of the whole
+lattice (`NCLattice.step`, on the masks of the atoms' complements) and
+of a lone element (`thicklat.thick_from_nc`, on the perp masks).
 The fixed-space absolute order of `cartan` and the prefix-product growth
 that tests each candidate's rank stay as oracles in `selfcheck`.
 """
@@ -233,7 +236,8 @@ def _sorted_lattice(cd, c, rows, covers, bound=None) -> NCLattice:
 
 
 def enumerate_nc(cd: CartanDatum, c: WeylElement | None = None) -> NCLattice:
-    """All w with id <= w <= c, grown cover by cover from the perp masks."""
+    """All w with id <= w <= c: masks grown cover by cover from the perp
+    masks, then each element built once from its least word."""
     if not cd.is_finite():
         raise UnsupportedLabelError("use nc_kronecker for the affine rank-2 type")
     if c is None:
@@ -246,40 +250,48 @@ def enumerate_nc(cd: CartanDatum, c: WeylElement | None = None) -> NCLattice:
     perp = perp_masks(cd, c)
     lperp = left_perp_masks(perp)
     full = (1 << len(roots)) - 1
-    # grown[T(w^-1 c)] = (w, rank, T(w), parent's key, k) with w = parent * t_k: the
+    # grown[T(w^-1 c)] = (rank, T(w), parent's key, k) with w = parent * t_k: the
     # complement's mask names w, as T is injective on [id, c] and w -> w^-1 c is bijective
-    grown = {full: (cartan.identity_element(cd), 0, 0, None, None)}
+    grown = {full: (0, 0, None, None)}
     lower, upper = [], []
     frontier = [full]
     for r in range(1, n + 1):
         nxt = []
         for above in frontier:
-            w, _, mask, _, _ = grown[above]
+            mask = grown[above][1]
             for k in _bits(above):
                 # w < w t with complement t w^-1 c, and T(t x) = T(x) & T(t c) for t <= x <= c
                 comp = above & perp[k]
                 entry = grown.get(comp)
                 if entry is None:
                     own = functools.reduce(operator.and_, map(lperp.__getitem__, _bits(comp)), full)
-                    w_t = w.times_reflection(roots[k], coroots[k])
-                    entry = grown[comp] = (w_t, r, own, above, k)
+                    entry = grown[comp] = (r, own, above, k)
                     nxt.append(comp)
                 lower.append(mask)
-                upper.append(entry[2])
+                upper.append(entry[1])
         frontier = nxt
-    # K(x), the element whose mask is x's key: K(id) = c and K(w t) = t K(w) on
-    # every growth link give K(x) = x^-1 c, and x and K(x) have at most rank(x)
-    # and n - rank(x) reflections, so x * K(x) = c proves both exact and x <= c
-    key_of = {entry[2]: key for key, entry in grown.items()}
-    if key_of.keys() != grown.keys():
+    if {entry[1] for entry in grown.values()} != grown.keys():
         raise LatticeStructureError("reflection sets and complement masks differ")
-    for key, (_, r, _, above, k) in grown.items():
-        comp, want = grown[key_of[key]], c
-        if above is not None:
-            want = grown[key_of[above]][0].reflection_times(roots[k], coroots[k])
-        if r + comp[1] != n or comp[0] != want:
+    # built[T(w)] = (w, rank): in rank order, w = t_k * rest for the least step (k, rest)
+    # of T(w), so w is the product of its least word, rank(w) reflections
+    built = {0: (cartan.identity_element(cd), 0)}
+    for r, mask, _, _ in grown.values():
+        if mask:
+            k, rest = least_step(mask, perp)
+            below, s = built.get(rest, (None, r))
+            if s != r - 1:
+                raise LatticeStructureError("a least word leaves the lattice")
+            built[mask] = (below.reflection_times(roots[k], coroots[k]), r)
+    # K(x), the element whose mask is x's key: K(id) = c and K(w t) = t K(w) on
+    # every growth link give g K(x) = c for g the product along x's growth path,
+    # and g and K(x) have rank(x) and n - rank(x) reflections, so both are exact
+    # and K(x) <= c: every built matrix lies in [id, c] with its rank as length
+    for key, (r, _, above, k) in grown.items():
+        comp, s = built[key]
+        want = c if above is None else built[above][0].reflection_times(roots[k], coroots[k])
+        if r + s != n or comp != want:
             raise LatticeStructureError("an element times its Kreweras complement is not c")
-    rows = ((w, r, m, key) for key, (w, r, m, _, _) in grown.items())
+    rows = ((built[m][0], r, m, key) for key, (r, m, _, _) in grown.items())
     return _sorted_lattice(cd, c, rows, (lower, upper))
 
 

@@ -8,9 +8,10 @@ and a system with no unknowns (no vertex where both spaces are nonzero)
 is Hom = 0 with no row built.
 Ext^1 comes through the hereditary Euler form, and one indecomposable
 per positive root is built deterministically by reflection-functor
-transport of a simple along sink reorderings.  For a Dynkin quiver the
-transport reaches every positive root (Bernstein-Gelfand-Ponomarev), so
-a failed transport raises StructuralError.  This module is the
+transport of a simple along sink reorderings, a thin one with every map
+1.  For a Dynkin quiver the transport reaches every positive root
+(Bernstein-Gelfand-Ponomarev), so a failed transport raises
+StructuralError.  This module is the
 independent oracle the combinatorial modules are checked against, so
 nothing here consults the Weyl-group machinery beyond root enumeration
 and simple reflections of roots.  Production Hom and Ext^1 come from
@@ -302,6 +303,13 @@ def _transport_rep(q: Quiver, alpha: Vector) -> Representation:
         arrows = _flip_at(arrows, i)
     if arrows != q.arrows or dim != alpha:
         raise StructuralError("transport returned to the wrong quiver or root")
+    if max(dim) == 1:
+        # on a tree a thin representation with nonzero maps is isomorphic to
+        # the one with every map 1 (rescale the spaces outward from one
+        # vertex), so a thin module built from stored ones compares equal to
+        # the stored one it is isomorphic to; the callers' End = k check
+        # certifies the result
+        maps = tuple(((1,),) if m and m[0] else m for m in maps)
     return Representation(q, dim, maps)
 
 

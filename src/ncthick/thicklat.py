@@ -166,18 +166,18 @@ def thick_lattice(cd: CartanDatum) -> ThickLattice:
     """The NC lattice with each element's least word as its generators.
 
     `NCLattice.step` factors element i as t_k times a rest j of lower rank,
-    so j < i, and elements[i] == t_k * elements[j], one left update, proves
-    by induction that every word multiplies to its element; used[j] &
-    bad[k] == 0, one AND over the roots of j's word, that it is exceptional.
-    Each word, root k then j's, goes straight into the lattice's word memo.
+    so j < i.  `enumerate_nc` built element i's matrix from this same
+    factorization and certified it, so every word multiplies to its
+    element.  used[j] & bad[k] == 0, one AND over the roots of j's word,
+    proves the word exceptional.  Each word, root k then j's, goes straight
+    into the lattice's word memo.
     """
     lat = noncrossing.enumerate_nc(cd)
-    coroots = [cartan.coroot(cd, a) for a in lat.roots]
     bad = _exceptional_masks(cd, lat.coxeter)
     used, words = [0], lat._words
     for i in range(1, len(lat)):
         k, j = lat.step(i)
-        if j >= i or lat.elements[i] != lat.elements[j].reflection_times(lat.roots[k], coroots[k]):
+        if j >= i:
             raise StructuralError("generators do not multiply to the nc element")
         if used[j] & bad[k]:
             raise StructuralError("generator roots are not an exceptional sequence")
@@ -368,11 +368,15 @@ def wide_subcategory_oracle(q: repcat.Quiver) -> WideOracleResult:
 # ---------------------------------------------------------------------------
 # the Kronecker lattice
 
-Element = tuple  # ("bottom",) | ("top",) | ("nc", WeylElement) | ("tube", frozenset)
+Element = tuple  # ("bottom",) | ("top",) | ("nc", WeylElement) | ("tube", int)
 
 
 class KroneckerLattice:
-    """NC part glued to an augmented power set along bottom and top."""
+    """NC part glued to an augmented power set along bottom and top.
+
+    A tube set is a bitmask over the sorted `tube_points`, bit i for
+    point i, so `leq` on tube sets is one AND and `rank_of` a popcount.
+    """
 
     __slots__ = ("nc_part", "tube_points", "elements", "_index")
 
@@ -397,11 +401,8 @@ class KroneckerLattice:
             return True
         if b == ("bottom",) or a == ("top",):
             return False
-        if a[0] != b[0]:
-            return False
-        if a[0] == "nc":
-            return a == b
-        return a[1] <= b[1]
+        # two distinct nc atoms, or elements of different parts, are incomparable
+        return a[0] == b[0] == "tube" and not a[1] & ~b[1]
 
     def meet(self, a: Element, b: Element) -> Element:
         lower = [x for x in self.elements if self.leq(x, a) and self.leq(x, b)]
@@ -422,9 +423,7 @@ class KroneckerLattice:
             return 0
         if e == ("top",):
             return len(self.tube_points) + 1
-        if e[0] == "nc":
-            return 1
-        return len(e[1])
+        return 1 if e[0] == "nc" else e[1].bit_count()
 
 
 MAX_TUBE_POINTS = 16  # the bound cap is noncrossing.MAX_KRONECKER_BOUND
@@ -453,16 +452,13 @@ def kronecker_lattice(bound: int, points) -> KroneckerLattice:
     if distinct != count:
         raise OutOfRangeError(f"{count} tube point labels name only {distinct} distinct points")
     nc_part = noncrossing.nc_kronecker(bound)
-    elements: list[Element] = [("bottom",)]
-    for w in nc_part.reflection_members():
-        elements.append(("nc", w))
-    for size in range(1, len(points) + 1):
-        for combo in itertools.combinations(points, size):
-            elements.append(("tube", frozenset(combo)))
-    elements.append(("top",))
-    return KroneckerLattice(
-        nc_part=nc_part, tube_points=points, elements=tuple(elements)
-    )
+    atoms = [("nc", w) for w in nc_part.reflection_members()]
+    # tube sets by size, each size in combinations order of the sorted points
+    p = len(points)
+    combos = (c for size in range(1, p + 1) for c in itertools.combinations(range(p), size))
+    tubes = [("tube", sum(1 << i for i in c)) for c in combos]
+    elements = (("bottom",), *atoms, *tubes, ("top",))
+    return KroneckerLattice(nc_part=nc_part, tube_points=points, elements=elements)
 
 
 # ---------------------------------------------------------------------------
@@ -501,26 +497,23 @@ def _kron_name(lat: KroneckerLattice, e: Element) -> str:
 def kronecker_to_json(lat: KroneckerLattice) -> dict:
     """Tube sets as masks over the sorted tube points: covers S | {p} by lookup."""
     points = lat.tube_points
-    bit = {p: 1 << n for n, p in enumerate(points)}
-    bits = tuple(bit.values())
-    masks = {i: sum(map(bit.__getitem__, e[1])) for i, e in enumerate(lat.elements) if e[0] == "tube"}
-    position = {m: i for i, m in masks.items()}
+    bits = tuple(1 << n for n in range(len(points)))
+    position = {e[1]: i for i, e in enumerate(lat.elements) if e[0] == "tube"}
     bottom, top = 0, len(lat.elements) - 1
     atoms = range(1, 1 + len(lat.nc_part.reflection_members()))
     edges = [[bottom, a] for a in atoms] + [[a, top] for a in atoms]
     elements = []
     for i, e in enumerate(lat.elements):
-        m = masks.get(i)
-        if m is None:
+        if e[0] != "tube":
             elements.append({"id": i, "name": _kron_name(lat, e), "rank": lat.rank_of(e)})
             continue
-        members = sorted(e[1])  # bit order, as the points are sorted
+        members = [p for p, b in zip(points, bits) if e[1] & b]
         elements.append({"id": i, "name": "{" + ",".join(members) + "}", "rank": len(members)})
         if len(members) == 1:
             edges.append([bottom, i])
         if len(members) == len(points):
             edges.append([i, top])
-        edges += [[i, position[m | b]] for b in bits if not m & b]
+        edges += [[i, position[e[1] | b]] for b in bits if not e[1] & b]
     if top == bottom + 1:
         edges.append([bottom, top])
     edges.sort()

@@ -212,6 +212,40 @@ class TestRealRoots:
         assert cw.real_roots.__wrapped__(cd) == expected
 
 
+# every finite label up to rank 8
+_LABELS_TO_RANK_8 = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{f}{n}" for f in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+class TestDegrees:
+    @pytest.mark.parametrize("label", _LABELS_TO_RANK_8)
+    def test_closed_forms(self, label):
+        # h is the multiplicative order of c, |Phi+| counts the roots the
+        # Cartan matrix generates, and the reflections number sum (d_i - 1)
+        cd = cw.build_cartan(label)
+        d = cw.degrees(cd)
+        c = cw.coxeter_element(cd)
+        power, h = c, 1
+        while not power.is_identity():
+            power, h = power * c, h + 1
+        assert len(d) == cd.rank and list(d) == sorted(d) and d[0] == 2
+        assert max(d) == cw.coxeter_number(cd) == h
+        assert cd.rank * h // 2 == len(cw.positive_roots(cd)) == sum(x - 1 for x in d)
+
+    @pytest.mark.parametrize("label", ["A1", "A3", "A4", "B3", "C3", "D4", "F4", "G2"])
+    def test_group_order(self, label):
+        cd = cw.build_cartan(label)
+        assert len(cw.weyl_group(cd)) == math.prod(cw.degrees(cd))
+
+    def test_kronecker_has_none(self):
+        with pytest.raises(InfiniteGroupError):
+            cw.degrees(cw.build_cartan("KRONECKER"))
+
+
 class TestWeylGroup:
     @pytest.mark.parametrize(
         "label,order", [("A1", 2), ("A2", 6), ("A3", 24), ("B2", 8), ("G2", 12), ("D4", 192)]
@@ -227,6 +261,20 @@ class TestWeylGroup:
         monkeypatch.setattr(cw, "MAX_WEYL_ORDER", 10)
         with pytest.raises(ResourceLimitError, match="exceeds cap 10"):
             cw.weyl_group(cw.build_cartan("A4"))
+
+    @pytest.mark.parametrize("label", ["E7", "E8"])
+    def test_refused_before_the_first_product(self, label, monkeypatch):
+        # |W| = prod d_i is known from the label: 2,903,040 and 696,729,600
+        cd = cw.build_cartan(label)
+        cw._bfs_length_table.cache_clear()
+        monkeypatch.setattr(cw.WeylElement, "__mul__", lambda *args: pytest.fail("multiplied"))
+        order = math.prod(cw.degrees(cd))
+        match = f"group order {order} exceeds cap {cw.MAX_WEYL_ORDER}"
+        with pytest.raises(ResourceLimitError, match=match):
+            cw.weyl_group(cd)
+        with pytest.raises(ResourceLimitError, match=match):
+            cw.absolute_length_bfs(cd, cw.identity_element(cd))
+        assert cw._bfs_length_table.cache_info().currsize == 0
 
     def test_bfs_length_table_cap(self, monkeypatch):
         # the length oracle enumerates the whole group too, and its cache

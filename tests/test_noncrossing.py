@@ -321,11 +321,12 @@ class TestCertificate:
 
     @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])
     def test_every_corrupted_growth_entry_is_caught(self, label, monkeypatch):
-        # one entry of one grown matrix off by one, for every growth step
+        # one entry of one element's matrix off by one, for every product
+        # of the least-word build, which comes before the certificate's
         cd = cw.build_cartan(label)
         c = cw.coxeter_element(cd)
         steps = len(nc.enumerate_nc(cd, c)) - 1
-        real = cw.WeylElement.times_reflection
+        real = cw.WeylElement.reflection_times
         last = cd.rank - 1
         for target, (i, j) in itertools.product(range(steps), [(0, 0), (last, 0), (0, last)]):
             calls = []
@@ -339,10 +340,33 @@ class TestCertificate:
                 rows[i][j] += 1
                 return cw.WeylElement(linalg.freeze(rows))
 
-            monkeypatch.setattr(cw.WeylElement, "times_reflection", corrupt)
+            monkeypatch.setattr(cw.WeylElement, "reflection_times", corrupt)
             with pytest.raises(LatticeStructureError):
                 nc.enumerate_nc(cd, c)
             assert len(calls) > target
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2", "F4", "E6"])
+    def test_products_on_the_wrong_side_are_caught(self, label, monkeypatch):
+        # every element built as its rest times t_k, on the right, is the
+        # inverse of its least word's product
+        right = cw.WeylElement.times_reflection
+        monkeypatch.setattr(cw.WeylElement, "reflection_times", right)
+        with pytest.raises(LatticeStructureError):
+            nc.enumerate_nc(cw.build_cartan(label))
+
+    @pytest.mark.parametrize("rest", ["identity", "itself"])
+    def test_rest_not_one_rank_lower_is_caught(self, rest, monkeypatch):
+        # past rank 1, every step hands back the identity, built but too
+        # low, or the element itself, not built yet
+        real = nc.least_step
+
+        def step(mask, perp):
+            k, below = real(mask, perp)
+            return (k, below and (0 if rest == "identity" else mask))
+
+        monkeypatch.setattr(nc, "least_step", step)
+        with pytest.raises(LatticeStructureError, match="least word leaves"):
+            nc.enumerate_nc(cw.build_cartan("B3"))
 
     def test_duplicate_own_mask_is_caught(self, monkeypatch):
         # an lperp row of all roots makes keys that differ in that root alike

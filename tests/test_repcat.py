@@ -29,8 +29,8 @@ _CLOSURE_CASES += [
     if arrows not in _CLOSURE_CASES and arrows != rc.dynkin_quiver("A4").arrows
 ]
 # hom_dim calls of _ClosureTables on each orientation, each a rank solve
-# unless its system has no equation
-_CLOSURE_SOLVES = dict(zip(_CLOSURE_CASES, (51, 60, 42, 0, 0, 0, 9, 11, 8, 6, 58, 59, 56, 56, 50)))
+# unless its system has no equation; none is an End = k check
+_CLOSURE_SOLVES = dict(zip(_CLOSURE_CASES, (42, 54, 42, 0, 0, 0, 6, 8, 8, 6, 50, 54, 50, 50, 50)))
 
 
 def simple_rep(q, i):
@@ -460,7 +460,7 @@ class TestDecompose:
     def test_closure_tables_match_hom_counting(self, arrows, monkeypatch):
         # the certificates leave every consequence as the all-Hom-count
         # route finds it, for the Hom counts of _CLOSURE_SOLVES (at most
-        # 60; 650 by Hom counts on A4).  A1 has no consequence and A2 only
+        # 54; 650 by Hom counts on A4).  A1 has no consequence and A2 only
         # stored indecomposables and zero representations: no solve
         label = "A4" if arrows is None else f"A{len(arrows) + 1}"
         q = rc.dynkin_quiver(label, arrows)
@@ -469,11 +469,31 @@ class TestDecompose:
         real = rc.hom_dim
         monkeypatch.setattr(rc, "hom_dim", lambda *args: calls.append(1) or real(*args))
         fast = thicklat._ClosureTables(q).consequences
-        assert len(calls) == _CLOSURE_SOLVES[arrows] <= 60
+        assert len(calls) == _CLOSURE_SOLVES[arrows] <= 54
         assert bool(calls) == (label not in ("A1", "A2"))
         assert bool(fast) == (label != "A1")
         monkeypatch.setattr(rc._ModuleCategory, "decompose", _hom_count_decompose)
         assert fast == thicklat._ClosureTables(q).consequences
+
+    @pytest.mark.parametrize("arrows", _CLOSURE_CASES)
+    def test_closure_tables_take_no_end_solve(self, arrows, monkeypatch):
+        # the stored thin indecomposables have every map 1, so each thin
+        # kernel, cokernel or middle term on a root is one of them by
+        # equality, never by an End = k solve
+        label = "A4" if arrows is None else f"A{len(arrows) + 1}"
+        q = rc.dynkin_quiver(label, arrows)
+        cat = rc._category(q)
+        assert all(x == 1 for a in cat.roots for m in cat.reps[a].maps for row in m for x in row)
+        calls = []
+        real = rc.hom_dim
+
+        def counted(q, m, n):
+            calls.append(m == n)
+            return real(q, m, n)
+
+        monkeypatch.setattr(rc, "hom_dim", counted)
+        thicklat._ClosureTables(q)
+        assert not any(calls)
 
     @pytest.mark.parametrize("arrows", _CLOSURE_CASES)
     def test_kernel_and_cokernel_match_solve_route(self, arrows, monkeypatch):

@@ -14,6 +14,7 @@ from ncthick import noncrossing as nc
 from ncthick import repcat as rc
 from ncthick import thicklat as tl
 from ncthick.errors import (
+    LatticeStructureError,
     NotInPosetError,
     OutOfRangeError,
     ResourceLimitError,
@@ -87,6 +88,21 @@ def _greedy_factorization(cd, w):
                 w, length = rest, length - 1
                 break
     return tuple(out)
+
+
+def _corrupt_build(monkeypatch, cd, swap):
+    """Pass the matrices enumerate_nc builds through the dict swap: the
+    first |NC| - 1 reflection_times calls, before the certificate's."""
+    steps = len(nc.enumerate_nc(cd)) - 1
+    real = cw.WeylElement.reflection_times
+    calls = []
+
+    def corrupt(self, alpha, q):
+        out = real(self, alpha, q)
+        calls.append(1)
+        return swap.get(out, out) if len(calls) <= steps else out
+
+    monkeypatch.setattr(cw.WeylElement, "reflection_times", corrupt)
 
 
 class TestThickFromNc:
@@ -183,13 +199,14 @@ class TestThickLattice:
     @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2", "F4", "E6"])
     def test_lone_element_matches_lattice(self, label, monkeypatch):
         # thick_from_nc builds T(w) from the fixed space, not from the
-        # lattice; both take every root from the one least_step
+        # lattice; both take every root from the one least_step, which
+        # enumerate_nc's build and thick_lattice's words each take once per element
         calls = []
         real = nc.least_step
         monkeypatch.setattr(nc, "least_step", lambda *args: calls.append(args) or real(*args))
         cd = cw.build_cartan(label)
         lat = tl.thick_lattice(cd)
-        assert len(calls) == len(lat) - 1
+        assert len(calls) == 2 * (len(lat) - 1)
         for w, gens in zip(lat.nc.elements, lat.generators):
             calls.clear()
             assert tl.thick_from_nc(cd, w).generators == gens
@@ -206,6 +223,23 @@ class TestThickLattice:
         assert sorted(calls) == list(range(1, len(lat)))
         assert lat.generators == tuple(map(lat.nc.canonical_word, lat.nc.elements))
         assert len(calls) == len(lat) - 1  # reading the memo back steps nothing
+
+    def test_e6_one_product_route(self, monkeypatch):
+        # one build product and one certificate product per element past
+        # id, all on the left; on the right only coxeter_element's n
+        calls = {"reflection_times": 0, "times_reflection": 0}
+        for name in calls:
+            real = getattr(cw.WeylElement, name)
+
+            def counted(self, alpha, q, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self, alpha, q)
+
+            monkeypatch.setattr(cw.WeylElement, name, counted)
+        cd = cw.build_cartan("E6")
+        lat = tl.thick_lattice(cd)
+        assert calls == {"reflection_times": 2 * (len(lat) - 1), "times_reflection": cd.rank}
+        assert calls["reflection_times"] == 1664
 
     def test_thick_lattice_skips_abs_leq(self, monkeypatch):
         calls = []
@@ -367,19 +401,14 @@ class TestThickLattice:
 
     @pytest.mark.parametrize("index", [1, 5, 40, 181])
     def test_corrupted_element_matrix_is_caught(self, index, monkeypatch):
-        # masks intact, one entry of one element's matrix off by one
+        # masks intact, one entry of one element's matrix off by one where
+        # enumerate_nc builds it
         cd = cw.build_cartan("D5")
-        lat = nc.enumerate_nc(cd)
-        elements = list(lat.elements)
-        rows = [list(row) for row in elements[index].matrix]
+        want = nc.enumerate_nc(cd).elements[index]
+        rows = [list(row) for row in want.matrix]
         rows[-1][0] += 1
-        elements[index] = cw.WeylElement(linalg.freeze(rows))
-        bad = nc.NCLattice(
-            lat.cartan, lat.coxeter, tuple(elements), lat.ranks, lat.masks,
-            lat.kreweras_index, lat.covers, lat.truncation_bound,
-        )
-        monkeypatch.setattr(nc, "enumerate_nc", lambda *args: bad)
-        with pytest.raises(StructuralError, match="multiply"):
+        _corrupt_build(monkeypatch, cd, {want: cw.WeylElement(linalg.freeze(rows))})
+        with pytest.raises(LatticeStructureError, match="is not c"):
             tl.thick_lattice(cd)
 
     def test_swapped_kreweras_table_is_caught(self, monkeypatch):
@@ -421,17 +450,12 @@ class TestThickLattice:
             tl.thick_from_nc(cd, cw.coxeter_element(cd))
 
     def test_swapped_elements_are_caught(self, monkeypatch):
-        # masks intact, two reflections trade matrices: only the product sees it
+        # masks intact, two reflections trade matrices where enumerate_nc
+        # builds them: only the certificate's products see it
         cd = cw.build_cartan("D4")
-        lat = nc.enumerate_nc(cd)
-        elements = list(lat.elements)
-        elements[1], elements[2] = elements[2], elements[1]
-        bad = nc.NCLattice(
-            lat.cartan, lat.coxeter, tuple(elements), lat.ranks, lat.masks,
-            lat.kreweras_index, lat.covers, lat.truncation_bound,
-        )
-        monkeypatch.setattr(nc, "enumerate_nc", lambda *args: bad)
-        with pytest.raises(StructuralError, match="multiply"):
+        _, s, t = nc.enumerate_nc(cd).elements[:3]
+        _corrupt_build(monkeypatch, cd, {s: t, t: s})
+        with pytest.raises(LatticeStructureError, match="is not c"):
             tl.thick_lattice(cd)
 
     def test_order_preservation_nested_prefixes(self, a3):
@@ -635,9 +659,21 @@ class TestKroneckerLattice:
                 assert m == (("tube", inter) if inter else ("bottom",))
                 assert lat.join(a, b) == ("tube", a[1] | b[1])
 
+    def test_tube_sets_are_masks(self):
+        # each nonempty subset of the sorted points once, as an int with
+        # bit i for point i, by size; the order is one AND
+        lat = tl.kronecker_lattice(1, ("d", "b", "c", "a"))
+        tubes = [e[1] for e in lat.elements if e[0] == "tube"]
+        assert all(type(m) is int for m in tubes)
+        assert sorted(tubes) == list(range(1, 16))
+        assert [m.bit_count() for m in tubes] == sorted(m.bit_count() for m in tubes)
+        assert lat.leq(("tube", 0b0101), ("tube", 0b1101))
+        assert not lat.leq(("tube", 0b0101), ("tube", 0b1011))
+        assert lat.rank_of(("tube", 0b1101)) == 3
+
     def test_full_tube_set_is_not_top(self):
         lat = tl.kronecker_lattice(0, 2)
-        full = ("tube", frozenset(lat.tube_points))
+        full = ("tube", (1 << len(lat.tube_points)) - 1)
         assert full in lat.elements
         assert lat.leq(full, ("top",)) and full != ("top",)
 
@@ -724,12 +760,20 @@ class TestKroneckerLattice:
 
 
 def _kronecker_json_reference(lat):
-    """Covers and names straight from the frozenset elements, one
-    `index` lookup of S | {p} per cover."""
+    """Covers and names straight from label sets, each tube mask decoded
+    to the frozenset of its points, one `index` lookup of S | {p} per cover."""
+    points = lat.tube_points
+
+    def labels(e):
+        return frozenset(p for n, p in enumerate(points) if e[1] >> n & 1)
+
+    def tube(s):
+        return ("tube", sum(1 << points.index(p) for p in s))
+
     def name(e):
         if e[0] == "nc":
             return "s(" + ",".join(map(str, cw.reflection_root(lat.nc_part.cartan, e[1]))) + ")"
-        return {"bottom": "0", "top": "1"}.get(e[0]) or "{" + ",".join(sorted(e[1])) + "}"
+        return {"bottom": "0", "top": "1"}.get(e[0]) or "{" + ",".join(sorted(labels(e))) + "}"
 
     bottom, top = 0, len(lat.elements) - 1
     atoms = range(1, 1 + len(lat.nc_part.reflection_members()))
@@ -737,17 +781,16 @@ def _kronecker_json_reference(lat):
     for i, e in enumerate(lat.elements):
         if e[0] != "tube":
             continue
-        if len(e[1]) == 1:
+        s = labels(e)
+        if len(s) == 1:
             edges.append((bottom, i))
-        if len(e[1]) == len(lat.tube_points):
+        if len(s) == len(points):
             edges.append((i, top))
-        edges.extend(
-            (i, lat.index(("tube", e[1] | {p}))) for p in lat.tube_points if p not in e[1]
-        )
+        edges.extend((i, lat.index(tube(s | {p}))) for p in points if p not in s)
     if top == bottom + 1:
         edges.append((bottom, top))
     return {
-        "tube_points": list(lat.tube_points),
+        "tube_points": list(points),
         "truncation_bound": lat.nc_part.truncation_bound,
         "elements": [
             {"id": i, "name": name(e), "rank": lat.rank_of(e)} for i, e in enumerate(lat.elements)
