@@ -22,16 +22,17 @@ their complement masks, so a cover seen twice costs one AND; the covers
 are kept as mask pairs.  Growth builds no matrix.  One greedy step on
 masks, `least_step`, factors each element w as t_k times a rest one rank
 lower, and in rank order w's matrix is built once from the rest's, by
-the rank-one update s_k M = M - alpha_k (x) (q_k^T M).  A chain along
+the rank-one update s_k M = M - alpha_k (x) (q_k^T M); the lattice
+keeps that step, so no element is factored twice.  A chain along
 the growth tree, which multiplies in another order, certifies them: the
 complement of id is c, and that of w t is t times that of w, so
 g K(x) = c for g the product along x's growth path.  g has rank(x)
 reflections and K(x) was built from n - rank(x), so l(g) + l(K(x)) =
 l(c) puts every built matrix below c, with its rank as its length.  The
-Weyl group is never materialized.  The same step gives canonical words,
-the JSON Coxeter word and the thick generators, both of the whole
-lattice (`NCLattice.step`, on the masks of the atoms' complements) and
-of a lone element (`thicklat.thick_from_nc`, on the perp masks).
+Weyl group is never materialized.  The stored steps give canonical
+words, the JSON Coxeter word and the thick generators of the whole
+lattice (`NCLattice.steps`); `thicklat.thick_from_nc` takes the same step
+on the perp masks for a lone element.
 The fixed-space absolute order of `cartan` and the prefix-product growth
 that tests each candidate's rank stay as oracles in `selfcheck`.
 """
@@ -59,19 +60,22 @@ class NCLattice:
     """Interval [id, c] in the absolute order, with rank and cover data.
 
     `masks[i]` is the reflection set of `elements[i]` as a bitmask over
-    `roots`, the positive roots, and `position` maps each mask back to its
-    index; `kreweras_index[i]` is the index of its Kreweras complement, or
-    None where the complement leaves a truncated poset, and `perp[k]` is
-    T(t_k c), the mask of atom k's complement, or None likewise.  `covers`
-    holds the cover relations as two parallel lists, the masks T(lower)
-    and T(upper); `hasse` translates them to sorted index pairs (lower,
-    upper) on first read.  Elements are sorted by (rank, matrix).
+    `roots`, the positive roots, and `position`, the one mask -> index
+    table, maps each mask back to its index.  The constructor takes each
+    element's complement mask T(w^-1 c), or None where the complement
+    leaves a truncated poset, and its least step (k, T(rest)), or None for
+    id, and translates both through `position`: `kreweras_index[i]` is the
+    index of the Kreweras complement or None, and `steps[i] = (k, j)` says
+    element i is t_k times element j.  `covers` holds the cover relations
+    as two parallel lists, the masks T(lower) and T(upper); `hasse`
+    translates them to sorted index pairs (lower, upper) on first read.
+    Elements are sorted by (rank, matrix).
     """
 
     __slots__ = (
         "cartan", "coxeter", "elements", "ranks", "masks", "kreweras_index", "covers",
-        "truncation_bound", "co_kreweras_index", "position", "roots", "perp", "_index", "_words",
-        "_hasse",
+        "truncation_bound", "co_kreweras_index", "position", "roots", "steps", "_index",
+        "_words", "_hasse",
     )
 
     def __init__(
@@ -81,24 +85,24 @@ class NCLattice:
         elements: tuple[WeylElement, ...],
         ranks: dict[WeylElement, int],
         masks: tuple[int, ...],
-        kreweras_index: tuple[int | None, ...],
+        complements: tuple[int | None, ...],
+        steps: tuple[tuple[int, int] | None, ...],
         covers: tuple[list[int], list[int]],
         truncation_bound: int | None = None,
     ):
         self.cartan, self.coxeter, self.elements, self.ranks = cartan, coxeter, elements, ranks
         self.masks, self.covers = masks, covers
         self.truncation_bound = truncation_bound
-        self.position = {m: i for i, m in enumerate(masks)}
+        position = self.position = {m: i for i, m in enumerate(masks)}
         self.roots = positive_roots(cartan, truncation_bound or 0)
         self._index = {w: i for i, w in enumerate(elements)}
-        inverse: list[int | None] = [None] * len(kreweras_index)
-        for i, k in enumerate(kreweras_index):
+        self.kreweras_index = tuple(map(position.get, complements))
+        inverse: list[int | None] = [None] * len(masks)
+        for i, k in enumerate(self.kreweras_index):
             if k is not None:
                 inverse[k] = i
-        self.kreweras_index, self.co_kreweras_index = kreweras_index, tuple(inverse)
-        atoms = (self.position.get(1 << k) for k in range(len(self.roots)))
-        comps = (None if a is None else kreweras_index[a] for a in atoms)
-        self.perp = tuple(None if k is None else masks[k] for k in comps)
+        self.co_kreweras_index = tuple(inverse)
+        self.steps = tuple(None if s is None else (s[0], position[s[1]]) for s in steps)
         self._words: dict[int, tuple[Vector, ...]] = {0: ()}  # index 0 is id
         self._hasse = None
 
@@ -131,16 +135,10 @@ class NCLattice:
         """Lexicographically least shortest reflection word for w."""
         return self._word(self.index(w))
 
-    def step(self, i: int) -> tuple[int, int]:
-        """(k, j): element i is t_k times its rest j, the `least_step` of
-        T(i) on the masks T(t_k c) of the atoms' Kreweras complements."""
-        k, rest = least_step(self.masks[i], self.perp)
-        return k, self.position[rest]
-
     def _word(self, i: int) -> tuple[Vector, ...]:
         word = self._words.get(i)
         if word is None:
-            k, j = self.step(i)
+            k, j = self.steps[i]
             word = self._words[i] = (self.roots[k],) + self._word(j)
         return word
 
@@ -174,8 +172,12 @@ def perp_masks(cd: CartanDatum, c: WeylElement) -> tuple[int, ...]:
     """perp[s] = mask of the positive roots t with E(beta_t, beta_s) = 0.
 
     For a reflection s this is T(s^-1 c), and T(w^-1 c) is the AND of
-    perp[s] over s in T(w).
+    perp[s] over s in T(w).  A c that is not a Coxeter element raises
+    NotInPosetError; `enumerate_nc` and `thicklat.thick_from_nc` both ask
+    here first, so the check runs once per (cd, c).
     """
+    if not cartan.is_coxeter_element(cd, c):
+        raise NotInPosetError("the given element is not a Coxeter element")
     roots = cartan.positive_roots(cd)
     e = euler_form(cd, c)
     perp = []
@@ -191,23 +193,14 @@ def left_perp_masks(perp: tuple[int, ...]) -> list[int]:
     return [sum(1 << t for t, p in enumerate(perp) if p >> s & 1) for s in range(len(perp))]
 
 
-def least_step(mask: int, perp) -> tuple[int, int]:
-    """(k, rest): the least bit k of mask whose perp[k] = T(t_k c) is known,
-    and rest = mask & perp[k], the mask of t_k w (T(t x) = T(x) & T(t c) for
-    t <= x <= c); a lone bit has rest 0.  perp[k] is None where t_k c leaves
-    a truncated poset, and the step then skips k.  Every t <= w starts a
-    reduced word of w, so root k then the rest's least word is w's least word."""
-    bits = mask
-    while bits:
-        low = bits & -bits
-        k = low.bit_length() - 1
-        if mask == low:
-            return k, 0
-        p = perp[k]
-        if p is not None:
-            return k, mask & p
-        bits ^= low
-    raise LatticeStructureError("no reflection word reaches the element")
+def least_step(mask: int, perp: tuple[int, ...]) -> tuple[int, int]:
+    """(k, rest): k is the least bit of mask, and rest = mask & perp[k], with
+    perp[k] = T(t_k c), is the mask of t_k w (T(t x) = T(x) & T(t c) for
+    t <= x <= c); a lone bit has rest 0, as t_k does not lie below t_k c.
+    Every t <= w starts a reduced word of w, so root k then the rest's
+    least word is w's least word."""
+    k = (mask & -mask).bit_length() - 1
+    return k, mask & perp[k]
 
 
 def _bits(mask: int):
@@ -219,35 +212,26 @@ def _bits(mask: int):
 
 
 def _sorted_lattice(cd, c, rows, covers, bound=None) -> NCLattice:
-    """Sort (w, rank, T(w), T(w^-1 c) or None) rows by (rank, matrix) and
-    index the Kreweras complements through a mask -> index table."""
+    """Sort (w, rank, T(w), T(w^-1 c) or None, least step or None) rows by
+    (rank, matrix)."""
     rows = sorted(rows, key=lambda row: (row[1], row[0].matrix))
-    position = {row[2]: i for i, row in enumerate(rows)}
-    return NCLattice(
-        cartan=cd,
-        coxeter=c,
-        elements=tuple(row[0] for row in rows),
-        ranks={row[0]: row[1] for row in rows},
-        masks=tuple(row[2] for row in rows),
-        kreweras_index=tuple(position.get(row[3]) for row in rows),
-        covers=covers,
-        truncation_bound=bound,
-    )
+    elements, ranks, masks, complements, steps = zip(*rows)
+    ranks = dict(zip(elements, ranks))
+    return NCLattice(cd, c, elements, ranks, masks, complements, steps, covers, bound)
 
 
 def enumerate_nc(cd: CartanDatum, c: WeylElement | None = None) -> NCLattice:
     """All w with id <= w <= c: masks grown cover by cover from the perp
-    masks, then each element built once from its least word."""
+    masks, then each element built once from its least step, which the
+    lattice keeps."""
     if not cd.is_finite():
         raise UnsupportedLabelError("use nc_kronecker for the affine rank-2 type")
     if c is None:
         c = cartan.coxeter_element(cd)
-    if not cartan.is_coxeter_element(cd, c):
-        raise NotInPosetError("the given element is not a Coxeter element")
+    perp = perp_masks(cd, c)
     n = cd.rank
     roots = cartan.positive_roots(cd)
     coroots = [cartan.coroot(cd, a) for a in roots]
-    perp = perp_masks(cd, c)
     lperp = left_perp_masks(perp)
     full = (1 << len(roots)) - 1
     # grown[T(w^-1 c)] = (rank, T(w), parent's key, k) with w = parent * t_k: the
@@ -272,26 +256,26 @@ def enumerate_nc(cd: CartanDatum, c: WeylElement | None = None) -> NCLattice:
         frontier = nxt
     if {entry[1] for entry in grown.values()} != grown.keys():
         raise LatticeStructureError("reflection sets and complement masks differ")
-    # built[T(w)] = (w, rank): in rank order, w = t_k * rest for the least step (k, rest)
-    # of T(w), so w is the product of its least word, rank(w) reflections
-    built = {0: (cartan.identity_element(cd), 0)}
+    # built[T(w)] = (w, rank, step): in rank order, w = t_k * rest for the least step
+    # (k, rest) of T(w), so w is the product of its least word, rank(w) reflections
+    built = {0: (cartan.identity_element(cd), 0, None)}
     for r, mask, _, _ in grown.values():
         if mask:
-            k, rest = least_step(mask, perp)
-            below, s = built.get(rest, (None, r))
+            step = k, rest = least_step(mask, perp)
+            below, s, _ = built.get(rest, (None, r, None))
             if s != r - 1:
                 raise LatticeStructureError("a least word leaves the lattice")
-            built[mask] = (below.reflection_times(roots[k], coroots[k]), r)
+            built[mask] = (below.reflection_times(roots[k], coroots[k]), r, step)
     # K(x), the element whose mask is x's key: K(id) = c and K(w t) = t K(w) on
     # every growth link give g K(x) = c for g the product along x's growth path,
     # and g and K(x) have rank(x) and n - rank(x) reflections, so both are exact
     # and K(x) <= c: every built matrix lies in [id, c] with its rank as length
     for key, (r, _, above, k) in grown.items():
-        comp, s = built[key]
+        comp, s, _ = built[key]
         want = c if above is None else built[above][0].reflection_times(roots[k], coroots[k])
         if r + s != n or comp != want:
             raise LatticeStructureError("an element times its Kreweras complement is not c")
-    rows = ((built[m][0], r, m, key) for key, (r, m, _, _) in grown.items())
+    rows = ((built[m][0], r, m, key, built[m][2]) for key, (r, m, _, _) in grown.items())
     return _sorted_lattice(cd, c, rows, (lower, upper))
 
 
@@ -313,7 +297,9 @@ def nc_kronecker(bound: int) -> NCLattice:
     root coordinate sum at most 2*bound+1.  Height two at every bound.
 
     Its roots are not closed under reflection, so the masks are set
-    directly: id has none, a reflection has its own root, c has all.
+    directly: id has none, a reflection has its own root, c has all.  So
+    are the least steps: t_k is t_k times id, and c is t_k times t_k c for
+    the least k whose t_k c lies in the truncation.
     """
     check_kronecker_bound(bound)
     cd = cartan.build_cartan(cartan.KRONECKER)
@@ -321,9 +307,11 @@ def nc_kronecker(bound: int) -> NCLattice:
     refs = cartan.reflections(cd, bound)
     full = (1 << len(refs)) - 1
     bit_of = {t: 1 << k for k, t in enumerate(refs)}
-    rows = [(cartan.identity_element(cd), 0, 0, full), (c, 2, full, 0)]
     # a reflection's complement t^-1 c = t c may leave the truncation
-    rows.extend((t, 1, m, bit_of.get(t * c)) for t, m in bit_of.items())
+    comps = [bit_of.get(t * c) for t in refs]
+    k = next(k for k, comp in enumerate(comps) if comp is not None)
+    rows = [(cartan.identity_element(cd), 0, 0, full, None), (c, 2, full, 0, (k, comps[k]))]
+    rows.extend((t, 1, 1 << k, comp, (k, 0)) for k, (t, comp) in enumerate(zip(refs, comps)))
     atoms = list(bit_of.values())
     covers = ([0] * len(atoms) + atoms, atoms + [full] * len(atoms))
     return _sorted_lattice(cd, c, rows, covers, bound)

@@ -97,23 +97,24 @@ def thick_from_nc(
 ) -> ThickSubcategory:
     """Materialize the thick subcategory for an NC element.
 
-    T(w) comes from one scan over the roots: those orthogonal to the
-    fixed space of w, which is the orthogonal complement of its moved
-    space.  The generators are its least word without a lattice:
-    `noncrossing.least_step` on the perp masks, perp[k] = T(t_k c), at most
-    rank times; each new root must miss the masks of the earlier ones.
+    A c that is not a Coxeter element is refused by `noncrossing.perp_masks`
+    before any other work.  T(w) comes from one scan over the roots: those
+    orthogonal to the fixed space of w, which is the orthogonal complement
+    of its moved space.  The generators are its least word without a
+    lattice: `noncrossing.least_step` on the perp masks, perp[k] = T(t_k c),
+    at most rank times; each new root must miss the masks of the earlier ones.
     """
     if not cd.is_finite():
         raise UnsupportedLabelError("thick subcategories need a finite label")
     if c is None:
         c = cartan.coxeter_element(cd)
+    perp = noncrossing.perp_masks(cd, c)
     if not cartan.abs_leq(cd, w, c):
         raise NotInPosetError("element is not below the Coxeter element")
     minus_one = [[x - int(i == j) for j, x in enumerate(row)] for i, row in enumerate(w.matrix)]
     normals = [linalg.mat_vec(cd.gram(), f) for f in linalg.nullspace(minus_one, cd.rank)]
     roots = cartan.positive_roots(cd)
     mask = sum(1 << k for k, a in enumerate(roots) if not any(linalg.dot(a, g) for g in normals))
-    perp = noncrossing.perp_masks(cd, c)
     bad = _exceptional_masks(cd, c)
     gens, barred = [], 0
     for _ in range(cd.rank):
@@ -165,18 +166,18 @@ class ThickLattice:
 def thick_lattice(cd: CartanDatum) -> ThickLattice:
     """The NC lattice with each element's least word as its generators.
 
-    `NCLattice.step` factors element i as t_k times a rest j of lower rank,
-    so j < i.  `enumerate_nc` built element i's matrix from this same
-    factorization and certified it, so every word multiplies to its
-    element.  used[j] & bad[k] == 0, one AND over the roots of j's word,
-    proves the word exceptional.  Each word, root k then j's, goes straight
-    into the lattice's word memo.
+    `NCLattice.steps[i] = (k, j)` is the least step `enumerate_nc` built
+    element i's matrix from, t_k times a rest j of lower rank, so j < i;
+    the build's chain certificate checked that matrix, so every word
+    multiplies to its element.  used[j] & bad[k] == 0, one AND over the
+    roots of j's word, proves the word exceptional.  Each word, root k then
+    j's, goes straight into the lattice's word memo.
     """
     lat = noncrossing.enumerate_nc(cd)
     bad = _exceptional_masks(cd, lat.coxeter)
     used, words = [0], lat._words
     for i in range(1, len(lat)):
-        k, j = lat.step(i)
+        k, j = lat.steps[i]
         if j >= i:
             raise StructuralError("generators do not multiply to the nc element")
         if used[j] & bad[k]:
@@ -231,14 +232,13 @@ class _ClosureTables:
     quivers the oracle accepts; any other quiver is refused before the
     module category is built.  Kernels and cokernels then take no solve
     (`_where_zero`), and most summands are the stored indecomposables,
-    which `decompose` certifies with no solve."""
+    which `decompose` certifies with no solve.  `euler` is q's
+    `_euler_table`, which the caller has computed already."""
 
-    def __init__(self, q: repcat.Quiver, euler: dict[tuple[Vector, Vector], int] | None = None):
+    def __init__(self, q: repcat.Quiver, euler: dict[tuple[Vector, Vector], int]):
         if any(x > 1 for a in cartan.positive_roots(cartan.build_cartan(q.label)) for x in a):
             raise ResourceLimitError(_NOT_THIN)
         self.cat = repcat._category(q)
-        if euler is None:
-            euler = _euler_table(q, self.cat.roots)
         self.consequences: dict[tuple[Vector, Vector], frozenset] = {}
         for a, b in itertools.product(self.cat.roots, repeat=2):
             h = self.cat.hom_dim(a, b)
@@ -306,20 +306,6 @@ def _euler_table(q: repcat.Quiver, roots: tuple[Vector, ...]) -> dict[tuple[Vect
     return {(a, b): repcat.euler_form(q, a, b) for a, b in itertools.product(roots, repeat=2)}
 
 
-_TABLES: dict[repcat.Quiver, _ClosureTables] = {}
-
-
-def _closure_tables(
-    q: repcat.Quiver, euler: dict[tuple[Vector, Vector], int] | None = None
-) -> _ClosureTables:
-    """q's closure tables, built once per quiver; `euler` is its
-    `_euler_table` when the caller has computed it already."""
-    tables = _TABLES.get(q)
-    if tables is None:
-        tables = _TABLES[q] = _ClosureTables(q, euler)
-    return tables
-
-
 def wide_subcategory_oracle(q: repcat.Quiver) -> WideOracleResult:
     """Brute force over subsets of indecomposables, closing each under
     kernels, cokernels, and extension middle terms.
@@ -347,7 +333,7 @@ def wide_subcategory_oracle(q: repcat.Quiver) -> WideOracleResult:
     euler = _euler_table(q, roots)
     if any(abs(x) > 1 for x in euler.values()):
         raise ResourceLimitError(_NOT_MULTIPLICITY_FREE)
-    tables = _closure_tables(q, euler)
+    tables = _ClosureTables(q, euler)
     full = (1 << (1 << len(roots))) - 1
     # the subsets holding root i: the upper half of each run of 2^(i+1) bits
     member = {a: full // ((1 << (1 << i)) + 1) << (1 << i) for i, a in enumerate(roots)}
@@ -468,7 +454,7 @@ def kronecker_lattice(bound: int, points) -> KroneckerLattice:
 def thick_to_json(lat: ThickLattice) -> dict:
     nc = lat.nc
     # left perp w^-1 c and right perp c w^-1 are the Kreweras and
-    # co-Kreweras complements, each certified by thick_lattice already
+    # co-Kreweras complements, certified by enumerate_nc's chain certificate
     perp = [[i, nc.kreweras_index[i], nc.co_kreweras_index[i]] for i in range(len(nc))]
     return {
         "type": nc.cartan.label,

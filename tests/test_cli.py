@@ -117,7 +117,7 @@ class TestThick:
         def forbidden(*args, **kwargs):
             raise AssertionError("work started before the oracle cap check")
 
-        monkeypatch.setattr(cli.thicklat, "_closure_tables", forbidden)
+        monkeypatch.setattr(cli.thicklat, "_ClosureTables", forbidden)
         monkeypatch.setattr(cli.thicklat, "thick_lattice", forbidden)
         code, out, err = _run(capsys, "thick", "lattice", "--type", "E8", "--oracle")
         assert code == 2
@@ -141,7 +141,7 @@ class TestThick:
             raise AssertionError("work started before the multiplicity check")
 
         monkeypatch.setattr(cli.thicklat.repcat, "_category", forbidden)
-        monkeypatch.setattr(cli.thicklat, "_closure_tables", forbidden)
+        monkeypatch.setattr(cli.thicklat, "_ClosureTables", forbidden)
         monkeypatch.setattr(cli.thicklat, "thick_lattice", forbidden)
         code, out, err = _run(capsys, "thick", "lattice", "--type", "D4", "--oracle")
         assert code == 2

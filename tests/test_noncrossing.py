@@ -445,16 +445,12 @@ def _cover_words(lat):
 
 class TestLeastStep:
     def test_lone_bit_has_rest_zero(self):
-        # even where the atom's complement left the poset
-        assert nc.least_step(0b100, (None, None, None)) == (2, 0)
+        # t_k does not lie below t_k c, so perp[k] misses bit k
+        assert nc.least_step(0b100, (0b110, 0b101, 0b011)) == (2, 0)
 
     def test_takes_the_least_known_bit(self):
         assert nc.least_step(0b1110, (0, 0b1001, 0b1011, 0)) == (1, 0b1000)
-        assert nc.least_step(0b1110, (0, None, 0b1011, 0)) == (2, 0b1010)
-
-    def test_no_known_bit_raises(self):
-        with pytest.raises(LatticeStructureError, match="no reflection word"):
-            nc.least_step(0b11, (None, None))
+        assert nc.least_step(0b1100, (0, 0b1001, 0b1011, 0)) == (2, 0b1000)
 
     @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2", "E6"])
     @pytest.mark.parametrize("which", [0, 1])
@@ -462,17 +458,34 @@ class TestLeastStep:
         # the atoms' complements in the lattice against the Euler form
         cd = cw.build_cartan(label)
         c = _coxeters(label)[which]
-        assert nc.enumerate_nc(cd, c).perp == nc.perp_masks(cd, c)
+        lat = nc.enumerate_nc(cd, c)
+        comps = (lat.kreweras_index[lat.position[1 << k]] for k in range(len(lat.roots)))
+        assert tuple(lat.masks[j] for j in comps) == nc.perp_masks(cd, c)
 
-    @pytest.mark.parametrize("bound", [0, 3])
-    def test_kronecker_perp(self, bound):
-        # perp[k] is the mask of atom k's complement t c, or None where
-        # t c leaves the truncation
+    @pytest.mark.parametrize("bound", [0, 3, 4096])
+    def test_kronecker_steps(self, bound):
+        # t_k is t_k times id, and c is t_k times t_k c for the least k
+        # whose t_k c lies in the truncation
         lat = nc.nc_kronecker(bound)
         c = lat.coxeter
-        for k, p in enumerate(lat.perp):
-            comp = lat.elements[lat.position[1 << k]] * c
-            assert p == (lat.masks[lat.index(comp)] if comp in lat.elements else None)
+        refs = cw.reflections(lat.cartan, bound)
+        assert lat.steps[0] is None
+        assert [lat.steps[lat.index(t)] for t in refs] == [(k, 0) for k in range(len(refs))]
+        k = min(k for k, t in enumerate(refs) if t * c in lat.ranks)
+        assert lat.steps[lat.index(c)] == (k, lat.index(refs[k] * c))
+
+    @pytest.mark.parametrize("label", ["A3", "D4", "E6", "KRONECKER"])
+    def test_serializers_take_no_step(self, label, monkeypatch):
+        # DOT labels and the JSON Coxeter word read the stored steps
+        lat = nc.nc_kronecker(3) if label == "KRONECKER" else _lattice(label)
+
+        def forbidden(*args):
+            raise AssertionError("least_step called after the build")
+
+        monkeypatch.setattr(nc, "least_step", forbidden)
+        nc.hasse_dot(lat)
+        nc.to_json(lat)
+        assert len(lat._words) == len(lat)
 
 
 def _scan_meet(lattice, u, v):
@@ -504,13 +517,15 @@ def _bowtie(kreweras_index=(5, 3, 4, 1, 2, 0)):
     subset; the default Kreweras table reverses the order."""
     cd = cw.build_cartan("A2")
     names = ("bottom", "a", "b", "c", "d", "top")
+    masks = (0b0000, 0b0001, 0b0010, 0b0111, 0b1011, 0b1111)
     return nc.NCLattice(
         cartan=cd,
         coxeter=cw.coxeter_element(cd),
         elements=names,
         ranks=dict(zip(names, (0, 1, 1, 2, 2, 3))),
-        masks=(0b0000, 0b0001, 0b0010, 0b0111, 0b1011, 0b1111),
-        kreweras_index=kreweras_index,
+        masks=masks,
+        complements=tuple(None if k is None else masks[k] for k in kreweras_index),
+        steps=(None,) * len(names),  # no words
         covers=([], []),
     )
 
@@ -556,10 +571,12 @@ class TestMeetJoin:
         # an identity Kreweras table sends the lookup to the meet, which
         # does not lie above two distinct atoms
         lat = _lattice("A2")
+        steps = tuple(s and (s[0], lat.masks[s[1]]) for s in lat.steps)
         bad = nc.NCLattice(
             lat.cartan, lat.coxeter, lat.elements, lat.ranks, lat.masks,
-            tuple(range(len(lat))), lat.covers,
+            lat.masks, steps, lat.covers,
         )
+        assert bad.kreweras_index == tuple(range(len(lat)))
         s1, s2 = lat.reflection_members()[:2]
         assert nc.join(bad, s1, s1) == s1
         with pytest.raises(LatticeStructureError, match="not a lattice"):

@@ -33,6 +33,12 @@ _CLOSURE_CASES += [
 _CLOSURE_SOLVES = dict(zip(_CLOSURE_CASES, (42, 54, 42, 0, 0, 0, 6, 8, 8, 6, 50, 54, 50, 50, 50)))
 
 
+def _tables(q):
+    """q's closure tables on the Euler table the oracle hands them."""
+    roots = cartan.positive_roots(cartan.build_cartan(q.label))
+    return thicklat._ClosureTables(q, thicklat._euler_table(q, roots))
+
+
 def simple_rep(q, i):
     """The simple representation at vertex i: k there, 0 elsewhere."""
     dim = tuple(int(v == i) for v in q.vertices)
@@ -382,7 +388,7 @@ class TestDecompose:
         calls = []
         real = rc.hom
         monkeypatch.setattr(rc, "hom", lambda *args: calls.append(1) or real(*args))
-        tables = thicklat._ClosureTables(q)
+        tables = _tables(q)
         assert tables.consequences
         assert calls == []
 
@@ -468,12 +474,12 @@ class TestDecompose:
         calls = []
         real = rc.hom_dim
         monkeypatch.setattr(rc, "hom_dim", lambda *args: calls.append(1) or real(*args))
-        fast = thicklat._ClosureTables(q).consequences
+        fast = _tables(q).consequences
         assert len(calls) == _CLOSURE_SOLVES[arrows] <= 54
         assert bool(calls) == (label not in ("A1", "A2"))
         assert bool(fast) == (label != "A1")
         monkeypatch.setattr(rc._ModuleCategory, "decompose", _hom_count_decompose)
-        assert fast == thicklat._ClosureTables(q).consequences
+        assert fast == _tables(q).consequences
 
     @pytest.mark.parametrize("arrows", _CLOSURE_CASES)
     def test_closure_tables_take_no_end_solve(self, arrows, monkeypatch):
@@ -492,7 +498,7 @@ class TestDecompose:
             return real(q, m, n)
 
         monkeypatch.setattr(rc, "hom_dim", counted)
-        thicklat._ClosureTables(q)
+        _tables(q)
         assert not any(calls)
 
     @pytest.mark.parametrize("arrows", _CLOSURE_CASES)
@@ -528,7 +534,7 @@ class TestDecompose:
         monkeypatch.setattr(rc._ModuleCategory, "decompose", _forbidden)
         monkeypatch.setattr(rc._ModuleCategory, "hom_dim", _forbidden)
         with pytest.raises(ResourceLimitError, match="thin indecomposables"):
-            thicklat._ClosureTables(q)
+            _tables(q)
 
     def test_negative_multiplicity_is_caught(self, monkeypatch):
         # Hom counts that no module has, into X_(1,1) alone on A2: the
@@ -576,7 +582,7 @@ class TestDecompose:
 
             monkeypatch.setattr(rc, "hom_dim", lambda *a: calls.append(1) or real_hom_dim(*a))
             monkeypatch.setattr(rc._ModuleCategory, "decompose", decompose)
-            thicklat._ClosureTables(q)
+            _tables(q)
             monkeypatch.undo()
         assert bool(split) == (label in ("A3", "A4"))
         for cat, rep, out, solves in split:

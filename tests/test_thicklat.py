@@ -20,7 +20,7 @@ from ncthick.errors import (
     ResourceLimitError,
     StructuralError,
 )
-from test_repcat import simple_rep  # the test-side simple representation
+from test_repcat import _tables, simple_rep  # test-side closure tables, simple representation
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +136,22 @@ class TestThickFromNc:
         with pytest.raises(NotInPosetError):
             tl.thick_from_nc(a2, c * c)
 
+    def test_rejects_a_non_coxeter_element(self):
+        # -id in B2 has absolute length 2 and lies above every reflection,
+        # but its order is 2, not the Coxeter number 4
+        b2 = cw.build_cartan("B2")
+        minus = cw.WeylElement(((-1, 0), (0, -1)))
+        assert all(cw.abs_leq(b2, t, minus) for t in cw.reflections(b2))
+        u = tl.thick_from_nc(b2, cw.simple_reflection(b2, 1))
+        for w in cw.reflections(b2) + (minus,):
+            with pytest.raises(NotInPosetError, match="not a Coxeter element"):
+                tl.thick_from_nc(b2, w, minus)
+        for perp in (tl.left_perp, tl.right_perp):
+            with pytest.raises(NotInPosetError, match="not a Coxeter element"):
+                perp(u, minus)
+        with pytest.raises(NotInPosetError, match="not a Coxeter element"):
+            nc.enumerate_nc(b2, minus)
+
 
 class TestCox:
     def test_bijectivity(self, a3):
@@ -200,13 +216,13 @@ class TestThickLattice:
     def test_lone_element_matches_lattice(self, label, monkeypatch):
         # thick_from_nc builds T(w) from the fixed space, not from the
         # lattice; both take every root from the one least_step, which
-        # enumerate_nc's build and thick_lattice's words each take once per element
+        # enumerate_nc's build takes once per element and the lattice keeps
         calls = []
         real = nc.least_step
         monkeypatch.setattr(nc, "least_step", lambda *args: calls.append(args) or real(*args))
         cd = cw.build_cartan(label)
         lat = tl.thick_lattice(cd)
-        assert len(calls) == 2 * (len(lat) - 1)
+        assert len(calls) == len(lat) - 1
         for w, gens in zip(lat.nc.elements, lat.generators):
             calls.clear()
             assert tl.thick_from_nc(cd, w).generators == gens
@@ -214,15 +230,16 @@ class TestThickLattice:
 
     @pytest.mark.parametrize("label", ["A4", "D4"])
     def test_each_element_is_stepped_once(self, label, monkeypatch):
-        # the certificate loop fills the word memo, so collecting the
-        # generators takes no second step
-        calls = []
-        real = nc.NCLattice.step
-        monkeypatch.setattr(nc.NCLattice, "step", lambda lat, i: calls.append(i) or real(lat, i))
+        # the build steps each element past id once and the lattice keeps
+        # the step; the certificate loop fills the word memo from it, so
+        # collecting the generators takes no second step
+        masks = []
+        real = nc.least_step
+        monkeypatch.setattr(nc, "least_step", lambda m, perp: masks.append(m) or real(m, perp))
         lat = tl.thick_lattice(cw.build_cartan(label))
-        assert sorted(calls) == list(range(1, len(lat)))
+        assert sorted(masks) == sorted(lat.nc.masks[1:])
         assert lat.generators == tuple(map(lat.nc.canonical_word, lat.nc.elements))
-        assert len(calls) == len(lat) - 1  # reading the memo back steps nothing
+        assert len(masks) == len(lat) - 1  # reading the memo back steps nothing
 
     def test_e6_one_product_route(self, monkeypatch):
         # one build product and one certificate product per element past
@@ -411,17 +428,18 @@ class TestThickLattice:
         with pytest.raises(LatticeStructureError, match="is not c"):
             tl.thick_lattice(cd)
 
-    def test_swapped_kreweras_table_is_caught(self, monkeypatch):
-        # the complements of the first two atoms swapped: some rest is
-        # looked up with the wrong atom's complement
+    @pytest.mark.parametrize("rest", ["itself", "top"])
+    def test_stored_step_not_below_is_caught(self, rest, monkeypatch):
+        # the first element of rank 2 keeps a step whose rest does not lie
+        # below it: the element itself, or c above it
         cd = cw.build_cartan("D4")
         lat = nc.enumerate_nc(cd)
-        kreweras = list(lat.kreweras_index)
-        a, b = (lat.position[1 << k] for k in (0, 1))
-        kreweras[a], kreweras[b] = kreweras[b], kreweras[a]
+        steps = [s and (s[0], lat.masks[s[1]]) for s in lat.steps]
+        i = next(i for i, w in enumerate(lat.elements) if lat.ranks[w] == 2)
+        steps[i] = (steps[i][0], lat.masks[i if rest == "itself" else -1])
         bad = nc.NCLattice(
             lat.cartan, lat.coxeter, lat.elements, lat.ranks, lat.masks,
-            tuple(kreweras), lat.covers, lat.truncation_bound,
+            tuple(lat.masks[k] for k in lat.kreweras_index), tuple(steps), lat.covers,
         )
         monkeypatch.setattr(nc, "enumerate_nc", lambda *args: bad)
         with pytest.raises(StructuralError, match="multiply"):
@@ -508,7 +526,6 @@ class TestWideOracle:
         # the multiplicity pre-check's table is the one the closure tables
         # read: one evaluation per ordered pair of roots, not two
         q = rc.dynkin_quiver(label, arrows)
-        monkeypatch.setattr(tl, "_TABLES", {})
         calls = []
         real = rc.euler_form
         monkeypatch.setattr(rc, "euler_form", lambda *args: calls.append(args[1:]) or real(*args))
@@ -517,15 +534,7 @@ class TestWideOracle:
         assert sorted(calls) == sorted(itertools.product(roots, repeat=2))
         calls.clear()
         assert tl.wide_subcategory_oracle(q).count == len(tl.thick_lattice(cw.build_cartan(label)))
-        assert len(calls) == len(roots) ** 2  # the pre-check runs again; the tables are kept
-
-    def test_closure_tables_built_once_per_quiver(self, monkeypatch):
-        q = rc.dynkin_quiver("A3", ((2, 1), (2, 3)))
-        monkeypatch.setattr(tl, "_TABLES", {})
-        tables = tl._closure_tables(q)
-        assert tl._closure_tables(q) is tables
-        assert tl._closure_tables(q, tl._euler_table(q, tables.cat.roots)) is tables
-        assert tables.consequences == tl._ClosureTables(q).consequences
+        assert len(calls) == len(roots) ** 2  # a second pass evaluates each pair once again
 
     def test_oracle_cases_cover_every_orientation(self):
         assert len(_ORACLE_CASES) == len(set(_ORACLE_CASES)) == 1 + 2 + 4 + 8
@@ -535,7 +544,7 @@ class TestWideOracle:
     def test_bitmask_search_matches_set_search(self, label, arrows):
         # the reference closes each subset as a set of roots, pair by pair
         q = rc.dynkin_quiver(label, arrows)
-        tables = tl._closure_tables(q)
+        tables = _tables(q)
         wide = []
         for size in range(len(tables.cat.roots) + 1):
             for combo in itertools.combinations(tables.cat.roots, size):
@@ -559,7 +568,7 @@ class TestWideOracle:
         monkeypatch.setattr(
             rc._ModuleCategory, "decompose", lambda cat, rep: built.append(rep) or real(cat, rep)
         )
-        tl._ClosureTables(q)
+        _tables(q)
         assert bool(built) == (label != "A1")
         mats = [m for rep in list(cat.reps.values()) + built for m in rep.maps]
         mats += [m for space in cat.hom_spaces.values() for f in space.basis for m in f]
@@ -569,7 +578,7 @@ class TestWideOracle:
     def test_consequences_keep_both_directions(self):
         # on A3, Hom(P2, I2) has kernel S3 and cokernel S1, while the
         # nonsplit extension of I2 by P2 has middle term P1 + S2
-        tables = tl._closure_tables(rc.dynkin_quiver("A3"))
+        tables = _tables(rc.dynkin_quiver("A3"))
         p2, i2 = (0, 1, 1), (1, 1, 0)
         assert tables.consequences[(p2, i2)] == {(0, 0, 1), (1, 0, 0)}
         assert tables.consequences[(i2, p2)] == {(1, 1, 1), (0, 1, 0)}
@@ -592,7 +601,7 @@ class TestWideOracle:
     def test_middle_needs_a_cocycle_off_the_coboundaries(self):
         # with Ext^1(X_a, X_b) = 0 every unit cocycle is a coboundary
         q = rc.dynkin_quiver("A3")
-        tables = tl._closure_tables(q)
+        tables = _tables(q)
         cat = tables.cat
         pairs = [
             (a, b)
@@ -610,7 +619,7 @@ class TestWideOracle:
         # of (X_a, X_b) and builds no other
         label = "A4" if arrows is None else f"A{len(arrows) + 1}"
         q = rc.dynkin_quiver(label, arrows)
-        tables = tl._ClosureTables(q)
+        tables = _tables(q)
         cat = tables.cat
         pairs = [
             (a, b)

@@ -161,10 +161,15 @@ class TestKeywordConstruction:
 
     def test_lattices(self, a2):
         lat = noncrossing.enumerate_nc(a2)
-        fields = ("cartan", "coxeter", "elements", "ranks", "masks", "kreweras_index", "covers")
-        copy = noncrossing.NCLattice(**{f: getattr(lat, f) for f in fields})
+        fields = ("cartan", "coxeter", "elements", "ranks", "masks", "covers")
+        complements = tuple(lat.masks[k] for k in lat.kreweras_index)
+        steps = tuple(s and (s[0], lat.masks[s[1]]) for s in lat.steps)
+        copy = noncrossing.NCLattice(
+            **{f: getattr(lat, f) for f in fields}, complements=complements, steps=steps
+        )
         assert copy.truncation_bound is None
         assert copy.hasse == lat.hasse and copy.co_kreweras_index == lat.co_kreweras_index
+        assert copy.kreweras_index == lat.kreweras_index and copy.steps == lat.steps
         thick = thicklat.ThickLattice(nc=copy, generators=((),) * len(copy))
         assert len(thick) == len(lat)
         kron = thicklat.kronecker_lattice(1, 2)
