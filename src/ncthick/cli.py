@@ -101,7 +101,7 @@ def _cmd_thick(args) -> int:
         oracle = thicklat.wide_subcategory_oracle(repcat.dynkin_quiver(args.type))
     lat = thicklat.thick_lattice(cd)
     if args.format == "dot":
-        _emit(noncrossing.hasse_dot(lat.nc))
+        _emit(noncrossing.hasse_dot(lat))
     else:
         data = thicklat.thick_to_json(lat)
         if args.oracle:

@@ -136,8 +136,8 @@ def _knit(label: str, orientation: tuple[tuple[int, int], ...]):
     and indexed by node.
 
     Returns (hammocks, ell), both indexed by node - 1.  A hammock is its
-    (vertex, value) items in sorted order, the suspension, the last level
-    knitted and the sum of the values; ell(x) is the column sum
+    (vertex, value) items in sorted order, the suspension and the last
+    level knitted; ell(x) is the column sum
     sum_y sum_k dim Hom((0, y), (k, x)), which translation invariance
     makes the sum of dim Hom(-, (0, x))."""
     # arrows into (n, x) leave (n, s) for s -> x and (n - 1, t) for x -> t;
@@ -182,7 +182,7 @@ def _knit(label: str, orientation: tuple[tuple[int, int], ...]):
             prev = row
         else:
             raise WindowError(f"hammock of node {node} does not die out within the cap")
-        hammocks.append((tuple(items), sigma, n, sum(k for _, k in items)))
+        hammocks.append((tuple(items), sigma, n))
     return tuple(hammocks), tuple(ell)
 
 
@@ -199,7 +199,7 @@ def knit_hammock(t: TranslationQuiver, source: Vertex) -> Hammock:
     level, past the window's top if it dies out later."""
     label, orientation = _in_window(t, source)
     level, node = source
-    items, (s, x), _, _ = _knit(label, orientation)[0][node - 1]
+    items, (s, x), _ = _knit(label, orientation)[0][node - 1]
     values = {(n + level, y): k for (n, y), k in items}
     return Hammock(source=source, values=values, sigma_of_source=(s + level, x))
 
@@ -345,10 +345,10 @@ def hammocks_json(t: TranslationQuiver) -> dict:
     nodes = _nodes(label)
     width = len(nodes)
     knits = dict(zip(nodes, _knit(label, orientation)[0]))
-    top = hi + max(last for _, _, last, _ in knits.values())
+    top = hi + max(last for _, _, last in knits.values())
     table = [f"{n}:{x}" for n in range(lo, top + 1) for x in nodes]
     name = {v: table[(v[0] - lo) * width + v[1] - 1] for v in t.vertices}
-    templates = {x: _template(items, sigma, width) for x, (items, sigma, _, _) in knits.items()}
+    templates = {x: _template(items, sigma, width) for x, (items, sigma, _) in knits.items()}
     hams = {}
     for (level, node), key in name.items():
         get, span, ks, sigma_at = templates[node]

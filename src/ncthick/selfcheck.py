@@ -689,18 +689,15 @@ def _chk_order_preservation():
 
 
 def _chk_biperp():
+    # the perps are Kreweras complements for the subcategory's own c, so
+    # the reversed orientation must round-trip as well
     cd = cartan.build_cartan("A3")
-    lat = noncrossing.enumerate_nc(cd)
-    for w in lat.elements:
-        u = thicklat.thick_from_nc(cd, w, lat.coxeter)
-        _expect(
-            thicklat.left_perp(thicklat.right_perp(u, lat.coxeter), lat.coxeter) == u,
-            "left_perp o right_perp != id",
-        )
-        _expect(
-            thicklat.right_perp(thicklat.left_perp(u, lat.coxeter), lat.coxeter) == u,
-            "right_perp o left_perp != id",
-        )
+    for perm in ((1, 2, 3), (3, 2, 1)):
+        c = cartan.coxeter_element(cd, perm)
+        for w in noncrossing.enumerate_nc(cd, c).elements:
+            u = thicklat.thick_from_nc(cd, w, c)
+            _expect(thicklat.left_perp(thicklat.right_perp(u)) == u, "left_perp o right_perp != id")
+            _expect(thicklat.right_perp(thicklat.left_perp(u)) == u, "right_perp o left_perp != id")
     return "biperpendicular identity on NC(A3)"
 
 

@@ -1,21 +1,21 @@
 """The lattice of thick subcategories through the noncrossing bijection.
 
-A thick subcategory is identified with its noncrossing-partition element;
-the stored generator roots are a certificate (an exceptional sequence
-realizing the element as a prefix of a reflection factorization of the
-Coxeter element), not part of the identity.  The lattice is the NC
-lattice plus one generator tuple per element, certified exceptional with
-Hom and Ext^1 read off the hammocks of `derived`.  Perpendicular
-subcategories are Kreweras complements.  The independent oracle
-enumerates wide subcategories of the module category by closing subsets
-of indecomposables under kernels, cokernels, and extensions.  It accepts
-only A1-A4, whose indecomposables are thin (each space of dimension 0 or
-1): a kernel or cokernel is the source or target cut down to the
-vertices where the map is zero, and a middle term comes from a unit
-cocycle off the coboundaries, the transposed rows of `repcat`'s Hom
-system (the map with kernel Hom and cokernel Ext^1).  Each term is split
-by `repcat`'s `decompose` (zero, stored and brick certificates, else Hom
-counts).
+A thick subcategory is identified with its element of NC(W, c), c the
+Coxeter element of its quiver's orientation; the stored generator roots
+are a certificate (an exceptional sequence realizing the element as a
+prefix of a reflection factorization of c), not part of the identity.
+The lattice is the NC lattice itself: each element's least word is its
+generators, certified exceptional with Hom and Ext^1 read off the
+hammocks of `derived`.  Perpendicular subcategories are Kreweras
+complements for c.  The independent oracle enumerates wide subcategories
+of the module category by closing subsets of indecomposables under
+kernels, cokernels, and extensions.  It accepts only A1-A4, whose
+indecomposables are thin (each space of dimension 0 or 1): a kernel or
+cokernel is the source or target cut down to the vertices where the map
+is zero, and a middle term comes from a unit cocycle off the
+coboundaries, the transposed rows of `repcat`'s Hom system (the map with
+kernel Hom and cokernel Ext^1).  Each term is split by `repcat`'s
+`decompose` (zero, stored and brick certificates, else Hom counts).
 Every subset of indecomposables is one bit of a 2^n-bit integer, so each
 ordered pair rules out all the subsets its consequences break at once.
 """
@@ -41,24 +41,32 @@ Vector = tuple[int, ...]
 
 
 class ThickSubcategory(cartan._Value):
-    """An NC element together with a generating exceptional sequence.
+    """An element of NC(W, c), c the Coxeter element of the quiver's
+    orientation, together with a generating exceptional sequence.
 
-    Two thick subcategories are the same iff their labels and nc
-    elements agree; the generators are a certificate, not compared.
+    Two thick subcategories are the same iff their labels, Coxeter
+    elements and nc elements agree; the generators are a certificate, not
+    compared.  The perpendicular categories are the Kreweras complements
+    for the Coxeter element the subcategory carries.
     """
 
-    __slots__ = ("cartan", "nc_element", "generators")
+    __slots__ = ("cartan", "coxeter", "nc_element", "generators")
 
     def __init__(
-        self, cartan: CartanDatum, nc_element: WeylElement, generators: tuple[Vector, ...]
+        self,
+        cartan: CartanDatum,
+        coxeter: WeylElement,
+        nc_element: WeylElement,
+        generators: tuple[Vector, ...],
     ):
         object.__setattr__(self, "cartan", cartan)
+        object.__setattr__(self, "coxeter", coxeter)
         object.__setattr__(self, "nc_element", nc_element)
         object.__setattr__(self, "generators", generators)
         self._validate()
 
     def _key(self) -> tuple:
-        return (self.cartan, self.nc_element)
+        return (self.cartan, self.coxeter, self.nc_element)
 
     def _validate(self):
         prod = cartan.identity_element(self.cartan)
@@ -130,52 +138,33 @@ def thick_from_nc(
         mask = rest
     if mask:
         raise StructuralError("roots are left over after rank many generators")
-    return ThickSubcategory(cartan=cd, nc_element=w, generators=tuple(gens))
+    return ThickSubcategory(cartan=cd, coxeter=c, nc_element=w, generators=tuple(gens))
 
 
-def left_perp(u: ThickSubcategory, c: WeylElement | None = None) -> ThickSubcategory:
+def left_perp(u: ThickSubcategory) -> ThickSubcategory:
     """Everything mapping trivially into u: nc element w^-1 c."""
-    if c is None:
-        c = cartan.coxeter_element(u.cartan)
-    return thick_from_nc(u.cartan, u.nc_element.inverse() * c, c)
+    return thick_from_nc(u.cartan, u.nc_element.inverse() * u.coxeter, u.coxeter)
 
 
-def right_perp(u: ThickSubcategory, c: WeylElement | None = None) -> ThickSubcategory:
+def right_perp(u: ThickSubcategory) -> ThickSubcategory:
     """Everything u maps trivially into: nc element c w^-1."""
-    if c is None:
-        c = cartan.coxeter_element(u.cartan)
-    return thick_from_nc(u.cartan, c * u.nc_element.inverse(), c)
+    return thick_from_nc(u.cartan, u.coxeter * u.nc_element.inverse(), u.coxeter)
 
 
-class ThickLattice:
-    """The NC lattice plus one generating exceptional sequence per element.
-
-    `generators[i]` is the greedy factorization of `nc.elements[i]`, the
-    one `thick_from_nc` computes.
-    """
-
-    __slots__ = ("nc", "generators")
-
-    def __init__(self, nc: NCLattice, generators: tuple[tuple[Vector, ...], ...]):
-        self.nc, self.generators = nc, generators
-
-    def __len__(self):
-        return len(self.generators)
-
-
-def thick_lattice(cd: CartanDatum) -> ThickLattice:
-    """The NC lattice with each element's least word as its generators.
+def thick_lattice(cd: CartanDatum) -> NCLattice:
+    """NC(W, c) for the default Coxeter element, certified as the lattice
+    of thick subcategories: each element's least word, which
+    `NCLattice.canonical_word` reads, is a generating exceptional sequence.
 
     `NCLattice.steps[i] = (k, j)` is the least step `enumerate_nc` built
     element i's matrix from, t_k times a rest j of lower rank, so j < i;
     the build's chain certificate checked that matrix, so every word
     multiplies to its element.  used[j] & bad[k] == 0, one AND over the
-    roots of j's word, proves the word exceptional.  Each word, root k then
-    j's, goes straight into the lattice's word memo.
+    roots of j's word, proves the word, root k then j's, exceptional.
     """
     lat = noncrossing.enumerate_nc(cd)
     bad = _exceptional_masks(cd, lat.coxeter)
-    used, words = [0], lat._words
+    used = [0]
     for i in range(1, len(lat)):
         k, j = lat.steps[i]
         if j >= i:
@@ -183,8 +172,7 @@ def thick_lattice(cd: CartanDatum) -> ThickLattice:
         if used[j] & bad[k]:
             raise StructuralError("generator roots are not an exceptional sequence")
         used.append(used[j] | 1 << k)
-        words[i] = (lat.roots[k],) + words[j]
-    return ThickLattice(nc=lat, generators=tuple(map(words.__getitem__, range(len(lat)))))
+    return lat
 
 
 # ---------------------------------------------------------------------------
@@ -451,22 +439,23 @@ def kronecker_lattice(bound: int, points) -> KroneckerLattice:
 # serialization
 
 
-def thick_to_json(lat: ThickLattice) -> dict:
-    nc = lat.nc
+def thick_to_json(lat: NCLattice) -> dict:
+    """The lattice `thick_lattice` certified, each element's least word
+    as its generators."""
     # left perp w^-1 c and right perp c w^-1 are the Kreweras and
     # co-Kreweras complements, certified by enumerate_nc's chain certificate
-    perp = [[i, nc.kreweras_index[i], nc.co_kreweras_index[i]] for i in range(len(nc))]
+    perp = [[i, lat.kreweras_index[i], lat.co_kreweras_index[i]] for i in range(len(lat))]
     return {
-        "type": nc.cartan.label,
+        "type": lat.cartan.label,
         "elements": [
             {
                 "nc_id": i,
-                "rank": nc.ranks[w],
-                "generator_roots": [list(a) for a in gens],
+                "rank": lat.ranks[w],
+                "generator_roots": [list(a) for a in lat.canonical_word(w)],
             }
-            for i, (w, gens) in enumerate(zip(nc.elements, lat.generators))
+            for i, w in enumerate(lat.elements)
         ],
-        "hasse": [list(e) for e in nc.hasse],
+        "hasse": [list(e) for e in lat.hasse],
         "perp_pairs": perp,
     }
 

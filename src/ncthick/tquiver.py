@@ -44,11 +44,12 @@ class TranslationQuiver:
         return self._out.get(v, ())
 
     def check_mesh_shape(self) -> list[str]:
-        """Report vertices where arrows into z fail to match arrows out of tau z."""
+        """Report vertices where arrows into z fail to match arrows out of
+        tau z: y -> z valued (d, d') must pair with tau z -> y valued (d', d)."""
         problems = []
         for z, tz in self.tau.items():
-            into = sorted((src, val) for src, val in self.arrows_into(z))
+            into = sorted(self.arrows_into(z))
             out = sorted((dst, (val[1], val[0])) for dst, val in self.arrows_out_of(tz))
-            if [v for v, _ in into] != [v for v, _ in out]:
+            if into != out:
                 problems.append(f"mesh at {z}: sources {into} vs tau-targets {out}")
         return problems

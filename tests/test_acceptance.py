@@ -100,9 +100,9 @@ def test_criterion_05_thick_lattice_bijection():
         lat = tl.thick_lattice(cd)
         oracle = tl.wide_subcategory_oracle(rc.dynkin_quiver(label))
         assert len(lat) == oracle.count == count
-        for w in lat.nc.elements:
+        for w in lat.elements:
             prod = cw.identity_element(cd)
-            for alpha in tl.thick_from_nc(cd, w, lat.nc.coxeter).generators:
+            for alpha in tl.thick_from_nc(cd, w, lat.coxeter).generators:
                 prod = prod * cw.reflection_element(cd, alpha)
             assert prod == w
     _passed(5, "thick counts 5/14 = wide oracle; cox o thick_from_nc = id")

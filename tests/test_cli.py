@@ -103,6 +103,13 @@ class TestArq:
 
 
 class TestThick:
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])
+    def test_dot_is_the_nc_dot(self, capsys, label):
+        # the thick lattice is NC(W, c), labelled by the same least words
+        thick = _run(capsys, "thick", "lattice", "--type", label, "--format", "dot")
+        plain = _run(capsys, "nc", "--type", label, "--format", "dot")
+        assert thick == plain and thick[0] == 0
+
     def test_json_schema_with_oracle(self, capsys):
         code, out, _ = _run(capsys, "thick", "lattice", "--type", "A2", "--oracle")
         assert code == 0

@@ -17,7 +17,8 @@ def ell(t, x):
     total of the opposite orientation, the reference for the column sums
     `verify_mesh` reads off the window's own table."""
     label, orientation = dv._in_window(t, x)
-    return dv._knit(label, tuple((b, a) for a, b in orientation))[0][x[1] - 1][3]
+    items = dv._knit(label, tuple((b, a) for a, b in orientation))[0][x[1] - 1][0]
+    return sum(k for _, k in items)
 
 
 @pytest.fixture(scope="module")
@@ -345,8 +346,8 @@ class TestModuleSlice:
 
         def lossy(label, orientation):
             hammocks, ell = real(label, orientation)
-            (items, sigma, last, total), *rest = hammocks
-            return ((items[1:], sigma, last, total), *rest), ell
+            (items, sigma, last), *rest = hammocks
+            return ((items[1:], sigma, last), *rest), ell
 
         monkeypatch.setattr(dv, "_knit", lossy)
         with pytest.raises(StructuralError, match="once"):
@@ -413,8 +414,7 @@ def _seeded_orientation(label, seed):
 
 def _knit_reference(label, orientation, node):
     """One node's hammock knitted alone, on a dict keyed by vertex: its
-    values, the suspension, the last level knitted and the sum of the
-    values."""
+    values, the suspension and the last level knitted."""
     order = dv._node_order(label, orientation)
     into = {
         x: [(0, s) for s, t in orientation if t == x] + [(-1, t) for s, t in orientation if s == x]
@@ -435,7 +435,7 @@ def _knit_reference(label, orientation, node):
                 values[z] = u
             slice_total += u
         if sigma is not None and slice_total == 0 and n > sigma[0]:
-            return values, sigma, n, sum(values.values())
+            return values, sigma, n
         assert n < dv._HARD_CAP
         n += 1
 
@@ -459,10 +459,10 @@ class TestKnitTable:
         orientation = rc.dynkin_quiver(label, _seeded_orientation(label, seed)).arrows
         hammocks = dv._knit(label, orientation)[0]
         assert len(hammocks) == cw.parse_label(label)[1]
-        for node, (items, sigma, last, total) in enumerate(hammocks, 1):
+        for node, (items, sigma, last) in enumerate(hammocks, 1):
             values, *rest = _knit_reference(label, orientation, node)
             assert items == tuple(sorted(values.items()))
-            assert (sigma, last, total) == tuple(rest)
+            assert (sigma, last) == tuple(rest)
 
     def test_one_node_knits_its_orientation_once(self):
         dv._knit.cache_clear()
@@ -487,7 +487,7 @@ def _hammocks_json_reference(t):
     hams = {}
     knits = {x: _knit_reference(label, orientation, x) for x in dv._nodes(label)}
     for level, node in t.vertices:
-        values, (s, x), _, _ = knits[node]
+        values, (s, x), _ = knits[node]
         hams[f"{level}:{node}"] = {
             "values": {f"{n + level}:{y}": k for (n, y), k in sorted(values.items())},
             "suspension": f"{s + level}:{x}",
@@ -568,7 +568,7 @@ class TestHammocksJsonTable:
             keys.extend(ham["values"])
             keys.append(ham["suspension"])
         orientation = t.meta["orientation"]
-        top = hi + max(last for _, _, last, _ in dv._knit(label, orientation)[0])
+        top = hi + max(last for _, _, last in dv._knit(label, orientation)[0])
         table = (top - lo + 1) * 8
         assert len(keys) > 10 * table
         assert len({id(k) for k in keys}) <= table

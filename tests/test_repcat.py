@@ -11,6 +11,7 @@ from ncthick.errors import (
     StructuralError,
     UnsupportedLabelError,
 )
+from ncthick.tquiver import TranslationQuiver
 
 
 def _orientations(label):
@@ -323,10 +324,24 @@ class TestARQuiver:
                 ty = ar.tau[y]
                 assert arrows[(ty, x)][1] == d
 
-    @pytest.mark.parametrize("label", ["A2", "A3", "D4"])
+    @pytest.mark.parametrize("label", ["A2", "A3", "A4", "D4", "D5"])
     def test_mesh_shape(self, label):
         ar = rc.ar_quiver_module_category(rc.dynkin_quiver(label))
         assert ar.check_mesh_shape() == []
+
+    @pytest.mark.parametrize(
+        "into_c, out_of_a, ok",
+        [((1, 1), (1, 1), True), ((1, 2), (2, 1), True), ((1, 1), (1, 2), False), ((1, 2), (1, 2), False)],
+    )
+    def test_mesh_shape_compares_valuations(self, into_c, out_of_a, ok):
+        # tau c = a: b -> c valued (d, d') must pair with a -> b valued
+        # (d', d); the vertices alone agree in every case
+        t = TranslationQuiver(
+            vertices=("a", "b", "c"),
+            arrows=(("a", "b", out_of_a), ("b", "c", into_c)),
+            tau={"c": "a"},
+        )
+        assert (t.check_mesh_shape() == []) == ok
 
 
 def _direct_sum(q, reps):

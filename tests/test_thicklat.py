@@ -142,13 +142,14 @@ class TestThickFromNc:
         b2 = cw.build_cartan("B2")
         minus = cw.WeylElement(((-1, 0), (0, -1)))
         assert all(cw.abs_leq(b2, t, minus) for t in cw.reflections(b2))
-        u = tl.thick_from_nc(b2, cw.simple_reflection(b2, 1))
+        s1 = tl.thick_from_nc(b2, cw.simple_reflection(b2, 1))
+        u = tl.ThickSubcategory(b2, minus, s1.nc_element, s1.generators)
         for w in cw.reflections(b2) + (minus,):
             with pytest.raises(NotInPosetError, match="not a Coxeter element"):
                 tl.thick_from_nc(b2, w, minus)
         for perp in (tl.left_perp, tl.right_perp):
             with pytest.raises(NotInPosetError, match="not a Coxeter element"):
-                perp(u, minus)
+                perp(u)
         with pytest.raises(NotInPosetError, match="not a Coxeter element"):
             nc.enumerate_nc(b2, minus)
 
@@ -185,8 +186,22 @@ class TestPerpendiculars:
         lat = nc.enumerate_nc(a3)
         for w in lat.elements:
             u = tl.thick_from_nc(a3, w, lat.coxeter)
-            assert tl.right_perp(tl.left_perp(u, lat.coxeter), lat.coxeter) == u
-            assert tl.left_perp(tl.right_perp(u, lat.coxeter), lat.coxeter) == u
+            assert tl.right_perp(tl.left_perp(u)) == u
+            assert tl.left_perp(tl.right_perp(u)) == u
+
+    @pytest.mark.parametrize("label", ["A3", "D4"])
+    def test_perps_use_the_subcategory_coxeter_element(self, label):
+        # with c reversed, w^-1 c_default is a wrong element or no NC element
+        # at all; the perps read c from the subcategory
+        cd = cw.build_cartan(label)
+        c = cw.coxeter_element(cd, tuple(range(cd.rank, 0, -1)))
+        assert c != cw.coxeter_element(cd)
+        for w in nc.enumerate_nc(cd, c).elements:
+            u = tl.thick_from_nc(cd, w, c)
+            left, right = tl.left_perp(u), tl.right_perp(u)
+            assert left.nc_element == w.inverse() * c and left.coxeter == c
+            assert right.nc_element == c * w.inverse() and right.coxeter == c
+            assert tl.right_perp(left) == u and tl.left_perp(right) == u
 
     def test_left_perp_kills_homs(self, a2):
         # the A2 example: perp of Thick(S1) is generated by the S2 root
@@ -209,8 +224,8 @@ class TestThickLattice:
     def test_generators_are_greedy_factorizations(self, label):
         cd = cw.build_cartan(label)
         lat = tl.thick_lattice(cd)
-        for w, gens in zip(lat.nc.elements, lat.generators):
-            assert gens == _greedy_factorization(cd, w)
+        for w in lat.elements:
+            assert lat.canonical_word(w) == _greedy_factorization(cd, w)
 
     @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2", "F4", "E6"])
     def test_lone_element_matches_lattice(self, label, monkeypatch):
@@ -223,23 +238,24 @@ class TestThickLattice:
         cd = cw.build_cartan(label)
         lat = tl.thick_lattice(cd)
         assert len(calls) == len(lat) - 1
-        for w, gens in zip(lat.nc.elements, lat.generators):
+        for w in lat.elements:
             calls.clear()
+            gens = lat.canonical_word(w)
             assert tl.thick_from_nc(cd, w).generators == gens
             assert len(calls) == len(gens)
 
     @pytest.mark.parametrize("label", ["A4", "D4"])
     def test_each_element_is_stepped_once(self, label, monkeypatch):
         # the build steps each element past id once and the lattice keeps
-        # the step; the certificate loop fills the word memo from it, so
-        # collecting the generators takes no second step
+        # the step; the generators are read off the kept steps, so
+        # collecting them takes no second step
         masks = []
         real = nc.least_step
         monkeypatch.setattr(nc, "least_step", lambda m, perp: masks.append(m) or real(m, perp))
         lat = tl.thick_lattice(cw.build_cartan(label))
-        assert sorted(masks) == sorted(lat.nc.masks[1:])
-        assert lat.generators == tuple(map(lat.nc.canonical_word, lat.nc.elements))
-        assert len(masks) == len(lat) - 1  # reading the memo back steps nothing
+        assert sorted(masks) == sorted(lat.masks[1:])
+        tl.thick_to_json(lat)
+        assert len(masks) == len(lat) - 1  # reading the words steps nothing
 
     def test_e6_one_product_route(self, monkeypatch):
         # one build product and one certificate product per element past
@@ -387,17 +403,28 @@ class TestThickLattice:
 
     def test_equality_by_nc_element(self, a2):
         lat = tl.thick_lattice(a2)
-        u = tl.thick_from_nc(a2, lat.nc.elements[1])
-        clone = tl.ThickSubcategory(a2, lat.nc.elements[1], lat.generators[1])
+        w, c = lat.elements[1], lat.coxeter
+        u = tl.thick_from_nc(a2, w)
+        clone = tl.ThickSubcategory(a2, c, w, lat.canonical_word(w))
         assert clone == u
         assert hash(clone) == hash(u)
         # the greedy generators of c = s_1 s_2 are s_2 s_(1,1); s_1 s_2 is
         # another valid factorization of the same subcategory
-        c = lat.nc.coxeter
-        other = tl.ThickSubcategory(a2, c, ((1, 0), (0, 1)))
+        other = tl.ThickSubcategory(a2, c, c, ((1, 0), (0, 1)))
         assert other.generators != tl.thick_from_nc(a2, c).generators
         assert other == tl.thick_from_nc(a2, c)
-        assert hash(other) == hash(tl.thick_from_nc(a2, c)) == hash((a2, c))
+        assert hash(other) == hash(tl.thick_from_nc(a2, c)) == hash((a2, c, c))
+
+    @pytest.mark.parametrize("label", ["A3", "D4"])
+    def test_equality_includes_the_coxeter_element(self, label):
+        # the identity and the reflections lie below every Coxeter element,
+        # and their subcategories for different c are different values
+        cd = cw.build_cartan(label)
+        c = cw.coxeter_element(cd, tuple(range(cd.rank, 0, -1)))
+        shared = [w for w in nc.enumerate_nc(cd, c).elements if cw.absolute_length(cd, w) < 2]
+        assert len(shared) == 1 + len(cw.reflections(cd))
+        for w in shared:
+            assert tl.thick_from_nc(cd, w, c) != tl.thick_from_nc(cd, w)
 
     def test_d5_no_products_of_its_own(self, monkeypatch):
         # thick_lattice makes exactly the products enumerate_nc makes
@@ -820,12 +847,11 @@ class TestJson:
     @pytest.mark.parametrize("label", ["A3", "B3", "D4"])
     def test_perp_pairs_are_perp_functions(self, label):
         lat = tl.thick_lattice(cw.build_cartan(label))
-        c = lat.nc.coxeter
         expected = [
-            [i, lat.nc.index(tl.left_perp(u, c).nc_element), lat.nc.index(tl.right_perp(u, c).nc_element)]
+            [i, lat.index(tl.left_perp(u).nc_element), lat.index(tl.right_perp(u).nc_element)]
             for i, u in enumerate(
-                tl.ThickSubcategory(lat.nc.cartan, w, gens)
-                for w, gens in zip(lat.nc.elements, lat.generators)
+                tl.ThickSubcategory(lat.cartan, lat.coxeter, w, lat.canonical_word(w))
+                for w in lat.elements
             )
         ]
         assert tl.thick_to_json(lat)["perp_pairs"] == expected
