@@ -33,6 +33,15 @@ Weyl group is never materialized.  The stored steps give canonical
 words, the JSON Coxeter word and the thick generators of the whole
 lattice (`NCLattice.steps`); `thicklat.thick_from_nc` takes the same step
 on the perp masks for a lone element.
+
+The build and the certificate keep each matrix as one int (`Packing`):
+n^2 signed 8-bit fields, row 0 most significant, and the update is two
+big-int products.  A matrix of W has root coordinates as entries, at
+most R = the largest one, and each field of the update's products is at
+most max |q_k|_1 R, which is checked below 128 on every build (36 at
+E8).  So the fields never overlap, the packing is injective and keeps
+the order of matrices, and comparing two ints compares two matrices.
+Each element is unpacked once, after the certificate.
 The fixed-space absolute order of `cartan` and the prefix-product growth
 that tests each candidate's rank stay as oracles in `selfcheck`.
 """
@@ -40,7 +49,10 @@ that tests each candidate's rank stay as oracles in `selfcheck`.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import operator
+import struct
 
 from . import cartan, linalg
 from .cartan import CartanDatum, WeylElement, positive_roots
@@ -173,8 +185,9 @@ def perp_masks(cd: CartanDatum, c: WeylElement) -> tuple[int, ...]:
 
     For a reflection s this is T(s^-1 c), and T(w^-1 c) is the AND of
     perp[s] over s in T(w).  A c that is not a Coxeter element raises
-    NotInPosetError; `enumerate_nc` and `thicklat.thick_from_nc` both ask
-    here first, so the check runs once per (cd, c).
+    NotInPosetError; `enumerate_nc`, `thicklat.thick_from_nc` and
+    `thicklat.ThickSubcategory` all ask here, so the check runs once per
+    (cd, c).
     """
     if not cartan.is_coxeter_element(cd, c):
         raise NotInPosetError("the given element is not a Coxeter element")
@@ -211,29 +224,114 @@ def _bits(mask: int):
         yield low.bit_length() - 1
 
 
-def _sorted_lattice(cd, c, rows, covers, bound=None) -> NCLattice:
-    """Sort (w, rank, T(w), T(w^-1 c) or None, least step or None) rows by
-    (rank, matrix)."""
-    rows = sorted(rows, key=lambda row: (row[1], row[0].matrix))
+def _lattice(cd, c, rows, covers, bound=None) -> NCLattice:
+    """The lattice of (w, rank, T(w), T(w^-1 c) or None, least step or None)
+    rows, given sorted by (rank, matrix)."""
     elements, ranks, masks, complements, steps = zip(*rows)
     ranks = dict(zip(elements, ranks))
     return NCLattice(cd, c, elements, ranks, masks, complements, steps, covers, bound)
 
 
+# elements enumerate_nc may build, |NC| = prod (h + d_i) / d_i.  Single runs on
+# a 2-vCPU x86_64 VM, Python 3.11, count and JSON: D10 (136,136) 3.7 s at
+# 171 MB and 8.3 s at 457 MB; B10 and C10 (184,756), the largest admitted,
+# 5.8 s at 239 MB and 12.5 s at 662 MB; A11 (208,012) took 14 s at 714 MB in
+# JSON, and A40 (about 10^22) would never finish
+MAX_NC_SIZE = 200_000
+
+
+def nc_size(cd: CartanDatum) -> int:
+    """|NC(W,c)|, the Catalan number prod (h + d_i) / d_i of W's degrees."""
+    degrees = cartan.degrees(cd)
+    h = max(degrees)
+    return math.prod(h + d for d in degrees) // math.prod(degrees)
+
+
+class Packing:
+    """The n x n matrices of W as one int each: entry (i, j) is the signed
+    8-bit field at position (n-1-i) n + (n-1-j), row 0 most significant,
+    so pack(M) = sum M_ij 256^((n-1-i) n + n-1-j).
+
+    Every w in W sends each simple root to a root, so its entries are root
+    coordinates, at most R = the largest one in absolute value.  With row
+    blocks Y = 256^n, pack(M) = sum_i row_i Y^(n-1-i), and a left update
+    s_k M = M - alpha_k (x) (q_k^T M) takes two products: with
+    Q_k = sum_i q_i Y^i, the row q_k^T M = sum_i q_i row_i is block n - 1
+    of pack(M) Q_k, and with A_k = sum_i alpha_i Y^(n-1-i), A_k times that
+    row is pack(alpha_k (x) (q_k^T M)).  Each field of pack(M) Q_k is a sum
+    of terms q_a M_bj, at most one per a, so it is at most
+    bound = max_k |q_k|_1 R in absolute value, which is checked below 128
+    here (36 at E8): adding 128 to each field of blocks 0 to n - 1 leaves
+    it in [0, 256), so none borrows from the next, and block n - 1 is read
+    by a shift and a mask.  R < 128 too, so pack is injective and
+    preserves the order of the matrices as tuples of rows.
+    """
+
+    __slots__ = ("n", "radius", "bound", "bias", "shift", "low", "row_bias", "alphas", "qs")
+
+    def __init__(self, cd: CartanDatum):
+        n = self.n = cd.rank
+        roots = positive_roots(cd)
+        coroots = [cartan.coroot(cd, a) for a in roots]
+        self.radius = max(max(map(abs, a)) for a in roots)
+        self.bound = self.radius * max(sum(map(abs, q)) for q in coroots)
+        if self.bound >= 128:
+            raise StructuralError(f"field bound {self.bound} of {cd.label} does not fit 8 bits")
+        block = 8 * n
+        self.bias = int.from_bytes(b"\x80" * (n * n), "big")
+        self.shift = block * (n - 1)
+        self.low = (1 << block) - 1
+        self.row_bias = self.bias >> self.shift
+        self.alphas = [sum(x << block * (n - 1 - i) for i, x in enumerate(a)) for a in roots]
+        self.qs = [sum(x << block * i for i, x in enumerate(q)) for q in coroots]
+
+    def pack(self, w: WeylElement) -> int:
+        """w's matrix as one int; an entry past R means w is not in W."""
+        entries = [x for row in w.matrix for x in row]
+        if max(map(abs, entries)) > self.radius:
+            raise NotInPosetError(f"an entry exceeds {self.radius}, the largest root coordinate: not in W")
+        return int.from_bytes(bytes(x + 128 for x in entries), "big") - self.bias
+
+    def reflection_times(self, p: int, k: int) -> int:
+        """pack(s_k M) for p = pack(M) and s_k the reflection in root k."""
+        row = ((p * self.qs[k] + self.bias) >> self.shift & self.low) - self.row_bias
+        return p - self.alphas[k] * row
+
+    def unpack(self, packed) -> list[WeylElement]:
+        """The elements packed as the ints of packed, in one bytes string:
+        XOR with the bias turns each biased field x + 128 into the byte of x
+        in two's complement.  Each row is both the key and the default of
+        one setdefault, so equal rows come back as one tuple."""
+        n, bias = self.n, self.bias
+        data = b"".join([((p + bias) ^ bias).to_bytes(n * n, "big") for p in packed])
+        rows = map({}.setdefault, *itertools.tee(struct.iter_unpack(f"{n}b", data)))
+        return list(map(WeylElement, zip(*[rows] * n)))
+
+
 def enumerate_nc(cd: CartanDatum, c: WeylElement | None = None) -> NCLattice:
     """All w with id <= w <= c: masks grown cover by cover from the perp
     masks, then each element built once from its least step, which the
-    lattice keeps."""
+    lattice keeps.
+
+    A label whose |NC| = prod (h + d_i) / d_i exceeds MAX_NC_SIZE is
+    refused before any other work.  The build and the certificate run on
+    `Packing` ints, one per element, and each element is unpacked once, at
+    the end.  Every built matrix is a product of reflections, so it lies
+    in W and its fields fit: comparing two packed ints compares the two
+    matrices, and sorting by them sorts by matrix.
+    """
     if not cd.is_finite():
         raise UnsupportedLabelError("use nc_kronecker for the affine rank-2 type")
+    size = nc_size(cd)
+    if size > MAX_NC_SIZE:
+        raise ResourceLimitError(f"NC({cd.label}) has {size} elements, past the cap {MAX_NC_SIZE}")
     if c is None:
         c = cartan.coxeter_element(cd)
     perp = perp_masks(cd, c)
     n = cd.rank
-    roots = cartan.positive_roots(cd)
-    coroots = [cartan.coroot(cd, a) for a in roots]
+    packing = Packing(cd)
     lperp = left_perp_masks(perp)
-    full = (1 << len(roots)) - 1
+    full = (1 << len(perp)) - 1
     # grown[T(w^-1 c)] = (rank, T(w), parent's key, k) with w = parent * t_k: the
     # complement's mask names w, as T is injective on [id, c] and w -> w^-1 c is bijective
     grown = {full: (0, 0, None, None)}
@@ -256,27 +354,35 @@ def enumerate_nc(cd: CartanDatum, c: WeylElement | None = None) -> NCLattice:
         frontier = nxt
     if {entry[1] for entry in grown.values()} != grown.keys():
         raise LatticeStructureError("reflection sets and complement masks differ")
-    # built[T(w)] = (w, rank, step): in rank order, w = t_k * rest for the least step
-    # (k, rest) of T(w), so w is the product of its least word, rank(w) reflections
-    built = {0: (cartan.identity_element(cd), 0, None)}
+    # built[T(w)] = (pack(w), rank, step): in rank order, w = t_k * rest for the
+    # least step (k, rest) of T(w), so w is the product of its least word,
+    # rank(w) reflections
+    left = packing.reflection_times
+    built = {0: (packing.pack(cartan.identity_element(cd)), 0, None)}
     for r, mask, _, _ in grown.values():
         if mask:
             step = k, rest = least_step(mask, perp)
             below, s, _ = built.get(rest, (None, r, None))
             if s != r - 1:
                 raise LatticeStructureError("a least word leaves the lattice")
-            built[mask] = (below.reflection_times(roots[k], coroots[k]), r, step)
+            built[mask] = (left(below, k), r, step)
     # K(x), the element whose mask is x's key: K(id) = c and K(w t) = t K(w) on
     # every growth link give g K(x) = c for g the product along x's growth path,
     # and g and K(x) have rank(x) and n - rank(x) reflections, so both are exact
     # and K(x) <= c: every built matrix lies in [id, c] with its rank as length
+    top = packing.pack(c)
     for key, (r, _, above, k) in grown.items():
         comp, s, _ = built[key]
-        want = c if above is None else built[above][0].reflection_times(roots[k], coroots[k])
+        want = top if above is None else left(built[above][0], k)
         if r + s != n or comp != want:
             raise LatticeStructureError("an element times its Kreweras complement is not c")
-    rows = ((built[m][0], r, m, key, built[m][2]) for key, (r, m, _, _) in grown.items())
-    return _sorted_lattice(cd, c, rows, (lower, upper))
+    # (pack(w), rank, step, T(w), T(w^-1 c)) rows, by (rank, matrix)
+    order = [built[m] + (m, key) for key, (_, m, _, _) in grown.items()]
+    order.sort(key=lambda row: (row[1], row[0]))
+    del grown, built  # the rows hold all the lattice keeps: a lower peak while unpacking
+    elements = packing.unpack([row[0] for row in order])
+    rows = ((w, r, m, key, step) for w, (_, r, step, m, key) in zip(elements, order))
+    return _lattice(cd, c, rows, (lower, upper))
 
 
 # 2*bound+4 elements of (2*bound+2)-bit masks: time and memory grow
@@ -312,9 +418,10 @@ def nc_kronecker(bound: int) -> NCLattice:
     k = next(k for k, comp in enumerate(comps) if comp is not None)
     rows = [(cartan.identity_element(cd), 0, 0, full, None), (c, 2, full, 0, (k, comps[k]))]
     rows.extend((t, 1, 1 << k, comp, (k, 0)) for k, (t, comp) in enumerate(zip(refs, comps)))
+    rows.sort(key=lambda row: (row[1], row[0].matrix))
     atoms = list(bit_of.values())
     covers = ([0] * len(atoms) + atoms, atoms + [full] * len(atoms))
-    return _sorted_lattice(cd, c, rows, covers, bound)
+    return _lattice(cd, c, rows, covers, bound)
 
 
 _NO_EXTREMUM = "bound set has no unique extremum; poset is not a lattice"

@@ -47,7 +47,10 @@ class ThickSubcategory(cartan._Value):
     Two thick subcategories are the same iff their labels, Coxeter
     elements and nc elements agree; the generators are a certificate, not
     compared.  The perpendicular categories are the Kreweras complements
-    for the Coxeter element the subcategory carries.
+    for the Coxeter element the subcategory carries.  A coxeter that is not
+    a Coxeter element (`noncrossing.perp_masks`) or an nc element not below
+    it raises NotInPosetError, and generators that do not multiply to the
+    nc element raise StructuralError.
     """
 
     __slots__ = ("cartan", "coxeter", "nc_element", "generators")
@@ -69,10 +72,14 @@ class ThickSubcategory(cartan._Value):
         return (self.cartan, self.coxeter, self.nc_element)
 
     def _validate(self):
-        prod = cartan.identity_element(self.cartan)
+        cd, c, w = self.cartan, self.coxeter, self.nc_element
+        noncrossing.perp_masks(cd, c)
+        if not cartan.abs_leq(cd, w, c):
+            raise NotInPosetError("element is not below the Coxeter element")
+        prod = cartan.identity_element(cd)
         for alpha in self.generators:
-            prod = prod.times_reflection(alpha, cartan.coroot(self.cartan, alpha))
-        if prod != self.nc_element:
+            prod = prod.times_reflection(alpha, cartan.coroot(cd, alpha))
+        if prod != w:
             raise StructuralError("generators do not multiply to the nc element")
 
 
@@ -111,14 +118,14 @@ def thick_from_nc(
     of its moved space.  The generators are its least word without a
     lattice: `noncrossing.least_step` on the perp masks, perp[k] = T(t_k c),
     at most rank times; each new root must miss the masks of the earlier ones.
+    For any w the steps stay below c, so they stop within rank; a w not
+    below c is refused by the `ThickSubcategory` they build.
     """
     if not cd.is_finite():
         raise UnsupportedLabelError("thick subcategories need a finite label")
     if c is None:
         c = cartan.coxeter_element(cd)
     perp = noncrossing.perp_masks(cd, c)
-    if not cartan.abs_leq(cd, w, c):
-        raise NotInPosetError("element is not below the Coxeter element")
     minus_one = [[x - int(i == j) for j, x in enumerate(row)] for i, row in enumerate(w.matrix)]
     normals = [linalg.mat_vec(cd.gram(), f) for f in linalg.nullspace(minus_one, cd.rank)]
     roots = cartan.positive_roots(cd)

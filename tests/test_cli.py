@@ -275,3 +275,22 @@ class TestSizeBounds:
     def test_kronecker_bound_cap(self, capsys, monkeypatch, command):
         err = self._rejected(capsys, monkeypatch, "ResourceLimitError", *command, "--bound", "4097")
         assert err == "error: ResourceLimitError: truncation bound 4097 exceeds the cap 4096\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [("nc", "--format", "count"), ("nc",), ("thick", "lattice"), ("thick", "lattice", "--format", "dot")],
+    )
+    @pytest.mark.parametrize("label", ["A11", "A40", "D11"])
+    def test_nc_size_cap_before_any_work(self, capsys, monkeypatch, command, label):
+        # |NC| comes from the degrees: no Coxeter element, perp or growth
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the size cap check")
+
+        for name in ("perp_masks", "left_perp_masks", "Packing"):
+            monkeypatch.setattr(cli.noncrossing, name, forbidden)
+        monkeypatch.setattr(cli.cartan, "coxeter_element", forbidden)
+        code, out, err = _run(capsys, *command, "--type", label)
+        assert code == 2
+        assert out == ""
+        size = cli.noncrossing.nc_size(cli.cartan.build_cartan(label))
+        assert err == f"error: ResourceLimitError: NC({label}) has {size} elements, past the cap 200000\n"

@@ -12,10 +12,18 @@ from ncthick.errors import (
     LatticeStructureError,
     NotInPosetError,
     OutOfRangeError,
+    ResourceLimitError,
     StructuralError,
     UnsupportedLabelError,
 )
 from test_linalg import inverse  # the test-side rational inverse
+
+
+def packed(matrix) -> int:
+    """The sum of M_ij 256^((n-1-i) n + n-1-j), with no check of the entries:
+    the int `Packing` keeps for the matrix M."""
+    entries = [x for row in matrix for x in row]
+    return sum(x << 8 * f for f, x in enumerate(reversed(entries)))
 
 
 def _lattice(label):
@@ -326,21 +334,21 @@ class TestCertificate:
         cd = cw.build_cartan(label)
         c = cw.coxeter_element(cd)
         steps = len(nc.enumerate_nc(cd, c)) - 1
-        real = cw.WeylElement.reflection_times
+        real = nc.Packing.reflection_times
         last = cd.rank - 1
         for target, (i, j) in itertools.product(range(steps), [(0, 0), (last, 0), (0, last)]):
             calls = []
 
-            def corrupt(self, alpha, q, target=target, i=i, j=j):
-                out = real(self, alpha, q)
+            def corrupt(self, p, k, target=target, i=i, j=j):
+                out = real(self, p, k)
                 calls.append(1)
                 if len(calls) - 1 != target:
                     return out
-                rows = [list(row) for row in out.matrix]
+                rows = [list(row) for row in self.unpack([out])[0].matrix]
                 rows[i][j] += 1
-                return cw.WeylElement(linalg.freeze(rows))
+                return packed(rows)
 
-            monkeypatch.setattr(cw.WeylElement, "reflection_times", corrupt)
+            monkeypatch.setattr(nc.Packing, "reflection_times", corrupt)
             with pytest.raises(LatticeStructureError):
                 nc.enumerate_nc(cd, c)
             assert len(calls) > target
@@ -349,10 +357,15 @@ class TestCertificate:
     def test_products_on_the_wrong_side_are_caught(self, label, monkeypatch):
         # every element built as its rest times t_k, on the right, is the
         # inverse of its least word's product
-        right = cw.WeylElement.times_reflection
-        monkeypatch.setattr(cw.WeylElement, "reflection_times", right)
+        cd = cw.build_cartan(label)
+        roots = cw.positive_roots(cd)
+
+        def right(self, p, k):
+            return self.pack(self.unpack([p])[0].times_reflection(roots[k], cw.coroot(cd, roots[k])))
+
+        monkeypatch.setattr(nc.Packing, "reflection_times", right)
         with pytest.raises(LatticeStructureError):
-            nc.enumerate_nc(cw.build_cartan(label))
+            nc.enumerate_nc(cd)
 
     @pytest.mark.parametrize("rest", ["identity", "itself"])
     def test_rest_not_one_rank_lower_is_caught(self, rest, monkeypatch):
@@ -382,6 +395,107 @@ class TestCertificate:
         lat = _lattice("A3")
         assert lat.hasse is lat.hasse
         assert len(lat.hasse) == len(lat.covers[0]) == len(lat.covers[1])
+
+
+PACKED_LABELS = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{x}{n}" for x in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+# max_k |q_k|_1 times the largest root coordinate
+FIELD_BOUNDS = {"A8": 4, "B8": 8, "C8": 10, "D8": 10, "E6": 18, "E7": 24, "E8": 36, "F4": 24, "G2": 15}
+
+
+class TestPacking:
+    @pytest.mark.parametrize("label", PACKED_LABELS)
+    def test_steps_match_reflection_times(self, label):
+        cd = cw.build_cartan(label)
+        packing = nc.Packing(cd)
+        roots = cw.positive_roots(cd)
+        rng = random.Random(label)
+        for _ in range(4):
+            w = cw.identity_element(cd)
+            p = packing.pack(w)
+            assert p == packed(w.matrix)
+            for k in rng.choices(range(len(roots)), k=2 * cd.rank):
+                w = w.reflection_times(roots[k], cw.coroot(cd, roots[k]))
+                p = packing.reflection_times(p, k)
+                assert p == packed(w.matrix)
+                assert packing.unpack([p])[0].matrix == w.matrix
+
+    @pytest.mark.parametrize("label", PACKED_LABELS)
+    def test_field_bound(self, label):
+        cd = cw.build_cartan(label)
+        roots = cw.positive_roots(cd)
+        radius = max(abs(x) for a in roots for x in a)
+        bound = radius * max(sum(map(abs, cw.coroot(cd, a))) for a in roots)
+        assert nc.Packing(cd).bound == bound < 128
+        assert bound == FIELD_BOUNDS.get(label, bound)
+
+    @pytest.mark.parametrize("label", ["A4", "B3", "D4", "G2"])
+    def test_order_is_matrix_order(self, label):
+        cd = cw.build_cartan(label)
+        packing = nc.Packing(cd)
+        elements = list(cw.weyl_group(cd))
+        by_int = sorted(elements, key=packing.pack)
+        assert by_int == sorted(elements, key=lambda w: w.matrix)
+        assert len(set(map(packing.pack, elements))) == len(elements)
+
+    def test_unpacked_rows_are_shared(self):
+        lat = _lattice("D5")
+        rows = [row for w in lat.elements for row in w.matrix]
+        assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+
+    def test_a_c_outside_w_is_refused(self):
+        # a GL2(Z) conjugate of c passes the length and order test and has
+        # an integral Euler form, but an entry past the root coordinates
+        a2 = cw.build_cartan("A2")
+        c = cw.WeylElement(((3, -13), (1, -4)))
+        assert cw.is_coxeter_element(a2, c)
+        nc.perp_masks(a2, c)
+        with pytest.raises(NotInPosetError, match="not in W"):
+            nc.enumerate_nc(a2, c)
+
+    def test_bound_checked_on_every_call(self, monkeypatch):
+        cd = cw.build_cartan("A3")
+        c = cw.coxeter_element(cd)
+        nc.enumerate_nc(cd, c)
+        monkeypatch.setattr(cw, "coroot", lambda cd, a: (128,) + (0,) * (cd.rank - 1))
+        with pytest.raises(StructuralError, match="does not fit"):
+            nc.enumerate_nc(cd, c)
+
+
+SMALL_FINITE = (
+    [f"A{n}" for n in range(1, 7)]
+    + [f"{x}{n}" for x in "BC" for n in range(2, 7)]
+    + [f"D{n}" for n in range(3, 7)]
+    + ["E6", "F4", "G2"]
+)
+
+
+class TestSizeCap:
+    @pytest.mark.parametrize("label", SMALL_FINITE)
+    def test_closed_form_counts_the_lattice(self, label):
+        cd = cw.build_cartan(label)
+        assert nc.nc_size(cd) == len(nc.enumerate_nc(cd))
+
+    def test_cap_admits_d10_and_b10_but_not_a11(self):
+        sizes = {label: nc.nc_size(cw.build_cartan(label)) for label in ("D10", "B10", "A11", "E8")}
+        assert sizes == {"D10": 136136, "B10": 184756, "A11": 208012, "E8": 25080}
+        assert sizes["B10"] <= nc.MAX_NC_SIZE < sizes["A11"]
+
+    @pytest.mark.parametrize("label", ["A11", "A40", "B11", "D11"])
+    def test_cap_before_any_work(self, label, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the size cap check")
+
+        for name in ("perp_masks", "left_perp_masks", "Packing"):
+            monkeypatch.setattr(nc, name, forbidden)
+        monkeypatch.setattr(cw, "coxeter_element", forbidden)
+        cd = cw.build_cartan(label)
+        with pytest.raises(ResourceLimitError, match=f"NC\\({label}\\) has {nc.nc_size(cd)} elements"):
+            nc.enumerate_nc(cd)
 
 
 class TestKreweras:

@@ -20,6 +20,7 @@ from ncthick.errors import (
     ResourceLimitError,
     StructuralError,
 )
+from test_noncrossing import packed  # the packed int of a matrix, unchecked
 from test_repcat import _tables, simple_rep  # test-side closure tables, simple representation
 
 
@@ -92,17 +93,18 @@ def _greedy_factorization(cd, w):
 
 def _corrupt_build(monkeypatch, cd, swap):
     """Pass the matrices enumerate_nc builds through the dict swap: the
-    first |NC| - 1 reflection_times calls, before the certificate's."""
+    first |NC| - 1 packed products, before the certificate's."""
     steps = len(nc.enumerate_nc(cd)) - 1
-    real = cw.WeylElement.reflection_times
+    swap = {packed(u.matrix): packed(v.matrix) for u, v in swap.items()}
+    real = nc.Packing.reflection_times
     calls = []
 
-    def corrupt(self, alpha, q):
-        out = real(self, alpha, q)
+    def corrupt(self, p, k):
+        out = real(self, p, k)
         calls.append(1)
         return swap.get(out, out) if len(calls) <= steps else out
 
-    monkeypatch.setattr(cw.WeylElement, "reflection_times", corrupt)
+    monkeypatch.setattr(nc.Packing, "reflection_times", corrupt)
 
 
 class TestThickFromNc:
@@ -138,20 +140,47 @@ class TestThickFromNc:
 
     def test_rejects_a_non_coxeter_element(self):
         # -id in B2 has absolute length 2 and lies above every reflection,
-        # but its order is 2, not the Coxeter number 4
+        # but its order is 2, not the Coxeter number 4: no value carries
+        # it, so no perp is asked for it
         b2 = cw.build_cartan("B2")
         minus = cw.WeylElement(((-1, 0), (0, -1)))
         assert all(cw.abs_leq(b2, t, minus) for t in cw.reflections(b2))
         s1 = tl.thick_from_nc(b2, cw.simple_reflection(b2, 1))
-        u = tl.ThickSubcategory(b2, minus, s1.nc_element, s1.generators)
+        with pytest.raises(NotInPosetError, match="not a Coxeter element"):
+            tl.ThickSubcategory(b2, minus, s1.nc_element, s1.generators)
         for w in cw.reflections(b2) + (minus,):
             with pytest.raises(NotInPosetError, match="not a Coxeter element"):
                 tl.thick_from_nc(b2, w, minus)
-        for perp in (tl.left_perp, tl.right_perp):
-            with pytest.raises(NotInPosetError, match="not a Coxeter element"):
-                perp(u)
         with pytest.raises(NotInPosetError, match="not a Coxeter element"):
             nc.enumerate_nc(b2, minus)
+
+    def test_value_rejects_an_element_not_below_c(self, a2):
+        # s2 s1 is the product of its generators, but not below c = s1 s2
+        c = cw.coxeter_element(a2)
+        w = cw.coxeter_element(a2, (2, 1))
+        assert not cw.abs_leq(a2, w, c)
+        with pytest.raises(NotInPosetError, match="not below"):
+            tl.ThickSubcategory(a2, c, w, ((0, 1), (1, 0)))
+        assert tl.ThickSubcategory(a2, w, w, ((0, 1), (1, 0))) == tl.thick_from_nc(a2, w, w)
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4"])
+    def test_rejects_every_element_not_below_c(self, label, monkeypatch):
+        # the value checks once: thick_from_nc asks abs_leq once per element
+        cd = cw.build_cartan(label)
+        calls = []
+        real = cw.abs_leq
+        monkeypatch.setattr(cw, "abs_leq", lambda *args: calls.append(1) or real(*args))
+        for perm in (None, tuple(range(cd.rank, 0, -1))):
+            c = cw.coxeter_element(cd, perm)
+            below = set(nc.enumerate_nc(cd, c).elements)
+            for w in cw.weyl_group(cd):
+                calls.clear()
+                if w in below:
+                    assert tl.thick_from_nc(cd, w, c).nc_element == w
+                else:
+                    with pytest.raises(NotInPosetError, match="not below"):
+                        tl.thick_from_nc(cd, w, c)
+                assert len(calls) == 1
 
 
 class TestCox:
@@ -258,21 +287,26 @@ class TestThickLattice:
         assert len(masks) == len(lat) - 1  # reading the words steps nothing
 
     def test_e6_one_product_route(self, monkeypatch):
-        # one build product and one certificate product per element past
-        # id, all on the left; on the right only coxeter_element's n
-        calls = {"reflection_times": 0, "times_reflection": 0}
-        for name in calls:
-            real = getattr(cw.WeylElement, name)
+        # one packed build product and one packed certificate product per
+        # element past id, all on the left; no WeylElement product on the
+        # left, and on the right only coxeter_element's n
+        calls = {"packed": 0, "reflection_times": 0, "times_reflection": 0}
+        for name, owner, attr in (
+            ("packed", nc.Packing, "reflection_times"),
+            ("reflection_times", cw.WeylElement, "reflection_times"),
+            ("times_reflection", cw.WeylElement, "times_reflection"),
+        ):
+            real = getattr(owner, attr)
 
-            def counted(self, alpha, q, _real=real, _name=name):
+            def counted(self, *args, _real=real, _name=name):
                 calls[_name] += 1
-                return _real(self, alpha, q)
+                return _real(self, *args)
 
-            monkeypatch.setattr(cw.WeylElement, name, counted)
+            monkeypatch.setattr(owner, attr, counted)
         cd = cw.build_cartan("E6")
         lat = tl.thick_lattice(cd)
-        assert calls == {"reflection_times": 2 * (len(lat) - 1), "times_reflection": cd.rank}
-        assert calls["reflection_times"] == 1664
+        assert calls == {"packed": 2 * (len(lat) - 1), "reflection_times": 0, "times_reflection": cd.rank}
+        assert calls["packed"] == 1664
 
     def test_thick_lattice_skips_abs_leq(self, monkeypatch):
         calls = []
