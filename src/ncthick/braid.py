@@ -44,6 +44,7 @@ class Factorization:
         reflection check), once the parts are multiplied out by rank-one
         updates, prod * s_alpha = prod - (prod alpha) (x) coroot(alpha)."""
         cd = self.cartan
+        cartan.check_rank(cd, self.target)
         prod = cartan.identity_element(cd)
         roots = []
         for x in self.parts:
@@ -107,6 +108,7 @@ def enumerate_factorizations(
         )
     if c is None:
         c = cartan.coxeter_element(cd)
+    cartan.check_rank(cd, c)
     roots = cartan.positive_roots(cd)
     steps = [(cartan.reflection_element(cd, a), a, cartan.coroot(cd, a)) for a in roots]
     out: list[Factorization] = []

@@ -33,6 +33,7 @@ from .errors import (
     InfiniteGroupError,
     IsotropicVectorError,
     NonIntegralReflectionError,
+    NotInPosetError,
     NotRealRootError,
     NotReflectionError,
     PermutationError,
@@ -279,6 +280,13 @@ def identity_element(cd: CartanDatum) -> WeylElement:
     return WeylElement(linalg.identity(cd.rank))
 
 
+def check_rank(cd: CartanDatum, w: WeylElement) -> None:
+    """Refuse a matrix that is not rank x rank, where it first meets cd."""
+    n = cd.rank
+    if len(w.matrix) != n or any(len(row) != n for row in w.matrix):
+        raise DimensionMismatchError(f"a {len(w.matrix)}-row matrix against rank {n}")
+
+
 def _gram_vector(cd: CartanDatum, a: Vector, b: Vector) -> Vector:
     """G b, once a and b are both checked to have length rank."""
     if len(a) != cd.rank or len(b) != cd.rank:
@@ -407,6 +415,7 @@ def reflection_root(cd: CartanDatum, w: WeylElement) -> Vector:
     made positive, is the only candidate; it is accepted only if its
     reflection is w.
     """
+    check_rank(cd, w)
     n = cd.rank
     for j in range(n):
         col = [int(i == j) - w.matrix[i][j] for i in range(n)]
@@ -464,6 +473,7 @@ def absolute_length(cd: CartanDatum, w: WeylElement) -> int:
     Finite types use the fixed-space codimension rank(w - id); the
     infinite dihedral KRONECKER group is classified by determinant.
     """
+    check_rank(cd, w)
     if cd.is_finite():
         n = cd.rank
         diff = tuple(
@@ -499,7 +509,11 @@ def _bfs_length_table(cd: CartanDatum) -> dict[WeylElement, int]:
 
 def absolute_length_bfs(cd: CartanDatum, w: WeylElement) -> int:
     """Independent oracle for absolute_length; enumerates the whole group."""
-    return _bfs_length_table(cd)[w]
+    check_rank(cd, w)
+    try:
+        return _bfs_length_table(cd)[w]
+    except KeyError:
+        raise NotInPosetError("element does not lie in W") from None
 
 
 def abs_leq(cd: CartanDatum, u: WeylElement, v: WeylElement) -> bool:

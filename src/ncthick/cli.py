@@ -73,6 +73,9 @@ def _cmd_braid(args) -> int:
         _emit(f"{len(facts)} factorizations, {orbits} {noun}")
     else:
         _emit(_dumps(braid.to_json(orbit)))
+    if orbits != 1:
+        sys.stderr.write("error: the Hurwitz orbit disagrees with the brute-force factorizations\n")
+        return 1
     return 0
 
 

@@ -187,10 +187,14 @@ def _knit(label: str, orientation: tuple[tuple[int, int], ...]):
 
 
 def _in_window(t: TranslationQuiver, v: Vertex) -> tuple[str, tuple[tuple[int, int], ...]]:
-    """Label and orientation of the window, which must hold v."""
+    """Label and orientation of the window, which must hold v: its level
+    in the window and its node one of 1..rank (node 0 or below would
+    index `_knit`'s table from the end)."""
     label, orientation, (lo, hi) = _require_meta(t)
     if not (lo <= v[0] <= hi):
         raise WindowError(f"source {v} outside window {(lo, hi)}")
+    if v[1] not in _nodes(label):
+        raise WindowError(f"source {v} has no node {v[1]} in {label}")
     return label, orientation
 
 

@@ -168,6 +168,7 @@ def euler_form(cd: CartanDatum, c: WeylElement) -> tuple[tuple[int, ...], ...]:
     StructuralError; a non-integral E, told apart by a rank taken only
     after a failed solve, raises NotInPosetError.
     """
+    cartan.check_rank(cd, c)
     n = cd.rank
     lhs = [[int(i == j) - row[i] for j, row in enumerate(c.matrix)] for i in range(n)]
     try:

@@ -734,16 +734,20 @@ def _chk_reflection_root_bijection():
 def _chk_kronecker_lattice():
     lat = thicklat.kronecker_lattice(2, 3)
     _expect(len(lat) == 15, f"glued lattice has {len(lat)} elements, expected 15")
-    for a in lat.elements:
-        for b in lat.elements:
-            lat.meet(a, b)
-            lat.join(a, b)
-    refs = [e for e in lat.elements if e[0] == "nc"]
-    tubes = [e for e in lat.elements if e[0] == "tube"]
-    for r in refs:
-        for t in tubes:
-            _expect(lat.meet(r, t) == ("bottom",), "cross-part meet must be bottom")
-            _expect(lat.join(r, t) == ("top",), "cross-part join must be top")
+    els, leq = lat.elements, lat.leq
+    for a, b in itertools.product(els, repeat=2):
+        # the greatest lower and the least upper bound, by definition: scans
+        lower = [x for x in els if leq(x, a) and leq(x, b)]
+        upper = [x for x in els if leq(a, x) and leq(b, x)]
+        meet = [x for x in lower if all(leq(y, x) for y in lower)]
+        join = [x for x in upper if all(leq(x, y) for y in upper)]
+        _expect(meet == [lat.meet(a, b)], "meet is not the unique greatest lower bound")
+        _expect(join == [lat.join(a, b)], "join is not the unique least upper bound")
+    p, bottom, top = len(lat.tube_points), els[0], els[-1]
+    for r, t in itertools.product(els[1:-1], repeat=2):
+        if r >> p and not t >> p:  # an nc atom and a tube set
+            _expect(lat.meet(r, t) == bottom, "cross-part meet must be bottom")
+            _expect(lat.join(r, t) == top, "cross-part join must be top")
     return "15 elements, all meets/joins exist, cross-part laws hold"
 
 

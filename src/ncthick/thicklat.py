@@ -18,6 +18,9 @@ kernel Hom and cokernel Ext^1).  Each term is split by `repcat`'s
 `decompose` (zero, stored and brick certificates, else Hom counts).
 Every subset of indecomposables is one bit of a 2^n-bit integer, so each
 ordered pair rules out all the subsets its consequences break at once.
+The Kronecker lattice glues the truncated NC part to the subsets of the
+tube points at bottom and top, each element one int mask: its order is
+the subset order of the bits, its meet the AND.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import itertools
 from . import cartan, derived, linalg, noncrossing, repcat
 from .cartan import CartanDatum, WeylElement
 from .errors import (
-    LatticeStructureError,
     NotInPosetError,
     OutOfRangeError,
     ResourceLimitError,
@@ -126,6 +128,7 @@ def thick_from_nc(
     if c is None:
         c = cartan.coxeter_element(cd)
     perp = noncrossing.perp_masks(cd, c)
+    cartan.check_rank(cd, w)
     minus_one = [[x - int(i == j) for j, x in enumerate(row)] for i, row in enumerate(w.matrix)]
     normals = [linalg.mat_vec(cd.gram(), f) for f in linalg.nullspace(minus_one, cd.rank)]
     roots = cartan.positive_roots(cd)
@@ -349,62 +352,48 @@ def wide_subcategory_oracle(q: repcat.Quiver) -> WideOracleResult:
 # ---------------------------------------------------------------------------
 # the Kronecker lattice
 
-Element = tuple  # ("bottom",) | ("top",) | ("nc", WeylElement) | ("tube", int)
-
 
 class KroneckerLattice:
     """NC part glued to an augmented power set along bottom and top.
 
-    A tube set is a bitmask over the sorted `tube_points`, bit i for
-    point i, so `leq` on tube sets is one AND and `rank_of` a popcount.
+    Each element is one int, ordered by the subset order of its bits.  A
+    tube set keeps the p low bits, bit i for point i of the sorted
+    `tube_points`; an nc atom is its `nc_part` mask, one root bit, shifted
+    left by p; bottom is 0 and top sets every bit.  `meet` is the AND, and
+    `join` the OR where that is an element, else top.  The up to 2^16 tube
+    sets keep the low bits: above the roots (up to 8,194) each would be an
+    8,200-bit int.  `position` is the one mask -> index table.
     """
 
-    __slots__ = ("nc_part", "tube_points", "elements", "_index")
+    __slots__ = ("nc_part", "tube_points", "elements", "position")
 
-    def __init__(
-        self, nc_part: NCLattice, tube_points: tuple[str, ...], elements: tuple[Element, ...]
-    ):
+    def __init__(self, nc_part: NCLattice, tube_points: tuple[str, ...], elements: tuple[int, ...]):
         self.nc_part, self.tube_points, self.elements = nc_part, tube_points, elements
-        self._index = {e: i for i, e in enumerate(elements)}
+        self.position = {e: i for i, e in enumerate(elements)}
 
     def __len__(self):
         return len(self.elements)
 
-    def index(self, e: Element) -> int:
+    def index(self, e: int) -> int:
         try:
-            return self._index[e]
+            return self.position[e]
         except KeyError:
             raise NotInPosetError(f"{e} is not a lattice element") from None
 
-    def leq(self, a: Element, b: Element) -> bool:
+    def leq(self, a: int, b: int) -> bool:
         self.index(a), self.index(b)
-        if a == b or a == ("bottom",) or b == ("top",):
-            return True
-        if b == ("bottom",) or a == ("top",):
-            return False
-        # two distinct nc atoms, or elements of different parts, are incomparable
-        return a[0] == b[0] == "tube" and not a[1] & ~b[1]
+        return not a & ~b
 
-    def meet(self, a: Element, b: Element) -> Element:
-        lower = [x for x in self.elements if self.leq(x, a) and self.leq(x, b)]
-        return self._extremum(lower, lower=True)
+    def meet(self, a: int, b: int) -> int:
+        self.index(a), self.index(b)
+        return a & b
 
-    def join(self, a: Element, b: Element) -> Element:
-        upper = [x for x in self.elements if self.leq(a, x) and self.leq(b, x)]
-        return self._extremum(upper, lower=False)
+    def join(self, a: int, b: int) -> int:
+        self.index(a), self.index(b)
+        return self.elements[self.position.get(a | b, -1)]
 
-    def _extremum(self, bounds: list[Element], lower: bool) -> Element:
-        for x in bounds:
-            if all((self.leq(y, x) if lower else self.leq(x, y)) for y in bounds):
-                return x
-        raise LatticeStructureError("no unique extremum; not a lattice")
-
-    def rank_of(self, e: Element) -> int:
-        if e == ("bottom",):
-            return 0
-        if e == ("top",):
-            return len(self.tube_points) + 1
-        return 1 if e[0] == "nc" else e[1].bit_count()
+    def rank_of(self, e: int) -> int:
+        return len(self.tube_points) + 1 if e == self.elements[-1] else e.bit_count()
 
 
 MAX_TUBE_POINTS = 16  # the bound cap is noncrossing.MAX_KRONECKER_BOUND
@@ -433,12 +422,13 @@ def kronecker_lattice(bound: int, points) -> KroneckerLattice:
     if distinct != count:
         raise OutOfRangeError(f"{count} tube point labels name only {distinct} distinct points")
     nc_part = noncrossing.nc_kronecker(bound)
-    atoms = [("nc", w) for w in nc_part.reflection_members()]
-    # tube sets by size, each size in combinations order of the sorted points
     p = len(points)
+    # nc_part's atoms lie between id and c, each one root bit: moved above the tube bits
+    atoms = [m << p for m in nc_part.masks[1:-1]]
+    # tube sets by size, each size in combinations order of the sorted points
     combos = (c for size in range(1, p + 1) for c in itertools.combinations(range(p), size))
-    tubes = [("tube", sum(1 << i for i in c)) for c in combos]
-    elements = (("bottom",), *atoms, *tubes, ("top",))
+    tubes = (sum(1 << i for i in c) for c in combos)
+    elements = (0, *atoms, *tubes, (1 << (p + len(atoms))) - 1)
     return KroneckerLattice(nc_part=nc_part, tube_points=points, elements=elements)
 
 
@@ -467,37 +457,27 @@ def thick_to_json(lat: NCLattice) -> dict:
     }
 
 
-def _kron_name(lat: KroneckerLattice, e: Element) -> str:
-    if e == ("bottom",):
-        return "0"
-    if e == ("top",):
-        return "1"
-    root = cartan.reflection_root(lat.nc_part.cartan, e[1])
-    return "s(" + ",".join(str(x) for x in root) + ")"
-
-
 def kronecker_to_json(lat: KroneckerLattice) -> dict:
-    """Tube sets as masks over the sorted tube points: covers S | {p} by lookup."""
-    points = lat.tube_points
-    bits = tuple(1 << n for n in range(len(points)))
-    position = {e[1]: i for i, e in enumerate(lat.elements) if e[0] == "tube"}
-    bottom, top = 0, len(lat.elements) - 1
-    atoms = range(1, 1 + len(lat.nc_part.reflection_members()))
-    edges = [[bottom, a] for a in atoms] + [[a, top] for a in atoms]
-    elements = []
-    for i, e in enumerate(lat.elements):
-        if e[0] != "tube":
-            elements.append({"id": i, "name": _kron_name(lat, e), "rank": lat.rank_of(e)})
-            continue
-        members = [p for p, b in zip(points, bits) if e[1] & b]
-        elements.append({"id": i, "name": "{" + ",".join(members) + "}", "rank": len(members)})
-        if len(members) == 1:
-            edges.append([bottom, i])
-        if len(members) == len(points):
-            edges.append([i, top])
-        edges += [[i, position[e[1] | b]] for b in bits if not e[1] & b]
-    if top == bottom + 1:
-        edges.append([bottom, top])
+    """Names and covers read off the masks: an nc atom is named by its
+    root, a tube set S by its points, and S is covered by S | {p}, one
+    `position` lookup each."""
+    points, position, roots = lat.tube_points, lat.position, lat.nc_part.roots
+    p, top = len(points), len(lat) - 1
+    full, bits = (1 << p) - 1, tuple(1 << n for n in range(p))
+    elements, edges = [{"id": 0, "name": "0", "rank": 0}], []
+    for i, e in enumerate(lat.elements[1:top], 1):
+        if e >> p:  # an nc atom
+            name = "s(" + ",".join(map(str, roots[e.bit_length() - 1 - p])) + ")"
+            edges += [[0, i], [i, top]]
+        else:
+            name = "{" + ",".join(x for x, b in zip(points, bits) if e & b) + "}"
+            if e.bit_count() == 1:
+                edges.append([0, i])
+            if e == full:
+                edges.append([i, top])
+            edges += [[i, position[e | b]] for b in bits if not e & b]
+        elements.append({"id": i, "name": name, "rank": lat.rank_of(e)})
+    elements.append({"id": top, "name": "1", "rank": lat.rank_of(lat.elements[top])})
     edges.sort()
     return {
         "tube_points": list(points),

@@ -182,21 +182,24 @@ def test_criterion_10_valuation_symmetry():
 def test_criterion_11_kronecker_lattice_shape():
     lat = tl.kronecker_lattice(2, 3)
     assert len(lat) <= 20
+    # bottom, the nc atoms, the tube sets, top
+    atoms = len(lat.nc_part) - 2
+    refs, tubes = lat.elements[1 : 1 + atoms], lat.elements[1 + atoms : -1]
+    bottom, top = lat.elements[0], lat.elements[-1]
     # nc part: height 2 with pairwise-incomparable atoms
-    refs = [e for e in lat.elements if e[0] == "nc"]
     assert len(refs) == 6
     for a in refs:
         for b in refs:
             if a != b:
                 assert not lat.leq(a, b) and not lat.leq(b, a)
-    # tube part: Boolean on 3 points
-    tubes = [e for e in lat.elements if e[0] == "tube"]
-    assert len(tubes) == 7
+    # tube part: Boolean on 3 points, each tube set its set of points
+    points = {t: frozenset(p for n, p in enumerate(lat.tube_points) if t >> n & 1) for t in tubes}
+    named = {s: t for t, s in points.items()} | {frozenset(): bottom}
+    assert len(tubes) == len(named) - 1 == 7
     for a in tubes:
         for b in tubes:
-            inter = a[1] & b[1]
-            assert lat.meet(a, b) == (("tube", inter) if inter else ("bottom",))
-            assert lat.join(a, b) == ("tube", a[1] | b[1])
+            assert lat.meet(a, b) == named[points[a] & points[b]]
+            assert lat.join(a, b) == named[points[a] | points[b]]
     # lattice axioms: every pair has a unique meet and join
     for a in lat.elements:
         for b in lat.elements:
@@ -206,8 +209,8 @@ def test_criterion_11_kronecker_lattice_shape():
     # cross part
     for a in refs:
         for b in tubes:
-            assert lat.meet(a, b) == ("bottom",)
-            assert lat.join(a, b) == ("top",)
+            assert lat.meet(a, b) == bottom
+            assert lat.join(a, b) == top
     _passed(11, f"glued shape verified exhaustively on {len(lat)} elements")
 
 

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncthick import braid, linalg
 from ncthick import cartan as cw
-from ncthick import linalg
+from ncthick import noncrossing as nc
+from ncthick import thicklat as tl
 from ncthick.errors import (
     DimensionMismatchError,
     InfiniteGroupError,
     IsotropicVectorError,
     NonIntegralReflectionError,
+    NotInPosetError,
     NotRealRootError,
     NotReflectionError,
     PermutationError,
@@ -546,3 +549,48 @@ class TestReflectionFromGramVector:
         monkeypatch.setattr(cw, "is_real_root", lambda cd, v: True)
         with pytest.raises(NonIntegralReflectionError):
             cw.reflection_element.__wrapped__(cd, (2, 0))
+
+
+
+_A3 = cw.build_cartan("A3")
+_C3, _C2 = cw.coxeter_element(_A3), cw.coxeter_element(cw.build_cartan("A2"))
+_S2 = cw.simple_reflection(cw.build_cartan("A2"), 1)
+_ID3 = cw.identity_element(_A3)
+
+
+class TestRankCheck:
+    """An A2 element met by the A3 datum, at every entry point a matrix
+    reaches one: each raises DimensionMismatchError, not an IndexError
+    from deep in the arithmetic."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: cw.absolute_length(_A3, _S2),
+            lambda: cw.absolute_length_bfs(_A3, _S2),
+            lambda: cw.abs_leq(_A3, _S2, _C3),
+            lambda: cw.abs_leq(_A3, _ID3, _C2),
+            lambda: cw.is_coxeter_element(_A3, _C2),
+            lambda: cw.reflection_root(_A3, _S2),
+            lambda: cw.is_reflection(_A3, _S2),
+            lambda: nc.euler_form(_A3, _C2),
+            lambda: nc.perp_masks(_A3, _C2),
+            lambda: nc.enumerate_nc(_A3, _C2),
+            lambda: tl.thick_from_nc(_A3, _S2),
+            lambda: tl.thick_from_nc(_A3, _ID3, _C2),
+            lambda: tl.ThickSubcategory(_A3, _C3, _S2, ()),
+            lambda: tl.ThickSubcategory(_A3, _C2, _ID3, ()),
+            lambda: braid.Factorization(_A3, (_S2,), _C3),
+            lambda: braid.Factorization(_A3, (), _C2),
+            lambda: braid.enumerate_factorizations(_A3, _C2),
+        ],
+    )
+    def test_a2_element_in_a3(self, call):
+        with pytest.raises(DimensionMismatchError, match="2-row matrix against rank 3"):
+            call()
+
+    def test_bfs_length_outside_w(self):
+        double = cw.WeylElement(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+        with pytest.raises(NotInPosetError, match="does not lie in W"):
+            cw.absolute_length_bfs(_A3, double)
+        assert cw.absolute_length_bfs(_A3, _C3) == 3

@@ -62,6 +62,23 @@ class TestBraid:
         jsonschema.validate(data, _schema("factorizations.schema.json"))
         assert len(data["factorizations"]) == 16
 
+    @pytest.mark.parametrize("count", [True, False])
+    def test_orbit_mismatch_exits_1(self, capsys, monkeypatch, count):
+        # an orbit missing one factorization is a verification failure:
+        # stdout as before, one error line, exit 1
+        from ncthick import braid
+
+        real = braid.hurwitz_orbit
+        monkeypatch.setattr(braid, "hurwitz_orbit", lambda f: real(f)[1:])
+        argv = ["braid", "orbit", "--type", "A2"] + ["--count"] * count
+        code, out, err = _run(capsys, *argv)
+        assert code == 1
+        assert err == "error: the Hurwitz orbit disagrees with the brute-force factorizations\n"
+        if count:
+            assert out == "3 factorizations, ? orbits\n"
+        else:
+            assert len(json.loads(out)["factorizations"]) == 2
+
 
 class TestArq:
     def test_json_schema(self, capsys):

@@ -169,6 +169,30 @@ class TestSuspension:
         assert h.value(ns1) == 1
 
 
+class TestVertexInWindow:
+    # node 0 or below would read another node's row of the knitted table
+    # from the end, and a node past the rank would fall off it
+    @pytest.mark.parametrize("node", [0, -1, -3, 4])
+    def test_knit_hammock_refuses_a_node_outside_the_rank(self, a3_window, node):
+        with pytest.raises(WindowError, match=f"has no node {node} in A3"):
+            dv.knit_hammock(a3_window, (1, node))
+
+    @pytest.mark.parametrize("node", [0, -1, -3, 4])
+    def test_suspension_refuses_a_node_outside_the_rank(self, a3_window, node):
+        with pytest.raises(WindowError, match=f"has no node {node} in A3"):
+            dv.suspension(a3_window, (1, node))
+
+    @pytest.mark.parametrize("node", [0, -1, -3, 4])
+    def test_serre_refuses_a_node_outside_the_rank(self, a3_window, node):
+        with pytest.raises(WindowError, match=f"has no node {node} in A3"):
+            dv.serre(a3_window, (1, node))
+
+    def test_level_outside_the_window(self, a3_window):
+        with pytest.raises(WindowError, match="outside window"):
+            dv.knit_hammock(a3_window, (15, 1))
+        assert dv.serre(a3_window, (14, 3)) == (16, 1)  # past the top: hammocks are not cut
+
+
 class TestEll:
     def test_a1_all_one(self):
         t = dv.build_zdelta("A1", (0, 4))

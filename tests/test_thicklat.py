@@ -711,41 +711,78 @@ class TestKroneckerLattice:
 
     def test_cross_part_meet_join(self):
         lat = tl.kronecker_lattice(1, 2)
-        refs = [e for e in lat.elements if e[0] == "nc"]
-        tubes = [e for e in lat.elements if e[0] == "tube"]
-        for r in refs:
+        atoms, tubes = _kronecker_parts(lat)
+        assert (len(atoms), len(tubes)) == (4, 3)
+        for r in atoms:
             for t in tubes:
-                assert lat.meet(r, t) == ("bottom",)
-                assert lat.join(r, t) == ("top",)
+                assert lat.meet(r, t) == lat.elements[0] == 0
+                assert lat.join(r, t) == lat.elements[-1]
 
     def test_tube_part_boolean(self):
+        # meets and joins of tube sets are the intersections and unions of
+        # their point sets, an empty intersection the bottom
         lat = tl.kronecker_lattice(0, 3)
-        tubes = [e for e in lat.elements if e[0] == "tube"]
+        _, tubes = _kronecker_parts(lat)
         assert len(tubes) == 7
+        named = {_tube_labels(lat, t): t for t in tubes}
+        named[frozenset()] = lat.elements[0]
         for a in tubes:
             for b in tubes:
-                m = lat.meet(a, b)
-                inter = a[1] & b[1]
-                assert m == (("tube", inter) if inter else ("bottom",))
-                assert lat.join(a, b) == ("tube", a[1] | b[1])
+                sa, sb = _tube_labels(lat, a), _tube_labels(lat, b)
+                assert lat.meet(a, b) == named[sa & sb]
+                assert lat.join(a, b) == named[sa | sb]
 
     def test_tube_sets_are_masks(self):
         # each nonempty subset of the sorted points once, as an int with
         # bit i for point i, by size; the order is one AND
         lat = tl.kronecker_lattice(1, ("d", "b", "c", "a"))
-        tubes = [e[1] for e in lat.elements if e[0] == "tube"]
+        _, tubes = _kronecker_parts(lat)
         assert all(type(m) is int for m in tubes)
         assert sorted(tubes) == list(range(1, 16))
         assert [m.bit_count() for m in tubes] == sorted(m.bit_count() for m in tubes)
-        assert lat.leq(("tube", 0b0101), ("tube", 0b1101))
-        assert not lat.leq(("tube", 0b0101), ("tube", 0b1011))
-        assert lat.rank_of(("tube", 0b1101)) == 3
+        assert lat.leq(0b0101, 0b1101)
+        assert not lat.leq(0b0101, 0b1011)
+        assert lat.rank_of(0b1101) == 3
+
+    @pytest.mark.parametrize("bound, points", [(0, 0), (1, 3), (3, 16), (4096, 2)])
+    def test_tube_masks_keep_the_low_bits(self, bound, points):
+        # tube sets below 1 << p, atoms one root bit each above them, top
+        # every bit: no tube set grows with the truncation bound
+        lat = tl.kronecker_lattice(bound, points)
+        atoms, tubes = _kronecker_parts(lat)
+        assert all(0 < t < 1 << points for t in tubes)
+        assert len(tubes) == (1 << points) - 1
+        assert sorted(a >> points for a in atoms) == [1 << k for k in range(len(atoms))]
+        assert lat.elements[-1] == (1 << (points + len(atoms))) - 1
+
+    def test_meet_join_leq_make_no_leq_call(self, monkeypatch):
+        lat = tl.kronecker_lattice(3, 16)
+        calls = []
+        real = tl.KroneckerLattice.leq
+        monkeypatch.setattr(tl.KroneckerLattice, "leq", lambda *args: calls.append(1) or real(*args))
+        atoms, tubes = _kronecker_parts(lat)
+        bottom, top = lat.elements[0], lat.elements[-1]
+        pairs = [(atoms[0], atoms[1]), (atoms[0], tubes[-1]), (tubes[-2], tubes[3]), (bottom, top)]
+        for a, b in pairs:
+            lat.meet(a, b), lat.join(a, b)
+        assert calls == []
+        assert [lat.leq(a, b) for a, b in pairs] == [False, False, False, True]
+        assert len(calls) == len(pairs)
+
+    def test_non_element_is_refused(self):
+        lat = tl.kronecker_lattice(1, 1)
+        two_atoms = lat.elements[1] | lat.elements[2]
+        for op in (lat.leq, lat.meet, lat.join):
+            with pytest.raises(NotInPosetError, match="is not a lattice element"):
+                op(two_atoms, 0)
+        assert lat.join(lat.elements[1], lat.elements[2]) == lat.elements[-1]
 
     def test_full_tube_set_is_not_top(self):
         lat = tl.kronecker_lattice(0, 2)
-        full = ("tube", (1 << len(lat.tube_points)) - 1)
+        full, top = (1 << len(lat.tube_points)) - 1, lat.elements[-1]
         assert full in lat.elements
-        assert lat.leq(full, ("top",)) and full != ("top",)
+        assert lat.leq(full, top) and full != top
+        assert (lat.rank_of(full), lat.rank_of(top)) == (2, 3)
 
     def test_all_meets_joins_exist(self):
         lat = tl.kronecker_lattice(2, 3)
@@ -829,42 +866,51 @@ class TestKroneckerLattice:
             tl.kronecker_lattice(cap + 1, 2)
 
 
+def _kronecker_parts(lat):
+    """(atoms, tubes) by position: bottom, the NC part's atoms, the tube
+    sets, top."""
+    a = len(lat.nc_part) - 2
+    return lat.elements[1 : 1 + a], lat.elements[1 + a : -1]
+
+
+def _tube_labels(lat, e):
+    return frozenset(p for n, p in enumerate(lat.tube_points) if e >> n & 1)
+
+
 def _kronecker_json_reference(lat):
     """Covers and names straight from label sets, each tube mask decoded
-    to the frozenset of its points, one `index` lookup of S | {p} per cover."""
+    to the frozenset of its points, one `index` lookup of S | {p} per
+    cover; each atom named by `reflection_root` of its NC element."""
     points = lat.tube_points
-
-    def labels(e):
-        return frozenset(p for n, p in enumerate(points) if e[1] >> n & 1)
+    atoms, tubes = _kronecker_parts(lat)
 
     def tube(s):
-        return ("tube", sum(1 << points.index(p) for p in s))
+        return sum(1 << points.index(p) for p in s)
 
-    def name(e):
-        if e[0] == "nc":
-            return "s(" + ",".join(map(str, cw.reflection_root(lat.nc_part.cartan, e[1]))) + ")"
-        return {"bottom": "0", "top": "1"}.get(e[0]) or "{" + ",".join(sorted(labels(e))) + "}"
+    def atom_name(e):
+        w = lat.nc_part.elements[lat.nc_part.position[e >> len(points)]]
+        return "s(" + ",".join(map(str, cw.reflection_root(lat.nc_part.cartan, w))) + ")"
 
     bottom, top = 0, len(lat.elements) - 1
-    atoms = range(1, 1 + len(lat.nc_part.reflection_members()))
-    edges = [(bottom, a) for a in atoms] + [(a, top) for a in atoms]
-    for i, e in enumerate(lat.elements):
-        if e[0] != "tube":
-            continue
-        s = labels(e)
+    names = ["0"] + [atom_name(e) for e in atoms]
+    ranks = [0] + [1] * len(atoms)
+    edges = [(bottom, a) for a in range(1, 1 + len(atoms))]
+    edges += [(a, top) for a in range(1, 1 + len(atoms))]
+    for i, e in enumerate(tubes, 1 + len(atoms)):
+        s = _tube_labels(lat, e)
+        names.append("{" + ",".join(sorted(s)) + "}")
+        ranks.append(len(s))
         if len(s) == 1:
             edges.append((bottom, i))
         if len(s) == len(points):
             edges.append((i, top))
         edges.extend((i, lat.index(tube(s | {p}))) for p in points if p not in s)
-    if top == bottom + 1:
-        edges.append((bottom, top))
+    names.append("1")
+    ranks.append(len(points) + 1)
     return {
         "tube_points": list(points),
         "truncation_bound": lat.nc_part.truncation_bound,
-        "elements": [
-            {"id": i, "name": name(e), "rank": lat.rank_of(e)} for i, e in enumerate(lat.elements)
-        ],
+        "elements": [{"id": i, "name": n, "rank": r} for i, (n, r) in enumerate(zip(names, ranks))],
         "hasse": [list(e) for e in sorted(edges)],
     }
 

@@ -110,11 +110,10 @@ class TestWeylElement:
         assert w == w and not w != w
 
     def test_kronecker_index_names_the_element(self):
+        # two atoms, bits 1 and 2 above the one tube bit: their join is top
         lat = thicklat.kronecker_lattice(1, 1)
-        w = cw.simple_reflection(cw.build_cartan("A2"), 1)
-        named = r"\('nc', WeylElement\(matrix=\(\(-1, 1\), \(0, 1\)\)\)\) is not"
-        with pytest.raises(NotInPosetError, match=named):
-            lat.index(("nc", w))
+        with pytest.raises(NotInPosetError, match=r"^6 is not a lattice element$"):
+            lat.index(0b110)
 
 
 class TestQuiverAndRepresentation:
