@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from . import cartan
 from .cartan import CartanDatum, WeylElement
-from .errors import NotInPosetError, NotReflectionError, ResourceLimitError
+from .errors import NotInPosetError, NotReflectionError, OutOfRangeError, ResourceLimitError
 
 Vector = tuple[int, ...]
 
@@ -88,7 +88,7 @@ def _from_roots(cd: CartanDatum, roots: tuple[Vector, ...], target: WeylElement)
 def braid_act(f: Factorization, i: int, inverse: bool = False) -> Factorization:
     """Apply the i-th braid generator (1-based, 1 <= i < len(parts))."""
     if not 1 <= i < len(f.parts):
-        raise IndexError(f"braid index {i} out of range for length {len(f.parts)}")
+        raise OutOfRangeError(f"braid index {i} out of range for length {len(f.parts)}")
     return _from_roots(f.cartan, _move(f.cartan, f.roots(), i, inverse), f.target)
 
 

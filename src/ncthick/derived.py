@@ -11,11 +11,14 @@ recursion
 
 where the suspension of X is not prescribed: it is detected as the unique
 vertex at which the uncorrected recursion first hits -1.  The translate
-shifts levels, so one table per orientation knits every node's hammock
-once, outside any window, on integer rows indexed by node, and each
-hammock is moved up to every level; knitting stops when the hammock dies
-out, at most 64 levels past the source whatever the window's width, so
-that broken inputs terminate.
+shifts levels, so one table per quiver knits every node's hammock once,
+outside any window, on integer rows indexed by node, and each hammock is
+moved up to every level; knitting stops when the hammock dies out, at
+most 64 levels past the source whatever the window's width, so that
+broken inputs terminate.  An orientation enters only as a checked
+`repcat.Quiver`, whose constructor requires the arrows to orient the
+Dynkin tree: `build_zdelta` builds one and stores it in the window's
+meta, and every table here is keyed by it.
 
 Output and the mesh check reuse that table.  `hammocks_json` formats
 each vertex name once, in a flat table indexed by level and node, and
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import operator
-import types
 
 from . import cartan, repcat
 from .errors import ResourceLimitError, StructuralError, WindowError
@@ -79,7 +81,10 @@ def build_zdelta(
     window: tuple[int, int],
     orientation: tuple[tuple[int, int], ...] | None = None,
 ) -> TranslationQuiver:
-    """The repetition of the tree restricted to levels lo..hi inclusive."""
+    """The repetition of the tree restricted to levels lo..hi inclusive.
+
+    The orientation is checked by `repcat.dynkin_quiver` before any other
+    work, and the window's meta holds that quiver and the window."""
     lo, hi = window
     if hi - lo + 1 > MAX_WINDOW_LEVELS:
         raise ResourceLimitError(
@@ -100,40 +105,33 @@ def build_zdelta(
         vertices=vertices,
         arrows=tuple(arrows),
         tau=tau,
-        meta={"label": label, "orientation": q.arrows, "window": (lo, hi)},
+        meta={"quiver": q, "window": (lo, hi)},
     )
 
 
-def _require_meta(t: TranslationQuiver) -> tuple[str, tuple[tuple[int, int], ...], tuple[int, int]]:
-    if not t.meta or "label" not in t.meta:
+def _require_meta(t: TranslationQuiver) -> tuple[repcat.Quiver, tuple[int, int]]:
+    if not t.meta or "quiver" not in t.meta:
         raise WindowError("this operation needs a window built by build_zdelta")
-    return t.meta["label"], t.meta["orientation"], t.meta["window"]
+    return t.meta["quiver"], t.meta["window"]
 
 
-def _nodes(label: str) -> range:
-    return range(1, cartan.parse_label(label)[1] + 1)
-
-
-def _node_order(label: str, orientation: tuple[tuple[int, int], ...]) -> list[int]:
-    """Topological order of the tree nodes along the orientation."""
-    remaining = set(_nodes(label))
+def _node_order(q: repcat.Quiver) -> list[int]:
+    """Topological order of the tree nodes along the orientation; an
+    oriented tree has a source among any nodes left, so each pass finds one."""
+    remaining = set(q.vertices)
     order = []
     while remaining:
-        for v in sorted(remaining):
-            if all(s not in remaining for s, t in orientation if t == v):
-                order.append(v)
-                remaining.discard(v)
-                break
-        else:
-            raise StructuralError("orientation has a cycle")
+        v = next(v for v in sorted(remaining) if all(s not in remaining for s, t in q.arrows if t == v))
+        order.append(v)
+        remaining.discard(v)
     return order
 
 
 @functools.lru_cache(maxsize=None)
-def _knit(label: str, orientation: tuple[tuple[int, int], ...]):
+def _knit(q: repcat.Quiver):
     """The hammock of (0, x) in the full repetition for every node x,
-    knitted once per (label, orientation) on integer rows, one per level
-    and indexed by node.
+    knitted once per checked quiver on integer rows, one per level and
+    indexed by node.
 
     Returns (hammocks, ell), both indexed by node - 1.  A hammock is its
     (vertex, value) items in sorted order, the suspension and the last
@@ -145,10 +143,10 @@ def _knit(label: str, orientation: tuple[tuple[int, int], ...]):
     steps = [
         (
             x - 1,
-            [s - 1 for s, t in orientation if t == x],
-            [t - 1 for s, t in orientation if s == x],
+            [s - 1 for s, t in q.arrows if t == x],
+            [t - 1 for s, t in q.arrows if s == x],
         )
-        for x in _node_order(label, orientation)
+        for x in _node_order(q)
     ]
     width = len(steps)
     hammocks = []
@@ -186,32 +184,30 @@ def _knit(label: str, orientation: tuple[tuple[int, int], ...]):
     return tuple(hammocks), tuple(ell)
 
 
-def _in_window(t: TranslationQuiver, v: Vertex) -> tuple[str, tuple[tuple[int, int], ...]]:
-    """Label and orientation of the window, which must hold v: its level
-    in the window and its node one of 1..rank (node 0 or below would
-    index `_knit`'s table from the end)."""
-    label, orientation, (lo, hi) = _require_meta(t)
+def _in_window(t: TranslationQuiver, v: Vertex) -> repcat.Quiver:
+    """The quiver of the window, which must hold v: its level in the
+    window and its node one of 1..rank (node 0 or below would index
+    `_knit`'s table from the end)."""
+    q, (lo, hi) = _require_meta(t)
     if not (lo <= v[0] <= hi):
         raise WindowError(f"source {v} outside window {(lo, hi)}")
-    if v[1] not in _nodes(label):
-        raise WindowError(f"source {v} has no node {v[1]} in {label}")
-    return label, orientation
+    if v[1] not in q.vertices:
+        raise WindowError(f"source {v} has no node {v[1]} in {q.label}")
+    return q
 
 
 def knit_hammock(t: TranslationQuiver, source: Vertex) -> Hammock:
     """dim Hom(source, -): the hammock of the source's node, moved up to its
     level, past the window's top if it dies out later."""
-    label, orientation = _in_window(t, source)
     level, node = source
-    items, (s, x), _ = _knit(label, orientation)[0][node - 1]
+    items, (s, x), _ = _knit(_in_window(t, source))[0][node - 1]
     values = {(n + level, y): k for (n, y), k in items}
     return Hammock(source=source, values=values, sigma_of_source=(s + level, x))
 
 
 def suspension(t: TranslationQuiver, x: Vertex) -> Vertex:
     """The shift of x, located by the hammock's -1 event."""
-    label, orientation = _in_window(t, x)
-    level, node = _knit(label, orientation)[0][x[1] - 1][1]
+    level, node = _knit(_in_window(t, x))[0][x[1] - 1][1]
     return (level + x[0], node)
 
 
@@ -228,8 +224,8 @@ def verify_mesh(t: TranslationQuiver) -> MeshReport:
     ell depends only on the node, so it is read off the column sums of the
     window's own hammock table, the one `hammocks_json` prints, and each
     vertex compares table entries."""
-    label, orientation, _ = _require_meta(t)
-    ells = dict(zip(_nodes(label), _knit(label, orientation)[1]))
+    q, _ = _require_meta(t)
+    ells = dict(zip(q.vertices, _knit(q)[1]))
     checked = []
     violations = []
     for z in t.vertices:
@@ -265,50 +261,48 @@ def module_slice(q: repcat.Quiver) -> dict[Vector, Vertex]:
     """Embed the module indecomposables (as positive roots) into the
     repetition: P_i at (grade(i), i), and each vertex v of the projectives'
     hammocks holds the module of dimension vector (dim Hom(P_i, v))_i."""
-    return dict(_slice(q.label, q.arrows))
+    return dict(_slice(q))
 
 
 @functools.lru_cache(maxsize=None)
-def _slice(
-    label: str, orientation: tuple[tuple[int, int], ...]
-) -> tuple[tuple[Vector, Vertex], ...]:
-    nodes = _node_order(label, orientation)
-    # grade the tree so that every arrow i -> j drops the level by one
+def _slice(q: repcat.Quiver) -> tuple[tuple[Vector, Vertex], ...]:
+    nodes = _node_order(q)
+    # grade the tree so that every arrow i -> j drops the level by one;
+    # each pass over the arrows of the connected tree grades a new node
     grade = {nodes[0]: 0}
     while len(grade) < len(nodes):
-        for s, t in orientation:
+        for s, t in q.arrows:
             if s in grade:
                 grade.setdefault(t, grade[s] - 1)
             elif t in grade:
                 grade[s] = grade[t] + 1
     low = min(grade.values())
-    hammocks = _knit(label, orientation)[0]
+    hammocks = _knit(q)[0]
     dims: dict[Vertex, list[int]] = {}
     for i in nodes:
         for (n, y), k in hammocks[i - 1][0]:
             dims.setdefault((n + grade[i] - low, y), [0] * len(nodes))[i - 1] = k
     placed = {tuple(d): v for v, d in dims.items()}
-    roots = cartan.positive_roots(cartan.build_cartan(label))
+    roots = cartan.positive_roots(cartan.build_cartan(q.label))
     if len(placed) != len(dims) or set(placed) != set(roots):
-        raise StructuralError(f"the projectives' hammocks do not place each root of {label} once")
+        raise StructuralError(f"the projectives' hammocks do not place each root of {q.label} once")
     return tuple((a, placed[a]) for a in roots)
 
 
-@functools.lru_cache(maxsize=None)
-def hom_ext_table(
-    label: str, orientation: tuple[tuple[int, int], ...]
-) -> types.MappingProxyType[tuple[Vector, Vector], tuple[int, int]]:
+def hom_ext_table(q: repcat.Quiver) -> dict[tuple[Vector, Vector], tuple[int, int]]:
     """(dim Hom, dim Ext^1) for each ordered pair (a, b) of positive roots:
-    the hammock of a's vertex read at b's vertex and at its suspension."""
-    slice_ = _slice(label, orientation)
-    hammocks = _knit(label, orientation)[0]
+    the hammock of a's vertex read at b's vertex and at its suspension.
+    A new plain dict on each call, not cached: the one production caller,
+    `thicklat._exceptional_masks`, is itself cached per Coxeter element."""
+    slice_ = _slice(q)
+    hammocks = _knit(q)[0]
     table = {}
     for a, (n, x) in slice_:
         values = {(k + n, y): d for (k, y), d in hammocks[x - 1][0]}
         for b, (m, y) in slice_:
             s, z = hammocks[y - 1][1]
             table[(a, b)] = (values.get((m, y), 0), values.get((s + m, z), 0))
-    return types.MappingProxyType(table)
+    return table
 
 
 def window_dot(t: TranslationQuiver) -> str:
@@ -345,10 +339,10 @@ def hammocks_json(t: TranslationQuiver) -> dict:
     the hammocks reach; each node's hammock is a template of offsets into
     it, so a vertex's entries are one slice of the table, and all keys
     naming a vertex are one shared string."""
-    label, orientation, (lo, hi) = _require_meta(t)
-    nodes = _nodes(label)
+    q, (lo, hi) = _require_meta(t)
+    nodes = q.vertices
     width = len(nodes)
-    knits = dict(zip(nodes, _knit(label, orientation)[0]))
+    knits = dict(zip(nodes, _knit(q)[0]))
     top = hi + max(last for _, _, last in knits.values())
     table = [f"{n}:{x}" for n in range(lo, top + 1) for x in nodes]
     name = {v: table[(v[0] - lo) * width + v[1] - 1] for v in t.vertices}
@@ -362,8 +356,8 @@ def hammocks_json(t: TranslationQuiver) -> dict:
             "suspension": table[base + sigma_at],
         }
     return {
-        "type": label,
-        "orientation": [list(a) for a in orientation],
+        "type": q.label,
+        "orientation": [list(a) for a in q.arrows],
         "window": [lo, hi],
         "vertices": list(name.values()),
         "arrows": [[name[s], name[d], list(val)] for s, d, val in t.arrows],

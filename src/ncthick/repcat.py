@@ -212,7 +212,10 @@ def hom_dim(q: Quiver, source: Representation, target: Representation) -> int:
 
 
 def euler_form(q: Quiver, a: Vector, b: Vector) -> int:
-    """Sum a_i b_i minus sum over arrows i->j of a_i b_j."""
+    """Sum a_i b_i minus sum over arrows i->j of a_i b_j; a and b must
+    each have one entry per vertex."""
+    if len(a) != q.rank or len(b) != q.rank:
+        raise DimensionMismatchError(f"vectors of length {len(a)}, {len(b)} against rank {q.rank}")
     val = linalg.dot(a, b)
     for s, t in q.arrows:
         val -= a[s - 1] * b[t - 1]
@@ -326,6 +329,8 @@ def indecomposable_for_root(q: Quiver, alpha: Vector) -> Representation:
 
 def projective_dim(q: Quiver, i: int) -> Vector:
     """Dimension vector of the projective at i: the vertices reachable from i."""
+    if i not in q.vertices:
+        raise DimensionMismatchError(f"no vertex {i} in {q.label}")
     reach = {i}
     changed = True
     while changed:

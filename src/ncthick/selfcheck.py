@@ -529,7 +529,7 @@ def _chk_hammock_oracle():
         emb = derived.module_slice(q)
         window = derived.build_zdelta(label, (-2, 4 * q.rank))
         reps = {a: repcat.indecomposable_for_root(q, a) for a in emb}
-        for (a, b), hom_ext in derived.hom_ext_table(label, q.arrows).items():
+        for (a, b), hom_ext in derived.hom_ext_table(q).items():
             sigma2 = derived.suspension(window, derived.suspension(window, emb[b]))
             got = hom_ext + (derived.knit_hammock(window, emb[a]).value(sigma2),)
             want = tuple(derived.derived_hom(q, (reps[a], 0), (reps[b], s)) for s in range(3))

@@ -92,7 +92,8 @@ def _exceptional_masks(cd: CartanDatum, c: WeylElement) -> tuple[int, ...]:
     rest is and misses bad[k]; each E_k is checked exceptional.  The quiver
     of c has an arrow s -> t where E(alpha_s, alpha_t) = -1 (`repcat.Quiver`
     checks the tree); non-simply-laced labels get all-zero masks, so no
-    check.  Cached per (cd, c): `thick_from_nc` and the perps ask once."""
+    check.  Cached per (cd, c): `thick_from_nc` and the perps ask once, so
+    `derived.hom_ext_table`, which caches nothing, runs once per (cd, c)."""
     roots = cartan.positive_roots(cd)
     family, _ = cartan.parse_label(cd.label)
     if family not in "ADE":
@@ -100,7 +101,7 @@ def _exceptional_masks(cd: CartanDatum, c: WeylElement) -> tuple[int, ...]:
     e = noncrossing.euler_form(cd, c)
     arrows = tuple((s + 1, t + 1) for s, row in enumerate(e) for t, x in enumerate(row) if x == -1)
     q = repcat.Quiver(label=cd.label, vertices=tuple(range(1, cd.rank + 1)), arrows=arrows)
-    table = derived.hom_ext_table(cd.label, q.arrows)
+    table = derived.hom_ext_table(q)
     bad = []
     for a in roots:
         if table[(a, a)] != (1, 0):

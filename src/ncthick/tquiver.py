@@ -4,16 +4,20 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 
+from .errors import DimensionMismatchError, OutOfRangeError
+
 Valuation = tuple[int, int]
 
 
 class TranslationQuiver:
     """A quiver with arrow valuations (d, d') and a partial translate tau.
 
-    Vertices may be any hashable labels.  Where tau(z) is defined, the
-    arrows into z must biject with the arrows out of tau(z); this mesh
-    shape is checkable via check_mesh_shape, not enforced on build, so
-    that windows cut out of an ambient quiver remain representable.
+    Vertices may be any hashable labels; an arrow end, a tau key or a tau
+    value outside them raises DimensionMismatchError, and a valuation
+    below 1 OutOfRangeError.  Where tau(z) is defined, the arrows into z
+    must biject with the arrows out of tau(z); this mesh shape is
+    checkable via check_mesh_shape, not enforced on build, so that windows
+    cut out of an ambient quiver remain representable.
     """
 
     __slots__ = ("vertices", "arrows", "tau", "meta", "_into", "_out")
@@ -26,14 +30,18 @@ class TranslationQuiver:
         meta: dict | None = None,
     ):
         self.vertices, self.arrows, self.tau, self.meta = vertices, arrows, tau, meta
-        for _, _, (d, dp) in self.arrows:
-            if d < 1 or dp < 1:
-                raise ValueError("valuations must be positive")
         into: dict[Hashable, list] = {v: [] for v in self.vertices}
         out: dict[Hashable, list] = {v: [] for v in self.vertices}
         for s, t, val in self.arrows:
+            if s not in out or t not in into:
+                raise DimensionMismatchError(f"arrow {s} -> {t} names a vertex outside the quiver")
+            if val[0] < 1 or val[1] < 1:
+                raise OutOfRangeError(f"arrow {s} -> {t} has valuation {val}; both parts must be positive")
             out[s].append((t, val))
             into[t].append((s, val))
+        for z, tz in self.tau.items():
+            if z not in into or tz not in into:
+                raise DimensionMismatchError(f"tau {z} -> {tz} names a vertex outside the quiver")
         self._into = {v: tuple(xs) for v, xs in into.items()}
         self._out = {v: tuple(xs) for v, xs in out.items()}
 

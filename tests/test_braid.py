@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ncthick import braid
 from ncthick import cartan as cw
 from ncthick import linalg
-from ncthick.errors import NotInPosetError, NotReflectionError, ResourceLimitError
+from ncthick.errors import NotInPosetError, NotReflectionError, OutOfRangeError, ResourceLimitError
 
 
 def _standard(label):
@@ -108,9 +108,9 @@ class TestBraidAct:
 
     def test_index_out_of_range(self):
         f = _standard("A2")
-        with pytest.raises(IndexError):
+        with pytest.raises(OutOfRangeError, match="braid index 2 out of range for length 2"):
             braid.braid_act(f, 2)
-        with pytest.raises(IndexError):
+        with pytest.raises(OutOfRangeError, match="braid index 0 out of range"):
             braid.braid_act(f, 0)
 
     @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import signal
 
 import pytest
 
@@ -8,7 +9,7 @@ from ncthick import cartan as cw
 from ncthick import cli
 from ncthick import derived as dv
 from ncthick import repcat as rc
-from ncthick.errors import ResourceLimitError, StructuralError, WindowError
+from ncthick.errors import DimensionMismatchError, ResourceLimitError, StructuralError, WindowError
 from test_repcat import simple_rep  # the test-side simple representation
 
 
@@ -16,9 +17,14 @@ def ell(t, x):
     """Total morphism length into x, the sum of dim Hom(-, x): a hammock
     total of the opposite orientation, the reference for the column sums
     `verify_mesh` reads off the window's own table."""
-    label, orientation = dv._in_window(t, x)
-    items = dv._knit(label, tuple((b, a) for a, b in orientation))[0][x[1] - 1][0]
+    q = dv._in_window(t, x)
+    items = dv._knit(_opposite(q))[0][x[1] - 1][0]
     return sum(k for _, k in items)
+
+
+def _opposite(q):
+    """The quiver with every arrow reversed."""
+    return rc.dynkin_quiver(q.label, tuple((b, a) for a, b in q.arrows))
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +67,29 @@ class TestBuildZdelta:
         assert len(dv.build_zdelta("A1", (0, 1023)).vertices) == 1024
         with pytest.raises(ResourceLimitError, match="1025 levels"):
             dv.build_zdelta("A1", (0, 1024))
+
+    def test_disconnected_arrows_refused_before_knitting(self, monkeypatch):
+        # ((1, 2),) leaves node 3 of A3 unconnected; grading the slice of
+        # such arrows never ended, so every route runs under an alarm
+        def hang(signum, frame):
+            raise TimeoutError("no answer within 5 s")
+
+        monkeypatch.setattr(dv, "_knit", lambda *args: pytest.fail("knitted"))
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            for build in (
+                lambda: dv.build_zdelta("A3", (0, 0), ((1, 2),)),
+                lambda: rc.dynkin_quiver("A3", ((1, 2),)),
+            ):
+                with pytest.raises(DimensionMismatchError, match="not an orientation of the A3 tree"):
+                    build()
+            # the table takes no bare arrows, only a checked quiver
+            with pytest.raises(TypeError):
+                dv.hom_ext_table("A3", ((1, 2),))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestKnit:
@@ -246,7 +275,7 @@ class TestMesh:
         assert calls == []
         assert dv._knit.cache_info().misses == 1
         assert dv._knit.cache_info().currsize == 1
-        assert len(dv._knit("E8", t.meta["orientation"])[0]) == 8
+        assert len(dv._knit(t.meta["quiver"])[0]) == 8
 
 
 class TestDerivedHom:
@@ -359,23 +388,32 @@ class TestModuleSlice:
         q = rc.dynkin_quiver("D4", ((2, 1), (2, 3), (4, 2)))
         emb = dv.module_slice(q)
         reps = {a: rc.indecomposable_for_root(q, a) for a in emb}
-        table = dv.hom_ext_table(q.label, q.arrows)
+        table = dv.hom_ext_table(q)
         assert len(table) == 144
         for (a, b), (h, e) in table.items():
             assert (h, e) == (rc.hom(q, reps[a], reps[b]).dim, rc.ext1_dim(q, reps[a], reps[b]))
+
+    def test_hom_ext_table_is_a_new_plain_dict(self):
+        q = rc.dynkin_quiver("A3", ((2, 1), (2, 3)))
+        first = dv.hom_ext_table(q)
+        second = dv.hom_ext_table(q)
+        assert type(first) is dict and type(second) is dict
+        assert first == second and first is not second
+        first.clear()
+        assert dv.hom_ext_table(q) == second and len(second) == 36
 
     def test_misplaced_root_raises(self, monkeypatch):
         # a knit that loses one value leaves a root unplaced or placed twice
         real = dv._knit.__wrapped__
 
-        def lossy(label, orientation):
-            hammocks, ell = real(label, orientation)
+        def lossy(q):
+            hammocks, ell = real(q)
             (items, sigma, last), *rest = hammocks
             return ((items[1:], sigma, last), *rest), ell
 
         monkeypatch.setattr(dv, "_knit", lossy)
         with pytest.raises(StructuralError, match="once"):
-            dv._slice.__wrapped__("A3", cw.tree_edges("A3"))
+            dv._slice.__wrapped__(rc.dynkin_quiver("A3"))
 
 
 class TestSerreDuality:
@@ -436,12 +474,12 @@ def _seeded_orientation(label, seed):
     return tuple((b, a) if rng.random() < 0.5 else (a, b) for a, b in cw.tree_edges(label))
 
 
-def _knit_reference(label, orientation, node):
+def _knit_reference(q, node):
     """One node's hammock knitted alone, on a dict keyed by vertex: its
     values, the suspension and the last level knitted."""
-    order = dv._node_order(label, orientation)
+    order = dv._node_order(q)
     into = {
-        x: [(0, s) for s, t in orientation if t == x] + [(-1, t) for s, t in orientation if s == x]
+        x: [(0, s) for s, t in q.arrows if t == x] + [(-1, t) for s, t in q.arrows if s == x]
         for x in order
     }
     values, sigma, n = {}, None, 0
@@ -474,17 +512,17 @@ class TestKnitTable:
         # column sums of the forward table against the opposite
         # orientation's hammock totals, which share no sum with them
         t = dv.build_zdelta(label, (0, 0), _seeded_orientation(label, seed))
-        sums = dv._knit(label, t.meta["orientation"])[1]
+        sums = dv._knit(t.meta["quiver"])[1]
         assert sums == tuple(ell(t, v) for v in t.vertices)
 
     @pytest.mark.parametrize("label", ADE_UP_TO_RANK_8)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rows_match_dict_knit(self, label, seed):
-        orientation = rc.dynkin_quiver(label, _seeded_orientation(label, seed)).arrows
-        hammocks = dv._knit(label, orientation)[0]
+        q = rc.dynkin_quiver(label, _seeded_orientation(label, seed))
+        hammocks = dv._knit(q)[0]
         assert len(hammocks) == cw.parse_label(label)[1]
         for node, (items, sigma, last) in enumerate(hammocks, 1):
-            values, *rest = _knit_reference(label, orientation, node)
+            values, *rest = _knit_reference(q, node)
             assert items == tuple(sorted(values.items()))
             assert (sigma, last) == tuple(rest)
 
@@ -498,18 +536,19 @@ class TestKnitTable:
         ell(t, (0, 1))
         assert dv._knit.cache_info().misses == 2
 
-    def test_cap_on_a_euclidean_star(self):
-        # four arms on one node are not Dynkin: no hammock dies out
-        with pytest.raises(WindowError, match="hammock of node 1 does not die out within the cap"):
-            dv._knit.__wrapped__("A5", ((3, 1), (3, 2), (3, 4), (3, 5)))
+    def test_cap_on_a64(self):
+        # the hammock of A64's last node needs h = 65 levels, one past the
+        # cap; no checked quiver is a Euclidean star, whose hammocks never die
+        with pytest.raises(WindowError, match="hammock of node 64 does not die out within the cap"):
+            dv._knit.__wrapped__(rc.dynkin_quiver("A64"))
 
 
 def _hammocks_json_reference(t):
     """The per-vertex route: every name and entry formatted as a fresh string."""
-    label, orientation, window = t.meta["label"], t.meta["orientation"], t.meta["window"]
+    q, window = t.meta["quiver"], t.meta["window"]
     name = lambda v: f"{v[0]}:{v[1]}"  # noqa: E731
     hams = {}
-    knits = {x: _knit_reference(label, orientation, x) for x in dv._nodes(label)}
+    knits = {x: _knit_reference(q, x) for x in q.vertices}
     for level, node in t.vertices:
         values, (s, x), _ = knits[node]
         hams[f"{level}:{node}"] = {
@@ -517,8 +556,8 @@ def _hammocks_json_reference(t):
             "suspension": f"{s + level}:{x}",
         }
     return {
-        "type": label,
-        "orientation": [list(a) for a in orientation],
+        "type": q.label,
+        "orientation": [list(a) for a in q.arrows],
         "window": list(window),
         "vertices": [name(v) for v in t.vertices],
         "arrows": [[name(s), name(d), list(val)] for s, d, val in t.arrows],
@@ -591,8 +630,7 @@ class TestHammocksJsonTable:
         for ham in data["hammocks"].values():
             keys.extend(ham["values"])
             keys.append(ham["suspension"])
-        orientation = t.meta["orientation"]
-        top = hi + max(last for _, _, last in dv._knit(label, orientation)[0])
+        top = hi + max(last for _, _, last in dv._knit(t.meta["quiver"])[0])
         table = (top - lo + 1) * 8
         assert len(keys) > 10 * table
         assert len({id(k) for k in keys}) <= table
@@ -625,7 +663,7 @@ class TestVerifyMeshTable:
         monkeypatch.setattr(dv, "_knit", counted)
         t = dv.build_zdelta("E8", (0, 24))
         assert dv.verify_mesh(t).ok
-        assert calls == [("E8", t.meta["orientation"])]
+        assert calls == [(t.meta["quiver"],)]
 
     @pytest.mark.parametrize("label,node", [("D5", 3), ("E7", 4), ("A3", 1)])
     def test_off_by_one_ell_is_caught(self, label, node, monkeypatch, capsys):
@@ -633,11 +671,11 @@ class TestVerifyMeshTable:
         # is already cached: the report must still bite, exactly where the
         # per-vertex route with the same +1 does
         real = dv._knit
-        forward = rc.dynkin_quiver(label).arrows
+        forward = rc.dynkin_quiver(label)
 
-        def off(lab, orientation):
-            hammocks, ell = real(lab, orientation)
-            if orientation == forward:
+        def off(q):
+            hammocks, ell = real(q)
+            if q == forward:
                 ell = tuple(v + (x == node) for x, v in enumerate(ell, 1))
             return hammocks, ell
 

@@ -7,6 +7,7 @@ from ncthick import repcat as rc
 from ncthick.errors import (
     DimensionMismatchError,
     NotRealRootError,
+    OutOfRangeError,
     ResourceLimitError,
     StructuralError,
     UnsupportedLabelError,
@@ -77,6 +78,40 @@ class TestQuiver:
     def test_rejects_wrong_tree(self):
         with pytest.raises(DimensionMismatchError):
             rc.dynkin_quiver("A3", ((1, 2), (1, 3)))
+
+
+class TestHelperInputs:
+    @pytest.mark.parametrize("i", [0, -1, 4])
+    def test_projective_dim_outside_the_vertices(self, a3, i):
+        assert rc.projective_dim(a3, 2) == (0, 1, 1)
+        with pytest.raises(DimensionMismatchError, match=f"no vertex {i} in A3"):
+            rc.projective_dim(a3, i)
+
+    @pytest.mark.parametrize(
+        "a,b", [((1, 0), (1, 0, 0)), ((1, 0, 0), (1, 0)), ((1, 0, 0, 0), (1, 0, 0, 0))]
+    )
+    def test_euler_form_wrong_length(self, a3, a, b):
+        assert rc.euler_form(a3, (1, 0, 0), (1, 0, 0)) == 1
+        with pytest.raises(DimensionMismatchError, match="against rank 3"):
+            rc.euler_form(a3, a, b)
+
+
+class TestTranslationQuiver:
+    @pytest.mark.parametrize("arrow", [("a", "z", (1, 1)), ("z", "a", (1, 1))])
+    def test_arrow_outside_the_vertices(self, arrow):
+        with pytest.raises(DimensionMismatchError, match="names a vertex outside the quiver"):
+            TranslationQuiver(vertices=("a",), arrows=(arrow,), tau={})
+
+    @pytest.mark.parametrize("tau", [{"z": "a"}, {"a": "z"}])
+    def test_tau_outside_the_vertices(self, tau):
+        # before, check_mesh_shape() then reported nothing
+        with pytest.raises(DimensionMismatchError, match="names a vertex outside the quiver"):
+            TranslationQuiver(vertices=("a",), arrows=(), tau=tau)
+
+    @pytest.mark.parametrize("val", [(0, 1), (1, 0), (-2, 3)])
+    def test_valuation_below_one(self, val):
+        with pytest.raises(OutOfRangeError, match="both parts must be positive"):
+            TranslationQuiver(vertices=("a", "b"), arrows=(("a", "b", val),), tau={})
 
 
 class TestRepresentation:

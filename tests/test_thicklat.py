@@ -317,7 +317,7 @@ class TestThickLattice:
     def test_indecomposables_built_once_per_root(self, monkeypatch):
         # no indecomposable is built: each root's hammock is a translate of
         # the hammock of one node, and one table knits every node's once
-        for cache in (dv._knit, dv._slice, dv.hom_ext_table, tl._exceptional_masks):
+        for cache in (dv._knit, dv._slice, tl._exceptional_masks):
             cache.cache_clear()
         built = []
         real = rc.indecomposable_for_root
@@ -327,15 +327,17 @@ class TestThickLattice:
         cd = cw.build_cartan("D4")
         tl.thick_lattice(cd)
         assert built == []
-        assert len(dv._knit(cd.label, rc.dynkin_quiver(cd.label).arrows)[0]) == cd.rank
+        assert len(dv._knit(rc.dynkin_quiver(cd.label))[0]) == cd.rank
         assert dv._knit.cache_info().misses == 1
 
     def test_exceptional_checks_solve_each_pair_once(self, monkeypatch):
         # Hom and Ext^1 come from one hammock table with an entry per ordered
         # pair of roots, so the ADE certificates reach none of the linear
         # algebra of the representation oracle
-        for cache in (dv._knit, dv._slice, dv.hom_ext_table, tl._exceptional_masks):
+        for cache in (dv._knit, dv._slice, tl._exceptional_masks):
             cache.cache_clear()
+        reads, real = [], dv.hom_ext_table
+        monkeypatch.setattr(dv, "hom_ext_table", lambda q: reads.append(q) or real(q))
         calls = []
         for name, f in list(vars(rc).items()):
             if inspect.isfunction(f) and f.__module__ == rc.__name__:
@@ -348,9 +350,9 @@ class TestThickLattice:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "41aac08eac283908efd5b3456b4f7e7029224f4305c8d79a1a1a5eeb1b273ffd"
         assert calls == []
-        assert dv.hom_ext_table.cache_info().misses == 1
+        assert reads == [rc.Quiver("D4", (1, 2, 3, 4), cw.tree_edges("D4"))]
         n = len(cw.positive_roots(cd))
-        assert len(dv.hom_ext_table("D4", cw.tree_edges("D4"))) == n * n
+        assert len(real(reads[0])) == n * n
 
     @pytest.mark.parametrize("label", ["A3", "D4", "D5"])
     def test_masks_match_exceptional_pairs(self, label):
@@ -377,14 +379,28 @@ class TestThickLattice:
         tl.left_perp(w)
         tl.right_perp(w)
         assert len(u.generators) == 6 and len(w.generators) == 1
-        assert reads == [("E6", cw.tree_edges("E6"))]
+        assert reads == [(rc.dynkin_quiver("E6"),)]
+
+    def test_one_table_per_coxeter_element(self, monkeypatch):
+        # the table is not cached: the masks' cache per (cd, c) is what
+        # keeps it to one build each
+        monkeypatch.setattr(
+            tl, "_exceptional_masks", functools.lru_cache(tl._exceptional_masks.__wrapped__)
+        )
+        reads, real = [], dv.hom_ext_table
+        monkeypatch.setattr(dv, "hom_ext_table", lambda q: reads.append(q) or real(q))
+        cd = cw.build_cartan("A4")
+        c, d = cw.coxeter_element(cd), cw.coxeter_element(cd, (2, 3, 4, 1))
+        for w in (c, d, c, d, c):
+            tl._exceptional_masks(cd, w)
+        assert reads == [rc.dynkin_quiver("A4"), rc.dynkin_quiver("A4", ((2, 1), (2, 3), (3, 4)))]
 
     def test_flipped_hom_entry_is_caught(self, monkeypatch):
         # Hom(E_b, E_a) = 1 for the last two generators of c: the pair is
         # no longer exceptional, so the certificate of c must fail
         cd = cw.build_cartan("D4")
         a, b = tl.thick_from_nc(cd, cw.coxeter_element(cd)).generators[-2:]
-        table = dict(dv.hom_ext_table("D4", cw.tree_edges("D4")))
+        table = dv.hom_ext_table(rc.dynkin_quiver("D4"))
         assert table[(b, a)] == (0, 0)
         table[(b, a)] = (1, 0)
         monkeypatch.setattr(dv, "hom_ext_table", lambda *args: table)
@@ -422,7 +438,8 @@ class TestThickLattice:
         real = dv.hom_ext_table
         wrong = {"reversed": tuple((t, s) for s, t in arrows), "standard": cw.tree_edges(label)}
         for name, orientation in wrong.items():
-            monkeypatch.setattr(dv, "hom_ext_table", lambda name, _: real(name, orientation))
+            wrong_q = rc.dynkin_quiver(label, orientation)
+            monkeypatch.setattr(dv, "hom_ext_table", lambda q: real(wrong_q))
             monkeypatch.setattr(
                 tl, "_exceptional_masks", functools.lru_cache(tl._exceptional_masks.__wrapped__)
             )
