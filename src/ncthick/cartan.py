@@ -387,14 +387,17 @@ def real_roots(cd: CartanDatum, bound: int = 0) -> frozenset[Vector]:
 @functools.lru_cache(maxsize=None)
 def positive_roots(cd: CartanDatum, bound: int = 0) -> tuple[Vector, ...]:
     """The roots with nonnegative coordinates, sorted by coordinates; sorted
-    once per (cd, bound), as each lattice, oracle and certificate reads them."""
-    return tuple(sorted(v for v in real_roots(cd, bound) if all(x >= 0 for x in v)))
+    once per (cd, bound), as each lattice, oracle and certificate reads them.
+    A bound of 0 is never passed on, so `lru_cache` holds one key per label."""
+    roots = real_roots(cd, bound) if bound else real_roots(cd)
+    return tuple(sorted(v for v in roots if all(x >= 0 for x in v)))
 
 
 @functools.lru_cache(maxsize=None)
 def reflections(cd: CartanDatum, bound: int = 0) -> tuple[WeylElement, ...]:
     """One reflection per positive root, in positive-root order."""
-    return tuple(reflection_element(cd, a) for a in positive_roots(cd, bound))
+    roots = positive_roots(cd, bound) if bound else positive_roots(cd)
+    return tuple(reflection_element(cd, a) for a in roots)
 
 
 def is_reflection(cd: CartanDatum, w: WeylElement) -> bool:

@@ -83,9 +83,12 @@ def build_zdelta(
 ) -> TranslationQuiver:
     """The repetition of the tree restricted to levels lo..hi inclusive.
 
-    The orientation is checked by `repcat.dynkin_quiver` before any other
-    work, and the window's meta holds that quiver and the window."""
+    The levels must be ints (not bools) and the orientation is checked by
+    `repcat.dynkin_quiver`, both before any other work; the window's meta
+    holds that quiver and the window."""
     lo, hi = window
+    if type(lo) is not int or type(hi) is not int:
+        raise WindowError(f"window levels must be ints, got {window!r}")
     if hi - lo + 1 > MAX_WINDOW_LEVELS:
         raise ResourceLimitError(
             f"window {lo}:{hi} spans {hi - lo + 1} levels, past the cap {MAX_WINDOW_LEVELS}"

@@ -106,7 +106,7 @@ class NCLattice:
         self.masks, self.covers = masks, covers
         self.truncation_bound = truncation_bound
         position = self.position = {m: i for i, m in enumerate(masks)}
-        self.roots = positive_roots(cartan, truncation_bound or 0)
+        self.roots = positive_roots(cartan, truncation_bound) if truncation_bound else positive_roots(cartan)
         self._index = {w: i for i, w in enumerate(elements)}
         self.kreweras_index = tuple(map(position.get, complements))
         inverse: list[int | None] = [None] * len(masks)

@@ -6,12 +6,12 @@ division per pivot row, at the end, and an int wherever a value is
 integral): `hom` reads a basis off the system, `hom_dim` only its rank,
 and a system with no unknowns (no vertex where both spaces are nonzero)
 is Hom = 0 with no row built.
-Ext^1 comes through the hereditary Euler form, and one indecomposable
-per positive root is built deterministically by reflection-functor
-transport of a simple along sink reorderings, a thin one with every map
-1.  For a Dynkin quiver the transport reaches every positive root
-(Bernstein-Gelfand-Ponomarev), so a failed transport raises
-StructuralError.  This module is the
+Ext^1 comes through the hereditary Euler form.  One indecomposable per
+positive root is built deterministically: a thin one (entries 0 or 1) as
+k on its support with 1 on each arrow inside, any other by reflection-
+functor transport of a simple along sink reorderings, which reaches every
+positive root of a Dynkin quiver (Bernstein-Gelfand-Ponomarev), so a
+failed transport raises StructuralError.  This module is the
 independent oracle the combinatorial modules are checked against, so
 nothing here consults the Weyl-group machinery beyond root enumeration
 and simple reflections of roots.  Production Hom and Ext^1 come from
@@ -231,22 +231,11 @@ def ext1_dim(q: Quiver, source: Representation, target: Representation) -> int:
 
 
 # ---------------------------------------------------------------------------
-# indecomposables by reflection-functor transport
-
-
-def _simple_root_index(alpha: Vector) -> int | None:
-    if sum(alpha) == 1 and all(x in (0, 1) for x in alpha):
-        return alpha.index(1) + 1
-    return None
+# indecomposables: thin ones directly, the others by reflection-functor transport
 
 
 def _flip_at(arrows: tuple[tuple[int, int], ...], i: int) -> tuple[tuple[int, int], ...]:
     return tuple((t, s) if s == i or t == i else (s, t) for s, t in arrows)
-
-
-def _sinks(arrows: tuple[tuple[int, int], ...], n: int) -> list[int]:
-    sources = {s for s, _ in arrows}
-    return [v for v in range(1, n + 1) if v not in sources]
 
 
 def _coreflect(
@@ -281,38 +270,33 @@ def _coreflect(
 
 
 def _transport_rep(q: Quiver, alpha: Vector) -> Representation:
-    n = q.rank
+    """The indecomposable of the positive root alpha; callers check End = k.
+    A thin alpha is k on its support with 1 on each arrow inside, the same
+    module as any thin one with those maps nonzero (on a tree, rescale the
+    spaces outward from one vertex), so thin modules built from stored ones
+    compare equal to them.  Any other alpha (D4 and up) is reflected at the
+    least sink, which a tree orientation always has, down to a simple (the
+    one positive root of entry sum 1), then carried back by coreflections."""
+    if max(alpha) == 1:
+        inside = [((1,),) if alpha[s - 1] and alpha[t - 1] else _zero(alpha[t - 1], alpha[s - 1])
+                  for s, t in q.arrows]
+        return Representation(q, alpha, tuple(inside))
     cd = cartan.build_cartan(q.label)
     steps: list[int] = []
-    arrows = q.arrows
-    cur = alpha
-    while _simple_root_index(cur) is None:
-        sinks = _sinks(arrows, n)
-        if not sinks:
-            raise StructuralError("acyclic orientation must have a sink")
-        i = sinks[0]
+    arrows, dim = q.arrows, alpha
+    while sum(dim) != 1:
+        i = min(set(q.vertices) - {s for s, _ in arrows})
         steps.append(i)
-        cur = cartan.reflect(cd, tuple(int(v == i) for v in range(1, n + 1)), cur)
+        dim = cartan.reflect(cd, tuple(int(v == i) for v in q.vertices), dim)
         arrows = _flip_at(arrows, i)
-        if len(steps) > 64 * n:
+        if len(steps) > 64 * q.rank:
             raise StructuralError("reflection transport did not terminate")
-    j = _simple_root_index(cur)
-    dim = tuple(int(v == j) for v in range(1, n + 1))
-    maps: tuple[Mat, ...] = tuple(
-        _zero(dim[t - 1], dim[s - 1]) for s, t in arrows
-    )
+    maps: tuple[Mat, ...] = tuple(_zero(dim[t - 1], dim[s - 1]) for s, t in arrows)
     for i in reversed(steps):
         dim, maps = _coreflect(arrows, dim, maps, i)
         arrows = _flip_at(arrows, i)
     if arrows != q.arrows or dim != alpha:
         raise StructuralError("transport returned to the wrong quiver or root")
-    if max(dim) == 1:
-        # on a tree a thin representation with nonzero maps is isomorphic to
-        # the one with every map 1 (rescale the spaces outward from one
-        # vertex), so a thin module built from stored ones compares equal to
-        # the stored one it is isomorphic to; the callers' End = k check
-        # certifies the result
-        maps = tuple(((1,),) if m and m[0] else m for m in maps)
     return Representation(q, dim, maps)
 
 
@@ -353,7 +337,7 @@ class _ModuleCategory:
         self.quiver = q
         cd = cartan.build_cartan(q.label)
         self.roots: tuple[Vector, ...] = cartan.positive_roots(cd)
-        # the (a, a) Hom basis below is each transport's End = k check
+        # the (a, a) Hom basis below is each one's End = k check, thin or not
         self.reps = {a: _transport_rep(q, a) for a in self.roots}
         self.hom_spaces = {
             (a, b): hom(q, self.reps[a], self.reps[b])

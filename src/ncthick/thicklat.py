@@ -12,10 +12,11 @@ of the module category by closing subsets of indecomposables under
 kernels, cokernels, and extensions.  It accepts only A1-A4, whose
 indecomposables are thin (each space of dimension 0 or 1): a kernel or
 cokernel is the source or target cut down to the vertices where the map
-is zero, and a middle term comes from a unit cocycle off the
-coboundaries, the transposed rows of `repcat`'s Hom system (the map with
-kernel Hom and cokernel Ext^1).  Each term is split by `repcat`'s
-`decompose` (zero, stored and brick certificates, else Hom counts).
+is zero, summed over that support's connected components.  A middle term
+comes from a unit cocycle off the coboundaries, the transposed rows of
+`repcat`'s Hom system (the map with kernel Hom and cokernel Ext^1), and
+is split by `decompose` (zero, stored and brick certificates, else Hom
+counts).
 Every subset of indecomposables is one bit of a 2^n-bit integer, so each
 ordered pair rules out all the subsets its consequences break at once.
 The Kronecker lattice glues the truncated NC part to the subsets of the
@@ -201,21 +202,15 @@ _NOT_MULTIPLICITY_FREE = "wide oracle needs multiplicity-free Hom and Ext tables
 _NOT_THIN = "wide oracle needs thin indecomposables (dimension 0 or 1 at every vertex)"
 
 
-def _where_zero(x: repcat.Representation, f) -> repcat.Representation:
-    """x cut down to the vertices where f_v is zero: ker f for x = X_a and
-    coker f for x = X_b, for a map f: X_a -> X_b of thin representations.
-
-    A nonzero f_v between thin spaces is 1 x 1, an isomorphism, so the
-    kernel and the cokernel are 0 there, and all of x_v where f_v is
-    zero.  An arrow keeps x's own map where both its ends are kept and
-    is zero otherwise."""
-    keep = [not any(map(any, fv)) for fv in f]
-    dims = tuple(d if k else 0 for d, k in zip(x.dim, keep))
-    maps = tuple(
-        x.maps[idx] if keep[s - 1] and keep[t - 1] else repcat._zero(dims[t - 1], dims[s - 1])
-        for idx, (s, t) in enumerate(x.quiver.arrows)
-    )
-    return repcat.Representation(x.quiver, dims, maps)
+def _interval_summands(q: repcat.Quiver, support: set[int]) -> set[Vector]:
+    """The summands of a thin representation with 1 on every arrow inside
+    its support: one interval module per connected component in the tree."""
+    parts = {v: frozenset((v,)) for v in support}
+    for s, t in q.arrows:
+        if s in parts and t in parts and parts[s] != parts[t]:
+            merged = parts[s] | parts[t]
+            parts.update(dict.fromkeys(merged, merged))
+    return {tuple(int(v in p) for v in q.vertices) for p in parts.values()}
 
 
 class _ClosureTables:
@@ -229,10 +224,11 @@ class _ClosureTables:
 
     Every indecomposable must be thin, which holds on A1-A4, the only
     quivers the oracle accepts; any other quiver is refused before the
-    module category is built.  Kernels and cokernels then take no solve
-    (`_where_zero`), and most summands are the stored indecomposables,
-    which `decompose` certifies with no solve.  `euler` is q's
-    `_euler_table`, which the caller has computed already."""
+    module category is built.  A nonzero f_v between thin spaces is an
+    isomorphism, so ker f and coker f are X_a and X_b cut down to where
+    f_v = 0, with their maps 1 inside: summands read off those supports
+    (`_interval_summands`), with no representation built and no solve.
+    `euler` is q's `_euler_table`, which the caller has computed already."""
 
     def __init__(self, q: repcat.Quiver, euler: dict[tuple[Vector, Vector], int]):
         if any(x > 1 for a in cartan.positive_roots(cartan.build_cartan(q.label)) for x in a):
@@ -247,8 +243,9 @@ class _ClosureTables:
             need: set[Vector] = set()
             if a != b and h == 1:
                 f = self.cat.hom_spaces[(a, b)].basis[0]
-                need.update(self.cat.decompose(_where_zero(self.cat.reps[a], f)))
-                need.update(self.cat.decompose(_where_zero(self.cat.reps[b], f)))
+                zero = {v for v, fv in zip(q.vertices, f) if not any(map(any, fv))}
+                for x in (a, b):
+                    need |= _interval_summands(q, {v for v in zero if x[v - 1]})
             if e == 1:
                 need.update(self.cat.decompose(self._middle(a, b)))
             if need:
@@ -301,8 +298,11 @@ class _ClosureTables:
 
 
 def _euler_table(q: repcat.Quiver, roots: tuple[Vector, ...]) -> dict[tuple[Vector, Vector], int]:
-    """The Euler form <a, b> of every ordered pair of roots."""
-    return {(a, b): repcat.euler_form(q, a, b) for a, b in itertools.product(roots, repeat=2)}
+    """The Euler form <a, b> = a . E b of every ordered pair of roots, with
+    E = 1 - A, A[s][t] = 1 per arrow s -> t: one E b per root, one dot per pair."""
+    e = [[int(s == t) - ((s, t) in q.arrows) for t in q.vertices] for s in q.vertices]
+    eb = {b: linalg.mat_vec(e, b) for b in roots}
+    return {(a, b): linalg.dot(a, eb[b]) for a, b in itertools.product(roots, repeat=2)}
 
 
 def wide_subcategory_oracle(q: repcat.Quiver) -> WideOracleResult:
@@ -461,17 +461,21 @@ def thick_to_json(lat: NCLattice) -> dict:
 def kronecker_to_json(lat: KroneckerLattice) -> dict:
     """Names and covers read off the masks: an nc atom is named by its
     root, a tube set S by its points, and S is covered by S | {p}, one
-    `position` lookup each."""
+    `position` lookup each; m's points are those of m less its highest bit,
+    then that bit's."""
     points, position, roots = lat.tube_points, lat.position, lat.nc_part.roots
     p, top = len(points), len(lat) - 1
     full, bits = (1 << p) - 1, tuple(1 << n for n in range(p))
+    named = [""]  # ",x" per point x of the mask, in bit order
+    for x in points:
+        named += [f"{n},{x}" for n in named]
     elements, edges = [{"id": 0, "name": "0", "rank": 0}], []
     for i, e in enumerate(lat.elements[1:top], 1):
         if e >> p:  # an nc atom
             name = "s(" + ",".join(map(str, roots[e.bit_length() - 1 - p])) + ")"
             edges += [[0, i], [i, top]]
         else:
-            name = "{" + ",".join(x for x, b in zip(points, bits) if e & b) + "}"
+            name = "{" + named[e][1:] + "}"
             if e.bit_count() == 1:
                 edges.append([0, i])
             if e == full:

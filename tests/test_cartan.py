@@ -201,6 +201,18 @@ class TestRealRoots:
         assert all(cw.positive_roots(cd, bound) is roots for _ in range(3))
         assert cw.positive_roots(cw.build_cartan(label), bound) is roots
 
+    def test_one_cache_entry_per_label(self):
+        # enumerate_nc reads the roots of A5 through is_real_root,
+        # positive_roots and NCLattice; lru_cache keys f(cd) and f(cd, 0)
+        # apart, so each must be asked one way.  The caches in front of
+        # them are cleared too, so that every route runs
+        caches = (cw.real_roots, cw.positive_roots, cw.coroot, cw.reflection_element)
+        for cache in caches + (nc.euler_form, nc.perp_masks):
+            cache.cache_clear()
+        nc.enumerate_nc(cw.build_cartan("A5"))
+        assert cw.real_roots.cache_info().currsize == 1
+        assert cw.positive_roots.cache_info().currsize == 1
+
     @pytest.mark.parametrize("label", FINITE_LABELS)
     def test_cartan_rows_match_reflect_closure(self, label):
         cd = cw.build_cartan(label)

@@ -91,6 +91,16 @@ class TestBuildZdelta:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
+    @pytest.mark.parametrize("window", [(0.5, 2), (0, 2.0), ("0", 2), (True, 3), (0, False)])
+    def test_levels_must_be_ints(self, window, monkeypatch):
+        # a float or str level raised a bare TypeError from range, and a
+        # bool passed as the level 0 or 1; each is refused before the
+        # quiver is built or anything is knitted
+        monkeypatch.setattr(dv, "_knit", lambda *args: pytest.fail("knitted"))
+        monkeypatch.setattr(rc, "dynkin_quiver", lambda *args: pytest.fail("quiver built"))
+        with pytest.raises(WindowError, match=r"window levels must be ints, got \("):
+            dv.build_zdelta("A3", window)
+
 
 class TestKnit:
     def test_seed_value(self, a2_window):

@@ -601,18 +601,20 @@ class TestWideOracle:
 
     @pytest.mark.parametrize("label,arrows", _ORACLE_CASES)
     def test_euler_form_once_per_ordered_pair(self, label, arrows, monkeypatch):
-        # the multiplicity pre-check's table is the one the closure tables
-        # read: one evaluation per ordered pair of roots, not two
+        # the table from one Euler matrix equals repcat.euler_form on every
+        # ordered pair of roots, and the multiplicity pre-check's table is
+        # the one the closure tables read: one table per oracle pass
         q = rc.dynkin_quiver(label, arrows)
-        calls = []
-        real = rc.euler_form
-        monkeypatch.setattr(rc, "euler_form", lambda *args: calls.append(args[1:]) or real(*args))
         roots = cw.positive_roots(cw.build_cartan(label))
-        tl.wide_subcategory_oracle(q)
-        assert sorted(calls) == sorted(itertools.product(roots, repeat=2))
-        calls.clear()
-        assert tl.wide_subcategory_oracle(q).count == len(tl.thick_lattice(cw.build_cartan(label)))
-        assert len(calls) == len(roots) ** 2  # a second pass evaluates each pair once again
+        table = tl._euler_table(q, roots)
+        assert table == {(a, b): rc.euler_form(q, a, b) for a, b in itertools.product(roots, repeat=2)}
+        calls = []
+        real = tl._euler_table
+        monkeypatch.setattr(tl, "_euler_table", lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(rc, "euler_form", lambda *args: pytest.fail("euler_form was called"))
+        for _ in range(2):
+            assert tl.wide_subcategory_oracle(q).count == len(tl.thick_lattice(cw.build_cartan(label)))
+        assert calls == [(q, roots)] * 2
 
     def test_oracle_cases_cover_every_orientation(self):
         assert len(_ORACLE_CASES) == len(set(_ORACLE_CASES)) == 1 + 2 + 4 + 8
