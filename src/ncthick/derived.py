@@ -12,23 +12,26 @@ recursion
 where the suspension of X is not prescribed: it is detected as the unique
 vertex at which the uncorrected recursion first hits -1.  The translate
 shifts levels, so one table per quiver knits every node's hammock once,
-outside any window, on integer rows indexed by node, and each hammock is
-moved up to every level; knitting stops when the hammock dies out, at
-most 64 levels past the source whatever the window's width, so that
-broken inputs terminate.  An orientation enters only as a checked
-`repcat.Quiver`, whose constructor requires the arrows to orient the
-Dynkin tree: `build_zdelta` builds one and stores it in the window's
-meta, and every table here is keyed by it.
+outside any window, on integer rows indexed by node, and keeps it
+flat: the offsets n * width + y - 1 of its nonzero values and the values,
+which every reader moves up to a level by adding to the offsets.
+Knitting stops when the hammock dies out, at most 64 levels past the
+source whatever the window's width, so that broken inputs terminate; a
+hammock that needs more raises ResourceLimitError.  An orientation enters
+only as a checked `repcat.Quiver`, whose constructor requires the arrows
+to orient the Dynkin tree: `build_zdelta` builds one and stores it in the
+window's meta, and every table here is keyed by it.
 
 Output and the mesh check reuse that table.  `hammocks_json` formats
-each vertex name once, in a flat table indexed by level and node, and
-turns each node's hammock into a template of offsets into it, so a
-vertex's entries are read off one slice of the table.  `verify_mesh`
+each vertex name once, in a flat table indexed by level and node laid
+out like the hammocks' offsets, so a vertex's entries are read off one
+slice of the name table.  `verify_mesh`
 checks ell(x) = sum of dim Hom(-, x), which does not depend on the level;
 by translation invariance it is the column sum, at node x, of the
-hammocks the output prints, so the check knits nothing more.  The tests
-read ell off the opposite orientation's hammocks, as the independent
-route the table is checked against.
+hammocks the output prints, so the check knits nothing more, and it sums
+the mesh terms in one pass over the window's arrows.  The tests read ell
+off the opposite orientation's hammocks, as the independent route the
+table is checked against, and recompute every hammock from K_0 alone.
 
 The bridge to the module category: the projectives' hammocks place each
 indecomposable module at the vertex v with (dim Hom(P_i, v))_i its
@@ -96,18 +99,22 @@ def build_zdelta(
     q = repcat.dynkin_quiver(label, orientation)
     if lo > hi:
         raise WindowError(f"empty window {window}")
-    vertices = tuple((n, x) for n in range(lo, hi + 1) for x in q.vertices)
+    # one tuple per vertex, shared by the arrows and tau (and one constant
+    # valuation); the vertex (n, x) sits at (n - lo) * width + x - 1, the
+    # nodes being 1..width
+    width = len(q.vertices)
+    v = tuple([(n, x) for n in range(lo, hi + 1) for x in q.vertices])
+    top = len(v) - width
     arrows = []
-    for n in range(lo, hi + 1):
+    for base in range(0, len(v), width):
         for x, y in q.arrows:
-            arrows.append(((n, x), (n, y), (1, 1)))
-            if n + 1 <= hi:
-                arrows.append(((n, y), (n + 1, x), (1, 1)))
-    tau = {(n, x): (n - 1, x) for n in range(lo + 1, hi + 1) for x in q.vertices}
+            arrows.append((v[base + x - 1], v[base + y - 1], (1, 1)))
+            if base < top:
+                arrows.append((v[base + y - 1], v[base + width + x - 1], (1, 1)))
     return TranslationQuiver(
-        vertices=vertices,
+        vertices=v,
         arrows=tuple(arrows),
-        tau=tau,
+        tau=dict(zip(v[width:], v)),
         meta={"quiver": q, "window": (lo, hi)},
     )
 
@@ -133,12 +140,14 @@ def _node_order(q: repcat.Quiver) -> list[int]:
 @functools.lru_cache(maxsize=None)
 def _knit(q: repcat.Quiver):
     """The hammock of (0, x) in the full repetition for every node x,
-    knitted once per checked quiver on integer rows, one per level and
-    indexed by node.
+    knitted once per checked quiver on two integer rows indexed by node,
+    this level's and the one below, and kept flat.
 
-    Returns (hammocks, ell), both indexed by node - 1.  A hammock is its
-    (vertex, value) items in sorted order, the suspension and the last
-    level knitted; ell(x) is the column sum
+    Returns (hammocks, ell), both indexed by node - 1.  A hammock is a flat
+    table (offsets, values, suspension, last level knitted): the value of
+    Hom((0, x), (n, y)) stands at offset n * width + y - 1 of the rows laid
+    end to end, and only the nonzero values are kept, in offset order;
+    every offset lies below last * width.  ell(x) is the column sum
     sum_y sum_k dim Hom((0, y), (k, x)), which translation invariance
     makes the sum of dim Hom(-, (0, x))."""
     # arrows into (n, x) leave (n, s) for s -> x and (n - 1, t) for x -> t;
@@ -155,15 +164,16 @@ def _knit(q: repcat.Quiver):
     hammocks = []
     ell = [0] * width
     for node in range(1, width + 1):
-        items: list[tuple[Vertex, int]] = []
+        offsets: list[int] = []
+        values: list[int] = []
         sigma: Vertex | None = None
-        prev = [0] * width
+        prev, row = [0] * width, [0] * width
+        source = node - 1  # the term [Z = X], at level 0 only
         for n in range(_HARD_CAP + 1):
-            row = [0] * width
-            if n == 0:
-                row[node - 1] = 1  # the term [Z = X] at the source
+            # every row[s] read below is written earlier in the level, so
+            # the two rows swap without clearing
             for x, same, back in steps:
-                u = row[x] - prev[x]
+                u = (x == source) - prev[x]
                 for s in same:
                     u += row[s]
                 for t in back:
@@ -176,14 +186,20 @@ def _knit(q: repcat.Quiver):
                         f"mesh recursion produced {u} at {(n, x + 1)}; duplicate suspension event"
                     )
                 row[x] = u
-            items.extend(((n, y), k) for y, k in enumerate(row, 1) if k)
-            ell = list(map(operator.add, ell, row))
+            base, source = n * width, -1
+            for y, k in enumerate(row):
+                if k:
+                    offsets.append(base + y)
+                    values.append(k)
+                    ell[y] += k
             if sigma is not None and n > sigma[0] and not any(row):
                 break
-            prev = row
+            prev, row = row, prev
         else:
-            raise WindowError(f"hammock of node {node} does not die out within the cap")
-        hammocks.append((tuple(items), sigma, n))
+            raise ResourceLimitError(
+                f"hammock of node {node} of {q.label} needs more than the {_HARD_CAP}-level knitting cap"
+            )
+        hammocks.append((tuple(offsets), tuple(values), sigma, n))
     return tuple(hammocks), tuple(ell)
 
 
@@ -203,14 +219,16 @@ def knit_hammock(t: TranslationQuiver, source: Vertex) -> Hammock:
     """dim Hom(source, -): the hammock of the source's node, moved up to its
     level, past the window's top if it dies out later."""
     level, node = source
-    items, (s, x), _ = _knit(_in_window(t, source))[0][node - 1]
-    values = {(n + level, y): k for (n, y), k in items}
+    q = _in_window(t, source)
+    width = len(q.vertices)
+    offsets, ks, (s, x), _ = _knit(q)[0][node - 1]
+    values = {(level + o // width, o % width + 1): k for o, k in zip(offsets, ks)}
     return Hammock(source=source, values=values, sigma_of_source=(s + level, x))
 
 
 def suspension(t: TranslationQuiver, x: Vertex) -> Vertex:
     """The shift of x, located by the hammock's -1 event."""
-    level, node = _knit(_in_window(t, x))[0][x[1] - 1][1]
+    level, node = _knit(_in_window(t, x))[0][x[1] - 1][2]
     return (level + x[0], node)
 
 
@@ -225,23 +243,25 @@ def verify_mesh(t: TranslationQuiver) -> MeshReport:
     vertex Z of the window whose translate lies in it.
 
     ell depends only on the node, so it is read off the column sums of the
-    window's own hammock table, the one `hammocks_json` prints, and each
-    vertex compares table entries."""
+    window's own hammock table, the one `hammocks_json` prints; the mesh
+    sums are gathered in one pass over the window's arrows, so a missing
+    or revalued arrow shows at its head."""
     q, _ = _require_meta(t)
-    ells = dict(zip(q.vertices, _knit(q)[1]))
+    ells = (0, *_knit(q)[1])  # indexed by node
+    mesh = dict.fromkeys(t.tau, 2)
+    for y, z, (d, _) in t.arrows:
+        if z in mesh:
+            mesh[z] += d * ells[y[1]]
     checked = []
     violations = []
     for z in t.vertices:
-        if z not in t.tau:
+        if z not in mesh:
             continue
         checked.append(z)
         lz = ells[z[1]]
         ltz = ells[t.tau[z][1]]
-        mesh = 2 + sum(val[0] * ells[y[1]] for y, val in t.arrows_into(z))
-        if not (2 * lz == lz + ltz == mesh):
-            violations.append(
-                f"at {z}: 2*{lz} vs {lz}+{ltz} vs {mesh}"
-            )
+        if not (2 * lz == lz + ltz == mesh[z]):
+            violations.append(f"at {z}: 2*{lz} vs {lz}+{ltz} vs {mesh[z]}")
     return MeshReport(checked=tuple(checked), violations=tuple(violations))
 
 
@@ -280,12 +300,15 @@ def _slice(q: repcat.Quiver) -> tuple[tuple[Vector, Vertex], ...]:
             elif t in grade:
                 grade[s] = grade[t] + 1
     low = min(grade.values())
+    width = len(nodes)
     hammocks = _knit(q)[0]
-    dims: dict[Vertex, list[int]] = {}
+    dims: dict[int, list[int]] = {}  # by flat offset from level 0
     for i in nodes:
-        for (n, y), k in hammocks[i - 1][0]:
-            dims.setdefault((n + grade[i] - low, y), [0] * len(nodes))[i - 1] = k
-    placed = {tuple(d): v for v, d in dims.items()}
+        offsets, values, _, _ = hammocks[i - 1]
+        shift = (grade[i] - low) * width
+        for o, k in zip(offsets, values):
+            dims.setdefault(o + shift, [0] * width)[i - 1] = k
+    placed = {tuple(d): (o // width, o % width + 1) for o, d in dims.items()}
     roots = cartan.positive_roots(cartan.build_cartan(q.label))
     if len(placed) != len(dims) or set(placed) != set(roots):
         raise StructuralError(f"the projectives' hammocks do not place each root of {q.label} once")
@@ -294,17 +317,23 @@ def _slice(q: repcat.Quiver) -> tuple[tuple[Vector, Vertex], ...]:
 
 def hom_ext_table(q: repcat.Quiver) -> dict[tuple[Vector, Vector], tuple[int, int]]:
     """(dim Hom, dim Ext^1) for each ordered pair (a, b) of positive roots:
-    the hammock of a's vertex read at b's vertex and at its suspension.
+    the hammock of a's vertex read at b's vertex and at its suspension,
+    each at its flat offset from a's.
     A new plain dict on each call, not cached: the one production caller,
     `thicklat._exceptional_masks`, is itself cached per Coxeter element."""
     slice_ = _slice(q)
     hammocks = _knit(q)[0]
+    width = len(q.vertices)
+    values = [dict(zip(offsets, ks)) for offsets, ks, _, _ in hammocks]
     table = {}
     for a, (n, x) in slice_:
-        values = {(k + n, y): d for (k, y), d in hammocks[x - 1][0]}
+        at = values[x - 1]
         for b, (m, y) in slice_:
-            s, z = hammocks[y - 1][1]
-            table[(a, b)] = (values.get((m, y), 0), values.get((s + m, z), 0))
+            s, z = hammocks[y - 1][2]
+            table[(a, b)] = (
+                at.get((m - n) * width + y - 1, 0),
+                at.get((s + m - n) * width + z - 1, 0),
+            )
     return table
 
 
@@ -323,15 +352,14 @@ def window_dot(t: TranslationQuiver) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _template(items, sigma: Vertex, width: int):
+def _template(offsets, values, sigma: Vertex, width: int):
     """A node's hammock as offsets into the name table from its source's
     row: a getter for the value keys, the span it reads, the values and the
     suspension's offset."""
-    offsets = [n * width + y - 1 for (n, y), _ in items]
     get = operator.itemgetter(*offsets)
     if len(offsets) == 1:  # a one-item getter returns the bare item
         get = lambda row, one=get: (one(row),)  # noqa: E731
-    return get, offsets[-1] + 1, [k for _, k in items], sigma[0] * width + sigma[1] - 1
+    return get, offsets[-1] + 1, values, sigma[0] * width + sigma[1] - 1
 
 
 def hammocks_json(t: TranslationQuiver) -> dict:
@@ -339,20 +367,22 @@ def hammocks_json(t: TranslationQuiver) -> dict:
 
     Every name is formatted once, in a table indexed by
     (level - lo) * width + node - 1 that runs past the window as far as
-    the hammocks reach; each node's hammock is a template of offsets into
-    it, so a vertex's entries are one slice of the table, and all keys
-    naming a vertex are one shared string."""
+    the hammocks reach; `build_zdelta` lays the window's vertices out in
+    that order, and each node's hammock is a template of offsets into it,
+    so a vertex's entries are one slice of the table, and all keys naming
+    a vertex are one shared string.  Tuples are handed to the encoder as
+    they are, since JSON writes them as lists."""
     q, (lo, hi) = _require_meta(t)
     nodes = q.vertices
     width = len(nodes)
-    knits = dict(zip(nodes, _knit(q)[0]))
-    top = hi + max(last for _, _, last in knits.values())
+    knits = _knit(q)[0]
+    top = hi + max(last for _, _, _, last in knits)
     table = [f"{n}:{x}" for n in range(lo, top + 1) for x in nodes]
-    name = {v: table[(v[0] - lo) * width + v[1] - 1] for v in t.vertices}
-    templates = {x: _template(items, sigma, width) for x, (items, sigma, _) in knits.items()}
+    name = dict(zip(t.vertices, table))
+    templates = [_template(offsets, ks, sigma, width) for offsets, ks, sigma, _ in knits]
     hams = {}
     for (level, node), key in name.items():
-        get, span, ks, sigma_at = templates[node]
+        get, span, ks, sigma_at = templates[node - 1]
         base = (level - lo) * width
         hams[key] = {
             "values": dict(zip(get(table[base:base + span]), ks)),
@@ -360,10 +390,10 @@ def hammocks_json(t: TranslationQuiver) -> dict:
         }
     return {
         "type": q.label,
-        "orientation": [list(a) for a in q.arrows],
-        "window": [lo, hi],
-        "vertices": list(name.values()),
-        "arrows": [[name[s], name[d], list(val)] for s, d, val in t.arrows],
-        "tau": {name[z]: name[tz] for z, tz in sorted(t.tau.items())},
+        "orientation": q.arrows,
+        "window": t.meta["window"],
+        "vertices": table[:len(t.vertices)],
+        "arrows": [(name[s], name[d], val) for s, d, val in t.arrows],
+        "tau": {name[z]: name[tz] for z, tz in t.tau.items()},
         "hammocks": hams,
     }

@@ -14,10 +14,13 @@ class TranslationQuiver:
 
     Vertices may be any hashable labels; an arrow end, a tau key or a tau
     value outside them raises DimensionMismatchError, and a valuation
-    below 1 OutOfRangeError.  Where tau(z) is defined, the arrows into z
-    must biject with the arrows out of tau(z); this mesh shape is
-    checkable via check_mesh_shape, not enforced on build, so that windows
-    cut out of an ambient quiver remain representable.
+    below 1 OutOfRangeError, all on build.  Where tau(z) is defined, the
+    arrows into z must biject with the arrows out of tau(z); this mesh
+    shape is checkable via check_mesh_shape, not enforced on build, so
+    that windows cut out of an ambient quiver remain representable.  The
+    in/out adjacency is built on the first arrows_into, arrows_out_of or
+    check_mesh_shape call, since readers that walk `arrows` once never
+    need it.
     """
 
     __slots__ = ("vertices", "arrows", "tau", "meta", "_into", "_out")
@@ -30,25 +33,34 @@ class TranslationQuiver:
         meta: dict | None = None,
     ):
         self.vertices, self.arrows, self.tau, self.meta = vertices, arrows, tau, meta
-        into: dict[Hashable, list] = {v: [] for v in self.vertices}
-        out: dict[Hashable, list] = {v: [] for v in self.vertices}
-        for s, t, val in self.arrows:
-            if s not in out or t not in into:
+        self._into = self._out = None
+        known = set(vertices)
+        for s, t, val in arrows:
+            if s not in known or t not in known:
                 raise DimensionMismatchError(f"arrow {s} -> {t} names a vertex outside the quiver")
             if val[0] < 1 or val[1] < 1:
                 raise OutOfRangeError(f"arrow {s} -> {t} has valuation {val}; both parts must be positive")
+        for z, tz in tau.items():
+            if z not in known or tz not in known:
+                raise DimensionMismatchError(f"tau {z} -> {tz} names a vertex outside the quiver")
+
+    def _adjacency(self) -> None:
+        into: dict[Hashable, list] = {v: [] for v in self.vertices}
+        out: dict[Hashable, list] = {v: [] for v in self.vertices}
+        for s, t, val in self.arrows:
             out[s].append((t, val))
             into[t].append((s, val))
-        for z, tz in self.tau.items():
-            if z not in into or tz not in into:
-                raise DimensionMismatchError(f"tau {z} -> {tz} names a vertex outside the quiver")
         self._into = {v: tuple(xs) for v, xs in into.items()}
         self._out = {v: tuple(xs) for v, xs in out.items()}
 
     def arrows_into(self, v: Hashable) -> tuple[tuple[Hashable, Valuation], ...]:
+        if self._into is None:
+            self._adjacency()
         return self._into.get(v, ())
 
     def arrows_out_of(self, v: Hashable) -> tuple[tuple[Hashable, Valuation], ...]:
+        if self._out is None:
+            self._adjacency()
         return self._out.get(v, ())
 
     def check_mesh_shape(self) -> list[str]:

@@ -118,6 +118,17 @@ class TestArq:
         assert "100001 levels" in err and "cap 1024" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("label,node", [("A64", 64), ("D65", 1)])
+    def test_knitting_cap(self, capsys, label, node):
+        # one typed line that names the cap, not a hammock that never dies
+        code, out, err = _run(capsys, "arq", "knit", "--type", label, "--window", "0:0")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: ResourceLimitError: hammock of node {node} of {label} "
+            "needs more than the 64-level knitting cap\n"
+        )
+
 
 class TestThick:
     @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])

@@ -10,6 +10,7 @@ from ncthick import cli
 from ncthick import derived as dv
 from ncthick import repcat as rc
 from ncthick.errors import DimensionMismatchError, ResourceLimitError, StructuralError, WindowError
+from ncthick.tquiver import TranslationQuiver
 from test_repcat import simple_rep  # the test-side simple representation
 
 
@@ -18,8 +19,7 @@ def ell(t, x):
     total of the opposite orientation, the reference for the column sums
     `verify_mesh` reads off the window's own table."""
     q = dv._in_window(t, x)
-    items = dv._knit(_opposite(q))[0][x[1] - 1][0]
-    return sum(k for _, k in items)
+    return sum(dv._knit(_opposite(q))[0][x[1] - 1][1])
 
 
 def _opposite(q):
@@ -418,8 +418,8 @@ class TestModuleSlice:
 
         def lossy(q):
             hammocks, ell = real(q)
-            (items, sigma, last), *rest = hammocks
-            return ((items[1:], sigma, last), *rest), ell
+            (offsets, values, sigma, last), *rest = hammocks
+            return ((offsets[1:], values[1:], sigma, last), *rest), ell
 
         monkeypatch.setattr(dv, "_knit", lossy)
         with pytest.raises(StructuralError, match="once"):
@@ -528,12 +528,17 @@ class TestKnitTable:
     @pytest.mark.parametrize("label", ADE_UP_TO_RANK_8)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rows_match_dict_knit(self, label, seed):
+        # the flat table read back as vertices: offsets strictly increasing,
+        # every value positive, and all of them below the last level
         q = rc.dynkin_quiver(label, _seeded_orientation(label, seed))
         hammocks = dv._knit(q)[0]
-        assert len(hammocks) == cw.parse_label(label)[1]
-        for node, (items, sigma, last) in enumerate(hammocks, 1):
+        width = cw.parse_label(label)[1]
+        assert len(hammocks) == width
+        for node, (offsets, ks, sigma, last) in enumerate(hammocks, 1):
             values, *rest = _knit_reference(q, node)
-            assert items == tuple(sorted(values.items()))
+            assert len(offsets) == len(ks) and list(offsets) == sorted(set(offsets))
+            assert min(ks) > 0 and max(offsets) < last * width
+            assert {(o // width, o % width + 1): k for o, k in zip(offsets, ks)} == values
             assert (sigma, last) == tuple(rest)
 
     def test_one_node_knits_its_orientation_once(self):
@@ -548,9 +553,19 @@ class TestKnitTable:
 
     def test_cap_on_a64(self):
         # the hammock of A64's last node needs h = 65 levels, one past the
-        # cap; no checked quiver is a Euclidean star, whose hammocks never die
-        with pytest.raises(WindowError, match="hammock of node 64 does not die out within the cap"):
+        # cap; every Dynkin hammock dies, so the cap is a resource limit,
+        # and the message names it rather than a hammock that never dies
+        with pytest.raises(
+            ResourceLimitError, match="^hammock of node 64 of A64 needs more than the 64-level knitting cap$"
+        ):
             dv._knit.__wrapped__(rc.dynkin_quiver("A64"))
+
+    def test_cap_on_d65(self):
+        # D_n's hammocks reach level n, so D65's first node is the one past the cap
+        with pytest.raises(
+            ResourceLimitError, match="^hammock of node 1 of D65 needs more than the 64-level knitting cap$"
+        ):
+            dv._knit.__wrapped__(rc.dynkin_quiver("D65"))
 
 
 def _hammocks_json_reference(t):
@@ -640,7 +655,7 @@ class TestHammocksJsonTable:
         for ham in data["hammocks"].values():
             keys.extend(ham["values"])
             keys.append(ham["suspension"])
-        top = hi + max(last for _, _, last in dv._knit(t.meta["quiver"])[0])
+        top = hi + max(last for *_, last in dv._knit(t.meta["quiver"])[0])
         table = (top - lo + 1) * 8
         assert len(keys) > 10 * table
         assert len({id(k) for k in keys}) <= table
@@ -662,6 +677,34 @@ class TestVerifyMeshTable:
         report = dv.verify_mesh(t)
         assert (report.checked, report.violations) == _verify_mesh_reference(t)
         assert report.ok
+
+    @staticmethod
+    def _broken(t, i, arrow):
+        """t with its i-th arrow replaced by `arrow` (None drops it), meta kept."""
+        arrows = t.arrows[:i] + ((arrow,) if arrow else ()) + t.arrows[i + 1:]
+        return TranslationQuiver(vertices=t.vertices, arrows=arrows, tau=t.tau, meta=t.meta)
+
+    @pytest.mark.parametrize("i", [1, 7, 100, 229, 342])
+    def test_dropped_arrow_is_caught_at_its_head(self, i):
+        # the quiver in the meta still has every arrow, so only a check that
+        # reads the window's own arrows can see the gap
+        t = dv.build_zdelta("E8", (0, 24), _seeded_orientation("E8", 1))
+        assert len(t.arrows) == 343 and dv.verify_mesh(t).ok
+        head = t.arrows[i][1]
+        assert head in t.tau
+        report = dv.verify_mesh(self._broken(t, i, None))
+        assert report.checked == dv.verify_mesh(t).checked
+        assert len(report.violations) == 1
+        assert report.violations[0].startswith(f"at {head}: ")
+
+    @pytest.mark.parametrize("i", [1, 7, 100, 229, 342])
+    def test_doubled_valuation_is_caught(self, i):
+        t = dv.build_zdelta("E8", (0, 24), _seeded_orientation("E8", 1))
+        s, d, (a, b) = t.arrows[i]
+        assert d in t.tau
+        report = dv.verify_mesh(self._broken(t, i, (s, d, (2 * a, 2 * b))))
+        assert len(report.violations) == 1
+        assert report.violations[0].startswith(f"at {d}: ")
 
     def test_one_knit_per_node(self, monkeypatch):
         real, calls = dv._knit, []

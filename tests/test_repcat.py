@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from ncthick import cartan, linalg, thicklat
+from ncthick import cartan, derived, linalg, thicklat
 from ncthick import repcat as rc
 from ncthick.errors import (
     DimensionMismatchError,
@@ -128,6 +129,52 @@ class TestTranslationQuiver:
     def test_valuation_below_one(self, val):
         with pytest.raises(OutOfRangeError, match="both parts must be positive"):
             TranslationQuiver(vertices=("a", "b"), arrows=(("a", "b", val),), tau={})
+
+
+def _seeded_window(label, window):
+    rng = random.Random(f"{label}/1")
+    arrows = tuple((b, a) if rng.random() < 0.5 else (a, b) for a, b in cartan.tree_edges(label))
+    return derived.build_zdelta(label, window, arrows)
+
+
+class TestAdjacencyOnDemand:
+    """The in/out adjacency is built on the first ask; what it answers must
+    equal an eager scan of the arrows."""
+
+    @staticmethod
+    def _eager(t):
+        into = {v: tuple((s, val) for s, d, val in t.arrows if d == v) for v in t.vertices}
+        out = {v: tuple((d, val) for s, d, val in t.arrows if s == v) for v in t.vertices}
+        shape = []
+        for z, tz in t.tau.items():
+            a = sorted(into[z])
+            b = sorted((d, (val[1], val[0])) for d, val in out[tz])
+            if a != b:
+                shape.append(f"mesh at {z}: sources {a} vs tau-targets {b}")
+        return into, out, shape
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: _seeded_window("A3", (-3, 3)),
+            lambda: _seeded_window("D5", (-7, 30)),
+            lambda: _seeded_window("E8", (0, 24)),
+            lambda: rc.ar_quiver_module_category(rc.dynkin_quiver("A3")),
+            lambda: rc.ar_quiver_module_category(rc.dynkin_quiver("D4")),
+        ],
+        ids=["A3 -3:3", "D5 -7:30", "E8 0:24", "AR A3", "AR D4"],
+    )
+    @pytest.mark.parametrize("first", ["arrows_into", "arrows_out_of", "check_mesh_shape"])
+    def test_matches_eager_scan(self, build, first):
+        t = build()
+        assert t._into is None and t._out is None
+        getattr(t, first)(*(() if first == "check_mesh_shape" else (t.vertices[0],)))
+        assert t._into is not None and t._out is not None
+        into, out, shape = self._eager(t)
+        assert {v: t.arrows_into(v) for v in t.vertices} == into
+        assert {v: t.arrows_out_of(v) for v in t.vertices} == out
+        assert t.check_mesh_shape() == shape
+        assert t.arrows_into("not a vertex") == t.arrows_out_of("not a vertex") == ()
 
 
 class TestRepresentation:
