@@ -34,6 +34,7 @@ from .errors import (
     IsotropicVectorError,
     NonIntegralReflectionError,
     NotInPosetError,
+    NotIntegerError,
     NotRealRootError,
     NotReflectionError,
     PermutationError,
@@ -281,10 +282,13 @@ def identity_element(cd: CartanDatum) -> WeylElement:
 
 
 def check_rank(cd: CartanDatum, w: WeylElement) -> None:
-    """Refuse a matrix that is not rank x rank, where it first meets cd."""
+    """Refuse a matrix that is not rank x rank, or has an entry whose type
+    is not int, where it first meets cd."""
     n = cd.rank
     if len(w.matrix) != n or any(len(row) != n for row in w.matrix):
         raise DimensionMismatchError(f"a {len(w.matrix)}-row matrix against rank {n}")
+    if not {type(x) for row in w.matrix for x in row} <= {int}:
+        raise NotIntegerError("Weyl element entries must be ints")
 
 
 def _gram_vector(cd: CartanDatum, a: Vector, b: Vector) -> Vector:

@@ -35,7 +35,10 @@ def _window(text: str, rank: int) -> tuple[int, int]:
 
 
 def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    """Write text, then a newline if it lacks one: the text is not copied."""
+    sys.stdout.write(text)
+    if not text.endswith("\n"):
+        sys.stdout.write("\n")
 
 
 def _dumps(obj) -> str:

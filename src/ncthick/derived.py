@@ -125,16 +125,20 @@ def _require_meta(t: TranslationQuiver) -> tuple[repcat.Quiver, tuple[int, int]]
     return t.meta["quiver"], t.meta["window"]
 
 
-def _node_order(q: repcat.Quiver) -> list[int]:
-    """Topological order of the tree nodes along the orientation; an
-    oriented tree has a source among any nodes left, so each pass finds one."""
-    remaining = set(q.vertices)
-    order = []
-    while remaining:
-        v = next(v for v in sorted(remaining) if all(s not in remaining for s, t in q.arrows if t == v))
-        order.append(v)
-        remaining.discard(v)
-    return order
+@functools.lru_cache(maxsize=None)
+def _grades(q: repcat.Quiver) -> tuple[int, ...]:
+    """The grade of each node, indexed by node - 1: every arrow drops it by
+    one and the lowest is 0.  Each pass over the arrows of the checked,
+    connected tree grades a new node."""
+    grade = {1: 0}
+    while len(grade) < len(q.vertices):
+        for s, t in q.arrows:
+            if s in grade:
+                grade.setdefault(t, grade[s] - 1)
+            elif t in grade:
+                grade[s] = grade[t] + 1
+    low = min(grade.values())
+    return tuple(grade[v] - low for v in q.vertices)
 
 
 @functools.lru_cache(maxsize=None)
@@ -151,14 +155,16 @@ def _knit(q: repcat.Quiver):
     sum_y sum_k dim Hom((0, y), (k, x)), which translation invariance
     makes the sum of dim Hom(-, (0, x))."""
     # arrows into (n, x) leave (n, s) for s -> x and (n - 1, t) for x -> t;
-    # a row holds node x at index x - 1
+    # a row holds node x at index x - 1, and the nodes go in decreasing
+    # grade, so each s -> x comes before x
+    grades = _grades(q)
     steps = [
         (
             x - 1,
             [s - 1 for s, t in q.arrows if t == x],
             [t - 1 for s, t in q.arrows if s == x],
         )
-        for x in _node_order(q)
+        for x in sorted(q.vertices, key=lambda v: -grades[v - 1])
     ]
     width = len(steps)
     hammocks = []
@@ -289,23 +295,12 @@ def module_slice(q: repcat.Quiver) -> dict[Vector, Vertex]:
 
 @functools.lru_cache(maxsize=None)
 def _slice(q: repcat.Quiver) -> tuple[tuple[Vector, Vertex], ...]:
-    nodes = _node_order(q)
-    # grade the tree so that every arrow i -> j drops the level by one;
-    # each pass over the arrows of the connected tree grades a new node
-    grade = {nodes[0]: 0}
-    while len(grade) < len(nodes):
-        for s, t in q.arrows:
-            if s in grade:
-                grade.setdefault(t, grade[s] - 1)
-            elif t in grade:
-                grade[s] = grade[t] + 1
-    low = min(grade.values())
-    width = len(nodes)
+    width = len(q.vertices)
     hammocks = _knit(q)[0]
     dims: dict[int, list[int]] = {}  # by flat offset from level 0
-    for i in nodes:
+    for i, grade in zip(q.vertices, _grades(q)):
         offsets, values, _, _ = hammocks[i - 1]
-        shift = (grade[i] - low) * width
+        shift = grade * width
         for o, k in zip(offsets, values):
             dims.setdefault(o + shift, [0] * width)[i - 1] = k
     placed = {tuple(d): (o // width, o % width + 1) for o, d in dims.items()}

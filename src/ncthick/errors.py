@@ -29,6 +29,11 @@ class NonIntegralReflectionError(NcthickError):
     """Reflecting an integer vector produced non-integer coordinates."""
 
 
+class NotIntegerError(NcthickError):
+    """A matrix or vector entry whose type is not int (a bool, a float, or
+    a rational even when integral) where exact arithmetic needs one."""
+
+
 class InfiniteGroupError(NcthickError):
     """Full enumeration requested for an infinite group."""
 
@@ -54,7 +59,8 @@ class LatticeStructureError(NcthickError):
 
 
 class WindowError(NcthickError):
-    """A translation-quiver window ran out before knitting finished."""
+    """A bad or missing window: empty, with levels that are not ints, not
+    built by `derived.build_zdelta`, or without a requested vertex."""
 
 
 class StructuralError(NcthickError):

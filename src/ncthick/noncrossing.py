@@ -163,8 +163,8 @@ def euler_form(cd: CartanDatum, c: WeylElement) -> tuple[tuple[int, ...], ...]:
     form of the quiver whose arrows point from the earlier to the later
     vertex of c's word.  1 - c is invertible because l(c) = n, and E is
     integral for every Coxeter element, so E^T is the one integer
-    solution of (1 - c)^T E^T = G: one `linalg.int_solve`, with no
-    Fraction and no matrix product.  A singular 1 - c raises
+    solution of (1 - c)^T E^T = G: one `linalg.int_solve`, which is one
+    elimination over Z, and no matrix product.  A singular 1 - c raises
     StructuralError; a non-integral E, told apart by a rank taken only
     after a failed solve, raises NotInPosetError.
     """

@@ -1,11 +1,10 @@
 """Exact quiver representations for simply-laced Dynkin types.
 
 Morphism spaces are computed by solving the arrow-commutation linear
-system in exact arithmetic, with `linalg`'s integer elimination (one
-division per pivot row, at the end, and an int wherever a value is
-integral): `hom` reads a basis off the system, `hom_dim` only its rank,
-and a system with no unknowns (no vertex where both spaces are nonzero)
-is Hom = 0 with no row built.
+system exactly, with `linalg`'s elimination over the integers: `hom`
+reads a basis of primitive integer vectors off the system, `hom_dim`
+only its rank, and a system with no unknowns (no vertex where both
+spaces are nonzero) is Hom = 0 with no row built.
 Ext^1 comes through the hereditary Euler form.  One indecomposable per
 positive root is built deterministically: a thin one (entries 0 or 1) as
 k on its support with 1 on each arrow inside, any other by reflection-
@@ -26,11 +25,11 @@ and applying the inverse of the Hom Gram matrix on those roots, which is
 integral because the matrix is unitriangular in a path order of the AR
 quiver.
 
-Representations store one exact matrix per arrow with shape
-dim[target] x dim[source], with int entries wherever a value is integral
-and Fraction entries only where a denominator remains; matrices with
-zero rows or columns are empty tuples, with shapes recovered from the
-dimension vector.
+Representations store one integer matrix per arrow with shape
+dim[target] x dim[source]; matrices with zero rows or columns are empty
+tuples, with shapes recovered from the dimension vector.  The
+constructor refuses an entry, of a map or of the dimension vector,
+whose type is not int, so the elimination meets ints only.
 """
 
 from __future__ import annotations
@@ -41,15 +40,15 @@ import itertools
 from . import cartan, linalg
 from .errors import (
     DimensionMismatchError,
+    NotIntegerError,
     NotRealRootError,
-    ResourceLimitError,
     StructuralError,
     UnsupportedLabelError,
 )
 from .tquiver import TranslationQuiver
 
 Vector = tuple[int, ...]
-Mat = tuple[tuple, ...]  # int entries, Fraction where one is not integral
+Mat = tuple[tuple[int, ...], ...]
 
 _SIMPLY_LACED = "ADE"
 
@@ -113,6 +112,8 @@ class Representation(cartan._Value):
                 raise DimensionMismatchError(
                     f"matrix for arrow {s}->{t} must be {rows}x{cols}"
                 )
+        if not {type(x) for m in maps for row in m for x in row}.union(map(type, dim)) <= {int}:
+            raise NotIntegerError("dimension vector and matrix entries must be ints")
 
     def _key(self) -> tuple:
         return (self.quiver, self.dim, self.maps)

@@ -3,7 +3,7 @@
 Every fast path is checked against an independent route: fixed-space
 absolute lengths against Cayley-graph BFS, perp-grown noncrossing
 posets against prefix-product growth and whole-group filters, knitted
-hammocks against the rational-matrix oracle, the thick lattice against
+hammocks against the linear-algebra oracle, the thick lattice against
 the wide-subcategory closure.  Each check returns a result record
 instead of raising so that the CLI can print one line per invariant.
 """

@@ -268,8 +268,9 @@ class _ClosureTables:
             total += m.dim[s - 1] * n.dim[t - 1]
         rows, unknowns, _ = repcat._hom_system(q, m, n)
         # the first unit cocycle e_k outside the coboundary span: with the
-        # span in reduced echelon form, e_k is inside it exactly when k is
-        # a pivot and the row with pivot k is e_k itself
+        # span's rows primitive, positive at their pivots and zero at every
+        # other pivot, e_k is inside it exactly when k is a pivot and the
+        # row with pivot k is e_k itself
         red, pivots = linalg.rref(linalg.transpose(rows, unknowns), total)
         span = dict(zip(pivots, red))
         for k in range(total):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from ncthick.errors import (
     IsotropicVectorError,
     NonIntegralReflectionError,
     NotInPosetError,
+    NotIntegerError,
     NotRealRootError,
     NotReflectionError,
     PermutationError,
@@ -600,6 +602,25 @@ class TestRankCheck:
     def test_a2_element_in_a3(self, call):
         with pytest.raises(DimensionMismatchError, match="2-row matrix against rank 3"):
             call()
+
+    @pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(-1), -1.0, True])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda w: cw.absolute_length(_A3, w),
+            lambda w: tl.thick_from_nc(_A3, w),
+            lambda w: nc.euler_form(_A3, w),
+        ],
+    )
+    def test_entries_must_be_ints(self, call, x):
+        # s_1 of A3 with its -1 replaced: a rational (integral or not), a
+        # float or a bool is refused where the matrix meets the datum,
+        # before it reaches the integer elimination
+        rows = [list(row) for row in cw.simple_reflection(_A3, 1).matrix]
+        assert rows[0][0] == -1
+        rows[0][0] = x
+        with pytest.raises(NotIntegerError, match="entries must be ints"):
+            call(cw.WeylElement(linalg.freeze(rows)))
 
     def test_bfs_length_outside_w(self):
         double = cw.WeylElement(((2, 0, 0), (0, 1, 0), (0, 0, 1)))

@@ -252,6 +252,25 @@ class TestErrors:
         assert err.startswith("error: ResourceLimitError")
 
 
+class TestEmit:
+    class _Stdout:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    @pytest.mark.parametrize("text", ["", "25080", "{}\n", "a\nb"])
+    def test_writes_the_text_itself(self, monkeypatch, text):
+        # the text object is written as it is, and a newline after it only
+        # where it lacks one: no copy of the text is built to append it
+        out = self._Stdout()
+        monkeypatch.setattr(cli.sys, "stdout", out)
+        cli._emit(text)
+        assert out.writes[0] is text
+        assert out.writes[1:] == ([] if text.endswith("\n") else ["\n"])
+
+
 class TestSizeBounds:
     """Bad --bound/--points exit 2 with one typed line, before any work."""
 

@@ -484,10 +484,29 @@ def _seeded_orientation(label, seed):
     return tuple((b, a) if rng.random() < 0.5 else (a, b) for a, b in cw.tree_edges(label))
 
 
+def _topological_order(q):
+    """The nodes with every arrow's tail before its head (Kahn's algorithm,
+    least node first)."""
+    indegree = {v: sum(t == v for _, t in q.arrows) for v in q.vertices}
+    order = []
+    ready = [v for v in q.vertices if not indegree[v]]
+    while ready:
+        v = min(ready)
+        ready.remove(v)
+        order.append(v)
+        for s, t in q.arrows:
+            if s == v:
+                indegree[t] -= 1
+                if not indegree[t]:
+                    ready.append(t)
+    assert len(order) == len(q.vertices)
+    return order
+
+
 def _knit_reference(q, node):
     """One node's hammock knitted alone, on a dict keyed by vertex: its
     values, the suspension and the last level knitted."""
-    order = dv._node_order(q)
+    order = _topological_order(q)
     into = {
         x: [(0, s) for s, t in q.arrows if t == x] + [(-1, t) for s, t in q.arrows if s == x]
         for x in order
@@ -540,6 +559,19 @@ class TestKnitTable:
             assert min(ks) > 0 and max(offsets) < last * width
             assert {(o // width, o % width + 1): k for o, k in zip(offsets, ks)} == values
             assert (sigma, last) == tuple(rest)
+
+    @pytest.mark.parametrize("label", ADE_UP_TO_RANK_8)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_grades_drop_by_one_along_every_arrow(self, label, seed):
+        # the grading that orders the knit and shifts the module slice:
+        # one per node, the lowest 0, and every arrow's head one below its
+        # tail, so decreasing grade puts each tail before its head
+        q = rc.dynkin_quiver(label, _seeded_orientation(label, seed))
+        grades = dv._grades(q)
+        assert len(grades) == len(q.vertices) and min(grades) == 0
+        assert all(grades[t - 1] == grades[s - 1] - 1 for s, t in q.arrows)
+        order = sorted(q.vertices, key=lambda v: -grades[v - 1])
+        assert all(order.index(s) < order.index(t) for s, t in q.arrows)
 
     def test_one_node_knits_its_orientation_once(self):
         dv._knit.cache_clear()

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -7,22 +8,59 @@ from hypothesis import strategies as st
 
 from ncthick import linalg
 from ncthick.errors import StructuralError
-from test_repcat import solve_columns  # the test-side solver of the kernel references
+
+
+def rational_rref(rows, ncols):
+    """The rational reduced row echelon form: `linalg.rref` with each pivot
+    row divided by its pivot on the test side, an int wherever a value is
+    integral and a Fraction otherwise."""
+    m, pivots = linalg.rref(rows, ncols)
+    for r, c in enumerate(pivots):
+        p = m[r][c]
+        if p != 1:
+            m[r] = [x // p if x % p == 0 else Fraction(x, p) for x in m[r]]
+    return m, pivots
 
 
 def inverse(a):
-    """Inverse of a square matrix over the rationals, by one `linalg.rref`
+    """Inverse of a square matrix over the rationals, by one `rational_rref`
     of [a | 1]: the reference of `int_inverse` and of the Euler form."""
     n = len(a)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    m, pivots = linalg.rref(aug, 2 * n)
+    m, pivots = rational_rref(aug, 2 * n)
     if pivots[:n] != list(range(n)):
         raise StructuralError("matrix not invertible")
     return linalg.freeze(row[n:] for row in m[:n])
 
 
+def solve_columns(a, ncols_a, b, ncols_b):
+    """Solve a @ x = b for x over the rationals, where a has full column rank.
+
+    Raises StructuralError when the system is inconsistent or the rank
+    assumption fails; shapes: a is (r x ncols_a), b is (r x ncols_b),
+    result is (ncols_a x ncols_b).  The kernel and cokernel references
+    of the representation tests solve each arrow's map with it.
+    """
+    if not a:
+        # no equations: rank 0, full column rank only with no unknowns
+        if ncols_a:
+            raise StructuralError("solve_columns: matrix not of full column rank or inconsistent")
+        if any(any(x != 0 for x in row) for row in b):
+            raise StructuralError("inconsistent empty system")
+        return ()
+    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    m, pivots = rational_rref(aug, ncols_a + ncols_b)
+    if len(pivots) != ncols_a or any(p >= ncols_a for p in pivots):
+        raise StructuralError("solve_columns: matrix not of full column rank or inconsistent")
+    x = [[0] * ncols_b for _ in range(ncols_a)]
+    for r, c in enumerate(pivots):
+        for j in range(ncols_b):
+            x[c][j] = m[r][ncols_a + j]
+    return linalg.freeze(x)
+
+
 def _reference_rref(rows, ncols):
-    """Gauss-Jordan over Fraction: the rational loop `rref` used to run."""
+    """Gauss-Jordan over Fraction: the rational reduced echelon form."""
     m = [[Fraction(x) for x in row] for row in rows]
     pivots = []
     r = 0
@@ -45,7 +83,8 @@ def _reference_rref(rows, ncols):
 
 
 def _reference(fn, *args):
-    """fn run on the reference elimination; its result or its error type."""
+    """fn run with `linalg.rref` replaced by the rational reference; its
+    result or its error type."""
     with mock.patch.object(linalg, "rref", _reference_rref):
         try:
             return fn(*args)
@@ -60,23 +99,61 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-def _is_canonical_table(rows):
-    """Each entry's type is pinned by its value: an int when integral,
-    otherwise a Fraction with a denominator above 1."""
-    return all(
-        type(x) is int if x.denominator == 1 else type(x) is Fraction
-        for row in rows
-        for x in row
-    )
+def _check_rref(rows, ncols):
+    """`linalg.rref` against the rational reference: the same pivots, every
+    entry an int, each pivot row primitive and the positive multiple of the
+    reference's row (so both span the same space), the other rows zero on
+    the first ncols columns, and the rank its pivot count."""
+    got, pivots = linalg.rref(rows, ncols)
+    ref, ref_pivots = _reference_rref(rows, ncols)
+    assert pivots == ref_pivots
+    assert len(got) == len(rows)
+    assert all(type(x) is int for row in got for x in row)
+    for r, c in enumerate(pivots):
+        row = got[r]
+        assert row[c] > 0 and math.gcd(*row) == 1
+        assert row == [row[c] * x for x in ref[r]]
+    assert not any(any(row[:ncols]) for row in got[len(pivots):])
+    assert linalg.rank(rows, ncols) == len(pivots)
+
+
+def _reference_nullspace(rows, ncols):
+    """The rational kernel basis off the reference: for each free column f,
+    1 at f, 0 at the other free columns, minus column f at the pivots."""
+    if ncols == 0:
+        return []
+    m, pivots = _reference_rref(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -m[r][f]
+        basis.append((f, v))
+    return basis
+
+
+def _check_nullspace(rows, ncols):
+    """Each `linalg.nullspace` vector is int, primitive, positive at its
+    free column, in the kernel, and the positive multiple of the reference
+    vector; where that vector is integral it is that vector itself."""
+    got = linalg.nullspace(rows, ncols)
+    ref = _reference_nullspace(rows, ncols)
+    assert len(got) == len(ref)
+    for v, (f, w) in zip(got, ref):
+        assert type(v) is tuple and all(type(x) is int for x in v)
+        assert v[f] > 0 and math.gcd(*v) == 1
+        assert not any(linalg.mat_vec(rows, v))
+        assert list(v) == [v[f] * x for x in w]
+        if all(Fraction(x).denominator == 1 for x in w):
+            assert list(v) == w
 
 
 ints = st.integers(-4, 4)
-fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
-entries = st.one_of(ints, fractions)
 
 
 @st.composite
-def matrices(draw, nrows=st.integers(0, 6), ncols=st.integers(0, 6), elements=entries, repeat=True):
+def matrices(draw, nrows=st.integers(0, 6), ncols=st.integers(0, 6), elements=ints, repeat=True):
     r, c = draw(nrows), draw(ncols)
     # sparse rows and repeated rows make rank deficiency and zero rows common
     zero_heavy = st.one_of(st.just(0), elements)
@@ -102,7 +179,7 @@ EDGE_CASES = [
     ([[1, 0, 2], [0, 0, 0], [2, 0, 4]], 3),
     ([[0, 3], [0, 6], [0, -1], [0, 2]], 2),
     ([[1, 2], [3, 4], [5, 6], [7, 8]], 2),
-    ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]], 2),
+    ([[3, 2], [9, 6]], 2),
     ([[0, -2, 4, 0], [3, 0, 0, 6]], 4),
 ]
 
@@ -111,49 +188,36 @@ class TestAgainstRationalElimination:
     @settings(max_examples=300, deadline=None)
     @given(matrices())
     def test_rref_and_rank(self, case):
-        rows, ncols = case
-        got, pivots = linalg.rref(rows, ncols)
-        assert (got, pivots) == _reference_rref(rows, ncols)
-        assert _is_canonical_table(got)
-        assert linalg.rank(rows, ncols) == len(pivots)
+        _check_rref(*case)
 
     @pytest.mark.parametrize("rows, ncols", EDGE_CASES)
     def test_edge_cases(self, rows, ncols):
-        assert linalg.rref(rows, ncols) == _reference_rref(rows, ncols)
-        assert linalg.rank(rows, ncols) == len(_reference_rref(rows, ncols)[1])
-        assert linalg.nullspace(rows, ncols) == _reference(linalg.nullspace, rows, ncols)
+        _check_rref(rows, ncols)
+        _check_nullspace(rows, ncols)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(matrices())
     def test_nullspace(self, case):
-        rows, ncols = case
-        got = linalg.nullspace(rows, ncols)
-        assert got == _reference(linalg.nullspace, rows, ncols)
-        assert _is_canonical_table(got)
+        _check_nullspace(*case)
 
     @settings(max_examples=200, deadline=None)
     @given(matrices(), st.integers(0, 3), st.booleans(), st.data())
     def test_solve_columns(self, case, ncols_b, consistent, data):
         a, ncols_a = case
         if consistent and ncols_a:
-            row = st.lists(entries, min_size=ncols_b, max_size=ncols_b)
+            row = st.lists(ints, min_size=ncols_b, max_size=ncols_b)
             x = data.draw(st.lists(row, min_size=ncols_a, max_size=ncols_a))
             b = [list(r) for r in linalg.mat_mul(a, x)]
         else:
-            b = [data.draw(st.lists(entries, min_size=ncols_b, max_size=ncols_b)) for _ in a]
+            b = [data.draw(st.lists(ints, min_size=ncols_b, max_size=ncols_b)) for _ in a]
         got = _outcome(solve_columns, a, ncols_a, b, ncols_b)
         assert got == _reference(solve_columns, a, ncols_a, b, ncols_b)
-        if got is not StructuralError:
-            assert _is_canonical_table(got)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 5).flatmap(lambda n: matrices(st.just(n), st.just(n), repeat=False)))
     def test_inverse(self, case):
         a, _ = case
-        got = _outcome(inverse, a)
-        assert got == _reference(inverse, a)
-        if got is not StructuralError:
-            assert _is_canonical_table(got)
+        assert _outcome(inverse, a) == _reference(inverse, a)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 5).flatmap(lambda n: matrices(st.just(n), st.just(n), ints, repeat=False)), st.data())
@@ -169,6 +233,29 @@ class TestAgainstRationalElimination:
             assert got == expected
             assert all(type(x) is int for row in got for x in row)
 
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(), st.booleans())
+    def test_rows_are_fresh_lists(self, case, as_tuples):
+        # every row is copied, so rref hands back no row of its input and
+        # leaves the input as it was
+        rows, ncols = case
+        if as_tuples:
+            rows = [tuple(row) for row in rows]
+        before = tuple(map(tuple, rows))
+        got, _ = linalg.rref(rows, ncols)
+        assert all(type(row) is list for row in got)
+        assert not any(new is old for new in got for old in rows)
+        assert tuple(map(tuple, rows)) == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 3), st.data())
+    def test_augmented_rows(self, n, k, data):
+        # [a | b] eliminated on the first n columns, as int_solve does: the
+        # pivot rows are primitive over the whole row and the positive
+        # multiples of the reference's, right-hand side included
+        a, _ = data.draw(matrices(st.just(n), st.just(n), repeat=False))
+        rows = [list(r) + data.draw(st.lists(ints, min_size=k, max_size=k)) for r in a]
+        _check_rref(rows, n)
 
 class TestSolveColumnsWithoutEquations:
     # the reference above shares this branch, so these cases are pinned here
@@ -258,8 +345,8 @@ def _reference_mat_vec(a, v):
 
 
 def _typed(value):
-    """A nested result with each entry paired with its type, so int 0 and
-    Fraction(0) count as different."""
+    """A nested result with each entry paired with its type, so an int and
+    an equal value of another type (a bool, a float) count as different."""
     if isinstance(value, tuple):
         return tuple(_typed(x) for x in value)
     return (type(value), value)
@@ -267,9 +354,9 @@ def _typed(value):
 
 class TestDotKernel:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(entries, max_size=6), st.data())
+    @given(st.lists(ints, max_size=6), st.data())
     def test_dot_matches_generator_loop(self, u, data):
-        v = data.draw(st.lists(entries, min_size=len(u), max_size=len(u)))
+        v = data.draw(st.lists(ints, min_size=len(u), max_size=len(u)))
         assert _typed(linalg.dot(u, v)) == _typed(sum(x * y for x, y in zip(u, v)))
 
     @settings(max_examples=300, deadline=None)
@@ -283,7 +370,7 @@ class TestDotKernel:
     @given(matrices(repeat=False), st.data())
     def test_mat_vec_matches_generator_loop(self, case, data):
         a, k = case
-        v = data.draw(st.lists(entries, min_size=k, max_size=k))
+        v = data.draw(st.lists(ints, min_size=k, max_size=k))
         assert _typed(linalg.mat_vec(a, v)) == _typed(_reference_mat_vec(a, v))
 
     @pytest.mark.parametrize(
@@ -291,8 +378,8 @@ class TestDotKernel:
         [
             ([], [[1, 2], [3, 4]]),
             ([[1, 2], [3, 4]], [[], []]),
-            ([[Fraction(1, 2), 1]], [[2], [Fraction(-1, 3)]]),
-            ([[0]], [[Fraction(0)]]),
+            ([[3, 1]], [[2], [-1]]),
+            ([[0]], [[0]]),
         ],
     )
     def test_mat_mul_edge_shapes(self, a, b):
@@ -316,9 +403,8 @@ def _reference_transpose(a, ncols):
     return tuple(tuple(row[j] for row in a) for j in range(ncols))
 
 
-# the values a rank-one update meets: the int 1 takes sub_outer's shortcut,
-# Fraction(1) must not
-multipliers = st.one_of(st.sampled_from([0, 1, -1, 2, Fraction(1)]), entries)
+# the values a rank-one update meets: 1 takes sub_outer's shortcut
+multipliers = st.one_of(st.sampled_from([0, 1, -1, 2]), ints)
 
 
 class TestRankOneUpdate:
@@ -328,7 +414,7 @@ class TestRankOneUpdate:
         rows, k = case
         m = tuple(tuple(row) for row in rows)
         u = data.draw(st.lists(multipliers, min_size=len(m), max_size=len(m)))
-        v = data.draw(st.lists(entries, min_size=k, max_size=k))
+        v = data.draw(st.lists(ints, min_size=k, max_size=k))
         got = linalg.sub_outer(m, u, v)
         assert _typed(got) == _typed(_reference_sub_outer(m, u, v))
         assert all(new is old for new, old, x in zip(got, m, u) if not x)
@@ -337,21 +423,15 @@ class TestRankOneUpdate:
         "m,u,v",
         [
             (((1, 2), (3, 4)), (1, 0), (1, 1)),
-            (((1, 2), (3, 4)), (Fraction(1), 0), (1, 1)),
+            (((1, 2), (3, 4)), (0, 1), (1, 1)),
             (((1, 2), (3, 4)), (-1, 2), (1, -1)),
-            (((Fraction(1, 2), 2),), (1,), (Fraction(1, 2), 2)),
-            (((1, 2),), (Fraction(1),), (Fraction(1, 3), 0)),
-            (((1, 2),), (Fraction(2, 3),), (3, 0)),
+            (((5, 2),), (1,), (5, 2)),
+            (((1, 2),), (-3,), (3, 0)),
+            (((1, 2),), (2,), (-3, 0)),
         ],
     )
     def test_sub_outer_types(self, m, u, v):
         assert _typed(linalg.sub_outer(m, u, v)) == _typed(_reference_sub_outer(m, u, v))
-
-    def test_sub_outer_fraction_one_multiplies(self):
-        # Fraction(1) * b is a Fraction, so the updated row holds Fractions
-        # even where a - b would be an int
-        got = linalg.sub_outer(((1, 2),), (Fraction(1),), (1, 1))
-        assert _typed(got) == (((Fraction, Fraction(0)), (Fraction, Fraction(1))),)
 
     def test_sub_outer_zero_rows_kept(self):
         m = ((1, 2), (3, 4), (5, 6))
@@ -377,7 +457,7 @@ class TestRankOneUpdate:
             ((), 3, ((), (), ())),
             ([], 0, ()),
             (((), ()), 0, ()),
-            (((1, Fraction(1, 2)),), 2, ((1,), (Fraction(1, 2),))),
+            (((1, -2),), 2, ((1,), (-2,))),
         ],
     )
     def test_transpose_edge_shapes(self, a, ncols, expected):
@@ -387,47 +467,3 @@ class TestRankOneUpdate:
     def test_identity(self, n):
         expected = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         assert _typed(linalg.identity(n)) == _typed(expected)
-
-
-class TestDenominatorOneFractions:
-    # a Fraction with denominator 1 is not an int: its row takes the scaled
-    # path of the elimination, and the result must still be canonical
-
-    @pytest.mark.parametrize(
-        "rows,ncols",
-        [
-            ([[Fraction(4, 2), 1], [2, Fraction(3, 1)]], 2),
-            ([[Fraction(4, 2), 2, 6]], 3),
-            ([[Fraction(-3), 0], [0, 0], [1, Fraction(6, 3)]], 2),
-            ([[Fraction(2), 4], [1, 2]], 2),
-            ([[1, 2, Fraction(3)], [Fraction(2), 4, 7]], 3),
-        ],
-    )
-    def test_rref_and_rank(self, rows, ncols):
-        got, pivots = linalg.rref(rows, ncols)
-        assert (got, pivots) == _reference_rref(rows, ncols)
-        assert _is_canonical_table(got)
-        assert linalg.rank(rows, ncols) == len(pivots)
-
-    @settings(max_examples=200, deadline=None)
-    @given(matrices(elements=st.one_of(ints, st.builds(Fraction, ints))))
-    def test_mixed_rows(self, case):
-        rows, ncols = case
-        got, pivots = linalg.rref(rows, ncols)
-        assert (got, pivots) == _reference_rref(rows, ncols)
-        assert _is_canonical_table(got)
-        assert linalg.rank(rows, ncols) == len(pivots)
-
-    @settings(max_examples=200, deadline=None)
-    @given(matrices(), st.booleans())
-    def test_rows_are_fresh_lists(self, case, as_tuples):
-        # an all-int row is copied, so rref hands back no row of its input
-        # and leaves the input as it was
-        rows, ncols = case
-        if as_tuples:
-            rows = [tuple(row) for row in rows]
-        before = _typed(tuple(map(tuple, rows)))
-        got, _ = linalg.rref(rows, ncols)
-        assert all(type(row) is list for row in got)
-        assert not any(new is old for new in got for old in rows)
-        assert _typed(tuple(map(tuple, rows))) == before

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from ncthick import cartan, derived, linalg, thicklat
 from ncthick import repcat as rc
 from ncthick.errors import (
     DimensionMismatchError,
+    NotIntegerError,
     NotRealRootError,
     OutOfRangeError,
     ResourceLimitError,
@@ -14,6 +16,7 @@ from ncthick.errors import (
     UnsupportedLabelError,
 )
 from ncthick.tquiver import TranslationQuiver
+from test_linalg import solve_columns  # the test-side rational solver of the kernel references
 
 
 def _orientations(label):
@@ -192,6 +195,18 @@ class TestRepresentation:
         with pytest.raises(DimensionMismatchError):
             rc.Representation(a2, dim, maps)
 
+    @pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(1), 1.0, True])
+    def test_rejects_map_entries_that_are_not_ints(self, a2, x):
+        # a rational (integral or not), a float or a bool is refused where
+        # it enters, before a Hom system hands it to the integer elimination
+        with pytest.raises(NotIntegerError, match="entries must be ints"):
+            rc.Representation(a2, (1, 1), (((x,),),))
+
+    @pytest.mark.parametrize("d", [Fraction(1), 1.0, True])
+    def test_rejects_dimensions_that_are_not_ints(self, a2, d):
+        with pytest.raises(NotIntegerError, match="entries must be ints"):
+            rc.Representation(a2, (d, 1), (((1,),),))
+
 
 class TestHom:
     def test_p1_to_s1(self, a2):
@@ -215,7 +230,7 @@ class TestHom:
                         rhs = rc._mm(n.maps[idx], f[si], n.dim[ti], n.dim[si], m.dim[si])
                         assert lhs == rhs
 
-    @pytest.mark.parametrize("routine", ["rank", "nullspace", "rref", "_eliminate"])
+    @pytest.mark.parametrize("routine", ["rank", "nullspace", "rref"])
     def test_no_unknowns_builds_no_rows(self, a3, routine, monkeypatch):
         # S1 and S2 share no vertex: no unknown, so Hom = 0 with no linalg,
         # although the arrow 1 -> 2 would give an equation with no unknown
@@ -670,7 +685,7 @@ class TestDecompose:
         pairs = [(a, b) for a in cat.roots for b in cat.roots if a != b and cat.hom_dim(a, b)]
         assert bool(pairs) == (label != "A1")
         bases = [cat.hom_spaces[pair].basis[0] for pair in pairs]
-        for name in ("nullspace", "rref", "_eliminate", "mat_mul"):
+        for name in ("nullspace", "rref", "mat_mul"):
             monkeypatch.setattr(linalg, name, _forbidden)
         fast = [
             (_where_zero(cat.reps[a], f), _where_zero(cat.reps[b], f))
@@ -751,32 +766,6 @@ class TestDecompose:
 
 def _forbidden(*args, **kwargs):
     raise AssertionError("a Hom system was solved")
-
-
-def solve_columns(a, ncols_a, b, ncols_b):
-    """Solve a @ x = b for x, where a has full column rank.
-
-    Raises StructuralError when the system is inconsistent or the rank
-    assumption fails; shapes: a is (r x ncols_a), b is (r x ncols_b),
-    result is (ncols_a x ncols_b).  The kernel and cokernel references
-    below solve each arrow's map with it.
-    """
-    if not a:
-        # no equations: rank 0, full column rank only with no unknowns
-        if ncols_a:
-            raise StructuralError("solve_columns: matrix not of full column rank or inconsistent")
-        if any(any(x != 0 for x in row) for row in b):
-            raise StructuralError("inconsistent empty system")
-        return ()
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    m, pivots = linalg.rref(aug, ncols_a + ncols_b)
-    if len(pivots) != ncols_a or any(p >= ncols_a for p in pivots):
-        raise StructuralError("solve_columns: matrix not of full column rank or inconsistent")
-    x = [[0] * ncols_b for _ in range(ncols_a)]
-    for r, c in enumerate(pivots):
-        for j in range(ncols_b):
-            x[c][j] = m[r][ncols_a + j]
-    return linalg.freeze(x)
 
 
 def _kernel_reference(cat, a, f):
