@@ -13,8 +13,9 @@ A reflection is named by its positive root: `coroot` reads the row q
 of s_alpha = 1 - alpha (x) q off the one Gram vector G alpha, and
 `reflection_root` reads alpha back off the first nonzero column of
 1 - w, which is also the reflection test.  A product with a reflection
-is an O(n^2) rank-one update (`WeylElement.times_reflection`, on the
-right, and `reflection_times`, on the left).
+is an O(n^2) rank-one update: `WeylElement.times_reflection`, on the
+right, and `Packing.reflection_times`, on the left, where each matrix
+of W is one int.
 
 Absolute length uses the fixed-space codimension formula for finite
 types, which the self-check suite cross-validates against an independent
@@ -24,8 +25,10 @@ breadth-first search over the Cayley graph on the reflection set.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
+import struct
 
 from . import linalg
 from .errors import (
@@ -39,6 +42,7 @@ from .errors import (
     NotReflectionError,
     PermutationError,
     ResourceLimitError,
+    StructuralError,
     UnsupportedLabelError,
 )
 
@@ -246,17 +250,87 @@ class WeylElement(_Value):
         """self * s_alpha = self - (self alpha) (x) q, for q = coroot(alpha)."""
         return WeylElement(linalg.sub_outer(self.matrix, linalg.mat_vec(self.matrix, alpha), q))
 
-    def reflection_times(self, alpha: Vector, q: Vector) -> "WeylElement":
-        """s_alpha * self = self - alpha (x) (q^T self), for q = coroot(alpha)."""
-        qm = linalg.mat_vec(zip(*self.matrix), q)
-        return WeylElement(linalg.sub_outer(self.matrix, alpha, qm))
-
     def det(self) -> int:
         return linalg.int_det(self.matrix)
 
     def is_identity(self) -> bool:
         n = len(self.matrix)
         return self.matrix == linalg.identity(n)
+
+
+class Packing:
+    """The n x n matrices of W as one int each, for one label: entry (i, j)
+    is the signed 8-bit field at position (n-1-i) n + (n-1-j), row 0 most
+    significant, so pack(M) = sum M_ij 256^((n-1-i) n + n-1-j).  Get the
+    label's one instance from `packing(cd)`.
+
+    Every w in W sends each simple root to a root, so its entries are root
+    coordinates, at most R = the largest one in absolute value.  With row
+    blocks Y = 256^n, pack(M) = sum_i row_i Y^(n-1-i), and a left update
+    s_k M = M - alpha_k (x) (q_k^T M), for root k of `positive_roots(cd)`,
+    takes two products: with Q_k = sum_i q_i Y^i, the row
+    q_k^T M = sum_i q_i row_i is block n - 1 of pack(M) Q_k, and with
+    A_k = sum_i alpha_i Y^(n-1-i), A_k times that row is
+    pack(alpha_k (x) (q_k^T M)).  Each field of pack(M) Q_k is a sum of
+    terms q_a M_bj, at most one per a, so it is at most
+    bound = max_k |q_k|_1 R in absolute value, which is checked below 128
+    here (36 at E8): adding 128 to each field of blocks 0 to n - 1 leaves
+    it in [0, 256), so none borrows from the next, and block n - 1 is read
+    by a shift and a mask.  R < 128 too, so pack is injective and
+    preserves the order of the matrices as tuples of rows.
+
+    All of this needs only that every column of M is a root, which holds
+    for M in W and is kept by each update; a matrix with another column
+    has no such bound.  `noncrossing.enumerate_nc` builds and certifies
+    NC(W,c) on these ints, the brute force of `braid` carries P^-1 c on
+    them, and `braid.hurwitz_orbit` certifies each member's product.
+    """
+
+    __slots__ = ("n", "radius", "bound", "bias", "shift", "low", "row_bias", "alphas", "qs")
+
+    def __init__(self, cd: CartanDatum):
+        n = self.n = cd.rank
+        roots = positive_roots(cd)
+        coroots = [coroot(cd, a) for a in roots]
+        self.radius = max(max(map(abs, a)) for a in roots)
+        self.bound = self.radius * max(sum(map(abs, q)) for q in coroots)
+        if self.bound >= 128:
+            raise StructuralError(f"field bound {self.bound} of {cd.label} does not fit 8 bits")
+        block = 8 * n
+        self.bias = int.from_bytes(b"\x80" * (n * n), "big")
+        self.shift = block * (n - 1)
+        self.low = (1 << block) - 1
+        self.row_bias = self.bias >> self.shift
+        self.alphas = [sum(x << block * (n - 1 - i) for i, x in enumerate(a)) for a in roots]
+        self.qs = [sum(x << block * i for i, x in enumerate(q)) for q in coroots]
+
+    def pack(self, w: WeylElement) -> int:
+        """w's matrix as one int; an entry past R means w is not in W."""
+        entries = [x for row in w.matrix for x in row]
+        if max(map(abs, entries)) > self.radius:
+            raise NotInPosetError(f"an entry exceeds {self.radius}, the largest root coordinate: not in W")
+        return int.from_bytes(bytes(x + 128 for x in entries), "big") - self.bias
+
+    def reflection_times(self, p: int, k: int) -> int:
+        """pack(s_k M) for p = pack(M) and s_k the reflection in root k."""
+        row = ((p * self.qs[k] + self.bias) >> self.shift & self.low) - self.row_bias
+        return p - self.alphas[k] * row
+
+    def unpack(self, packed) -> list[WeylElement]:
+        """The elements packed as the ints of packed, in one bytes string:
+        XOR with the bias turns each biased field x + 128 into the byte of x
+        in two's complement.  Each row is both the key and the default of
+        one setdefault, so equal rows come back as one tuple."""
+        n, bias = self.n, self.bias
+        data = b"".join([((p + bias) ^ bias).to_bytes(n * n, "big") for p in packed])
+        rows = map({}.setdefault, *itertools.tee(struct.iter_unpack(f"{n}b", data)))
+        return list(map(WeylElement, zip(*[rows] * n)))
+
+
+@functools.lru_cache(maxsize=None)
+def packing(cd: CartanDatum) -> Packing:
+    """The one `Packing` of a finite label."""
+    return Packing(cd)
 
 
 @functools.lru_cache(maxsize=None)
@@ -413,16 +487,22 @@ def is_reflection(cd: CartanDatum, w: WeylElement) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
 def reflection_root(cd: CartanDatum, w: WeylElement) -> Vector:
     """The unique positive real root alpha with w = s_alpha.
 
     Column j of 1 - s_alpha is <e_j, alpha^vee> alpha, so the first
     nonzero column of 1 - w, divided by its gcd (a root is primitive) and
     made positive, is the only candidate; it is accepted only if its
-    reflection is w.
+    reflection is w.  w is checked here, on every call, and the answer
+    cached apart: a matrix of integral floats equals the one of ints, so a
+    check inside the cache would pass it on the ints' entry.
     """
     check_rank(cd, w)
+    return _reflection_root(cd, w)
+
+
+@functools.lru_cache(maxsize=None)
+def _reflection_root(cd: CartanDatum, w: WeylElement) -> Vector:
     n = cd.rank
     for j in range(n):
         col = [int(i == j) - w.matrix[i][j] for i in range(n)]

@@ -34,14 +34,14 @@ words, the JSON Coxeter word and the thick generators of the whole
 lattice (`NCLattice.steps`); `thicklat.thick_from_nc` takes the same step
 on the perp masks for a lone element.
 
-The build and the certificate keep each matrix as one int (`Packing`):
-n^2 signed 8-bit fields, row 0 most significant, and the update is two
-big-int products.  A matrix of W has root coordinates as entries, at
-most R = the largest one, and each field of the update's products is at
-most max |q_k|_1 R, which is checked below 128 on every build (36 at
-E8).  So the fields never overlap, the packing is injective and keeps
-the order of matrices, and comparing two ints compares two matrices.
-Each element is unpacked once, after the certificate.
+The build and the certificate keep each matrix as one int (the label's
+`cartan.Packing`): n^2 signed 8-bit fields, row 0 most significant, and
+the update is two big-int products.  A matrix of W has root coordinates
+as entries, at most R = the largest one, and each field of the update's
+products is at most max |q_k|_1 R, which is checked below 128 for each
+label (36 at E8).  So the fields never overlap, the packing is injective
+and keeps the order of matrices, and comparing two ints compares two
+matrices.  Each element is unpacked once, after the certificate.
 The fixed-space absolute order of `cartan` and the prefix-product growth
 that tests each candidate's rank stay as oracles in `selfcheck`.
 """
@@ -49,10 +49,8 @@ that tests each candidate's rank stay as oracles in `selfcheck`.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
-import struct
 
 from . import cartan, linalg
 from .cartan import CartanDatum, WeylElement, positive_roots
@@ -248,67 +246,6 @@ def nc_size(cd: CartanDatum) -> int:
     return math.prod(h + d for d in degrees) // math.prod(degrees)
 
 
-class Packing:
-    """The n x n matrices of W as one int each: entry (i, j) is the signed
-    8-bit field at position (n-1-i) n + (n-1-j), row 0 most significant,
-    so pack(M) = sum M_ij 256^((n-1-i) n + n-1-j).
-
-    Every w in W sends each simple root to a root, so its entries are root
-    coordinates, at most R = the largest one in absolute value.  With row
-    blocks Y = 256^n, pack(M) = sum_i row_i Y^(n-1-i), and a left update
-    s_k M = M - alpha_k (x) (q_k^T M) takes two products: with
-    Q_k = sum_i q_i Y^i, the row q_k^T M = sum_i q_i row_i is block n - 1
-    of pack(M) Q_k, and with A_k = sum_i alpha_i Y^(n-1-i), A_k times that
-    row is pack(alpha_k (x) (q_k^T M)).  Each field of pack(M) Q_k is a sum
-    of terms q_a M_bj, at most one per a, so it is at most
-    bound = max_k |q_k|_1 R in absolute value, which is checked below 128
-    here (36 at E8): adding 128 to each field of blocks 0 to n - 1 leaves
-    it in [0, 256), so none borrows from the next, and block n - 1 is read
-    by a shift and a mask.  R < 128 too, so pack is injective and
-    preserves the order of the matrices as tuples of rows.
-    """
-
-    __slots__ = ("n", "radius", "bound", "bias", "shift", "low", "row_bias", "alphas", "qs")
-
-    def __init__(self, cd: CartanDatum):
-        n = self.n = cd.rank
-        roots = positive_roots(cd)
-        coroots = [cartan.coroot(cd, a) for a in roots]
-        self.radius = max(max(map(abs, a)) for a in roots)
-        self.bound = self.radius * max(sum(map(abs, q)) for q in coroots)
-        if self.bound >= 128:
-            raise StructuralError(f"field bound {self.bound} of {cd.label} does not fit 8 bits")
-        block = 8 * n
-        self.bias = int.from_bytes(b"\x80" * (n * n), "big")
-        self.shift = block * (n - 1)
-        self.low = (1 << block) - 1
-        self.row_bias = self.bias >> self.shift
-        self.alphas = [sum(x << block * (n - 1 - i) for i, x in enumerate(a)) for a in roots]
-        self.qs = [sum(x << block * i for i, x in enumerate(q)) for q in coroots]
-
-    def pack(self, w: WeylElement) -> int:
-        """w's matrix as one int; an entry past R means w is not in W."""
-        entries = [x for row in w.matrix for x in row]
-        if max(map(abs, entries)) > self.radius:
-            raise NotInPosetError(f"an entry exceeds {self.radius}, the largest root coordinate: not in W")
-        return int.from_bytes(bytes(x + 128 for x in entries), "big") - self.bias
-
-    def reflection_times(self, p: int, k: int) -> int:
-        """pack(s_k M) for p = pack(M) and s_k the reflection in root k."""
-        row = ((p * self.qs[k] + self.bias) >> self.shift & self.low) - self.row_bias
-        return p - self.alphas[k] * row
-
-    def unpack(self, packed) -> list[WeylElement]:
-        """The elements packed as the ints of packed, in one bytes string:
-        XOR with the bias turns each biased field x + 128 into the byte of x
-        in two's complement.  Each row is both the key and the default of
-        one setdefault, so equal rows come back as one tuple."""
-        n, bias = self.n, self.bias
-        data = b"".join([((p + bias) ^ bias).to_bytes(n * n, "big") for p in packed])
-        rows = map({}.setdefault, *itertools.tee(struct.iter_unpack(f"{n}b", data)))
-        return list(map(WeylElement, zip(*[rows] * n)))
-
-
 def enumerate_nc(cd: CartanDatum, c: WeylElement | None = None) -> NCLattice:
     """All w with id <= w <= c: masks grown cover by cover from the perp
     masks, then each element built once from its least step, which the
@@ -316,8 +253,8 @@ def enumerate_nc(cd: CartanDatum, c: WeylElement | None = None) -> NCLattice:
 
     A label whose |NC| = prod (h + d_i) / d_i exceeds MAX_NC_SIZE is
     refused before any other work.  The build and the certificate run on
-    `Packing` ints, one per element, and each element is unpacked once, at
-    the end.  Every built matrix is a product of reflections, so it lies
+    `cartan.Packing` ints, one per element, and each element is unpacked
+    once, at the end.  Every built matrix is a product of reflections, so it lies
     in W and its fields fit: comparing two packed ints compares the two
     matrices, and sorting by them sorts by matrix.
     """
@@ -330,7 +267,7 @@ def enumerate_nc(cd: CartanDatum, c: WeylElement | None = None) -> NCLattice:
         c = cartan.coxeter_element(cd)
     perp = perp_masks(cd, c)
     n = cd.rank
-    packing = Packing(cd)
+    packing = cartan.packing(cd)
     lperp = left_perp_masks(perp)
     full = (1 << len(perp)) - 1
     # grown[T(w^-1 c)] = (rank, T(w), parent's key, k) with w = parent * t_k: the

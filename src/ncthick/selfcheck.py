@@ -98,13 +98,14 @@ def _chk_prefix_property():
         for f in braid.enumerate_factorizations(cd):
             prefix = cartan.identity_element(cd)
             for r, x in enumerate(f.parts, start=1):
+                _expect(cartan.is_reflection(cd, x), f"a factorization part is not a reflection in {label}")
                 prefix = prefix * x
                 _expect(
                     cartan.absolute_length(cd, prefix) == r,
                     f"prefix of length {r} has wrong absolute length in {label}",
                 )
                 _expect(cartan.abs_leq(cd, prefix, c), f"prefix not below c in {label}")
-    return "all factorization prefixes in A2 and A3"
+    return "all factorization parts and prefixes in A2 and A3"
 
 
 def _chk_conjugation_invariance():

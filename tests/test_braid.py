@@ -163,9 +163,11 @@ def _factorizations_by_inverse(cd):
     return sorted(out)
 
 
-def _factorizations_by_products(cd):
-    """Reference: every n-tuple of reflection matrices, multiplied out."""
-    c = cw.coxeter_element(cd)
+def _factorizations_by_products(cd, c=None):
+    """Reference: every n-tuple of reflection matrices, multiplied out,
+    that has product c (by default the Coxeter element)."""
+    if c is None:
+        c = cw.coxeter_element(cd)
     return sorted(
         tuple(x.matrix for x in parts)
         for parts in itertools.product(cw.reflections(cd), repeat=cd.rank)
@@ -174,11 +176,62 @@ def _factorizations_by_products(cd):
 
 
 class TestEnumerateCarriesRest:
-    @pytest.mark.parametrize("label", ["A2", "A3", "B3", "G2"])
+    @pytest.mark.parametrize("label", ["A2", "A3", "B3", "C3", "D4", "G2"])
     def test_equals_all_tuples(self, label):
         cd = cw.build_cartan(label)
         facts = braid.enumerate_factorizations(cd)
         assert [tuple(x.matrix for x in f.parts) for f in facts] == _factorizations_by_products(cd)
+
+    @pytest.mark.parametrize(
+        "label,matrix,count",
+        [
+            ("A2", ((1, 0), (0, 1)), 3),  # the identity, in W but not a Coxeter element
+            ("B2", ((-1, 0), (0, -1)), 4),  # -id, in W(B2): two orthogonal pairs
+            ("A2", ((-1, 0), (0, -1)), 0),  # -id, with root columns but not in W(A2)
+            ("A3", ((0, 0, 1), (0, 1, 0), (1, 0, 0)), 0),  # the diagram flip: roots, not W
+            ("A2", ((3, -13), (1, -4)), 0),  # a column off the roots
+        ],
+    )
+    def test_any_target(self, label, matrix, count):
+        # a target outside W has no factorization; inside W the packed rests
+        # are exact whatever the target
+        cd = cw.build_cartan(label)
+        c = cw.WeylElement(matrix)
+        facts = braid.enumerate_factorizations(cd, c)
+        assert [tuple(x.matrix for x in f.parts) for f in facts] == _factorizations_by_products(cd, c)
+        assert len(facts) == count
+        assert all(f.target is c for f in facts)
+
+
+class TestBuiltMembers:
+    @pytest.mark.parametrize("label", ["B4", "D4", "F4"])
+    def test_equal_their_checked_copies(self, label):
+        # the members the brute force and the orbit build, unchecked, are
+        # what the public constructor builds and checks from their parts
+        start = _standard(label)
+        cd, c = start.cartan, start.target
+        facts = braid.enumerate_factorizations(cd, c)
+        orbit = braid.hurwitz_orbit(start)
+        assert len(facts) == len(orbit)
+        for f in facts + orbit:
+            g = braid.Factorization(cd, f.parts, f.target)
+            assert (g.parts, g.target, g.roots()) == (f.parts, f.target, f.roots())
+            assert f.roots() == tuple(cw.reflection_root(cd, x) for x in f.parts)
+
+    def test_check_rank_calls_do_not_grow_with_the_orbit(self, monkeypatch):
+        # the matrices are checked where they come in, not once per member
+        calls = []
+        real = cw.check_rank
+        monkeypatch.setattr(cw, "check_rank", lambda cd, w: calls.append(1) or real(cd, w))
+        counts = {}
+        for label, size in (("A3", 16), ("D4", 162)):
+            start = _standard(label)
+            calls.clear()
+            facts = braid.enumerate_factorizations(start.cartan, start.target)
+            orbit = braid.hurwitz_orbit(start)
+            assert len(facts) == len(orbit) == size
+            counts[label] = len(calls)
+        assert counts["A3"] == counts["D4"] == 1
 
 
 class TestNoMatrixProducts:
@@ -270,9 +323,40 @@ class TestRootMoves:
         def forbidden(*args, **kwargs):
             raise AssertionError("a move ran before the infinite-type check")
 
-        monkeypatch.setattr(braid, "_move", forbidden)
+        monkeypatch.setattr(braid, "_moves", forbidden)
+        monkeypatch.setattr(cw, "reflect", forbidden)
         with pytest.raises(ResourceLimitError):
             braid.hurwitz_orbit(f)
+
+    @pytest.mark.parametrize("label", ["A3", "D4"])
+    def test_corrupt_move_table_refused(self, label, monkeypatch):
+        # the first move of the simple factorization sends (s_1, s_2) to
+        # (s_1 s_2 s_1, s_1); a table that answers s_2 leaves c behind
+        real = braid._moves
+        roots = cw.positive_roots(cw.build_cartan(label))
+        a, b = (roots.index(r) for r in _standard(label).roots()[:2])
+
+        def corrupt(cd):
+            moves = real(cd)
+            assert moves[a][b] != b
+            moves[a][b] = b
+            return moves
+
+        monkeypatch.setattr(braid, "_moves", corrupt)
+        with pytest.raises(NotInPosetError, match="left the factorizations"):
+            braid.hurwitz_orbit(_standard(label))
+
+    def test_wrong_reflected_root_refused(self, monkeypatch):
+        # a reflect that leaves one root of A3 where it was: still a root,
+        # so only the certificate of the products can tell
+        real = cw.reflect
+
+        def wrong(cd, alpha, xi):
+            return xi if (alpha, xi) == ((1, 0, 0), (0, 1, 0)) else real(cd, alpha, xi)
+
+        monkeypatch.setattr(cw, "reflect", wrong)
+        with pytest.raises(NotInPosetError, match="left the factorizations"):
+            braid.hurwitz_orbit(_standard("A3"))
 
     def test_orbit_cap(self, monkeypatch):
         monkeypatch.setattr(braid, "MAX_ORBIT_SIZE", 10)

@@ -622,6 +622,25 @@ class TestRankCheck:
         with pytest.raises(NotIntegerError, match="entries must be ints"):
             call(cw.WeylElement(linalg.freeze(rows)))
 
+    @pytest.mark.parametrize("x", [Fraction(-1), -1.0])
+    def test_equal_matrix_checked_past_the_root_cache(self, x):
+        # a matrix equal to a cached int one is still refused: the check
+        # runs on each call, outside reflection_root's cache
+        s1 = cw.simple_reflection(_A3, 1)
+        assert cw.reflection_root(_A3, s1) == (1, 0, 0)
+        rows = [list(row) for row in s1.matrix]
+        rows[0][0] = x
+        w = cw.WeylElement(linalg.freeze(rows))
+        assert w == s1
+        parts = (w,) + tuple(cw.simple_reflection(_A3, i) for i in (2, 3))
+        for call in (
+            lambda: cw.reflection_root(_A3, w),
+            lambda: cw.is_reflection(_A3, w),
+            lambda: braid.Factorization(_A3, parts, _C3),
+        ):
+            with pytest.raises(NotIntegerError, match="entries must be ints"):
+                call()
+
     def test_bfs_length_outside_w(self):
         double = cw.WeylElement(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
         with pytest.raises(NotInPosetError, match="does not lie in W"):

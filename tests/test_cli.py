@@ -333,9 +333,10 @@ class TestSizeBounds:
         def forbidden(*args, **kwargs):
             raise AssertionError("work started before the size cap check")
 
-        for name in ("perp_masks", "left_perp_masks", "Packing"):
+        for name in ("perp_masks", "left_perp_masks"):
             monkeypatch.setattr(cli.noncrossing, name, forbidden)
-        monkeypatch.setattr(cli.cartan, "coxeter_element", forbidden)
+        for name in ("coxeter_element", "packing"):
+            monkeypatch.setattr(cli.cartan, name, forbidden)
         code, out, err = _run(capsys, *command, "--type", label)
         assert code == 2
         assert out == ""

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ncthick import cartan as cw
-from ncthick import cli, linalg
+from ncthick import braid, cli, linalg
 from ncthick import noncrossing as nc
 from ncthick import repcat as rc
 from ncthick.errors import (
@@ -334,7 +334,7 @@ class TestCertificate:
         cd = cw.build_cartan(label)
         c = cw.coxeter_element(cd)
         steps = len(nc.enumerate_nc(cd, c)) - 1
-        real = nc.Packing.reflection_times
+        real = cw.Packing.reflection_times
         last = cd.rank - 1
         for target, (i, j) in itertools.product(range(steps), [(0, 0), (last, 0), (0, last)]):
             calls = []
@@ -348,7 +348,7 @@ class TestCertificate:
                 rows[i][j] += 1
                 return packed(rows)
 
-            monkeypatch.setattr(nc.Packing, "reflection_times", corrupt)
+            monkeypatch.setattr(cw.Packing, "reflection_times", corrupt)
             with pytest.raises(LatticeStructureError):
                 nc.enumerate_nc(cd, c)
             assert len(calls) > target
@@ -363,7 +363,7 @@ class TestCertificate:
         def right(self, p, k):
             return self.pack(self.unpack([p])[0].times_reflection(roots[k], cw.coroot(cd, roots[k])))
 
-        monkeypatch.setattr(nc.Packing, "reflection_times", right)
+        monkeypatch.setattr(cw.Packing, "reflection_times", right)
         with pytest.raises(LatticeStructureError):
             nc.enumerate_nc(cd)
 
@@ -411,7 +411,7 @@ class TestPacking:
     @pytest.mark.parametrize("label", PACKED_LABELS)
     def test_steps_match_reflection_times(self, label):
         cd = cw.build_cartan(label)
-        packing = nc.Packing(cd)
+        packing = cw.Packing(cd)
         roots = cw.positive_roots(cd)
         rng = random.Random(label)
         for _ in range(4):
@@ -419,7 +419,7 @@ class TestPacking:
             p = packing.pack(w)
             assert p == packed(w.matrix)
             for k in rng.choices(range(len(roots)), k=2 * cd.rank):
-                w = w.reflection_times(roots[k], cw.coroot(cd, roots[k]))
+                w = cw.reflection_element(cd, roots[k]) * w
                 p = packing.reflection_times(p, k)
                 assert p == packed(w.matrix)
                 assert packing.unpack([p])[0].matrix == w.matrix
@@ -430,13 +430,13 @@ class TestPacking:
         roots = cw.positive_roots(cd)
         radius = max(abs(x) for a in roots for x in a)
         bound = radius * max(sum(map(abs, cw.coroot(cd, a))) for a in roots)
-        assert nc.Packing(cd).bound == bound < 128
+        assert cw.Packing(cd).bound == bound < 128
         assert bound == FIELD_BOUNDS.get(label, bound)
 
     @pytest.mark.parametrize("label", ["A4", "B3", "D4", "G2"])
     def test_order_is_matrix_order(self, label):
         cd = cw.build_cartan(label)
-        packing = nc.Packing(cd)
+        packing = cw.Packing(cd)
         elements = list(cw.weyl_group(cd))
         by_int = sorted(elements, key=packing.pack)
         assert by_int == sorted(elements, key=lambda w: w.matrix)
@@ -457,13 +457,19 @@ class TestPacking:
         with pytest.raises(NotInPosetError, match="not in W"):
             nc.enumerate_nc(a2, c)
 
-    def test_bound_checked_on_every_call(self, monkeypatch):
+    def test_bound_checked_once_per_label(self, monkeypatch):
+        # one Packing per label, shared by the lattice and the brute force,
+        # and its bound is checked when it is built
         cd = cw.build_cartan("A3")
         c = cw.coxeter_element(cd)
         nc.enumerate_nc(cd, c)
+        braid.enumerate_factorizations(cd, c)
+        assert cw.packing(cd) is cw.packing(cw.build_cartan("A3"))
+        cw.packing.cache_clear()
         monkeypatch.setattr(cw, "coroot", lambda cd, a: (128,) + (0,) * (cd.rank - 1))
-        with pytest.raises(StructuralError, match="does not fit"):
-            nc.enumerate_nc(cd, c)
+        for build in (nc.enumerate_nc, braid.enumerate_factorizations):
+            with pytest.raises(StructuralError, match="does not fit"):
+                build(cd, c)
 
 
 SMALL_FINITE = (
@@ -490,9 +496,10 @@ class TestSizeCap:
         def forbidden(*args, **kwargs):
             raise AssertionError("work started before the size cap check")
 
-        for name in ("perp_masks", "left_perp_masks", "Packing"):
+        for name in ("perp_masks", "left_perp_masks"):
             monkeypatch.setattr(nc, name, forbidden)
-        monkeypatch.setattr(cw, "coxeter_element", forbidden)
+        for name in ("coxeter_element", "packing"):
+            monkeypatch.setattr(cw, name, forbidden)
         cd = cw.build_cartan(label)
         with pytest.raises(ResourceLimitError, match=f"NC\\({label}\\) has {nc.nc_size(cd)} elements"):
             nc.enumerate_nc(cd)
