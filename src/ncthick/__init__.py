@@ -23,10 +23,7 @@ from .cartan import (
     weyl_group,
 )
 from .derived import (
-    Hammock,
     build_zdelta,
-    derived_hom,
-    knit_hammock,
     module_slice,
     serre,
     suspension,
@@ -76,7 +73,6 @@ __all__ = [
     "Quiver",
     "Representation",
     "HomSpace",
-    "Hammock",
     "TranslationQuiver",
     "ThickSubcategory",
     "KroneckerLattice",
@@ -107,11 +103,9 @@ __all__ = [
     "is_exceptional_sequence",
     "ar_quiver_module_category",
     "build_zdelta",
-    "knit_hammock",
     "suspension",
     "serre",
     "verify_mesh",
-    "derived_hom",
     "module_slice",
     "thick_from_nc",
     "left_perp",

@@ -22,14 +22,17 @@ only as a checked `repcat.Quiver`, whose constructor requires the arrows
 to orient the Dynkin tree: `build_zdelta` builds one and stores it in the
 window's meta, and every table here is keyed by it.
 
-Output and the mesh check reuse that table.  `hammocks_json` formats
-each vertex name once, in a flat table indexed by level and node laid
-out like the hammocks' offsets, so a vertex's entries are read off one
-slice of the name table.  `verify_mesh`
-checks ell(x) = sum of dim Hom(-, x), which does not depend on the level;
-by translation invariance it is the column sum, at node x, of the
-hammocks the output prints, so the check knits nothing more, and it sums
-the mesh terms in one pass over the window's arrows.  The tests read ell
+Hom needs no window: `hom(q, x, y)` reads x's node's table at y's offset
+from x, `suspension(q, x)` moves that node's -1 event up to x's level,
+and `serre(q, x)` is one translate below it, at vertices of any int
+level.  Output and the mesh check reuse the same table.  `hammocks_json`
+formats each vertex name once, in a flat table indexed by level and node
+laid out like the hammocks' offsets, so a vertex's entries are read off
+one slice of the name table.  `verify_mesh` checks ell(x) = sum of
+dim Hom(-, x), which does not depend on the level; by translation
+invariance it is the column sum, at node x, of the hammocks the output
+prints, so the check knits nothing more, and it sums the mesh terms in
+one pass over the window's arrows.  The tests read ell
 off the opposite orientation's hammocks, as the independent route the
 table is checked against, and recompute every hammock from K_0 alone.
 
@@ -37,7 +40,8 @@ The bridge to the module category: the projectives' hammocks place each
 indecomposable module at the vertex v with (dim Hom(P_i, v))_i its
 dimension vector; Hom is a hammock value at equal shift, Ext^1 at shift
 one, and everything else vanishes since the algebra is hereditary.
-`derived_hom` gets the same from the linear algebra of `repcat`.
+`hom_ext_table` reads both for every pair of roots; `verify` checks them
+against the linear algebra of `repcat`.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import functools
 import operator
 
 from . import cartan, repcat
-from .errors import ResourceLimitError, StructuralError, WindowError
+from .errors import NotIntegerError, OutOfRangeError, ResourceLimitError, StructuralError, WindowError
 from .tquiver import TranslationQuiver
 
 Vertex = tuple[int, int]
@@ -54,18 +58,6 @@ Vector = tuple[int, ...]
 
 _HARD_CAP = 64  # levels a hammock may be knitted past its source
 MAX_WINDOW_LEVELS = 1024  # levels hi - lo + 1 a window may span
-
-
-class Hammock:
-    """dim Hom(source, -) on the repetition, with the located suspension."""
-
-    __slots__ = ("source", "values", "sigma_of_source")
-
-    def __init__(self, source: Vertex, values: dict[Vertex, int], sigma_of_source: Vertex):
-        self.source, self.values, self.sigma_of_source = source, values, sigma_of_source
-
-    def value(self, z: Vertex) -> int:
-        return self.values.get(z, 0)
 
 
 class MeshReport:
@@ -209,38 +201,42 @@ def _knit(q: repcat.Quiver):
     return tuple(hammocks), tuple(ell)
 
 
-def _in_window(t: TranslationQuiver, v: Vertex) -> repcat.Quiver:
-    """The quiver of the window, which must hold v: its level in the
-    window and its node one of 1..rank (node 0 or below would index
-    `_knit`'s table from the end)."""
-    q, (lo, hi) = _require_meta(t)
-    if not (lo <= v[0] <= hi):
-        raise WindowError(f"source {v} outside window {(lo, hi)}")
-    if v[1] not in q.vertices:
-        raise WindowError(f"source {v} has no node {v[1]} in {q.label}")
-    return q
+def _node(q: repcat.Quiver, x: Vertex) -> int:
+    """The node of x = (level, node), once x is checked to be a vertex of
+    q's repetition: level and node ints, not bools, and the node one of
+    1..rank (node 0 or below would read `_knit`'s table from the end).
+    Every int level is a vertex."""
+    level, node = x
+    if type(level) is not int or type(node) is not int:
+        raise NotIntegerError(f"vertex {x!r} needs an int level and an int node")
+    if not 1 <= node <= len(q.vertices):
+        raise OutOfRangeError(f"vertex {x} has no node {node} in {q.label}")
+    return node
 
 
-def knit_hammock(t: TranslationQuiver, source: Vertex) -> Hammock:
-    """dim Hom(source, -): the hammock of the source's node, moved up to its
-    level, past the window's top if it dies out later."""
-    level, node = source
-    q = _in_window(t, source)
-    width = len(q.vertices)
-    offsets, ks, (s, x), _ = _knit(q)[0][node - 1]
-    values = {(level + o // width, o % width + 1): k for o, k in zip(offsets, ks)}
-    return Hammock(source=source, values=values, sigma_of_source=(s + level, x))
+@functools.lru_cache(maxsize=None)
+def _tables(q: repcat.Quiver) -> tuple[dict[int, int], ...]:
+    """Each node's flat table as one {offset: value} dict, indexed by
+    node - 1: what `hom` and `hom_ext_table` read."""
+    return tuple(dict(zip(offsets, ks)) for offsets, ks, _, _ in _knit(q)[0])
 
 
-def suspension(t: TranslationQuiver, x: Vertex) -> Vertex:
-    """The shift of x, located by the hammock's -1 event."""
-    level, node = _knit(_in_window(t, x))[0][x[1] - 1][2]
+def hom(q: repcat.Quiver, x: Vertex, y: Vertex) -> int:
+    """dim Hom(x, y) for x = (p, a) and y = (m, b) at any levels: node a's
+    table read at offset (m - p) * width + b - 1."""
+    a, b = _node(q, x), _node(q, y)
+    return _tables(q)[a - 1].get((y[0] - x[0]) * len(q.vertices) + b - 1, 0)
+
+
+def suspension(q: repcat.Quiver, x: Vertex) -> Vertex:
+    """The shift of x: its node's -1 event, moved up to x's level."""
+    level, node = _knit(q)[0][_node(q, x) - 1][2]
     return (level + x[0], node)
 
 
-def serre(t: TranslationQuiver, x: Vertex) -> Vertex:
-    """Nakayama functor: one translate before the suspension."""
-    level, node = suspension(t, x)
+def serre(q: repcat.Quiver, x: Vertex) -> Vertex:
+    """The Serre functor tau Sigma: one translate below the suspension."""
+    level, node = suspension(q, x)
     return (level - 1, node)
 
 
@@ -271,21 +267,6 @@ def verify_mesh(t: TranslationQuiver) -> MeshReport:
     return MeshReport(checked=tuple(checked), violations=tuple(violations))
 
 
-def derived_hom(
-    q: repcat.Quiver,
-    source: tuple[repcat.Representation, int],
-    target: tuple[repcat.Representation, int],
-) -> int:
-    """Morphisms between stalk complexes: Hom at equal shift, Ext^1 at
-    shift one, zero otherwise."""
-    (m, i), (n, j) = source, target
-    if j == i:
-        return repcat.hom_dim(q, m, n)
-    if j == i + 1:
-        return repcat.ext1_dim(q, m, n)
-    return 0
-
-
 def module_slice(q: repcat.Quiver) -> dict[Vector, Vertex]:
     """Embed the module indecomposables (as positive roots) into the
     repetition: P_i at (grade(i), i), and each vertex v of the projectives'
@@ -313,16 +294,16 @@ def _slice(q: repcat.Quiver) -> tuple[tuple[Vector, Vertex], ...]:
 def hom_ext_table(q: repcat.Quiver) -> dict[tuple[Vector, Vector], tuple[int, int]]:
     """(dim Hom, dim Ext^1) for each ordered pair (a, b) of positive roots:
     the hammock of a's vertex read at b's vertex and at its suspension,
-    each at its flat offset from a's.
+    each at its flat offset from a's, in the per-node dicts `hom` reads.
     A new plain dict on each call, not cached: the one production caller,
     `thicklat._exceptional_masks`, is itself cached per Coxeter element."""
     slice_ = _slice(q)
     hammocks = _knit(q)[0]
+    tables = _tables(q)
     width = len(q.vertices)
-    values = [dict(zip(offsets, ks)) for offsets, ks, _, _ in hammocks]
     table = {}
     for a, (n, x) in slice_:
-        at = values[x - 1]
+        at = tables[x - 1]
         for b, (m, y) in slice_:
             s, z = hammocks[y - 1][2]
             table[(a, b)] = (

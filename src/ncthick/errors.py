@@ -30,8 +30,9 @@ class NonIntegralReflectionError(NcthickError):
 
 
 class NotIntegerError(NcthickError):
-    """A matrix or vector entry whose type is not int (a bool, a float, or
-    a rational even when integral) where exact arithmetic needs one."""
+    """A matrix or vector entry, a vertex's level or node, or a part of a
+    valuation whose type is not int (a bool, a float, or a rational even
+    when integral) where exact arithmetic needs one."""
 
 
 class InfiniteGroupError(NcthickError):
@@ -43,7 +44,8 @@ class ResourceLimitError(NcthickError):
 
 
 class OutOfRangeError(NcthickError):
-    """A size parameter outside its valid range, such as a negative count."""
+    """A parameter outside its valid range, such as a negative count, a
+    valuation part below 1, or a vertex whose node is not one of 1..rank."""
 
 
 class PermutationError(NcthickError):
@@ -59,8 +61,8 @@ class LatticeStructureError(NcthickError):
 
 
 class WindowError(NcthickError):
-    """A bad or missing window: empty, with levels that are not ints, not
-    built by `derived.build_zdelta`, or without a requested vertex."""
+    """A bad or missing window: empty, with levels that are not ints, or not
+    built by `derived.build_zdelta`."""
 
 
 class StructuralError(NcthickError):

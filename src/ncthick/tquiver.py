@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 
-from .errors import DimensionMismatchError, OutOfRangeError
+from .errors import DimensionMismatchError, NotIntegerError, OutOfRangeError
 
 Valuation = tuple[int, int]
 
@@ -13,8 +13,9 @@ class TranslationQuiver:
     """A quiver with arrow valuations (d, d') and a partial translate tau.
 
     Vertices may be any hashable labels; an arrow end, a tau key or a tau
-    value outside them raises DimensionMismatchError, and a valuation
-    below 1 OutOfRangeError, all on build.  Where tau(z) is defined, the
+    value outside them raises DimensionMismatchError, as does a valuation
+    that is not a pair; a valuation part that is not an int raises
+    NotIntegerError, and one below 1 OutOfRangeError, all on build.  Where tau(z) is defined, the
     arrows into z must biject with the arrows out of tau(z); this mesh
     shape is checkable via check_mesh_shape, not enforced on build, so
     that windows cut out of an ambient quiver remain representable.  The
@@ -38,6 +39,10 @@ class TranslationQuiver:
         for s, t, val in arrows:
             if s not in known or t not in known:
                 raise DimensionMismatchError(f"arrow {s} -> {t} names a vertex outside the quiver")
+            if type(val) is not tuple or len(val) != 2:
+                raise DimensionMismatchError(f"arrow {s} -> {t} has valuation {val!r}; it must be a pair")
+            if type(val[0]) is not int or type(val[1]) is not int:
+                raise NotIntegerError(f"arrow {s} -> {t} has valuation {val!r}; both parts must be ints")
             if val[0] < 1 or val[1] < 1:
                 raise OutOfRangeError(f"arrow {s} -> {t} has valuation {val}; both parts must be positive")
         for z, tz in tau.items():

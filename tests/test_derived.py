@@ -9,22 +9,43 @@ from ncthick import cartan as cw
 from ncthick import cli
 from ncthick import derived as dv
 from ncthick import repcat as rc
-from ncthick.errors import DimensionMismatchError, ResourceLimitError, StructuralError, WindowError
+from ncthick.errors import (
+    DimensionMismatchError,
+    NotIntegerError,
+    OutOfRangeError,
+    ResourceLimitError,
+    StructuralError,
+    WindowError,
+)
 from ncthick.tquiver import TranslationQuiver
-from test_repcat import simple_rep  # the test-side simple representation
 
 
 def ell(t, x):
-    """Total morphism length into x, the sum of dim Hom(-, x): a hammock
-    total of the opposite orientation, the reference for the column sums
-    `verify_mesh` reads off the window's own table."""
-    q = dv._in_window(t, x)
-    return sum(dv._knit(_opposite(q))[0][x[1] - 1][1])
+    """Total morphism length into x, a vertex of the window t, the sum of
+    dim Hom(-, x): a hammock total of the opposite orientation, the
+    reference for the column sums `verify_mesh` reads off the window's own
+    table."""
+    assert x in t.vertices
+    return sum(dv._knit(_opposite(t.meta["quiver"]))[0][x[1] - 1][1])
 
 
 def _opposite(q):
     """The quiver with every arrow reversed."""
     return rc.dynkin_quiver(q.label, tuple((b, a) for a, b in q.arrows))
+
+
+A2 = rc.dynkin_quiver("A2")
+A3 = rc.dynkin_quiver("A3")
+ADE_LABELS = ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6", "E7", "E8"]
+
+
+def _sigma(q, x, k):
+    """Sigma^k x for any int k: Sigma^-1 is tau^h Sigma, as Sigma^2 = tau^-h."""
+    for _ in range(abs(k)):
+        x = dv.suspension(q, x)
+    if k < 0:
+        x = (x[0] + k * cw.coxeter_number(cw.build_cartan(q.label)), x[1])
+    return x
 
 
 @pytest.fixture(scope="module")
@@ -103,31 +124,29 @@ class TestBuildZdelta:
 
 
 class TestKnit:
-    def test_seed_value(self, a2_window):
+    def test_seed_value(self):
         for v in [(0, 1), (1, 2), (2, 1)]:
-            assert dv.knit_hammock(a2_window, v).value(v) == 1
+            assert dv.hom(A2, v, v) == 1
 
-    def test_a2_named_values(self, a2_window):
-        q = rc.dynkin_quiver("A2")
-        emb = dv.module_slice(q)
-        h_s1 = dv.knit_hammock(a2_window, emb[(1, 0)])
-        sigma_s2 = dv.suspension(a2_window, emb[(0, 1)])
-        assert h_s1.value(sigma_s2) == 1  # Ext^1(S1, S2)
-        h_p1 = dv.knit_hammock(a2_window, emb[(1, 1)])
-        assert h_p1.value(sigma_s2) == 0  # no extensions from a projective
+    def test_a2_named_values(self):
+        emb = dv.module_slice(A2)
+        sigma_s2 = dv.suspension(A2, emb[(0, 1)])
+        assert dv.hom(A2, emb[(1, 0)], sigma_s2) == 1  # Ext^1(S1, S2)
+        assert dv.hom(A2, emb[(1, 1)], sigma_s2) == 0  # no extensions from a projective
 
     def test_values_nonnegative_finite(self, a3_window):
-        h = dv.knit_hammock(a3_window, (0, 1))
-        assert all(v > 0 for v in h.values.values())
-        assert len(h.values) < 40
+        values = [dv.hom(A3, (0, 1), z) for z in a3_window.vertices]
+        assert min(values) == 0
+        assert 0 < sum(map(bool, values)) < 40
 
     def test_auto_extend_matches_large_window(self):
-        small = dv.build_zdelta("A3", (0, 1))
+        # no window cuts a hammock: from a source at the top of (0, 1), hom
+        # reads every value and the suspension the reference knit has
+        values, (s, x), _ = _knit_reference(A3, 1)
         large = dv.build_zdelta("A3", (0, 12))
-        hs = dv.knit_hammock(small, (0, 1))
-        hl = dv.knit_hammock(large, (0, 1))
-        assert hs.values == hl.values
-        assert hs.sigma_of_source == hl.sigma_of_source
+        got = {z: k for z in large.vertices if (k := dv.hom(A3, (1, 1), z))}
+        assert got == {(n + 1, y): k for (n, y), k in values.items()}
+        assert dv.suspension(A3, (1, 1)) == (s + 1, x)
 
 
 def _mesh_order(t):
@@ -168,68 +187,113 @@ class TestIndependentMesh:
         tree = cw.tree_edges(label)
         arrows = tuple((b, a) if rng.random() < 0.5 else (a, b) for a, b in tree)
         t = dv.build_zdelta(label, window, arrows)
-        hi, order = window[1], _mesh_order(t)
+        q, hi, order = t.meta["quiver"], window[1], _mesh_order(t)
         for v in t.vertices:
-            h = dv.knit_hammock(t, v)
             values, sigma = _windowed_hammock(t, order, v)
-            assert {z: k for z, k in h.values.items() if z[0] <= hi} == values
-            assert sigma == (h.sigma_of_source if h.sigma_of_source[0] <= hi else None)
+            assert {z: k for z in t.vertices if (k := dv.hom(q, v, z))} == values
+            s = dv.suspension(q, v)
+            assert sigma == (s if s[0] <= hi else None)
 
 
 class TestSuspension:
     def test_a1_sigma_is_tau_inverse(self):
         # the one-vertex tree gives a semisimple category: the only
         # morphisms are endomorphisms, so the shift must step one level up
-        t = dv.build_zdelta("A1", (0, 4))
+        a1 = rc.dynkin_quiver("A1")
         for n in range(0, 3):
-            assert dv.suspension(t, (n, 1)) == (n + 1, 1)
-            h = dv.knit_hammock(t, (n, 1))
-            assert h.values == {(n, 1): 1}
+            assert dv.suspension(a1, (n, 1)) == (n + 1, 1)
+            assert [dv.hom(a1, (n, 1), (m, 1)) for m in range(n - 2, n + 3)] == [0, 0, 1, 0, 0]
 
-    def test_a2_periodicity(self, a2_window):
+    def test_a2_periodicity(self):
         # suspension commutes with the translate level shift
-        assert dv.suspension(a2_window, (0, 1)) == (1, 2)
-        assert dv.suspension(a2_window, (1, 1)) == (2, 2)
-        assert dv.suspension(a2_window, (0, 2)) == (2, 1)
+        assert dv.suspension(A2, (0, 1)) == (1, 2)
+        assert dv.suspension(A2, (1, 1)) == (2, 2)
+        assert dv.suspension(A2, (0, 2)) == (2, 1)
 
-    def test_sigma_tau_commute(self, a3_window):
+    def test_sigma_tau_commute(self):
         for v in [(0, 1), (1, 2), (2, 3), (1, 1)]:
             n, x = v
-            s = dv.suspension(a3_window, v)
-            s_shift = dv.suspension(a3_window, (n + 1, x))
+            s = dv.suspension(A3, v)
+            s_shift = dv.suspension(A3, (n + 1, x))
             assert s_shift == (s[0] + 1, s[1])
 
-    def test_serre_is_tau_after_sigma(self, a2_window):
-        q = rc.dynkin_quiver("A2")
-        emb = dv.module_slice(q)
-        ns1 = dv.serre(a2_window, emb[(1, 0)])
-        assert ns1 == dv.suspension(a2_window, emb[(0, 1)])  # N S1 = Sigma S2
-        h = dv.knit_hammock(a2_window, emb[(1, 0)])
-        assert h.value(ns1) == 1
+    def test_serre_is_tau_after_sigma(self):
+        emb = dv.module_slice(A2)
+        ns1 = dv.serre(A2, emb[(1, 0)])
+        assert ns1 == dv.suspension(A2, emb[(0, 1)])  # S S1 = Sigma S2
+        assert dv.hom(A2, emb[(1, 0)], ns1) == 1
+
+    @pytest.mark.parametrize("label", ADE_LABELS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sigma_squared_is_tau_to_the_minus_h(self, label, seed):
+        # the fractional Calabi-Yau property, at every node and at levels
+        # far from 0
+        q = rc.dynkin_quiver(label, _seeded_orientation(label, seed))
+        h = cw.coxeter_number(cw.build_cartan(label))
+        for n in (-(10**6), -1, 0, 3, 10**6):
+            for x in q.vertices:
+                level, node = dv.suspension(q, (n, x))
+                assert dv.suspension(q, (level, node)) == (n + h, x)
+                assert dv.serre(q, (n, x)) == (level - 1, node)
+
+    @pytest.mark.parametrize("label", ["A4", "D5", "E7"])
+    @pytest.mark.parametrize("k", [-(10**6), -12345, -1, 1, 999, 10**6])
+    def test_translation_invariance(self, label, k):
+        # hom(tau^k x, tau^k y) = hom(x, y) at shifts no window could hold
+        q = rc.dynkin_quiver(label, _seeded_orientation(label, 1))
+        band = [(n, x) for n in range(-2, cw.coxeter_number(cw.build_cartan(label))) for x in q.vertices]
+        nonzero = 0
+        for x in band[::3]:
+            moved = (x[0] + k, x[1])
+            level, node = dv.suspension(q, x)
+            assert dv.suspension(q, moved) == (level + k, node)
+            for y in band:
+                value = dv.hom(q, x, y)
+                assert dv.hom(q, moved, (y[0] + k, y[1])) == value
+                nonzero += value > 0
+        assert nonzero > len(band)
 
 
 class TestVertexInWindow:
-    # node 0 or below would read another node's row of the knitted table
-    # from the end, and a node past the rank would fall off it
+    # the calls take any int level and no window; node 0 or below would
+    # read another node's row of the knitted table from the end, a node
+    # past the rank would fall off it, and a bool or float read as a level
+    # or node answered for a vertex that does not exist
     @pytest.mark.parametrize("node", [0, -1, -3, 4])
-    def test_knit_hammock_refuses_a_node_outside_the_rank(self, a3_window, node):
-        with pytest.raises(WindowError, match=f"has no node {node} in A3"):
-            dv.knit_hammock(a3_window, (1, node))
+    def test_hom_refuses_a_node_outside_the_rank(self, node):
+        for x, y in (((1, node), (1, 1)), ((1, 1), (1, node))):
+            with pytest.raises(OutOfRangeError, match=rf"^vertex \(1, {node}\) has no node {node} in A3$"):
+                dv.hom(A3, x, y)
 
     @pytest.mark.parametrize("node", [0, -1, -3, 4])
-    def test_suspension_refuses_a_node_outside_the_rank(self, a3_window, node):
-        with pytest.raises(WindowError, match=f"has no node {node} in A3"):
-            dv.suspension(a3_window, (1, node))
+    def test_suspension_refuses_a_node_outside_the_rank(self, node):
+        with pytest.raises(OutOfRangeError, match=f"has no node {node} in A3"):
+            dv.suspension(A3, (1, node))
 
     @pytest.mark.parametrize("node", [0, -1, -3, 4])
-    def test_serre_refuses_a_node_outside_the_rank(self, a3_window, node):
-        with pytest.raises(WindowError, match=f"has no node {node} in A3"):
-            dv.serre(a3_window, (1, node))
+    def test_serre_refuses_a_node_outside_the_rank(self, node):
+        with pytest.raises(OutOfRangeError, match=f"has no node {node} in A3"):
+            dv.serre(A3, (1, node))
 
-    def test_level_outside_the_window(self, a3_window):
-        with pytest.raises(WindowError, match="outside window"):
-            dv.knit_hammock(a3_window, (15, 1))
-        assert dv.serre(a3_window, (14, 3)) == (16, 1)  # past the top: hammocks are not cut
+    @pytest.mark.parametrize("vertex", [(0.5, 1), (True, 1), (0, True), (0, 1.0), (False, 2), ("0", 1), (2, 3.0)])
+    def test_levels_and_nodes_must_be_ints(self, vertex):
+        # (0.5, 1) had the phantom suspension (1.5, 3), (0, True) was
+        # node 1, and (0, 1.0) raised a bare TypeError
+        calls = (
+            lambda: dv.hom(A3, vertex, (0, 1)),
+            lambda: dv.hom(A3, (0, 1), vertex),
+            lambda: dv.suspension(A3, vertex),
+            lambda: dv.serre(A3, vertex),
+        )
+        for call in calls:
+            with pytest.raises(NotIntegerError, match=r"needs an int level and an int node$"):
+                call()
+
+    def test_level_outside_the_window(self):
+        # there is no window: every int level holds a vertex
+        assert dv.serre(A3, (14, 3)) == (16, 1)
+        assert dv.serre(A3, (10**9 + 14, 3)) == (10**9 + 16, 1)
+        assert dv.hom(A3, (-(10**9), 1), (-(10**9), 1)) == 1
 
 
 class TestEll:
@@ -290,34 +354,30 @@ class TestMesh:
 
 class TestDerivedHom:
     def test_a2_bridge_values(self):
-        q = rc.dynkin_quiver("A2")
-        p1 = rc.indecomposable_for_root(q, (1, 1))
-        s1, s2 = simple_rep(q, 1), simple_rep(q, 2)
-        assert dv.derived_hom(q, (p1, 0), (s1, 0)) == 1
-        assert dv.derived_hom(q, (s1, 0), (s2, 1)) == 1
-        assert dv.derived_hom(q, (s1, 0), (s2, 2)) == 0
-        assert dv.derived_hom(q, (s1, 0), (s2, -1)) == 0
+        emb = dv.module_slice(A2)
+        p1, s1, s2 = emb[(1, 1)], emb[(1, 0)], emb[(0, 1)]
+        assert dv.hom(A2, p1, s1) == 1
+        assert dv.hom(A2, s1, _sigma(A2, s2, 1)) == 1
+        assert dv.hom(A2, s1, _sigma(A2, s2, 2)) == 0
+        assert dv.hom(A2, s1, _sigma(A2, s2, -1)) == 0
 
     def test_shift_invariance(self):
-        q = rc.dynkin_quiver("A2")
-        s1, s2 = simple_rep(q, 1), simple_rep(q, 2)
-        assert dv.derived_hom(q, (s1, 3), (s2, 4)) == dv.derived_hom(q, (s1, 0), (s2, 1))
+        emb = dv.module_slice(A2)
+        s1, s2 = emb[(1, 0)], emb[(0, 1)]
+        assert dv.hom(A2, _sigma(A2, s1, 3), _sigma(A2, s2, 4)) == dv.hom(A2, s1, _sigma(A2, s2, 1))
+        assert dv.hom(A2, _sigma(A2, s1, -5), _sigma(A2, s2, -4)) == 1
 
     @pytest.mark.parametrize("label", ["A2", "A3", "D4", "D5"])
     def test_matches_knitting(self, label):
+        # Hom at equal shift, Ext^1 at shift one and 0 at shift two, by the
+        # linear algebra of the module category
         q = rc.dynkin_quiver(label)
         emb = dv.module_slice(q)
-        window = dv.build_zdelta(label, (-2, 4 * q.rank))
         reps = {a: rc.indecomposable_for_root(q, a) for a in emb}
         for a, va in emb.items():
-            h = dv.knit_hammock(window, va)
             for b, vb in emb.items():
-                target = vb
-                for shift in range(3):
-                    assert h.value(target) == dv.derived_hom(
-                        q, (reps[a], 0), (reps[b], shift)
-                    )
-                    target = dv.suspension(window, target)
+                want = (rc.hom_dim(q, reps[a], reps[b]), rc.ext1_dim(q, reps[a], reps[b]), 0)
+                assert tuple(dv.hom(q, va, _sigma(q, vb, k)) for k in range(3)) == want
 
 
 def _tau_walk_slice(q):
@@ -412,6 +472,18 @@ class TestModuleSlice:
         first.clear()
         assert dv.hom_ext_table(q) == second and len(second) == 36
 
+    def test_hom_and_the_table_share_one_cached_read(self):
+        # both read the same per-node dicts, built once per quiver
+        q = rc.dynkin_quiver("D5", _seeded_orientation("D5", 2))
+        dv._tables.cache_clear()
+        table = dv.hom_ext_table(q)
+        dv.hom_ext_table(q)
+        emb = dv.module_slice(q)
+        for (a, b), (h, e) in table.items():
+            assert (dv.hom(q, emb[a], emb[b]), dv.hom(q, emb[a], dv.suspension(q, emb[b]))) == (h, e)
+        assert dv._tables.cache_info().misses == 1
+        assert dv._tables(q)[0] is dv._tables(q)[0]
+
     def test_misplaced_root_raises(self, monkeypatch):
         # a knit that loses one value leaves a root unplaced or placed twice
         real = dv._knit.__wrapped__
@@ -429,17 +501,26 @@ class TestModuleSlice:
 class TestSerreDuality:
     def test_a3_window(self):
         t = dv.build_zdelta("A3", (0, 6))
-        hammocks = {v: dv.knit_hammock(t, v) for v in t.vertices}
         for x in t.vertices:
-            nx = dv.serre(t, x)
+            sx = dv.serre(A3, x)
             for y in t.vertices:
-                assert hammocks[x].value(y) == hammocks[y].value(nx)
+                assert dv.hom(A3, x, y) == dv.hom(A3, y, sx)
+
+    @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6", "E7", "E8"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_pair_in_a_band_of_2h_levels(self, label, seed):
+        q = rc.dynkin_quiver(label, _seeded_orientation(label, seed))
+        h = cw.coxeter_number(cw.build_cartan(label))
+        band = [(n, x) for n in range(2 * h) for x in q.vertices]
+        for x in band:
+            sx = dv.serre(q, x)
+            for y in band:
+                assert dv.hom(q, x, y) == dv.hom(q, y, sx)
 
 
 class TestPathWitness:
     def test_a3(self):
-        q = rc.dynkin_quiver("A3")
-        emb = dv.module_slice(q)
+        emb = dv.module_slice(A3)
         t = dv.build_zdelta("A3", (-2, 14))
         succ = {v: [w for w, _ in t.arrows_out_of(v)] for v in t.vertices}
 
@@ -455,10 +536,9 @@ class TestPathWitness:
 
         for va in emb.values():
             reach = reachable(va)
-            h = dv.knit_hammock(t, va)
-            for z, value in h.values.items():
-                if value:
-                    assert z in reach
+            nonzero = [z for z in t.vertices if dv.hom(A3, va, z)]
+            assert len(nonzero) == len(dv._knit(A3)[0][va[1] - 1][0])  # the whole hammock
+            assert all(z in reach for z in nonzero)
 
 
 class TestOutputs:
@@ -471,9 +551,6 @@ class TestOutputs:
         data = dv.hammocks_json(dv.build_zdelta("A2", (0, 2)))
         assert data["type"] == "A2"
         assert data["hammocks"]["0:1"]["values"]["0:1"] == 1
-
-
-ADE_LABELS = ["A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6", "E7", "E8"]
 
 
 def _seeded_orientation(label, seed):
@@ -575,11 +652,14 @@ class TestKnitTable:
 
     def test_one_node_knits_its_orientation_once(self):
         dv._knit.cache_clear()
+        dv._tables.cache_clear()
         t = dv.build_zdelta("D6", (0, 4), _seeded_orientation("D6", 1))
+        q = t.meta["quiver"]
         for v in t.vertices:
-            dv.knit_hammock(t, v)
-            dv.suspension(t, v)
+            dv.hom(q, (0, 1), v)
+            dv.serre(q, v)
         assert dv._knit.cache_info().misses == 1
+        assert dv._tables.cache_info().misses == 1
         ell(t, (0, 1))
         assert dv._knit.cache_info().misses == 2
 

@@ -12,7 +12,8 @@ dim Hom(X, Y) = max(0, <[X], [Y]>) for Y from X's level up to that of
 the suspension, and 0 elsewhere: at most one Hom(X, Sigma^i Y) is nonzero.
 
 Nothing here reads the mesh recursion: the route shares no code with
-`derived._knit`, whose flat table it checks value by value.
+`derived._knit`, whose flat table it checks value by value, and with
+`derived.hom` and `derived.suspension`, which read that table.
 """
 
 import itertools
@@ -130,6 +131,13 @@ def _check(label, arrows):
         values, k0_sigma = model.hammock((0, node), levels)
         assert knitted == values, (label, arrows, node)
         assert sigma == k0_sigma, (label, arrows, node)
+    # the public calls, from sources off level 0, over every vertex their
+    # hammocks can reach and one level either side
+    for source in ((-3, node) for node in q.vertices):
+        values, k0_sigma = model.hammock(source, levels)
+        band = [(n, y) for n in range(source[0] - 1, source[0] + levels + 1) for y in q.vertices]
+        assert {y: k for y in band if (k := dv.hom(q, source, y))} == values, (label, arrows, source)
+        assert dv.suspension(q, source) == k0_sigma, (label, arrows, source)
 
 
 @pytest.mark.parametrize("label", ["A2", "A3", "A4", "D4"])

@@ -133,6 +133,18 @@ class TestTranslationQuiver:
         with pytest.raises(OutOfRangeError, match="both parts must be positive"):
             TranslationQuiver(vertices=("a", "b"), arrows=(("a", "b", val),), tau={})
 
+    @pytest.mark.parametrize("val", [(1.5, 1), (True, 1), (1, 2.0), ("1", 1), (1, False)])
+    def test_valuation_parts_must_be_ints(self, val):
+        # (1.5, 1), (True, 1) and (1, 2.0) were accepted, ("1", 1) raised a bare TypeError
+        with pytest.raises(NotIntegerError, match="both parts must be ints"):
+            TranslationQuiver(vertices=("a", "b"), arrows=(("a", "b", val),), tau={})
+
+    @pytest.mark.parametrize("val", [(1, 1, 1), (1,), (), [1, 1], 1])
+    def test_valuation_must_be_a_pair(self, val):
+        # (1, 1, 1) was accepted, and (1,) raised a bare IndexError
+        with pytest.raises(DimensionMismatchError, match="it must be a pair"):
+            TranslationQuiver(vertices=("a", "b"), arrows=(("a", "b", val),), tau={})
+
 
 def _seeded_window(label, window):
     rng = random.Random(f"{label}/1")
