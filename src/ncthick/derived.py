@@ -12,9 +12,10 @@ recursion
 where the suspension of X is not prescribed: it is detected as the unique
 vertex at which the uncorrected recursion first hits -1.  The translate
 shifts levels, so one table per quiver knits every node's hammock once,
-outside any window, on integer rows indexed by node, and keeps it
-flat: the offsets n * width + y - 1 of its nonzero values and the values,
-which every reader moves up to a level by adding to the offsets.
+outside any window, on integer rows indexed by node, and keeps it as one
+flat table: a dict from the offset n * width + y - 1 of each nonzero value
+to the value, which every reader moves up to a level by adding to the
+offsets.  That dict is the node's only stored copy.
 Knitting stops when the hammock dies out, at most 64 levels past the
 source whatever the window's width, so that broken inputs terminate; a
 hammock that needs more raises ResourceLimitError.  An orientation enters
@@ -50,7 +51,14 @@ import functools
 import operator
 
 from . import cartan, repcat
-from .errors import NotIntegerError, OutOfRangeError, ResourceLimitError, StructuralError, WindowError
+from .errors import (
+    DimensionMismatchError,
+    NotIntegerError,
+    OutOfRangeError,
+    ResourceLimitError,
+    StructuralError,
+    WindowError,
+)
 from .tquiver import TranslationQuiver
 
 Vertex = tuple[int, int]
@@ -139,11 +147,13 @@ def _knit(q: repcat.Quiver):
     knitted once per checked quiver on two integer rows indexed by node,
     this level's and the one below, and kept flat.
 
-    Returns (hammocks, ell), both indexed by node - 1.  A hammock is a flat
-    table (offsets, values, suspension, last level knitted): the value of
-    Hom((0, x), (n, y)) stands at offset n * width + y - 1 of the rows laid
-    end to end, and only the nonzero values are kept, in offset order;
-    every offset lies below last * width.  ell(x) is the column sum
+    Returns (hammocks, ell), both indexed by node - 1.  A hammock is
+    (table, suspension, last level knitted), the table one dict
+    {offset: value}: the value of Hom((0, x), (n, y)) stands at offset
+    n * width + y - 1 of the rows laid end to end, and only the nonzero
+    values are kept, in offset order; every offset lies below
+    last * width.  `hom`, `hom_ext_table`, `_slice` and `_template`
+    all read this one dict.  ell(x) is the column sum
     sum_y sum_k dim Hom((0, y), (k, x)), which translation invariance
     makes the sum of dim Hom(-, (0, x))."""
     # arrows into (n, x) leave (n, s) for s -> x and (n - 1, t) for x -> t;
@@ -162,8 +172,7 @@ def _knit(q: repcat.Quiver):
     hammocks = []
     ell = [0] * width
     for node in range(1, width + 1):
-        offsets: list[int] = []
-        values: list[int] = []
+        table: dict[int, int] = {}
         sigma: Vertex | None = None
         prev, row = [0] * width, [0] * width
         source = node - 1  # the term [Z = X], at level 0 only
@@ -187,8 +196,7 @@ def _knit(q: repcat.Quiver):
             base, source = n * width, -1
             for y, k in enumerate(row):
                 if k:
-                    offsets.append(base + y)
-                    values.append(k)
+                    table[base + y] = k
                     ell[y] += k
             if sigma is not None and n > sigma[0] and not any(row):
                 break
@@ -197,15 +205,17 @@ def _knit(q: repcat.Quiver):
             raise ResourceLimitError(
                 f"hammock of node {node} of {q.label} needs more than the {_HARD_CAP}-level knitting cap"
             )
-        hammocks.append((tuple(offsets), tuple(values), sigma, n))
+        hammocks.append((table, sigma, n))
     return tuple(hammocks), tuple(ell)
 
 
 def _node(q: repcat.Quiver, x: Vertex) -> int:
     """The node of x = (level, node), once x is checked to be a vertex of
-    q's repetition: level and node ints, not bools, and the node one of
-    1..rank (node 0 or below would read `_knit`'s table from the end).
-    Every int level is a vertex."""
+    q's repetition: a tuple of two (not a list or any other shape), level
+    and node ints, not bools, and the node one of 1..rank (node 0 or below
+    would read `_knit`'s table from the end).  Every int level is a vertex."""
+    if type(x) is not tuple or len(x) != 2:
+        raise DimensionMismatchError(f"vertex {x!r} must be a pair (level, node)")
     level, node = x
     if type(level) is not int or type(node) is not int:
         raise NotIntegerError(f"vertex {x!r} needs an int level and an int node")
@@ -214,23 +224,16 @@ def _node(q: repcat.Quiver, x: Vertex) -> int:
     return node
 
 
-@functools.lru_cache(maxsize=None)
-def _tables(q: repcat.Quiver) -> tuple[dict[int, int], ...]:
-    """Each node's flat table as one {offset: value} dict, indexed by
-    node - 1: what `hom` and `hom_ext_table` read."""
-    return tuple(dict(zip(offsets, ks)) for offsets, ks, _, _ in _knit(q)[0])
-
-
 def hom(q: repcat.Quiver, x: Vertex, y: Vertex) -> int:
     """dim Hom(x, y) for x = (p, a) and y = (m, b) at any levels: node a's
     table read at offset (m - p) * width + b - 1."""
     a, b = _node(q, x), _node(q, y)
-    return _tables(q)[a - 1].get((y[0] - x[0]) * len(q.vertices) + b - 1, 0)
+    return _knit(q)[0][a - 1][0].get((y[0] - x[0]) * len(q.vertices) + b - 1, 0)
 
 
 def suspension(q: repcat.Quiver, x: Vertex) -> Vertex:
     """The shift of x: its node's -1 event, moved up to x's level."""
-    level, node = _knit(q)[0][_node(q, x) - 1][2]
+    level, node = _knit(q)[0][_node(q, x) - 1][1]
     return (level + x[0], node)
 
 
@@ -280,9 +283,8 @@ def _slice(q: repcat.Quiver) -> tuple[tuple[Vector, Vertex], ...]:
     hammocks = _knit(q)[0]
     dims: dict[int, list[int]] = {}  # by flat offset from level 0
     for i, grade in zip(q.vertices, _grades(q)):
-        offsets, values, _, _ = hammocks[i - 1]
         shift = grade * width
-        for o, k in zip(offsets, values):
+        for o, k in hammocks[i - 1][0].items():
             dims.setdefault(o + shift, [0] * width)[i - 1] = k
     placed = {tuple(d): (o // width, o % width + 1) for o, d in dims.items()}
     roots = cartan.positive_roots(cartan.build_cartan(q.label))
@@ -294,18 +296,17 @@ def _slice(q: repcat.Quiver) -> tuple[tuple[Vector, Vertex], ...]:
 def hom_ext_table(q: repcat.Quiver) -> dict[tuple[Vector, Vector], tuple[int, int]]:
     """(dim Hom, dim Ext^1) for each ordered pair (a, b) of positive roots:
     the hammock of a's vertex read at b's vertex and at its suspension,
-    each at its flat offset from a's, in the per-node dicts `hom` reads.
+    each at its flat offset from a's, in the per-node dict `hom` reads.
     A new plain dict on each call, not cached: the one production caller,
     `thicklat._exceptional_masks`, is itself cached per Coxeter element."""
     slice_ = _slice(q)
     hammocks = _knit(q)[0]
-    tables = _tables(q)
     width = len(q.vertices)
     table = {}
     for a, (n, x) in slice_:
-        at = tables[x - 1]
+        at = hammocks[x - 1][0]
         for b, (m, y) in slice_:
-            s, z = hammocks[y - 1][2]
+            s, z = hammocks[y - 1][1]
             table[(a, b)] = (
                 at.get((m - n) * width + y - 1, 0),
                 at.get((s + m - n) * width + z - 1, 0),
@@ -328,14 +329,14 @@ def window_dot(t: TranslationQuiver) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _template(offsets, values, sigma: Vertex, width: int):
+def _template(table: dict[int, int], sigma: Vertex, width: int):
     """A node's hammock as offsets into the name table from its source's
     row: a getter for the value keys, the span it reads, the values and the
-    suspension's offset."""
-    get = operator.itemgetter(*offsets)
-    if len(offsets) == 1:  # a one-item getter returns the bare item
+    suspension's offset, all read off the node's one table."""
+    get = operator.itemgetter(*table)
+    if len(table) == 1:  # a one-item getter returns the bare item
         get = lambda row, one=get: (one(row),)  # noqa: E731
-    return get, offsets[-1] + 1, values, sigma[0] * width + sigma[1] - 1
+    return get, next(reversed(table)) + 1, table.values(), sigma[0] * width + sigma[1] - 1
 
 
 def hammocks_json(t: TranslationQuiver) -> dict:
@@ -352,10 +353,10 @@ def hammocks_json(t: TranslationQuiver) -> dict:
     nodes = q.vertices
     width = len(nodes)
     knits = _knit(q)[0]
-    top = hi + max(last for _, _, _, last in knits)
+    top = hi + max(last for _, _, last in knits)
     table = [f"{n}:{x}" for n in range(lo, top + 1) for x in nodes]
     name = dict(zip(t.vertices, table))
-    templates = [_template(offsets, ks, sigma, width) for offsets, ks, sigma, _ in knits]
+    templates = [_template(table, sigma, width) for table, sigma, _ in knits]
     hams = {}
     for (level, node), key in name.items():
         get, span, ks, sigma_at = templates[node - 1]

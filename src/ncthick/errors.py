@@ -10,7 +10,8 @@ class UnsupportedLabelError(NcthickError):
 
 
 class DimensionMismatchError(NcthickError):
-    """Vector or matrix dimensions do not match the ambient rank."""
+    """Vector or matrix dimensions do not match the ambient rank, or a
+    vertex or valuation is not a pair."""
 
 
 class IsotropicVectorError(NcthickError):
@@ -30,9 +31,10 @@ class NonIntegralReflectionError(NcthickError):
 
 
 class NotIntegerError(NcthickError):
-    """A matrix or vector entry, a vertex's level or node, or a part of a
-    valuation whose type is not int (a bool, a float, or a rational even
-    when integral) where exact arithmetic needs one."""
+    """A matrix or vector entry, a vertex's level or node, a part of a
+    valuation, or a Kronecker truncation bound or tube point count whose
+    type is not int (a bool, a float, or a rational even when integral)
+    where exact arithmetic needs one."""
 
 
 class InfiniteGroupError(NcthickError):

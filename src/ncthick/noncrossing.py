@@ -57,6 +57,7 @@ from .cartan import CartanDatum, WeylElement, positive_roots
 from .errors import (
     LatticeStructureError,
     NotInPosetError,
+    NotIntegerError,
     OutOfRangeError,
     ResourceLimitError,
     StructuralError,
@@ -329,7 +330,10 @@ MAX_KRONECKER_BOUND = 4096
 
 
 def check_kronecker_bound(bound: int) -> None:
-    """Refuse a truncation bound below 0 or past MAX_KRONECKER_BOUND."""
+    """Refuse a truncation bound that is not an int (a bool included), below
+    0, or past MAX_KRONECKER_BOUND."""
+    if type(bound) is not int:
+        raise NotIntegerError(f"truncation bound must be an int, got {bound!r}")
     if bound < 0:
         raise OutOfRangeError(f"truncation bound must be at least 0, got {bound}")
     if bound > MAX_KRONECKER_BOUND:
@@ -439,11 +443,11 @@ def hasse_dot(lattice: NCLattice) -> str:
 
 
 def to_json(lattice: NCLattice) -> dict:
-    """JSON form: type, coxeter word, ranked elements, and Hasse edges."""
-    cox_word = [list(root) for root in lattice.canonical_word(lattice.coxeter)]
+    """JSON form: type, coxeter word, ranked elements, and Hasse edges,
+    each stored tuple handed to the encoder as it is."""
     data = {
         "type": lattice.cartan.label,
-        "coxeter_word": cox_word,
+        "coxeter_word": lattice.canonical_word(lattice.coxeter),
         "elements": [
             {
                 "id": i,

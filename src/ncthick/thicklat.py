@@ -33,6 +33,7 @@ from . import cartan, derived, linalg, noncrossing, repcat
 from .cartan import CartanDatum, WeylElement
 from .errors import (
     NotInPosetError,
+    NotIntegerError,
     OutOfRangeError,
     ResourceLimitError,
     StructuralError,
@@ -406,12 +407,19 @@ def kronecker_lattice(bound: int, points) -> KroneckerLattice:
     """Glue the truncated NC part to the augmented power set of the
     given tube labels, identifying bottoms and tops.
 
-    `points` is a count or a sequence of labels, distinct after `str()`;
-    the power set has 2^p elements, so p is capped at MAX_TUBE_POINTS.
-    Both caps are checked before any label is made, and distinctness
-    before any label set is built."""
+    `points` is an int count (not a bool) or a sequence of labels,
+    distinct after `str()`; anything else raises NotIntegerError, after
+    the bound's own check and before any other work.  The power set has
+    2^p elements, so p is capped at MAX_TUBE_POINTS.  Both caps are
+    checked before any label is made, and distinctness before any label
+    set is built."""
     noncrossing.check_kronecker_bound(bound)
-    labels = None if isinstance(points, int) else tuple(points)
+    if isinstance(points, int) and not isinstance(points, bool):
+        labels = None
+    elif hasattr(points, "__iter__"):
+        labels = tuple(points)
+    else:
+        raise NotIntegerError(f"tube points must be an int count or a sequence of labels, got {points!r}")
     count = points if labels is None else len(labels)
     if count < 0:
         raise OutOfRangeError(f"tube point count must be at least 0, got {count}")
@@ -440,22 +448,22 @@ def kronecker_lattice(bound: int, points) -> KroneckerLattice:
 
 def thick_to_json(lat: NCLattice) -> dict:
     """The lattice `thick_lattice` certified, each element's least word
-    as its generators."""
+    as its generators.
+
+    The stored tables go to the encoder as they are: `lat.hasse` itself,
+    each element's least-word tuple, and the perp triples zipped from the
+    complement indices.  JSON writes a tuple as a list, so no pair, root
+    or word is copied into one."""
     # left perp w^-1 c and right perp c w^-1 are the Kreweras and
     # co-Kreweras complements, certified by enumerate_nc's chain certificate
-    perp = [[i, lat.kreweras_index[i], lat.co_kreweras_index[i]] for i in range(len(lat))]
     return {
         "type": lat.cartan.label,
         "elements": [
-            {
-                "nc_id": i,
-                "rank": lat.ranks[w],
-                "generator_roots": [list(a) for a in lat.canonical_word(w)],
-            }
+            {"nc_id": i, "rank": lat.ranks[w], "generator_roots": lat.canonical_word(w)}
             for i, w in enumerate(lat.elements)
         ],
-        "hasse": [list(e) for e in lat.hasse],
-        "perp_pairs": perp,
+        "hasse": lat.hasse,
+        "perp_pairs": list(zip(range(len(lat)), lat.kreweras_index, lat.co_kreweras_index)),
     }
 
 
@@ -463,7 +471,8 @@ def kronecker_to_json(lat: KroneckerLattice) -> dict:
     """Names and covers read off the masks: an nc atom is named by its
     root, a tube set S by its points, and S is covered by S | {p}, one
     `position` lookup each; m's points are those of m less its highest bit,
-    then that bit's."""
+    then that bit's.  The cover pairs are tuples, which JSON writes as
+    lists."""
     points, position, roots = lat.tube_points, lat.position, lat.nc_part.roots
     p, top = len(points), len(lat) - 1
     full, bits = (1 << p) - 1, tuple(1 << n for n in range(p))
@@ -474,14 +483,14 @@ def kronecker_to_json(lat: KroneckerLattice) -> dict:
     for i, e in enumerate(lat.elements[1:top], 1):
         if e >> p:  # an nc atom
             name = "s(" + ",".join(map(str, roots[e.bit_length() - 1 - p])) + ")"
-            edges += [[0, i], [i, top]]
+            edges += [(0, i), (i, top)]
         else:
             name = "{" + named[e][1:] + "}"
             if e.bit_count() == 1:
-                edges.append([0, i])
+                edges.append((0, i))
             if e == full:
-                edges.append([i, top])
-            edges += [[i, position[e | b]] for b in bits if not e & b]
+                edges.append((i, top))
+            edges += [(i, position[e | b]) for b in bits if not e & b]
         elements.append({"id": i, "name": name, "rank": lat.rank_of(e)})
     elements.append({"id": top, "name": "1", "rank": lat.rank_of(lat.elements[top])})
     edges.sort()

@@ -26,7 +26,7 @@ def ell(t, x):
     reference for the column sums `verify_mesh` reads off the window's own
     table."""
     assert x in t.vertices
-    return sum(dv._knit(_opposite(t.meta["quiver"]))[0][x[1] - 1][1])
+    return sum(dv._knit(_opposite(t.meta["quiver"]))[0][x[1] - 1][0].values())
 
 
 def _opposite(q):
@@ -289,6 +289,20 @@ class TestVertexInWindow:
             with pytest.raises(NotIntegerError, match=r"needs an int level and an int node$"):
                 call()
 
+    @pytest.mark.parametrize("vertex", [(1, 1, 1), (1,), (), 5, None, [0, 1], "01", range(2)])
+    def test_vertex_must_be_a_pair(self, vertex):
+        # (1, 1, 1) and (1,) raised a bare ValueError, 5 a bare TypeError,
+        # and the list [0, 1] was read as the vertex (0, 1)
+        calls = (
+            lambda: dv.hom(A3, vertex, (0, 1)),
+            lambda: dv.hom(A3, (0, 1), vertex),
+            lambda: dv.suspension(A3, vertex),
+            lambda: dv.serre(A3, vertex),
+        )
+        for call in calls:
+            with pytest.raises(DimensionMismatchError, match=r"must be a pair \(level, node\)$"):
+                call()
+
     def test_level_outside_the_window(self):
         # there is no window: every int level holds a vertex
         assert dv.serre(A3, (14, 3)) == (16, 1)
@@ -473,16 +487,16 @@ class TestModuleSlice:
         assert dv.hom_ext_table(q) == second and len(second) == 36
 
     def test_hom_and_the_table_share_one_cached_read(self):
-        # both read the same per-node dicts, built once per quiver
+        # both read the same per-node dicts, knitted once per quiver
         q = rc.dynkin_quiver("D5", _seeded_orientation("D5", 2))
-        dv._tables.cache_clear()
+        dv._knit.cache_clear()
         table = dv.hom_ext_table(q)
         dv.hom_ext_table(q)
         emb = dv.module_slice(q)
         for (a, b), (h, e) in table.items():
             assert (dv.hom(q, emb[a], emb[b]), dv.hom(q, emb[a], dv.suspension(q, emb[b]))) == (h, e)
-        assert dv._tables.cache_info().misses == 1
-        assert dv._tables(q)[0] is dv._tables(q)[0]
+        assert dv._knit.cache_info().misses == 1
+        assert dv._knit(q)[0][0][0] is dv._knit(q)[0][0][0]
 
     def test_misplaced_root_raises(self, monkeypatch):
         # a knit that loses one value leaves a root unplaced or placed twice
@@ -490,8 +504,8 @@ class TestModuleSlice:
 
         def lossy(q):
             hammocks, ell = real(q)
-            (offsets, values, sigma, last), *rest = hammocks
-            return ((offsets[1:], values[1:], sigma, last), *rest), ell
+            (table, sigma, last), *rest = hammocks
+            return ((dict(list(table.items())[1:]), sigma, last), *rest), ell
 
         monkeypatch.setattr(dv, "_knit", lossy)
         with pytest.raises(StructuralError, match="once"):
@@ -624,17 +638,18 @@ class TestKnitTable:
     @pytest.mark.parametrize("label", ADE_UP_TO_RANK_8)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rows_match_dict_knit(self, label, seed):
-        # the flat table read back as vertices: offsets strictly increasing,
-        # every value positive, and all of them below the last level
+        # the flat table read back as vertices: one plain dict with its
+        # offsets in increasing order, every value positive, and all of
+        # them below the last level
         q = rc.dynkin_quiver(label, _seeded_orientation(label, seed))
         hammocks = dv._knit(q)[0]
         width = cw.parse_label(label)[1]
         assert len(hammocks) == width
-        for node, (offsets, ks, sigma, last) in enumerate(hammocks, 1):
+        for node, (table, sigma, last) in enumerate(hammocks, 1):
             values, *rest = _knit_reference(q, node)
-            assert len(offsets) == len(ks) and list(offsets) == sorted(set(offsets))
-            assert min(ks) > 0 and max(offsets) < last * width
-            assert {(o // width, o % width + 1): k for o, k in zip(offsets, ks)} == values
+            assert type(table) is dict and list(table) == sorted(table)
+            assert min(table.values()) > 0 and max(table) < last * width
+            assert {(o // width, o % width + 1): k for o, k in table.items()} == values
             assert (sigma, last) == tuple(rest)
 
     @pytest.mark.parametrize("label", ADE_UP_TO_RANK_8)
@@ -651,15 +666,14 @@ class TestKnitTable:
         assert all(order.index(s) < order.index(t) for s, t in q.arrows)
 
     def test_one_node_knits_its_orientation_once(self):
+        # hom and serre read the one cached table; ell knits the opposite
         dv._knit.cache_clear()
-        dv._tables.cache_clear()
         t = dv.build_zdelta("D6", (0, 4), _seeded_orientation("D6", 1))
         q = t.meta["quiver"]
         for v in t.vertices:
             dv.hom(q, (0, 1), v)
             dv.serre(q, v)
         assert dv._knit.cache_info().misses == 1
-        assert dv._tables.cache_info().misses == 1
         ell(t, (0, 1))
         assert dv._knit.cache_info().misses == 2
 

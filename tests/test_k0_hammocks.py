@@ -126,8 +126,8 @@ def _check(label, arrows):
     width = len(q.vertices)
     model = K0Model(width, q.arrows)
     levels = cw.coxeter_number(cw.build_cartan(label)) + 2
-    for node, (offsets, ks, sigma, _) in enumerate(dv._knit.__wrapped__(q)[0], 1):
-        knitted = {(o // width, o % width + 1): k for o, k in zip(offsets, ks)}
+    for node, (table, sigma, _) in enumerate(dv._knit.__wrapped__(q)[0], 1):
+        knitted = {(o // width, o % width + 1): k for o, k in table.items()}
         values, k0_sigma = model.hammock((0, node), levels)
         assert knitted == values, (label, arrows, node)
         assert sigma == k0_sigma, (label, arrows, node)

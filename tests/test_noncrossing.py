@@ -842,6 +842,7 @@ class TestDotAndJson:
     def test_json_bytes_of_list_form(self):
         lat = _lattice("B3")
         reference = dict(nc.to_json(lat))
+        reference["coxeter_word"] = [list(a) for a in lat.canonical_word(lat.coxeter)]
         reference["elements"] = [
             {"id": i, "rank": lat.ranks[w], "matrix": [list(row) for row in w.matrix]}
             for i, w in enumerate(lat.elements)
@@ -873,7 +874,7 @@ class TestDotAndJson:
         lat = nc.enumerate_nc(cd, cw.coxeter_element(cd, perm))
         words = _cover_words(lat)
         assert [lat.canonical_word(w) for w in lat.elements] == words
-        assert nc.to_json(lat)["coxeter_word"] == [list(a) for a in words[lat.index(lat.coxeter)]]
+        assert nc.to_json(lat)["coxeter_word"] == words[lat.index(lat.coxeter)]
 
     @pytest.mark.parametrize("bound", range(8))
     def test_coxeter_word_is_canonical_kronecker(self, bound):
@@ -882,7 +883,7 @@ class TestDotAndJson:
         lat = nc.nc_kronecker(bound)
         words = _cover_words(lat)
         assert [lat.canonical_word(w) for w in lat.elements] == words
-        assert nc.to_json(lat)["coxeter_word"] == [list(a) for a in words[lat.index(lat.coxeter)]]
+        assert nc.to_json(lat)["coxeter_word"] == words[lat.index(lat.coxeter)]
 
     @pytest.mark.parametrize("label", ["A3", "D4", "KRONECKER"])
     def test_to_json_builds_no_other_words(self, label):
@@ -891,7 +892,8 @@ class TestDotAndJson:
         data = nc.to_json(lat)
         assert len(lat._words) <= lat.ranks[lat.coxeter] + 1
         assert len(data["coxeter_word"]) == lat.ranks[lat.coxeter]
-        assert data["coxeter_word"] == [list(a) for a in _cover_words(lat)[lat.index(lat.coxeter)]]
+        assert data["coxeter_word"] == _cover_words(lat)[lat.index(lat.coxeter)]
+        assert data["coxeter_word"] is lat.canonical_word(lat.coxeter)  # the stored word, not a copy
 
     def test_canonical_words_shortest(self):
         lat = _lattice("A3")

@@ -16,6 +16,7 @@ from ncthick import thicklat as tl
 from ncthick.errors import (
     LatticeStructureError,
     NotInPosetError,
+    NotIntegerError,
     OutOfRangeError,
     ResourceLimitError,
     StructuralError,
@@ -817,7 +818,7 @@ class TestKroneckerLattice:
         lat = tl.kronecker_lattice(bound, points)
         els = lat.elements
         cubic = [
-            [i, j]
+            (i, j)
             for i, a in enumerate(els)
             for j, b in enumerate(els)
             if i != j
@@ -827,12 +828,13 @@ class TestKroneckerLattice:
         assert tl.kronecker_to_json(lat)["hasse"] == cubic
 
     @pytest.mark.parametrize("bound", [0, 1, 3])
-    @pytest.mark.parametrize("points", [0, 1, 2, 8, ("t9", "t10", "t100")])
+    @pytest.mark.parametrize("points", [0, 1, 2, 8, ("t9", "t10", "t100"), 5])
     def test_to_json_matches_frozenset_reference(self, bound, points):
         # "t10" < "t100" < "t9" as strings: names and covers follow the
-        # sorted tube_points, not the numeric order
+        # sorted tube_points, not the numeric order; the bytes equal the
+        # reference's, whose pairs are lists
         lat = tl.kronecker_lattice(bound, points)
-        assert tl.kronecker_to_json(lat) == _kronecker_json_reference(lat)
+        assert _dumps(tl.kronecker_to_json(lat)) == _dumps(_kronecker_json_reference(lat))
 
     def test_negative_sizes_rejected(self):
         with pytest.raises(OutOfRangeError):
@@ -860,6 +862,34 @@ class TestKroneckerLattice:
             tl.kronecker_lattice(0, tl.MAX_TUBE_POINTS + 1)
         with pytest.raises(ResourceLimitError):
             tl.kronecker_lattice(0, tuple(f"x{i}" for i in range(17)))
+
+    @pytest.mark.parametrize("bound", [True, False, 1.5, 2.0, "1", None])
+    def test_bound_must_be_an_int(self, bound, monkeypatch):
+        # True printed "truncation_bound": true and 1.5 raised a bare
+        # TypeError; refused before any reflection is built
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reflections built before the bound type check")
+
+        monkeypatch.setattr(cw, "reflections", forbidden)
+        for call in (lambda: tl.kronecker_lattice(bound, 2), lambda: nc.nc_kronecker(bound)):
+            with pytest.raises(NotIntegerError, match="^truncation bound must be an int"):
+                call()
+
+    @pytest.mark.parametrize("points", [True, False, 2.0, 1.5, None])
+    def test_point_count_must_be_an_int(self, points, monkeypatch):
+        # True built one tube point and 2.0 raised a bare TypeError;
+        # refused before the NC part is built
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lattice built before the point count check")
+
+        monkeypatch.setattr(nc, "nc_kronecker", forbidden)
+        with pytest.raises(NotIntegerError, match="^tube points must be an int count or a sequence of labels"):
+            tl.kronecker_lattice(1, points)
+
+    @pytest.mark.parametrize("points", [("b", "a"), ["b", "a"]])
+    def test_label_sequences_stay_accepted(self, points):
+        lat = tl.kronecker_lattice(1, points)
+        assert lat.tube_points == ("a", "b") and len(lat) == 9
 
     def test_points_cap_before_labels(self):
         class Count(int):
@@ -933,6 +963,23 @@ def _kronecker_json_reference(lat):
     }
 
 
+def _thick_json_reference(lat):
+    """Every stored pair, root and triple copied into a new list."""
+    return {
+        "type": lat.cartan.label,
+        "elements": [
+            {"nc_id": i, "rank": lat.ranks[w], "generator_roots": [list(a) for a in lat.canonical_word(w)]}
+            for i, w in enumerate(lat.elements)
+        ],
+        "hasse": [list(e) for e in lat.hasse],
+        "perp_pairs": [[i, lat.kreweras_index[i], lat.co_kreweras_index[i]] for i in range(len(lat))],
+    }
+
+
+def _dumps(data):
+    return json.dumps(data, sort_keys=True)
+
+
 class TestJson:
     def test_thick_json(self, a2):
         data = tl.thick_to_json(tl.thick_lattice(a2))
@@ -946,13 +993,28 @@ class TestJson:
     def test_perp_pairs_are_perp_functions(self, label):
         lat = tl.thick_lattice(cw.build_cartan(label))
         expected = [
-            [i, lat.index(tl.left_perp(u).nc_element), lat.index(tl.right_perp(u).nc_element)]
+            (i, lat.index(tl.left_perp(u).nc_element), lat.index(tl.right_perp(u).nc_element))
             for i, u in enumerate(
                 tl.ThickSubcategory(lat.cartan, lat.coxeter, w, lat.canonical_word(w))
                 for w in lat.elements
             )
         ]
         assert tl.thick_to_json(lat)["perp_pairs"] == expected
+
+    @pytest.mark.parametrize("label", ["A3", "D4", "G2"])
+    def test_thick_json_hands_over_the_stored_tables(self, label):
+        # no pair, root or word is copied: the Hasse pairs and each
+        # element's least word are the lattice's own tuples
+        lat = tl.thick_lattice(cw.build_cartan(label))
+        data = tl.thick_to_json(lat)
+        assert data["hasse"] is lat.hasse
+        for el, w in zip(data["elements"], lat.elements, strict=True):
+            assert el["generator_roots"] is lat.canonical_word(w)
+
+    @pytest.mark.parametrize("label", ["A4", "D4", "E6", "F4", "G2", "B3"])
+    def test_thick_json_bytes_of_list_form(self, label):
+        lat = tl.thick_lattice(cw.build_cartan(label))
+        assert _dumps(tl.thick_to_json(lat)) == _dumps(_thick_json_reference(lat))
 
     def test_kronecker_json_and_dot(self):
         lat = tl.kronecker_lattice(0, 2)
